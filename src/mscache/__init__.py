@@ -19,24 +19,21 @@ from .content import (
     DemandVector,
     Library,
     LibraryConfig,
-    MinifileView,
-    SubfileView,
     load_library,
     place_caches,
     random_library,
     save_library,
-    split_file,
-    split_subfile,
 )
 from .delivery import (
     DeliverySchedule,
     RowCodePlan,
     TransmitBlock,
     Transmission,
-    build_block_from_plan,
-    build_block_full_antennas,
+    build_block,
+    build_row_plan,
     build_row_plan_reduced,
     build_schedule,
+    delivery_time,
     is_supported,
     regime,
     render_delivery_table,
@@ -82,26 +79,25 @@ __all__ = [
     "Library",
     "LibraryConfig",
     "MetricsReport",
-    "MinifileView",
     "PlanVerificationError",
     "PrimeField",
     "ReceptionLog",
     "ResamplingExhausted",
     "RowCodePlan",
     "SimulatorError",
-    "SubfileView",
     "Transmission",
     "TransmitBlock",
     "WrongRegime",
     "achievable_time",
     "assemble_report",
-    "build_block_from_plan",
-    "build_block_full_antennas",
+    "build_block",
+    "build_row_plan",
     "build_row_plan_reduced",
     "build_schedule",
     "converse_bound",
     "decode_all",
     "decode_user",
+    "delivery_time",
     "draw_channel",
     "invert",
     "is_supported",
@@ -117,8 +113,6 @@ __all__ = [
     "save_library",
     "segment_sizes",
     "solve",
-    "split_file",
-    "split_subfile",
     "uncoded_baseline",
     "verify_row_plan",
     "zero_forcing_vector",

@@ -6,8 +6,9 @@ rejection-sampled until every set of L distinct rows is invertible, so
 the zero-forcing synthesis downstream can never degenerate.
 
 Decoding assumes the standard genie model: receivers know H, the demand
-vector, and the schedule's plan metadata, and recompute the beamformer
-scalings rather than estimating them.
+vector, and the schedule's metadata (row plans and, per block, the owner
+gain of every served user's beam), and read the beamformer scalings from
+the schedule rather than estimating them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     ResamplingExhausted,
 )
 from .field import FieldContext
-from .linalg import rank, solve, zero_forcing_vector
+from .linalg import rank, solve
 
 # Channel draws before giving up; exceeding this signals a pathological
 # field size or dimensions, not bad luck.
@@ -126,75 +127,37 @@ def _check_consistent(k, d, Z_k, log, H: ChannelMatrix, schedule) -> None:
         )
 
 
-def _owner_scale(field, H: ChannelMatrix, owner: int, k: int, group) -> object:
-    """The scalar h_owner^H w for user k's beam in the given served group."""
-    w = zero_forcing_vector(field, H.H, k, group)
-    return field.matmul(H.H[owner], w)
-
-
-def _decode_full_row(field, k, i, y, Z_k, H):
-    if k == i:
-        # Own row: the reception is the plain sum of the other users'
-        # subfiles, so the cache closes the last gap.
-        return field.sub(Z_k.payload, y)
-    s = _owner_scale(field, H, i, k, [u for u in range(H.K) if u != i])
-    return field.mul(y, s)
-
-
-def _decode_reduced_row(field, k, i, plan, row_logs, Z_k, H):
-    L = H.L
-    if k == i:
-        # Combine the row's receptions per the plan's A matrix, then
-        # subtract the resulting subfile sum from the cache.
-        tau = row_logs[0].shape[0]
-        parts = []
-        for j in range(L):
-            q = field.zeros(tau)
-            for t, y in enumerate(row_logs):
-                a = int(plan.A[j, t])
-                if a == 1:
-                    q = field.add(q, y)
-                elif a == -1:
-                    q = field.sub(q, y)
-                elif a != 0:
-                    q = field.add(q, field.mul(field.coeff(a), y))
-            parts.append(q)
-        return field.sub(Z_k.payload, np.concatenate(parts))
-    serving = plan.serving[k]
-    combos = []
-    coeff_rows = []
-    for t in serving:
-        tx = plan.transmissions[t]
-        s = _owner_scale(field, H, i, k, tx.served)
-        combos.append(field.mul(row_logs[t], s))
-        coeff_rows.append(tx.coeffs[k])
-    C = field.convert(np.array(coeff_rows, dtype=np.int64))
-    V = np.stack(combos)
-    mini = solve(field, C, V)
-    return np.concatenate([mini[j] for j in range(L)])
+def _decode_row(field, k, plan, blocks, ys, Z_k) -> np.ndarray:
+    """User k's subfile of one row, from that row's receptions ys."""
+    if k == plan.owner:
+        # Own row: A combines the receptions into the per-minifile sums
+        # of the other users' subfiles, and the cache closes the gap.
+        sums = field.matmul(field.convert(plan.A), np.stack(ys))
+        return field.sub(Z_k.payload, sums.ravel())
+    # Reception t carries coeffs[k] @ minifiles / gain; with C the
+    # stacked coefficients, the minifiles are C^-1 diag(gains) @ Y.
+    ts = plan.serving[k]
+    C = field.convert([plan.transmissions[t].coeffs[k] for t in ts])
+    gains = field.zeros((len(ts), len(ts)))
+    for q, t in enumerate(ts):
+        gains[q, q] = blocks[t].gains[blocks[t].group.index(k)]
+    return field.matmul(solve(field, C, gains), np.stack([ys[t] for t in ts])).ravel()
 
 
 def decode_user(k: int, d, Z_k, log: ReceptionLog, H: ChannelMatrix, schedule) -> DecodeResult:
     """Reconstruct user k's requested file from receptions plus cache.
 
-    Non-owner rows yield subfiles by descaling (full-antenna rows) or by
-    inverting the user's planned coefficient system (reduced rows); the
-    user's own row comes from subtracting the received sum from Z_k.
+    A row served to k yields its subfile by descaling k's receptions and
+    inverting k's planned coefficient system; k's own row comes from
+    subtracting the received sum from Z_k.
     """
     _check_consistent(k, d, Z_k, log, H, schedule)
     field = H.field
-    cfg = schedule.cfg
-    N = cfg.N
     subfiles = []
-    for i in range(N):
-        row_blocks = schedule.rows[i]
-        if cfg.L == N - 1:
-            y = log.per_block[row_blocks[0]][k]
-            subfiles.append(_decode_full_row(field, k, i, y, Z_k, H))
-        else:
-            plan = schedule.plans[i]
-            row_logs = [log.per_block[b][k] for b in row_blocks]
-            subfiles.append(_decode_reduced_row(field, k, i, plan, row_logs, Z_k, H))
+    for i, ids in enumerate(schedule.rows):
+        blocks = [schedule.blocks[b] for b in ids]
+        ys = [log.per_block[b][k] for b in ids]
+        subfiles.append(_decode_row(field, k, schedule.plans[i], blocks, ys, Z_k))
     data = np.concatenate(subfiles)
     want = schedule.library.data[d[k]]
     return DecodeResult(user=k, data=data, success=field.close(data, want))

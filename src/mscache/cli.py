@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import decode_all, draw_channel, receive
 from .content import DemandVector, LibraryConfig, place_caches, random_library
-from .delivery import build_schedule, is_supported, render_delivery_table
+from .delivery import build_schedule, delivery_time, is_supported, render_delivery_table
 from .errors import SimulatorError
 from .field import make_field
 from .metrics import (
@@ -158,6 +158,8 @@ def _table_line(idx: int, rep) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise SimulatorError(f"--trials must be at least 1, got {args.trials}")
     N = _single_n(args)
     cfg = _resolve(args, N)
     field = make_field(args.mode, args.prime)
@@ -258,12 +260,15 @@ def cmd_bounds(args) -> int:
     N = _single_n(args)
     K = args.K if args.K is not None else N
     L = args.L if args.L is not None else N - 1
+    if N < 1 or L < 1 or not 1 <= K <= N:
+        raise SimulatorError(f"bounds need N >= 1, 1 <= K <= N and L >= 1, got N={N} K={K} L={L}")
     M = Fraction(1, N)
     conv = converse_bound(K, N, M, L)
     unc = uncoded_baseline(K, N, M, L)
     achieved = ""
-    if is_supported(N, L):
-        achieved = str(Fraction(1) if L == N - 1 else Fraction(N - 1, L))
+    # The scheme serves exactly K = N users.
+    if K == N and is_supported(N, L):
+        achieved = str(delivery_time(N, L))
     fmt = args.fmt or "table"
     if fmt == "json":
         text = (

@@ -2,8 +2,9 @@
 
 The regime fixes K = N users/files and per-user cache size M = 1/N of a
 file. Each file splits into N equal contiguous subfiles; user k caches
-the sum of the k-th subfile of every file. Scarce-antenna delivery
-additionally splits a subfile into L equal minifiles.
+the sum of the k-th subfile of every file. Delivery further splits each
+subfile into m equal contiguous minifiles (m = 1 with L = N-1 antennas,
+m = L with fewer).
 
 All indices in this API are 0-based; human-facing renderings elsewhere
 use 1-based labels.
@@ -84,24 +85,16 @@ class Library:
     def F(self) -> int:
         return self.data.shape[1]
 
+    def parts(self, m: int) -> np.ndarray:
+        """N x N x m x tau view: [n, i, j] is minifile j of subfile i of file n.
 
-@dataclass(frozen=True)
-class SubfileView:
-    """The i-th of N equal contiguous slices of file n (0-based)."""
-
-    n: int
-    i: int
-    data: np.ndarray
-
-
-@dataclass(frozen=True)
-class MinifileView:
-    """The j-th of L equal contiguous slices of subfile (n, i) (0-based)."""
-
-    n: int
-    i: int
-    j: int
-    data: np.ndarray
+        Subfiles are the N equal contiguous slices of a file, minifiles
+        the m equal contiguous slices of a subfile (all 0-based).
+        """
+        N, F = self.N, self.F
+        if F % (N * m) != 0:
+            raise IndivisibleFile(f"file size {F} not divisible by N*m={N * m}")
+        return self.data.reshape(N, N, m, F // (N * m))
 
 
 @dataclass(frozen=True)
@@ -135,30 +128,6 @@ class DemandVector:
         return self.d[k]
 
 
-def split_file(library: Library, n: int) -> list[SubfileView]:
-    """The N contiguous subfile views of file n, in order."""
-    N, F = library.N, library.F
-    if not 0 <= n < N:
-        raise InconsistentInputs(f"file index {n} out of range for N={N}")
-    if F % N != 0:
-        raise IndivisibleFile(f"file size {F} not divisible by N={N}")
-    step = F // N
-    row = library.data[n]
-    return [SubfileView(n, i, row[i * step : (i + 1) * step]) for i in range(N)]
-
-
-def split_subfile(sub: SubfileView, L: int) -> list[MinifileView]:
-    """The L contiguous minifile views of one subfile, in order."""
-    size = sub.data.shape[0]
-    if size % L != 0:
-        raise IndivisibleFile(f"subfile of {size} symbols not divisible by L={L}")
-    step = size // L
-    return [
-        MinifileView(sub.n, sub.i, j, sub.data[j * step : (j + 1) * step])
-        for j in range(L)
-    ]
-
-
 def place_caches(library: Library, cfg: LibraryConfig) -> list[CacheContent]:
     """Coded placement: Z_k = sum over n of subfile (n, k).
 
@@ -170,14 +139,11 @@ def place_caches(library: Library, cfg: LibraryConfig) -> list[CacheContent]:
             f"library shape {library.data.shape} does not match config "
             f"N={cfg.N}, F={cfg.F}"
         )
-    parts = [split_file(library, n) for n in range(cfg.N)]
-    caches = []
-    for k in range(cfg.K):
-        z = library.field.zeros(cfg.subfile_symbols)
-        for n in range(cfg.N):
-            z = library.field.add(z, parts[n][k].data)
-        caches.append(CacheContent(k, z))
-    return caches
+    subfiles = library.parts(1)[:, :, 0]
+    z = library.field.zeros(subfiles.shape[1:])
+    for n in range(cfg.N):
+        z = library.field.add(z, subfiles[n])
+    return [CacheContent(k, z[k]) for k in range(cfg.K)]
 
 
 def random_library(field: FieldContext, N: int, F: int, seed: int) -> Library:

@@ -1,20 +1,26 @@
-"""Transmit-schedule construction for both antenna regimes.
+"""Row plans, transmit blocks and schedules for both antenna regimes.
 
-With L = N-1 antennas, one block per table row i beamforms, for every
-other user k, the subfile of its requested file with index i. Beams are
-nulled at co-served users and rescaled so the row owner receives the
-plain sum of the payloads, which its cache then completes.
+Table row i delivers, to every other user k, subfile i of the file k
+requested; the row owner i hears the plain sum of those subfiles and
+completes its own subfile from its cache. Each subfile splits into m
+minifiles and a row is carried by (N-1)*m/L transmissions of duration
+1/(N*m), each serving L users, so every row takes (N-1)/L.
 
-With fewer antennas (L < N-1), each row is carried by N-1 shorter
-transmissions over minifiles. The N-1 non-owner users are tiled into
-segments of size L and L+1. A size-L segment is served jointly in L
-transmissions, one minifile index per transmission. A size-(L+1)
-segment uses a telescoping pattern: transmission t serves all segment
-users but one, with coefficient vectors chosen as the inverse of a
-column-deleted bidiagonal matrix, so that consecutive receptions
+With L = N-1 antennas, m = 1: one transmission serves all N-1 other
+users. With fewer antennas (L < N-1), m = L: the N-1 other users are
+tiled into segments of size L and L+1. A size-L segment is served
+jointly in L transmissions, one minifile index per transmission. A
+size-(L+1) segment uses a telescoping pattern: transmission t serves all
+segment users but one, with coefficient vectors chosen as the inverse of
+a column-deleted bidiagonal matrix, so that consecutive receptions
 combine (telescope) into the per-index minifile sums the owner needs.
-Every generated plan is re-verified by exact integer linear algebra
-before use; a verification failure is a hard error, never a fallback.
+
+Everything downstream reads the row plan, so only plan construction and
+the table's term labels know which regime is running. Every plan is
+re-verified by exact integer linear algebra before use; a verification
+failure is a hard error, never a fallback. Each block carries the gain
+its owner sees on every served user's beam, which receivers use to
+descale their receptions.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelMatrix
-from .content import DemandVector, Library, LibraryConfig, split_file, split_subfile
+from .content import DemandVector, Library, LibraryConfig
 from .errors import (
     DegenerateChannel,
     DimensionMismatch,
@@ -68,10 +74,23 @@ def is_supported(N: int, L: int) -> bool:
     return True
 
 
+def minifile_count(N: int, L: int) -> int:
+    """Minifiles per subfile, m: 1 when L = N-1, else L."""
+    return 1 if regime(N, L) == "full" else L
+
+
+def delivery_time(N: int, L: int) -> Fraction:
+    """Scheme delivery time (N-1)/L, in files; 1 when L = N-1."""
+    regime(N, L)
+    return Fraction(N - 1, L)
+
+
 def segment_sizes(N: int, L: int) -> list[int]:
-    """Sizes tiling the N-1 non-owner users: a segments of L, then r of L+1."""
-    if regime(N, L) != "reduced":
-        raise WrongRegime(f"segment tiling applies only when L < N-1, got N={N}, L={L}")
+    """Sizes tiling the N-1 non-owner users: q-r segments of L, then r of L+1.
+
+    With L = N-1 this is the single segment [L].
+    """
+    regime(N, L)
     q, r = divmod(N - 1, L)
     return [L] * (q - r) + [L + 1] * r
 
@@ -126,12 +145,12 @@ def _exact_int_inverse(rows) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Row plans for the reduced regime
+# Row plans
 
 
 @dataclass(frozen=True, eq=False)
 class Transmission:
-    """One reduced-regime transmission: served users and their combinations."""
+    """One transmission of a row: served users and their minifile combinations."""
 
     served: tuple
     coeffs: dict
@@ -139,13 +158,14 @@ class Transmission:
 
 @dataclass(frozen=True, eq=False)
 class RowCodePlan:
-    """Complete minifile coding plan for one table row.
+    """Complete minifile coding plan for one table row, m minifiles per subfile.
 
-    transmissions: the N-1 transmissions in order; coeffs[u] is the
-    length-L integer vector applied to user u's minifiles.
-    A: L x (N-1) matrix with entries in {-1, 0, 1}; row j of A applied
-    to the row's receptions yields the sum over users of minifile j.
-    serving: per user, the L transmission indices that serve it.
+    transmissions: the (N-1)*m/L transmissions in order; coeffs[u] is
+    the length-m integer vector applied to user u's minifiles.
+    A: m x (N-1)*m/L matrix with entries in {-1, 0, 1}; row j of A
+    applied to the row's receptions yields the sum over users of
+    minifile j.
+    serving: per user, the m transmission indices that serve it.
     """
 
     owner: int
@@ -153,6 +173,10 @@ class RowCodePlan:
     transmissions: tuple
     A: np.ndarray
     serving: dict
+
+    @property
+    def minifiles(self) -> int:
+        return self.A.shape[0]
 
 
 def _telescoping_pattern(L: int):
@@ -178,16 +202,28 @@ def _telescoping_pattern(L: int):
     return B, miss
 
 
+def build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
+    """Deterministic verified coding plan for row i at any supported (N, L)."""
+    if regime(N, L) == "reduced":
+        return build_row_plan_reduced(i, N, L)
+    return _build_row_plan(i, N, L)
+
+
 @lru_cache(maxsize=None)
 def build_row_plan_reduced(i: int, N: int, L: int) -> RowCodePlan:
     """Deterministic verified coding plan for row i at (N, L), L < N-1."""
     if regime(N, L) != "reduced":
         raise WrongRegime(f"row plans exist only for L < N-1, got N={N}, L={L}")
+    return _build_row_plan(i, N, L)
+
+
+def _build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
     if not 0 <= i < N:
         raise InconsistentInputs(f"row index {i} out of range for N={N}")
+    m = minifile_count(N, L)
     users = [u for u in range(N) if u != i]
     transmissions = []
-    A = np.zeros((L, N - 1), dtype=np.int64)
+    A = np.zeros((m, (N - 1) * m // L), dtype=np.int64)
     serving = {u: [] for u in users}
     pos = 0
     col = 0
@@ -197,14 +233,15 @@ def build_row_plan_reduced(i: int, N: int, L: int) -> RowCodePlan:
             # Jointly served group: transmission t of the segment sends
             # minifile t of every member, so each member's coefficient
             # system is the identity.
-            for t_local in range(L):
+            for t_local in range(m):
                 t = col + t_local
-                unit = tuple(int(j == t_local) for j in range(L))
+                unit = tuple(int(j == t_local) for j in range(m))
                 coeffs = {u: unit for u in seg}
                 for u in seg:
                     serving[u].append(t)
                 transmissions.append(Transmission(tuple(seg), coeffs))
                 A[t_local, t] = 1
+            col += m
         else:
             B, miss = _telescoping_pattern(L)
             rows_of = {}
@@ -228,8 +265,8 @@ def build_row_plan_reduced(i: int, N: int, L: int) -> RowCodePlan:
                 transmissions.append(Transmission(tuple(served), coeffs))
                 for j in range(L):
                     A[j, t] = B[j][t_local]
+            col += size
         pos += size
-        col += size
     plan = RowCodePlan(
         owner=i,
         users=tuple(users),
@@ -244,49 +281,52 @@ def build_row_plan_reduced(i: int, N: int, L: int) -> RowCodePlan:
 def verify_row_plan(plan: RowCodePlan, N: int, L: int) -> None:
     """Certify a RowCodePlan by exact integer linear algebra.
 
-    Checks: N-1 transmissions of exactly L served users; every user
-    served exactly L times with an invertible stacked coefficient
-    system; A entries in {-1,0,1}; and A times the stacked reception
-    functionals equals the per-index minifile-sum functionals.
+    With m = minifile_count(N, L), checks: (N-1)*m/L transmissions of
+    exactly L served users; every user served exactly m times with an
+    invertible stacked coefficient system; A entries in {-1,0,1}; and A
+    times the stacked reception functionals equals the per-index
+    minifile-sum functionals.
     """
 
     def fail(msg: str):
         raise PlanVerificationError(f"row {plan.owner} plan (N={N}, L={L}): {msg}")
 
     n1 = N - 1
+    m = minifile_count(N, L)
+    n_tx = n1 * m // L
     if len(plan.users) != n1 or plan.owner in plan.users:
         fail("user set must be the N-1 non-owners")
-    if len(plan.transmissions) != n1:
-        fail(f"{len(plan.transmissions)} transmissions, expected {n1}")
+    if len(plan.transmissions) != n_tx:
+        fail(f"{len(plan.transmissions)} transmissions, expected {n_tx}")
     for t, tx in enumerate(plan.transmissions):
         if len(tx.served) != L:
             fail(f"transmission {t} serves {len(tx.served)} users, expected {L}")
         if len(set(tx.served)) != L or any(u not in plan.users for u in tx.served):
             fail(f"transmission {t} served set invalid: {tx.served}")
         for u in tx.served:
-            if len(tx.coeffs[u]) != L:
-                fail(f"coefficient vector of user {u} in transmission {t} not length {L}")
+            if len(tx.coeffs[u]) != m:
+                fail(f"coefficient vector of user {u} in transmission {t} not length {m}")
     for u in plan.users:
         ts = plan.serving[u]
-        if len(ts) != L:
-            fail(f"user {u} served in {len(ts)} transmissions, expected {L}")
+        if len(ts) != m:
+            fail(f"user {u} served in {len(ts)} transmissions, expected {m}")
         stacked = [plan.transmissions[t].coeffs[u] for t in ts]
         if _exact_int_det(stacked) == 0:
             fail(f"user {u} has a singular stacked coefficient system")
-    if plan.A.shape != (L, n1):
-        fail(f"A has shape {plan.A.shape}, expected {(L, n1)}")
+    if plan.A.shape != (m, n_tx):
+        fail(f"A has shape {plan.A.shape}, expected {(m, n_tx)}")
     if not np.all(np.isin(plan.A, (-1, 0, 1))):
         fail("A has entries outside {-1, 0, 1}")
     index = {u: q for q, u in enumerate(plan.users)}
-    R = np.zeros((n1, n1 * L), dtype=np.int64)
+    R = np.zeros((n_tx, n1 * m), dtype=np.int64)
     for t, tx in enumerate(plan.transmissions):
         for u in tx.served:
-            base = index[u] * L
-            R[t, base : base + L] = tx.coeffs[u]
-    S = np.zeros((L, n1 * L), dtype=np.int64)
-    for j in range(L):
+            base = index[u] * m
+            R[t, base : base + m] = tx.coeffs[u]
+    S = np.zeros((m, n1 * m), dtype=np.int64)
+    for j in range(m):
         for q in range(n1):
-            S[j, q * L + j] = 1
+            S[j, q * m + j] = 1
     if not np.array_equal(plan.A @ R, S):
         fail("A-combined receptions do not equal the minifile sums")
 
@@ -299,12 +339,10 @@ def _file_letter(n: int) -> str:
     return _LETTERS[n] if n < len(_LETTERS) else f"F{n + 1}"
 
 
-def _subfile_desc(n: int, i: int) -> str:
-    return f"{_file_letter(n)}{i + 1}"
-
-
-def _mini_term(n: int, i: int, j: int) -> str:
-    return f"{_file_letter(n)}{i + 1}^{j + 1}"
+def _term(n: int, i: int, j: int, minifile_label: bool) -> str:
+    """Minifile j of subfile i of file n, e.g. B1^2, or B1 when unlabelled."""
+    base = f"{_file_letter(n)}{i + 1}"
+    return f"{base}^{j + 1}" if minifile_label else base
 
 
 def _terms_to_str(terms) -> str:
@@ -326,20 +364,21 @@ def _terms_to_str(terms) -> str:
 
 @dataclass(frozen=True, eq=False)
 class TransmitBlock:
-    """One beamformed transmission: L x tau signal plus table metadata.
+    """One beamformed transmission: L x tau signal plus receiver metadata.
 
-    served pairs every participating user (owner last) with the payload
-    description it decodes; group lists the beam-served users only.
+    group lists the beam-served users in plan order; gains[q] is the
+    scalar h_owner^H w that row owner's channel applies to the zero-forcing
+    beam w of group[q] (normalized to unit gain at group[q]). The signal
+    carries each beam divided by its gain, so the owner hears the plain
+    sum and group[q] hears its combination divided by gains[q].
     """
 
     signal: np.ndarray
     duration: Fraction
-    served: tuple
     owner: int
-    row: int
     t: int
-    kind: str
     group: tuple
+    gains: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,114 +403,62 @@ def _as_channel(H, field) -> ChannelMatrix:
 
 def _as_demand(d, N: int) -> DemandVector:
     dv = d if isinstance(d, DemandVector) else DemandVector(d)
+    if len(dv) != N:
+        raise InconsistentInputs(f"demand length {len(dv)} != K={N}")
     if any(x >= N for x in dv):
         raise InconsistentInputs(f"demand {tuple(dv)} requests files beyond N={N}")
     return dv
 
 
-def _scaled_beam(field, H: ChannelMatrix, owner: int, u: int, group):
-    """ZF beam for user u within group, rescaled to unit gain at owner."""
-    w = zero_forcing_vector(field, H.H, u, group)
-    s = field.matmul(H.H[owner], w)
-    try:
-        return field.mul(w, field.inv(s))
-    except ZeroDivisionError:
-        raise DegenerateChannel(
-            f"row {owner} channel is orthogonal to user {u}'s beam"
-        ) from None
+def build_block(plan: RowCodePlan, t: int, d, H, library: Library) -> TransmitBlock:
+    """Transmission t of a verified row plan, beamformed over channel H.
 
-
-def build_block_full_antennas(i: int, d, H, library: Library) -> TransmitBlock:
-    """Row i's single block when L = N-1: one subfile per other user."""
+    The signal is W @ C: column q of W is the zero-forcing beam of served
+    user u = group[q], scaled to unit gain at the row owner, and row q of
+    C is u's planned combination of the minifiles of subfile (d[u], owner).
+    """
     field = library.field
     N = library.N
     H = _as_channel(H, field)
     if H.K != N:
         raise InconsistentInputs(f"channel has {H.K} users, library has {N} files")
-    if H.L != N - 1:
-        raise WrongRegime(f"full-antenna block needs L=N-1={N - 1}, channel has L={H.L}")
-    d = _as_demand(d, N)
-    if len(d) != N:
-        raise InconsistentInputs(f"demand length {len(d)} != K={N}")
-    if not 0 <= i < N:
-        raise InconsistentInputs(f"row index {i} out of range for N={N}")
-    others = [k for k in range(N) if k != i]
-    tau = library.F // N
-    X = field.zeros((H.L, tau))
-    pairs = []
-    sum_terms = []
-    for k in others:
-        payload = split_file(library, d[k])[i].data
-        w = _scaled_beam(field, H, i, k, others)
-        X = field.add(X, field.mul(w[:, None], payload[None, :]))
-        pairs.append((k, _subfile_desc(d[k], i)))
-        sum_terms.append((1, _subfile_desc(d[k], i)))
-    pairs.append((i, _terms_to_str(sum_terms)))
-    return TransmitBlock(
-        signal=X,
-        duration=Fraction(1, N),
-        served=tuple(pairs),
-        owner=i,
-        row=i,
-        t=0,
-        kind="full",
-        group=tuple(others),
-    )
-
-
-def build_block_from_plan(
-    plan: RowCodePlan, t: int, i: int, d, H, library: Library
-) -> TransmitBlock:
-    """One reduced-regime transmission of row i, per the verified plan."""
-    field = library.field
-    N = library.N
-    H = _as_channel(H, field)
-    if plan.owner != i:
-        raise InconsistentInputs(f"plan owner {plan.owner} does not match row {i}")
+    if len(plan.users) != N - 1 or not 0 <= plan.owner < N:
+        raise InconsistentInputs(f"plan for row {plan.owner} does not fit N={N} files")
     if not 0 <= t < len(plan.transmissions):
         raise InconsistentInputs(f"transmission index {t} out of range")
     d = _as_demand(d, N)
     tx = plan.transmissions[t]
-    L = len(next(iter(tx.coeffs.values()))) if tx.coeffs else H.L
-    if H.L != L:
-        raise DimensionMismatch(f"plan is for L={L} antennas, channel has L={H.L}")
-    tau = library.F // (N * L)
-    X = field.zeros((L, tau))
-    pairs = []
-    owner_terms = []
+    if len(tx.served) != H.L:
+        raise DimensionMismatch(
+            f"transmission serves {len(tx.served)} users, channel has L={H.L} antennas"
+        )
+    i = plan.owner
+    P = library.parts(plan.minifiles)
+    beams, gains, combos = [], [], []
     for u in tx.served:
-        minis = split_subfile(split_file(library, d[u])[i], L)
-        combo = field.zeros(tau)
-        terms = []
-        for j, cj in enumerate(tx.coeffs[u]):
-            if cj == 0:
-                continue
-            if cj == 1:
-                combo = field.add(combo, minis[j].data)
-            elif cj == -1:
-                combo = field.sub(combo, minis[j].data)
-            else:
-                combo = field.add(combo, field.mul(field.coeff(cj), minis[j].data))
-            terms.append((cj, _mini_term(d[u], i, j)))
-        w = _scaled_beam(field, H, i, u, tx.served)
-        X = field.add(X, field.mul(w[:, None], combo[None, :]))
-        pairs.append((u, _terms_to_str(terms)))
-        owner_terms.extend(terms)
-    pairs.append((i, _terms_to_str(owner_terms)))
+        w = zero_forcing_vector(field, H.H, u, tx.served)
+        g = field.matmul(H.H[i], w)
+        try:
+            beams.append(field.mul(w, field.inv(g)))
+        except ZeroDivisionError:
+            raise DegenerateChannel(
+                f"row {i} channel is orthogonal to user {u}'s beam"
+            ) from None
+        gains.append(g)
+        # Basic indexing: P[d[u], i] is a view, not a copy of the library.
+        combos.append(field.matmul(field.convert(tx.coeffs[u]), P[d[u], i]))
     return TransmitBlock(
-        signal=X,
-        duration=Fraction(1, N * L),
-        served=tuple(pairs),
+        signal=field.matmul(np.stack(beams, axis=1), np.stack(combos)),
+        duration=Fraction(1, N * plan.minifiles),
         owner=i,
-        row=i,
         t=t,
-        kind="reduced",
         group=tuple(tx.served),
+        gains=tuple(gains),
     )
 
 
 def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedule:
-    """Full delivery schedule: every row in order, T = 1 or (N-1)/L."""
+    """Full delivery schedule: every row's transmissions in order, T = (N-1)/L."""
     field = library.field
     H = _as_channel(H, field)
     if H.field != field:
@@ -485,27 +472,15 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
             f"channel shape {H.H.shape} does not match config K={cfg.K}, L={cfg.L}"
         )
     d = _as_demand(d, cfg.N)
-    if len(d) != cfg.K:
-        raise InconsistentInputs(f"demand length {len(d)} != K={cfg.K}")
-    kind = regime(cfg.N, cfg.L)
     blocks: list[TransmitBlock] = []
     rows = []
     plans: dict[int, RowCodePlan] = {}
-    if kind == "full":
-        for i in range(cfg.N):
-            rows.append((len(blocks),))
-            blocks.append(build_block_full_antennas(i, d, H, library))
-    else:
-        for i in range(cfg.N):
-            plan = build_row_plan_reduced(i, cfg.N, cfg.L)
-            plans[i] = plan
-            ids = []
-            for t in range(cfg.N - 1):
-                ids.append(len(blocks))
-                blocks.append(build_block_from_plan(plan, t, i, d, H, library))
-            rows.append(tuple(ids))
+    for i in range(cfg.N):
+        plan = plans[i] = build_row_plan(i, cfg.N, cfg.L)
+        rows.append(tuple(range(len(blocks), len(blocks) + len(plan.transmissions))))
+        blocks.extend(build_block(plan, t, d, H, library) for t in range(len(plan.transmissions)))
     total = sum((b.duration for b in blocks), Fraction(0))
-    expected = Fraction(1) if kind == "full" else Fraction(cfg.N - 1, cfg.L)
+    expected = delivery_time(cfg.N, cfg.L)
     if total != expected:
         raise InconsistentInputs(f"schedule time {total} != expected {expected}")
     return DeliverySchedule(
@@ -526,30 +501,24 @@ def render_delivery_table(cfg: LibraryConfig, demand) -> str:
     Channel-independent: cells show the payload each user decodes, which
     the beamforming guarantees regardless of the drawn coefficients.
     """
-    d = _as_demand(demand, cfg.N)
-    if len(d) != cfg.K:
-        raise InconsistentInputs(f"demand length {len(d)} != K={cfg.K}")
     N, L = cfg.N, cfg.L
-    kind = regime(N, L)
-    total = Fraction(1) if kind == "full" else Fraction(N - 1, L)
+    d = _as_demand(demand, N)
+    minifile_label = regime(N, L) == "reduced"
     shown = ",".join(str(x + 1) for x in d)
-    lines = [f"N={N} K={cfg.K} L={L} demand=({shown}) T={total}"]
+    lines = [f"N={N} K={cfg.K} L={L} demand=({shown}) T={delivery_time(N, L)}"]
     for i in range(N):
         lines.append(f"row {i + 1} (owner user {i + 1})")
-        if kind == "full":
-            cells = [f"user {k + 1} <- {_subfile_desc(d[k], i)}" for k in range(N) if k != i]
-            sum_desc = _terms_to_str([(1, _subfile_desc(d[k], i)) for k in range(N) if k != i])
-            cells.append(f"user {i + 1}* <- {sum_desc}")
-            lines.append(f"  t 1 dur 1/{N} :: " + " | ".join(cells))
-        else:
-            plan = build_row_plan_reduced(i, N, L)
-            for t, tx in enumerate(plan.transmissions):
-                cells = []
-                owner_terms = []
-                for u in tx.served:
-                    terms = [(c, _mini_term(d[u], i, j)) for j, c in enumerate(tx.coeffs[u])]
-                    cells.append(f"user {u + 1} <- {_terms_to_str(terms)}")
-                    owner_terms.extend((c, b) for c, b in terms if c != 0)
-                cells.append(f"user {i + 1}* <- {_terms_to_str(owner_terms)}")
-                lines.append(f"  t {t + 1} dur 1/{N * L} :: " + " | ".join(cells))
+        plan = build_row_plan(i, N, L)
+        dur = Fraction(1, N * plan.minifiles)
+        for t, tx in enumerate(plan.transmissions):
+            cells = []
+            owner_terms = []
+            for u in tx.served:
+                terms = [
+                    (c, _term(d[u], i, j, minifile_label)) for j, c in enumerate(tx.coeffs[u])
+                ]
+                cells.append(f"user {u + 1} <- {_terms_to_str(terms)}")
+                owner_terms.extend(terms)
+            cells.append(f"user {i + 1}* <- {_terms_to_str(owner_terms)}")
+            lines.append(f"  t {t + 1} dur {dur} :: " + " | ".join(cells))
     return "\n".join(lines) + "\n"

@@ -16,8 +16,9 @@ import math
 
 import numpy as np
 
-# Largest allowed prime. Keeps a*b below 2**58 so that int64 matrix
-# products with inner dimension up to 32 cannot overflow.
+# Largest allowed prime. Keeps every product a*b of two residues below
+# 2**58, so a product sum overflows int64 only past 32 terms; matmul
+# reduces in chunks short enough for the actual p.
 _MAX_PRIME = (1 << 29) - 1
 
 
@@ -33,9 +34,10 @@ def _is_prime(n: int) -> bool:
 class PrimeField:
     """Arithmetic modulo a prime p, on int64 numpy arrays.
 
-    Elements are canonical residues in [0, p). Matrix products assume
-    inner dimensions at desk scale (<= 32); the prime cap above makes
-    them overflow-free in int64.
+    Elements are canonical residues in [0, p). Matrix products of any
+    inner dimension are exact: they are reduced mod p every
+    ``matmul_chunk`` terms, the most whose sum of (p-1)**2 products
+    still fits in int64.
     """
 
     mode = "gf"
@@ -47,6 +49,7 @@ class PrimeField:
         if p > _MAX_PRIME:
             raise ValueError(f"prime {p} too large for exact int64 arithmetic")
         self.p = p
+        self.matmul_chunk = ((1 << 63) - 1) // (p - 1) ** 2
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
@@ -80,7 +83,12 @@ class PrimeField:
         return (np.asarray(a) * np.asarray(b)) % self.p
 
     def matmul(self, a, b) -> np.ndarray:
-        return (np.asarray(a) @ np.asarray(b)) % self.p
+        a, b = np.asarray(a), np.asarray(b)
+        n, step = a.shape[-1], self.matmul_chunk
+        out = (a[..., :step] @ b[:step]) % self.p
+        for s in range(step, n, step):
+            out = (out + (a[..., s : s + step] @ b[s : s + step]) % self.p) % self.p
+        return out
 
     def inv(self, x) -> int:
         """Multiplicative inverse of a scalar; raises ZeroDivisionError on 0."""
@@ -98,6 +106,27 @@ class PrimeField:
 
     # Exactness makes the decode-success test identical to equality.
     close = equal
+
+    # Elimination decisions: any nonzero entry is a usable pivot, and a
+    # residual is negligible only when it is exactly zero.
+
+    def pivot_threshold(self, m) -> float:
+        return 0.0
+
+    def select_pivot(self, col, threshold):
+        """Index of the first nonzero entry of ``col``, or None."""
+        nz = np.flatnonzero(col)
+        return int(nz[0]) if nz.size else None
+
+    def negligible(self, residual, threshold) -> bool:
+        return not np.any(residual)
+
+    def satisfies(self, a, x, b) -> bool:
+        """Whether a @ x == b for a solution x from ``linalg.solve``.
+
+        Exact elimination guarantees it, so the product is skipped.
+        """
+        return True
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Uniform symbols in [0, p), e.g. library contents."""
@@ -174,6 +203,29 @@ class ComplexField:
 
     def equal(self, a, b) -> bool:
         return bool(np.array_equal(np.asarray(a), np.asarray(b)))
+
+    def pivot_threshold(self, m) -> float:
+        """Pivot magnitudes at or below this count as zero in ``m``."""
+        scale = float(np.max(np.abs(m), initial=0.0))
+        return self.pivot_rtol * max(1.0, scale)
+
+    def select_pivot(self, col, threshold):
+        """Partial pivoting: the largest entry of ``col``, or None if negligible."""
+        idx = int(np.argmax(np.abs(col)))
+        if abs(col[idx]) <= threshold:
+            return None
+        return idx
+
+    def negligible(self, residual, threshold) -> bool:
+        """Whether an eliminated right-hand side is zero within tolerance."""
+        return bool(np.max(np.abs(residual), initial=0.0) <= max(threshold, self.zero_atol))
+
+    def satisfies(self, a, x, b) -> bool:
+        """Whether a @ x matches b within zero_atol, max-abs.
+
+        Rechecks a solution so that near-degenerate systems surface.
+        """
+        return float(np.max(np.abs(self.matmul(a, x) - b))) <= self.zero_atol
 
     def close(self, a, b) -> bool:
         """Decode-success comparison at decode_atol, max-abs."""

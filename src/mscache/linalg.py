@@ -1,9 +1,12 @@
 """Dense linear algebra over a field context.
 
-Plain Gaussian elimination: first-nonzero pivoting in the exact prime
-field, partial pivoting with a relative magnitude threshold in complex
-mode. Dimensions here are tiny (a handful of antennas and users), so
-clarity beats asymptotics throughout.
+Plain Gaussian elimination. The field context makes every decision
+that depends on the arithmetic: the pivot threshold and choice
+(first nonzero in the exact prime field, largest magnitude above a
+relative threshold in complex mode), when a residual counts as zero,
+and whether a solution needs a second check. Dimensions here are tiny
+(a handful of antennas and users), so clarity beats asymptotics
+throughout.
 """
 
 from __future__ import annotations
@@ -14,35 +17,17 @@ from .errors import DegenerateChannel, DimensionMismatch
 from .field import FieldContext
 
 
-def _pivot_threshold(field: FieldContext, m: np.ndarray) -> float:
-    if field.mode == "gf":
-        return 0.0
-    scale = float(np.max(np.abs(m), initial=0.0))
-    return field.pivot_rtol * max(1.0, scale)
-
-
-def _select_pivot(field: FieldContext, col: np.ndarray, threshold: float):
-    """Index of the pivot entry within ``col``, or None if all negligible."""
-    if field.mode == "gf":
-        nz = np.nonzero(col)[0]
-        return int(nz[0]) if nz.size else None
-    idx = int(np.argmax(np.abs(col)))
-    if abs(col[idx]) <= threshold:
-        return None
-    return idx
-
-
 def _rref(field: FieldContext, a: np.ndarray):
     """Reduced row-echelon form; returns (R, pivot_columns)."""
     m = field.convert(a).copy()
     rows, cols = m.shape
-    threshold = _pivot_threshold(field, m)
+    threshold = field.pivot_threshold(m)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        k = _select_pivot(field, m[r:, c], threshold)
+        k = field.select_pivot(m[r:, c], threshold)
         if k is None:
             continue
         k += r
@@ -104,15 +89,10 @@ def solve(field: FieldContext, a, b) -> np.ndarray:
     n = a.shape[1]
     aug = np.concatenate([a, b], axis=1)
     r, pivots = _rref(field, aug)
-    threshold = _pivot_threshold(field, aug)
+    threshold = field.pivot_threshold(aug)
     for row in range(len(pivots), r.shape[0]):
         # Zero coefficient row: any surviving rhs mass means no solution.
-        resid = r[row, n:]
-        if field.mode == "gf":
-            bad = np.any(resid != 0)
-        else:
-            bad = bool(np.max(np.abs(resid), initial=0.0) > max(threshold, field.zero_atol))
-        if bad:
+        if not field.negligible(r[row, n:], threshold):
             raise DegenerateChannel("linear system is inconsistent")
     if any(pc >= n for pc in pivots):
         raise DegenerateChannel("linear system is inconsistent")
@@ -166,12 +146,6 @@ def zero_forcing_vector(field: FieldContext, h_rows, k: int, group) -> np.ndarra
         raise DegenerateChannel(
             f"channel row {k} lies in the span of rows {others}"
         ) from None
-    # The exact mode guarantees the contract by construction; in complex
-    # mode re-check the residuals so near-degenerate draws surface here.
-    if field.mode == "complex":
-        resp = field.matmul(h_rows[group, :], w)
-        target = field.zeros(len(group))
-        target[group.index(k)] = 1.0
-        if float(np.max(np.abs(resp - target))) > field.zero_atol:
-            raise DegenerateChannel("zero-forcing residual above tolerance")
+    if not field.satisfies(m, w, rhs):
+        raise DegenerateChannel("zero-forcing residual above tolerance")
     return w

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .content import LibraryConfig
-from .delivery import regime
+from .delivery import delivery_time
 from .errors import InconsistentInputs
 
 CSV_HEADER = (
@@ -39,9 +39,8 @@ def uncoded_baseline(K: int, N: int, M, L: int) -> Fraction:
 
 
 def achievable_time(cfg: LibraryConfig) -> Fraction:
-    """Scheme delivery time: 1 with L = N-1 antennas, else (N-1)/L."""
-    kind = regime(cfg.N, cfg.L)
-    return Fraction(1) if kind == "full" else Fraction(cfg.N - 1, cfg.L)
+    """Scheme delivery time (N-1)/L of a configuration; 1 when L = N-1."""
+    return delivery_time(cfg.N, cfg.L)
 
 
 @dataclass(frozen=True)

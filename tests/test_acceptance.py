@@ -30,8 +30,6 @@ from mscache import (
     place_caches,
     random_library,
     receive,
-    split_file,
-    split_subfile,
     uncoded_baseline,
     verify_row_plan,
     zero_forcing_vector,
@@ -147,8 +145,7 @@ def test_criterion_3_four_user_two_antenna_point():
                             combo = GF.sub(combo, ys[t])
                     expect = GF.zeros(cfg.minifile_symbols)
                     for u in plan.users:
-                        sub = split_file(lib, d[u])[i]
-                        expect = GF.add(expect, split_subfile(sub, cfg.L)[j].data)
+                        expect = GF.add(expect, lib.parts(cfg.L)[d[u], i, j])
                     assert GF.equal(combo, expect)
 
 

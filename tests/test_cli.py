@@ -222,3 +222,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "uncoded_T  = 6/5" in proc.stdout
+
+
+def test_rejects_nonpositive_sizes_and_trials(capsys):
+    for argv in (
+        ["bounds", "--N", "4", "--L", "0"],
+        ["bounds", "--N", "0"],
+        ["bounds", "--N", "4", "--L", "-1"],
+        ["bounds", "--N", "4", "--K", "5"],
+        ["verify", "--trials", "0"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_bounds_unsupported_when_k_differs_from_n(capsys):
+    code, out, _ = _run(capsys, ["bounds", "--N", "4", "--K", "2"])
+    assert code == 0
+    assert "achieved_T = unsupported-regime" in out
+    assert "uncoded_T  = 5/8" in out

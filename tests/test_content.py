@@ -1,4 +1,4 @@
-"""Library model, subfile/minifile splitting, coded placement, fixtures."""
+"""Library model, subfile/minifile views, coded placement, fixtures."""
 
 from fractions import Fraction
 
@@ -17,8 +17,6 @@ from mscache import (
     place_caches,
     random_library,
     save_library,
-    split_file,
-    split_subfile,
 )
 
 GF = PrimeField(65537)
@@ -42,32 +40,31 @@ def test_config_invariants():
 
 def test_split_file_contiguous_tiling():
     lib = Library(GF, np.arange(1, 9, dtype=np.int64).reshape(1, 8).repeat(4, axis=0))
-    views = split_file(lib, 0)
-    assert [v.data.tolist() for v in views] == [[1, 2], [3, 4], [5, 6], [7, 8]]
-    rebuilt = np.concatenate([v.data for v in views])
-    assert GF.equal(rebuilt, lib.data[0])
+    views = lib.parts(1)[0, :, 0]
+    assert views.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+    assert GF.equal(views.ravel(), lib.data[0])
+    assert np.shares_memory(views, lib.data)  # a view, not a copy
 
 
 def test_split_file_single_symbol_parts():
     lib = Library(GF, [[5, 9], [2, 4]])
-    views = split_file(lib, 1)
+    views = lib.parts(1)[1, :, 0]
     assert len(views) == 2
-    assert views[0].data.tolist() == [2] and views[1].data.tolist() == [4]
+    assert views[0].tolist() == [2] and views[1].tolist() == [4]
 
 
 def test_split_file_indivisible():
     lib = Library(GF, np.zeros((5, 7), dtype=np.int64))
     with pytest.raises(IndivisibleFile):
-        split_file(lib, 0)
+        lib.parts(1)
 
 
 def test_split_subfile_tiling():
     lib = Library(GF, np.arange(24, dtype=np.int64).reshape(2, 12))
-    sub = split_file(lib, 0)[1]  # symbols 6..11
-    minis = split_subfile(sub, 3)
-    assert [m.data.tolist() for m in minis] == [[6, 7], [8, 9], [10, 11]]
+    minis = lib.parts(3)[0, 1]  # subfile 1 of file 0: symbols 6..11
+    assert minis.tolist() == [[6, 7], [8, 9], [10, 11]]
     with pytest.raises(IndivisibleFile):
-        split_subfile(sub, 4)
+        lib.parts(4)
 
 
 def test_place_caches_is_subfile_sum():
@@ -80,7 +77,7 @@ def test_place_caches_is_subfile_sum():
         assert z.payload.shape == (3,)  # exactly F/N symbols, cache met tight
         want = GF.zeros(3)
         for n in range(4):
-            want = GF.add(want, split_file(lib, n)[k].data)
+            want = GF.add(want, lib.data[n, 3 * k : 3 * k + 3])
         assert GF.equal(z.payload, want)
 
 

@@ -7,14 +7,15 @@ import pytest
 
 from mscache import (
     DemandVector,
+    DimensionMismatch,
     InconsistentInputs,
     Library,
     LibraryConfig,
     PlanVerificationError,
     PrimeField,
     WrongRegime,
-    build_block_from_plan,
-    build_block_full_antennas,
+    build_block,
+    build_row_plan,
     build_row_plan_reduced,
     build_schedule,
     draw_channel,
@@ -23,8 +24,6 @@ from mscache import (
     regime,
     render_delivery_table,
     segment_sizes,
-    split_file,
-    split_subfile,
     verify_row_plan,
 )
 from mscache.delivery import RowCodePlan, Transmission
@@ -64,6 +63,7 @@ def test_segment_sizes_tile_the_row():
     assert segment_sizes(9, 2) == [2, 2, 2, 2]
     assert segment_sizes(8, 3) == [3, 4]
     assert segment_sizes(9, 3) == [4, 4]
+    assert segment_sizes(5, 4) == [4]  # L = N-1: one jointly served segment
     for (N, L) in SUPPORTED_REDUCED:
         sizes = segment_sizes(N, L)
         assert sum(sizes) == N - 1
@@ -112,6 +112,17 @@ def test_all_supported_plans_verify():
                 assert len(plan.serving[u]) == L
             flat = plan.A.ravel()
             assert set(int(x) for x in flat) <= {-1, 0, 1}
+            assert build_row_plan(i, N, L) is plan
+    # L = N-1: one transmission over a single minifile, coefficient one
+    for N in range(2, 10):
+        for i in range(N):
+            plan = build_row_plan(i, N, N - 1)
+            verify_row_plan(plan, N, N - 1)
+            (tx,) = plan.transmissions
+            assert tx.served == plan.users == tuple(u for u in range(N) if u != i)
+            assert all(tx.coeffs[u] == (1,) for u in tx.served)
+            assert plan.A.tolist() == [[1]]
+            assert plan.serving == {u: (0,) for u in plan.users}
 
 
 def test_plan_coefficients_stay_small():
@@ -127,6 +138,10 @@ def test_unsupported_pairs_raise():
     for (N, L) in sorted(UNSUPPORTED):
         with pytest.raises(WrongRegime):
             build_row_plan_reduced(0, N, L)
+        with pytest.raises(WrongRegime):
+            build_row_plan(0, N, L)
+    with pytest.raises(WrongRegime):
+        build_row_plan_reduced(0, 4, 3)  # L = N-1 has no reduced plan
 
 
 def test_verify_rejects_corrupted_plan():
@@ -158,6 +173,27 @@ def test_verify_rejects_corrupted_plan():
     )
     with pytest.raises(PlanVerificationError):
         verify_row_plan(bad2, 4, 2)
+    # a full-antenna plan with a zero coefficient, or checked as reduced
+    full = build_row_plan(0, 4, 3)
+    (tx,) = full.transmissions
+    zeroed = RowCodePlan(
+        owner=full.owner,
+        users=full.users,
+        transmissions=(Transmission(tx.served, {**tx.coeffs, 2: (0,)}),),
+        A=full.A,
+        serving=full.serving,
+    )
+    with pytest.raises(PlanVerificationError):
+        verify_row_plan(zeroed, 4, 3)
+    with pytest.raises(PlanVerificationError):
+        verify_row_plan(full, 4, 2)
+
+
+def _minifiles(lib, n, i, m):
+    """Minifiles of subfile i of file n by direct slicing of the library row."""
+    sub = lib.F // lib.N
+    row = lib.data[n, i * sub : (i + 1) * sub]
+    return [row[j * (sub // m) : (j + 1) * (sub // m)] for j in range(m)]
 
 
 def _proportional(field, y, ref) -> bool:
@@ -184,13 +220,13 @@ def test_full_block_reception_contracts():
     H = draw_channel(N, L, seed=rng_seed, field=GF)
     d = DemandVector([4, 2, 0, 1, 3])
     i = 2
-    block = build_block_full_antennas(i, d, H, lib)
+    block = build_block(build_row_plan(i, N, L), 0, d, H, lib)
     assert block.duration == Fraction(1, 5)
     assert block.signal.shape == (4, 2)
     sum_expect = GF.zeros(2)
     for k in range(N):
         y = GF.matmul(H.H[k], block.signal)
-        sub = split_file(lib, d[k])[i].data
+        (sub,) = _minifiles(lib, d[k], i, 1)
         if k == i:
             continue
         assert _proportional(GF, y, sub), f"user {k} reception not proportional"
@@ -204,16 +240,18 @@ def test_full_block_two_user_degenerate():
     lib = random_library(GF, 2, 4, seed=1)
     H = draw_channel(2, 1, seed=2, field=GF)
     d = DemandVector([1, 0])
-    block = build_block_full_antennas(0, d, H, lib)
+    block = build_block(build_row_plan(0, 2, 1), 0, d, H, lib)
     y_owner = GF.matmul(H.H[0], block.signal)
-    assert GF.equal(y_owner, split_file(lib, d[1])[0].data)
+    assert GF.equal(y_owner, lib.data[d[1], 0:2])
 
 
 def test_full_block_wrong_regime():
+    # a three-user full-antenna transmission cannot be zero-forced
+    # over two antennas
     lib = random_library(GF, 4, 8, seed=0)
     H = draw_channel(4, 2, seed=0, field=GF)
-    with pytest.raises(WrongRegime):
-        build_block_full_antennas(0, DemandVector([0, 1, 2, 3]), H, lib)
+    with pytest.raises(DimensionMismatch):
+        build_block(build_row_plan(0, 4, 3), 0, DemandVector([0, 1, 2, 3]), H, lib)
 
 
 def test_reduced_block_reception_contracts():
@@ -225,19 +263,19 @@ def test_reduced_block_reception_contracts():
     d = DemandVector([0, 1, 2, 3])
     i = 3
     plan = build_row_plan_reduced(i, N, L)
-    block = build_block_from_plan(plan, 1, i, d, H, lib)
+    block = build_block(plan, 1, d, H, lib)
     assert block.duration == Fraction(1, 8)
     tx = plan.transmissions[1]
     assert tx.served == (1, 2)
     combos = {}
     for u in tx.served:
-        minis = split_subfile(split_file(lib, d[u])[i], L)
+        minis = _minifiles(lib, d[u], i, L)
         combo = GF.zeros(lib.F // (N * L))
         for j, c in enumerate(tx.coeffs[u]):
             if c == 1:
-                combo = GF.add(combo, minis[j].data)
+                combo = GF.add(combo, minis[j])
             elif c == -1:
-                combo = GF.sub(combo, minis[j].data)
+                combo = GF.sub(combo, minis[j])
         combos[u] = combo
     for u in tx.served:
         y = GF.matmul(H.H[u], block.signal)
@@ -256,16 +294,16 @@ def test_reduced_block_random_pair_products():
     for i in (0, 4):
         plan = build_row_plan_reduced(i, N, L)
         for t, tx in enumerate(plan.transmissions):
-            block = build_block_from_plan(plan, t, i, d, H, lib)
+            block = build_block(plan, t, d, H, lib)
             owner_sum = GF.zeros(lib.F // (N * L))
             for u in tx.served:
-                minis = split_subfile(split_file(lib, d[u])[i], L)
+                minis = _minifiles(lib, d[u], i, L)
                 combo = GF.zeros(lib.F // (N * L))
                 for j, c in enumerate(tx.coeffs[u]):
                     if c == 1:
-                        combo = GF.add(combo, minis[j].data)
+                        combo = GF.add(combo, minis[j])
                     elif c == -1:
-                        combo = GF.sub(combo, minis[j].data)
+                        combo = GF.sub(combo, minis[j])
                 owner_sum = GF.add(owner_sum, combo)
                 if not GF.equal(combo, GF.zeros(combo.shape)):
                     y = GF.matmul(H.H[u], block.signal)
@@ -284,16 +322,19 @@ def test_zero_coefficient_plan_gives_zero_block():
     )
     lib = random_library(GF, 2, 4, seed=2)
     H = draw_channel(2, 1, seed=3, field=GF)
-    block = build_block_from_plan(plan, 0, 1, DemandVector([1, 0]), H, lib)
+    block = build_block(plan, 0, DemandVector([1, 0]), H, lib)
     assert GF.equal(block.signal, GF.zeros(block.signal.shape))
 
 
 def test_block_from_plan_owner_mismatch():
-    plan = build_row_plan_reduced(0, 4, 2)
+    # a plan for another row layout, or a transmission it does not have
     lib = random_library(GF, 4, 8, seed=4)
     H = draw_channel(4, 2, seed=5, field=GF)
+    d = DemandVector([0, 1, 2, 3])
     with pytest.raises(InconsistentInputs):
-        build_block_from_plan(plan, 0, 2, DemandVector([0, 1, 2, 3]), H, lib)
+        build_block(build_row_plan(0, 5, 2), 0, d, H, lib)
+    with pytest.raises(InconsistentInputs):
+        build_block(build_row_plan(0, 4, 2), 3, d, H, lib)
 
 
 def test_schedule_block_counts_and_durations():
@@ -325,7 +366,7 @@ def test_schedule_determinism():
     assert len(s1.blocks) == len(s2.blocks)
     for b1, b2 in zip(s1.blocks, s2.blocks):
         assert GF.equal(b1.signal, b2.signal)
-        assert b1.served == b2.served
+        assert b1.group == b2.group and b1.gains == b2.gains
 
 
 def test_schedule_input_validation():

@@ -38,6 +38,25 @@ def test_gf_scalar_ops():
     assert GF7.is_zero(7) and not GF7.is_zero(3)
 
 
+def test_gf_matmul_exact_past_one_int64_chunk():
+    p = 536870909  # the largest allowed prime: 32 products (p-1)**2 fit in int64
+    big = PrimeField(p)
+    ones = big.matmul(np.full((1, 40), p - 1), np.full((40, 1), p - 1))
+    assert ones.tolist() == [[40]]  # (p-1)**2 = 1 mod p
+    assert big.matmul_chunk == 32
+    assert GF.matmul_chunk == (1 << 31) - 1  # a single chunk at the default prime
+    rng = np.random.default_rng(5)
+    for n in (31, 32, 33, 64, 100):
+        a = big.sample(rng, (3, n))
+        b = big.sample(rng, (n, 2))
+        want = [
+            [sum(int(a[r, q]) * int(b[q, c]) for q in range(n)) % p for c in range(2)]
+            for r in range(3)
+        ]
+        assert big.matmul(a, b).tolist() == want
+        assert int(big.matmul(a[0], b[:, 0])) == want[0][0]
+
+
 def test_gf_samples_in_range():
     rng = np.random.default_rng(0)
     sym = GF7.sample(rng, 1000)
