@@ -3,7 +3,11 @@
 Every user k observes y_k = h_k^H x for each transmitted column x, with
 h_k a fixed row of the channel matrix H. Channels are drawn seeded and
 rejection-sampled until every set of L distinct rows is invertible, so
-the zero-forcing synthesis downstream can never degenerate.
+the zero-forcing synthesis downstream can never degenerate. The check
+feeds the C(K, L) row subsets through the batched ``inverse_stack`` in
+fixed-size chunks, so memory stays bounded, and stops at the first
+chunk holding a singular subset; it accepts exactly the draws that a
+per-subset rank test accepts.
 
 Decoding assumes the standard genie model: receivers know H, the demand
 vector, and the schedule's metadata (row plans and, per block, the owner
@@ -14,7 +18,7 @@ the schedule rather than estimating them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -24,11 +28,17 @@ from .errors import (
     ResamplingExhausted,
 )
 from .field import FieldContext
-from .linalg import rank, solve
+from .linalg import inverse_stack, rank, solve
 
 # Channel draws before giving up; exceeding this signals a pathological
 # field size or dimensions, not bad luck.
 DRAW_BUDGET = 64
+
+# Bytes of stacked row subsets per inverse_stack call in the genericity
+# check: small enough that a chunk's temporaries leave peak memory about
+# where the per-subset check had it, large enough that numpy call
+# overhead stays small (a few hundred 5 x 5 subsets).
+CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,10 +83,15 @@ class DecodeResult:
 
 
 def _generic(field: FieldContext, H: np.ndarray, L: int) -> bool:
-    # Vacuously true when K < L; no block ever stacks more than K rows.
+    """Whether every L-row subset of H is invertible (all K rows independent if K < L)."""
     K = H.shape[0]
-    for rows in combinations(range(K), min(L, K)):
-        if rank(field, H[list(rows), :]) < len(rows):
+    if K < L:
+        return rank(field, H) == K
+    subsets = combinations(range(K), L)
+    per_chunk = max(1, CHUNK_BYTES // H[:L].nbytes)
+    while chunk := list(islice(subsets, per_chunk)):
+        _, nonsingular = inverse_stack(field, H[np.array(chunk)])
+        if not nonsingular.all():
             return False
     return True
 

@@ -77,10 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     add_common(sub.add_parser("verify", help="run seeded end-to-end trials"), "file count")
-    add_common(
-        sub.add_parser("sweep", help="tabulate bounds and decode checks over N, L"),
-        'file count or range like "2..9"',
-    )
+    sweep = sub.add_parser("sweep", help="tabulate bounds and decode checks over N, L")
+    add_common(sweep, 'file count or range like "2..9"')
+    sweep.set_defaults(trials=1)
     add_common(sub.add_parser("table", help="render the symbolic delivery table"), "file count")
     add_common(sub.add_parser("bounds", help="print the analytic formulas only"), "file count")
     return parser
@@ -157,9 +156,13 @@ def _table_line(idx: int, rep) -> str:
     )
 
 
-def cmd_verify(args) -> int:
+def _check_trials(args) -> None:
     if args.trials < 1:
         raise SimulatorError(f"--trials must be at least 1, got {args.trials}")
+
+
+def cmd_verify(args) -> int:
+    _check_trials(args)
     N = _single_n(args)
     cfg = _resolve(args, N)
     field = make_field(args.mode, args.prime)
@@ -187,7 +190,11 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_cells(args, N: int, L: int, field):
-    """One sweep row as a dict of schema-column strings."""
+    """One sweep row as a dict of schema-column strings.
+
+    A supported cell runs ``args.trials`` trials at seeds seed, seed+1,
+    ...; decode_ok is true only if every one of them decodes.
+    """
     M = Fraction(1, N)
     conv = converse_bound(N, N, M, L)
     unc = uncoded_baseline(N, N, M, L)
@@ -209,14 +216,16 @@ def _sweep_cells(args, N: int, L: int, field):
     if not is_supported(N, L):
         return cells, None
     cfg = LibraryConfig(N=N, K=N, L=L, F=args.scale * N * L)
-    rep = _run_trial(cfg, field, args, args.seed)
-    cells["achieved_num"] = str(rep.achieved_T.numerator)
-    cells["achieved_den"] = str(rep.achieved_T.denominator)
-    cells["decode_ok"] = "true" if rep.decode_ok else "false"
-    return cells, _check_report(rep, cfg, f"N={N} L={L}")
+    reps = [_run_trial(cfg, field, args, args.seed + trial) for trial in range(args.trials)]
+    cells["achieved_num"] = str(reps[0].achieved_T.numerator)
+    cells["achieved_den"] = str(reps[0].achieved_T.denominator)
+    cells["decode_ok"] = "true" if all(r.decode_ok for r in reps) else "false"
+    failures = (_check_report(r, cfg, f"N={N} L={L} seed={r.seed}") for r in reps)
+    return cells, next((f for f in failures if f), None)
 
 
 def cmd_sweep(args) -> int:
+    _check_trials(args)
     field = make_field(args.mode, args.prime)
     columns = CSV_HEADER.split(",")
     rows = []

@@ -45,7 +45,7 @@ class LibraryConfig:
             raise WrongRegime(f"L={self.L} exceeds the N-1={self.N - 1} usable antennas")
         if self.F % self.N != 0:
             raise IndivisibleFile(f"file size {self.F} not divisible by N={self.N}")
-        if self.N > 1 and self.L < self.N - 1 and self.F % (self.N * self.L) != 0:
+        if self.F % (self.N * self.minifiles) != 0:
             raise IndivisibleFile(
                 f"file size {self.F} not divisible by N*L={self.N * self.L} "
                 "(minifile granularity)"
@@ -61,8 +61,13 @@ class LibraryConfig:
         return self.F // self.N
 
     @property
+    def minifiles(self) -> int:
+        """Minifiles per subfile, m: 1 with L = N-1 antennas, L with fewer."""
+        return 1 if self.L >= self.N - 1 else self.L
+
+    @property
     def minifile_symbols(self) -> int:
-        return self.F // (self.N * self.L)
+        return self.F // (self.N * self.minifiles)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,14 @@ combine (telescope) into the per-index minifile sums the owner needs.
 Everything downstream reads the row plan, so only plan construction and
 the table's term labels know which regime is running. Every plan is
 re-verified by exact integer linear algebra before use; a verification
-failure is a hard error, never a fallback. Each block carries the gain
-its owner sees on every served user's beam, which receivers use to
-descale their receptions.
+failure is a hard error, never a fallback.
+
+Zero-forcing beams come from a beam bank: the schedule collects the
+distinct served groups of all row plans and inverts their channel rows
+in one batched pass, and a block reads the beam of served user q as
+column q of its group's inverse. Each block carries the gain its owner
+sees on every served user's beam, which receivers use to descale their
+receptions.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .errors import (
     PlanVerificationError,
     WrongRegime,
 )
-from .linalg import zero_forcing_vector
+from .linalg import inverse_stack
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -410,12 +415,35 @@ def _as_demand(d, N: int) -> DemandVector:
     return dv
 
 
-def build_block(plan: RowCodePlan, t: int, d, H, library: Library) -> TransmitBlock:
+def _beam_bank(H: ChannelMatrix, groups) -> dict:
+    """inv(H[group]) for each distinct served group, from one inverse_stack call.
+
+    Column q of a group's inverse is the zero-forcing beam of group[q]:
+    unit gain at group[q], zero at every other member.
+    """
+    field = H.field
+    groups = list(dict.fromkeys(tuple(g) for g in groups))
+    stack = H.H[np.array(groups)]
+    inverses, nonsingular = inverse_stack(field, stack)
+    if not nonsingular.all():
+        bad = groups[int(np.argmin(nonsingular))]
+        raise DegenerateChannel(f"channel rows of served group {bad} are dependent")
+    eye = field.convert(np.eye(stack.shape[1], dtype=np.int64))
+    if not field.satisfies(stack, inverses, eye):
+        raise DegenerateChannel("zero-forcing residual above tolerance")
+    return dict(zip(groups, inverses))
+
+
+def build_block(
+    plan: RowCodePlan, t: int, d, H, library: Library, inverse=None
+) -> TransmitBlock:
     """Transmission t of a verified row plan, beamformed over channel H.
 
     The signal is W @ C: column q of W is the zero-forcing beam of served
     user u = group[q], scaled to unit gain at the row owner, and row q of
     C is u's planned combination of the minifiles of subfile (d[u], owner).
+    ``inverse`` is inv(H[group]), as build_schedule's beam bank supplies
+    it; when omitted it is computed for this one group.
     """
     field = library.field
     N = library.N
@@ -433,22 +461,19 @@ def build_block(plan: RowCodePlan, t: int, d, H, library: Library) -> TransmitBl
             f"transmission serves {len(tx.served)} users, channel has L={H.L} antennas"
         )
     i = plan.owner
+    if inverse is None:
+        inverse = _beam_bank(H, [tx.served])[tx.served]
+    gains = field.matmul(H.H[i], inverse)
+    try:
+        W = field.mul(inverse, field.inv_each(gains))
+    except ZeroDivisionError:
+        u = tx.served[int(np.argmin(np.abs(gains)))]
+        raise DegenerateChannel(f"row {i} channel is orthogonal to user {u}'s beam") from None
     P = library.parts(plan.minifiles)
-    beams, gains, combos = [], [], []
-    for u in tx.served:
-        w = zero_forcing_vector(field, H.H, u, tx.served)
-        g = field.matmul(H.H[i], w)
-        try:
-            beams.append(field.mul(w, field.inv(g)))
-        except ZeroDivisionError:
-            raise DegenerateChannel(
-                f"row {i} channel is orthogonal to user {u}'s beam"
-            ) from None
-        gains.append(g)
-        # Basic indexing: P[d[u], i] is a view, not a copy of the library.
-        combos.append(field.matmul(field.convert(tx.coeffs[u]), P[d[u], i]))
+    # Basic indexing: P[d[u], i] is a view, not a copy of the library.
+    combos = [field.matmul(field.convert(tx.coeffs[u]), P[d[u], i]) for u in tx.served]
     return TransmitBlock(
-        signal=field.matmul(np.stack(beams, axis=1), np.stack(combos)),
+        signal=field.matmul(W, np.stack(combos)),
         duration=Fraction(1, N * plan.minifiles),
         owner=i,
         t=t,
@@ -472,13 +497,16 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
             f"channel shape {H.H.shape} does not match config K={cfg.K}, L={cfg.L}"
         )
     d = _as_demand(d, cfg.N)
+    plans = {i: build_row_plan(i, cfg.N, cfg.L) for i in range(cfg.N)}
+    bank = _beam_bank(H, (tx.served for plan in plans.values() for tx in plan.transmissions))
     blocks: list[TransmitBlock] = []
     rows = []
-    plans: dict[int, RowCodePlan] = {}
-    for i in range(cfg.N):
-        plan = plans[i] = build_row_plan(i, cfg.N, cfg.L)
+    for plan in plans.values():
         rows.append(tuple(range(len(blocks), len(blocks) + len(plan.transmissions))))
-        blocks.extend(build_block(plan, t, d, H, library) for t in range(len(plan.transmissions)))
+        blocks.extend(
+            build_block(plan, t, d, H, library, bank[tx.served])
+            for t, tx in enumerate(plan.transmissions)
+        )
     total = sum((b.duration for b in blocks), Fraction(0))
     expected = delivery_time(cfg.N, cfg.L)
     if total != expected:

@@ -97,8 +97,23 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero in GF(p)")
         return pow(x, -1, self.p)
 
-    def is_zero(self, x) -> bool:
-        return int(x) % self.p == 0
+    def inv_each(self, x) -> np.ndarray:
+        """Element-wise inverse x**(p-2) (Fermat); ZeroDivisionError if any x is 0."""
+        x = self.convert(x)
+        if not np.all(x):
+            raise ZeroDivisionError("inverse of zero in GF(p)")
+        out = np.ones_like(x)
+        e = self.p - 2
+        while e:
+            if e & 1:
+                out = out * x % self.p
+            x = x * x % self.p
+            e >>= 1
+        return out
+
+    def is_zero(self, x):
+        """Element-wise test for x = 0 mod p."""
+        return np.asarray(x) % self.p == 0
 
     def equal(self, a, b) -> bool:
         """Exact element-wise equality of two arrays."""
@@ -108,15 +123,16 @@ class PrimeField:
     close = equal
 
     # Elimination decisions: any nonzero entry is a usable pivot, and a
-    # residual is negligible only when it is exactly zero.
+    # residual is negligible only when it is exactly zero. Pivot choice
+    # works on a single column or on a stack of columns (leading axes).
 
     def pivot_threshold(self, m) -> float:
         return 0.0
 
-    def select_pivot(self, col, threshold):
-        """Index of the first nonzero entry of ``col``, or None."""
-        nz = np.flatnonzero(col)
-        return int(nz[0]) if nz.size else None
+    def select_pivot(self, cols, threshold):
+        """(index, found) along the last axis: the first nonzero entry."""
+        nz = np.asarray(cols) != 0
+        return nz.argmax(axis=-1), nz.any(axis=-1)
 
     def negligible(self, residual, threshold) -> bool:
         return not np.any(residual)
@@ -198,23 +214,33 @@ class ComplexField:
             raise ZeroDivisionError("inverse of (numerically) zero scalar")
         return 1.0 / x
 
-    def is_zero(self, x) -> bool:
-        return abs(complex(x)) <= self.zero_atol
+    def inv_each(self, x) -> np.ndarray:
+        """Element-wise 1/x; ZeroDivisionError if any |x| is below the floor."""
+        x = np.asarray(x)
+        if np.any(np.abs(x) < self._inv_floor):
+            raise ZeroDivisionError("inverse of (numerically) zero scalar")
+        return 1.0 / x
+
+    def is_zero(self, x):
+        """Element-wise test for |x| <= zero_atol."""
+        return np.abs(x) <= self.zero_atol
 
     def equal(self, a, b) -> bool:
         return bool(np.array_equal(np.asarray(a), np.asarray(b)))
 
-    def pivot_threshold(self, m) -> float:
-        """Pivot magnitudes at or below this count as zero in ``m``."""
-        scale = float(np.max(np.abs(m), initial=0.0))
-        return self.pivot_rtol * max(1.0, scale)
+    def pivot_threshold(self, m):
+        """Pivot magnitudes at or below this count as zero in ``m``.
 
-    def select_pivot(self, col, threshold):
-        """Partial pivoting: the largest entry of ``col``, or None if negligible."""
-        idx = int(np.argmax(np.abs(col)))
-        if abs(col[idx]) <= threshold:
-            return None
-        return idx
+        One threshold per matrix: a scalar for one matrix, shape (B,)
+        for a (B, rows, cols) stack.
+        """
+        scale = np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+        return self.pivot_rtol * np.maximum(1.0, scale)
+
+    def select_pivot(self, cols, threshold):
+        """(index, found) along the last axis: the largest entry, found if above threshold."""
+        mag = np.abs(cols)
+        return mag.argmax(axis=-1), mag.max(axis=-1) > threshold
 
     def negligible(self, residual, threshold) -> bool:
         """Whether an eliminated right-hand side is zero within tolerance."""

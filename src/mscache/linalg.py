@@ -1,12 +1,17 @@
 """Dense linear algebra over a field context.
 
-Plain Gaussian elimination. The field context makes every decision
-that depends on the arithmetic: the pivot threshold and choice
-(first nonzero in the exact prime field, largest magnitude above a
-relative threshold in complex mode), when a residual counts as zero,
-and whether a solution needs a second check. Dimensions here are tiny
-(a handful of antennas and users), so clarity beats asymptotics
-throughout.
+Two eliminations share the field context's decisions: the pivot
+threshold and choice (first nonzero in the exact prime field, largest
+magnitude above a per-matrix relative threshold in complex mode), when
+an elimination factor counts as zero, when a residual counts as zero,
+and whether a solution needs a second check.
+
+``_rref`` is plain row-by-row Gaussian elimination on one matrix of any
+shape; rank, nullspace and solve use it. ``inverse_stack`` is a batched
+Gauss-Jordan on a (B, n, n) stack: each column step is a few numpy
+operations over the whole stack, so the channel check (every L-row
+subset) and the schedule's zero-forcing beams (one inverse per served
+group) each cost one pass instead of one Python elimination per matrix.
 """
 
 from __future__ import annotations
@@ -27,16 +32,19 @@ def _rref(field: FieldContext, a: np.ndarray):
     for c in range(cols):
         if r >= rows:
             break
-        k = field.select_pivot(m[r:, c], threshold)
-        if k is None:
+        k, found = field.select_pivot(m[r:, c], threshold)
+        if not found:
             continue
-        k += r
+        k = int(k) + r
         if k != r:
             m[[r, k]] = m[[k, r]]
         m[r] = field.mul(m[r], field.inv(m[r, c]))
-        for other in range(rows):
-            if other != r and not field.is_zero(m[other, c]):
-                m[other] = field.sub(m[other], field.mul(m[other, c], m[r]))
+        # Rows whose factor is zero are left alone (a zero factor's update
+        # changes nothing but the sign of a zero).
+        factors = m[:, c].copy()
+        factors[r] = 0
+        factors[field.is_zero(factors)] = 0
+        m = field.sub(m, field.mul(factors[:, None], m[r]))
         pivots.append(c)
         r += 1
     return m, pivots
@@ -102,18 +110,52 @@ def solve(field: FieldContext, a, b) -> np.ndarray:
     return x[:, 0] if vector_rhs else x
 
 
+def inverse_stack(field: FieldContext, a) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a (B, n, n) stack by one batched Gauss-Jordan pass.
+
+    Returns (inverses, nonsingular). nonsingular[b] equals
+    ``rank(field, a[b]) == n``: column c of every matrix takes the pivot
+    ``_rref`` would take, against that matrix's own threshold, and a row
+    whose elimination factor is zero is left alone, as ``_rref`` leaves
+    it. inverses[b] is meaningful only where nonsingular[b]; a matrix
+    that runs out of pivots carries on with a unit pivot so that the
+    others are not disturbed.
+    """
+    a = field.convert(a)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"inverse_stack needs a (B, n, n) stack, got {a.shape}")
+    B, n, _ = a.shape
+    eye = field.convert(np.eye(n, dtype=np.int64))
+    m = np.concatenate([a, np.broadcast_to(eye, a.shape)], axis=2)
+    threshold = field.pivot_threshold(a)
+    nonsingular = np.ones(B, dtype=bool)
+    batch = np.arange(B)
+    for c in range(n):
+        k, found = field.select_pivot(m[:, c:, c], threshold)
+        nonsingular &= found
+        # Columns left of c no longer steer a pivot or reach the inverse.
+        pivot_rows = m[batch, k + c, c:]
+        m[batch, k + c, c:] = m[:, c, c:]
+        pivot = np.where(nonsingular, pivot_rows[:, 0], field.coeff(1))
+        pivot_rows = field.mul(pivot_rows, field.inv_each(pivot)[:, None])
+        m[:, c, c:] = pivot_rows
+        factors = m[:, :, c].copy()
+        factors[:, c] = 0
+        factors[field.is_zero(factors)] = 0
+        update = field.mul(factors[:, :, None], pivot_rows[:, None, :])
+        m[:, :, c:] = field.sub(m[:, :, c:], update)
+    return m[:, :, n:], nonsingular
+
+
 def invert(field: FieldContext, a) -> np.ndarray:
     """Inverse of a square matrix; DegenerateChannel if singular."""
     a = field.convert(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"invert needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    eye = field.zeros((n, n))
-    for i in range(n):
-        eye[i, i] = field.coeff(1)
-    if rank(field, a) < n:
+    inverses, nonsingular = inverse_stack(field, a[None])
+    if not nonsingular[0]:
         raise DegenerateChannel("matrix is singular")
-    return solve(field, a, eye)
+    return inverses[0]
 
 
 def zero_forcing_vector(field: FieldContext, h_rows, k: int, group) -> np.ndarray:

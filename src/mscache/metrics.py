@@ -22,7 +22,12 @@ CSV_HEADER = (
 
 
 def converse_bound(K: int, N: int, M, L: int) -> Fraction:
-    """Lower bound on T: max over s in 1..K of (s - sM/floor(N/s)) / min(s, L)."""
+    """Lower bound on T: max over s in 1..K of (s - sM/floor(N/s)) / min(s, L).
+
+    Defined for 1 <= K <= N and L >= 1; InconsistentInputs otherwise.
+    """
+    if L < 1 or not 1 <= K <= N:
+        raise InconsistentInputs(f"converse needs 1 <= K <= N and L >= 1, got K={K} N={N} L={L}")
     M = Fraction(M)
     best = Fraction(0)
     for s in range(1, K + 1):

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from mscache import MetricsReport
+from mscache import CSV_HEADER, MetricsReport
 from mscache.cli import main
 
 TABLE_4_2 = """\
@@ -214,6 +214,36 @@ def test_verify_reports_first_failed_invariant(monkeypatch, capsys):
     assert "false" in out  # the report row still prints
 
 
+def test_sweep_runs_every_trial_and_keeps_the_schema(monkeypatch, capsys):
+    import dataclasses
+
+    import mscache.cli as cli
+
+    calls = []
+    real = cli._run_trial
+
+    def spy(cfg, field, args, seed):
+        calls.append((cfg.L, seed))
+        rep = real(cfg, field, args, seed)
+        # The middle trial of the L = 2 cell fails to decode.
+        return dataclasses.replace(rep, decode_ok=False) if (cfg.L, seed) == (2, 8) else rep
+
+    monkeypatch.setattr(cli, "_run_trial", spy)
+    code, out, err = _run(capsys, ["sweep", "--N", "4", "--trials", "3", "--seed", "7"])
+    assert calls == [(L, s) for L in (1, 2, 3) for s in (7, 8, 9)]
+    assert code == 1 and err == "FAIL N=4 L=2 seed=8: decode failed\n"
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [ln.split(",") for ln in lines[1:]] == [
+        ["4", "4", "1", "1", "4", "3", "1", "3", "1", "15", "4", "true", "7"],
+        ["4", "4", "2", "1", "4", "3", "2", "3", "2", "15", "8", "false", "7"],
+        ["4", "4", "3", "1", "4", "1", "1", "1", "1", "5", "4", "true", "7"],
+    ]
+    calls.clear()
+    code, _, _ = _run(capsys, ["sweep", "--N", "4", "--seed", "7"])
+    assert calls == [(1, 7), (2, 7), (3, 7)]  # one trial per cell by default
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mscache.cli", "bounds", "--N", "5", "--L", "4"],
@@ -231,6 +261,7 @@ def test_rejects_nonpositive_sizes_and_trials(capsys):
         ["bounds", "--N", "4", "--L", "-1"],
         ["bounds", "--N", "4", "--K", "5"],
         ["verify", "--trials", "0"],
+        ["sweep", "--trials", "0"],
     ):
         code, out, err = _run(capsys, argv)
         assert code == 2, argv

@@ -27,7 +27,8 @@ def test_config_invariants():
     cfg = LibraryConfig(N=4, K=4, L=3, F=12)
     assert cfg.M == Fraction(1, 4)
     assert cfg.subfile_symbols == 3
-    assert cfg.minifile_symbols == 1
+    assert cfg.minifile_symbols == 3  # L = N-1: one minifile, the whole subfile
+    assert LibraryConfig(N=4, K=4, L=2, F=16).minifile_symbols == 2  # m = L = 2
     with pytest.raises(WrongRegime):
         LibraryConfig(N=4, K=3, L=3, F=12)  # regime needs K = N
     with pytest.raises(WrongRegime):

@@ -1,0 +1,185 @@
+"""The batched Gauss-Jordan kernel against the scalar elimination.
+
+``inverse_stack`` must make exactly the decisions of ``rank`` on every
+matrix of a stack, in both field modes, and its GF inverses must be
+exact. The channel check built on it must accept exactly the draws the
+per-subset rank loop accepted; that loop is kept here as the reference.
+"""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mscache import (
+    ComplexField,
+    DegenerateChannel,
+    DimensionMismatch,
+    PrimeField,
+    ResamplingExhausted,
+    draw_channel,
+    inverse_stack,
+    invert,
+    rank,
+)
+
+CC = ComplexField()
+PRIMES = (2, 3, 5, 7, 65537)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _check_against_rank(field, stack):
+    n = stack.shape[1]
+    inverses, nonsingular = inverse_stack(field, stack)
+    assert inverses.shape == stack.shape and nonsingular.shape == stack.shape[:1]
+    eye = field.convert(np.eye(n, dtype=np.int64))
+    for a, x, ok in zip(stack, inverses, nonsingular):
+        assert bool(ok) == (rank(field, a) == n)
+        if ok and field.mode == "gf":
+            assert field.equal(field.matmul(a, x), eye)
+            assert field.equal(field.matmul(x, a), eye)
+    return nonsingular
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    N=st.integers(1, 9),
+    L=st.integers(1, 5),
+    p=st.sampled_from(PRIMES),
+    seed=SEEDS,
+    channel_like=st.booleans(),
+)
+def test_gf_mask_equals_rank_on_every_row_subset(N, L, p, seed, channel_like):
+    # Every L-row subset of an N x L draw, as the channel check stacks
+    # them; small primes make singular subsets common.
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    sample = field.sample_channel if channel_like else field.sample
+    H = sample(rng, (max(N, L), L))
+    subsets = np.array(list(combinations(range(H.shape[0]), L)))
+    _check_against_rank(field, H[subsets])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    B=st.integers(1, 24),
+    seed=SEEDS,
+    shrink=st.sampled_from((1e-5, 3e-10, 1e-11)),
+    grow=st.sampled_from((1.0, 1e4)),
+)
+def test_complex_mask_equals_rank_with_planted_dependent_rows(n, B, seed, shrink, grow):
+    # Matrix b gets, by b mod 4: a row that is an exact combination of the
+    # others (a zero row when n = 1); a row shrunk near the pivot threshold,
+    # where elimination factors fall under zero_atol; a scale-up of the
+    # whole matrix, which raises its own threshold but no other's; nothing.
+    rng = np.random.default_rng(seed)
+    stack = CC.sample(rng, (B, n, n))
+    for b in range(B):
+        j = int(rng.integers(n))
+        others = [r for r in range(n) if r != j]
+        if b % 4 == 0:
+            stack[b, j] = CC.sample(rng, len(others)) @ stack[b, others]
+        elif b % 4 == 1:
+            stack[b, j] *= shrink
+        elif b % 4 == 2:
+            stack[b] *= grow
+    nonsingular = _check_against_rank(CC, stack)
+    inverses, _ = inverse_stack(CC, stack)
+    for b in range(3, B, 4):
+        assert nonsingular[b]
+        assert np.max(np.abs(stack[b] @ inverses[b] - np.eye(n))) <= 1e-6
+
+
+def test_rejects_non_square_stacks():
+    with pytest.raises(DimensionMismatch):
+        inverse_stack(PrimeField(7), np.ones((2, 3, 2), dtype=np.int64))
+    with pytest.raises(DimensionMismatch):
+        inverse_stack(PrimeField(7), np.eye(3, dtype=np.int64))
+
+
+def test_invert_is_the_one_matrix_kernel():
+    gf7 = PrimeField(7)
+    a = gf7.convert([[2, 1], [1, 1]])
+    assert invert(gf7, a).tolist() == [[1, 6], [6, 2]]
+    with pytest.raises(DegenerateChannel):
+        invert(gf7, [[1, 2], [2, 4]])
+    with pytest.raises(DegenerateChannel):
+        invert(CC, [[1.0, 0.0], [0.0, 1e-13]])
+
+
+def _rank_loop_generic(field, H, L):
+    """The channel check before the batched kernel: one rank call per subset."""
+    K = H.shape[0]
+    for rows in combinations(range(K), min(L, K)):
+        if rank(field, H[list(rows), :]) < len(rows):
+            return False
+    return True
+
+
+def _rank_loop_draw(K, L, seed, field, budget):
+    """(H, draws) as the rank-loop check accepts them; H is None if the budget ran out."""
+    rng = np.random.default_rng(seed)
+    for draws in range(1, budget + 1):
+        H = field.sample_channel(rng, (K, L))
+        if _rank_loop_generic(field, H, L):
+            return H, draws
+    return None, budget
+
+
+def _counted_draw(K, L, seed, field, budget):
+    """(H, draws) from draw_channel, counting its channel samples."""
+    draws = 0
+    sample = field.sample_channel
+
+    def counting(rng, shape):
+        nonlocal draws
+        draws += 1
+        return sample(rng, shape)
+
+    field.sample_channel = counting
+    try:
+        return draw_channel(K, L, seed, field, budget).H, draws
+    except ResamplingExhausted:
+        return None, draws
+    finally:
+        del field.sample_channel
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 65537))
+def test_draw_channel_matches_rank_loop_over_a_seed_grid(p):
+    field = PrimeField(p)
+    for K in range(1, 7):
+        for L in range(1, K + 2):
+            for seed in range(4):
+                want_H, want_draws = _rank_loop_draw(K, L, seed, field, budget=8)
+                got_H, got_draws = _counted_draw(K, L, seed, field, budget=8)
+                assert got_draws == want_draws, (p, K, L, seed)
+                if want_H is None:
+                    assert got_H is None
+                else:
+                    assert field.equal(got_H, want_H)
+
+
+def test_complex_draw_channel_matches_rank_loop():
+    for K, L in ((4, 3), (6, 2), (7, 5), (2, 3)):
+        for seed in range(3):
+            want_H, want_draws = _rank_loop_draw(K, L, seed, CC, budget=4)
+            got_H, got_draws = _counted_draw(K, L, seed, CC, budget=4)
+            assert got_draws == want_draws == 1
+            assert CC.equal(got_H, want_H)
+
+
+def test_channel_check_spans_several_chunks(monkeypatch):
+    # A singular subset in a late chunk must still reject the draw.
+    import mscache.channel as channel
+
+    monkeypatch.setattr(channel, "CHUNK_BYTES", 4 * 3 * 3 * 8)  # four 3 x 3 subsets
+    field = PrimeField(65537)
+    H = field.sample_channel(np.random.default_rng(1), (7, 3))
+    assert channel._generic(field, H, 3)
+    H[6] = field.add(H[4], H[5])  # subset (4, 5, 6) comes last
+    assert not channel._generic(field, H, 3)
+    assert not _rank_loop_generic(field, H, 3)

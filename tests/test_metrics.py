@@ -46,6 +46,13 @@ def test_converse_frozen_values():
     assert converse_bound(2, 2, Fraction(1, 2), 1) == 1
 
 
+def test_converse_rejects_sizes_it_is_not_defined_for():
+    with pytest.raises(InconsistentInputs):
+        converse_bound(4, 4, Fraction(1, 4), 0)  # no antennas
+    with pytest.raises(InconsistentInputs):
+        converse_bound(5, 4, Fraction(1, 4), 3)  # more users than files
+
+
 def test_converse_accepts_float_and_int_memory():
     assert converse_bound(4, 4, 0.25, 3) == 1
     assert converse_bound(4, 4, Fraction(1, 4), 3) == converse_bound(4, 4, 0.25, 3)
