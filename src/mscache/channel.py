@@ -9,10 +9,14 @@ fixed-size chunks, so memory stays bounded, and stops at the first
 chunk holding a singular subset; it accepts exactly the draws that a
 per-subset rank test accepts.
 
-Decoding assumes the standard genie model: receivers know H, the demand
-vector, and the schedule's metadata (row plans and, per block, the owner
-gain of every served user's beam), and read the beamformer scalings from
-the schedule rather than estimating them.
+Reception is one product H @ S over the schedule's (B, L, tau) signal
+stack, giving every user's receptions of every block as one (B, K, tau)
+array. Decoding assumes the standard genie model: receivers know H, the
+demand vector, and the schedule's metadata (row plans with their
+integer decoding inverses and, per block, the owner gain of every
+served user's beam), and read the beamformer scalings from the schedule
+rather than estimating them. A user decodes all rows served to it with
+one gather and one batched product, and makes no elimination.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .errors import (
     ResamplingExhausted,
 )
 from .field import FieldContext
-from .linalg import inverse_stack, rank, solve
+from .linalg import inverse_stack, rank
 
 # Channel draws before giving up; exceeding this signals a pathological
 # field size or dimensions, not bad luck.
@@ -64,10 +68,14 @@ class ChannelMatrix:
 
 @dataclass(frozen=True)
 class ReceptionLog:
-    """Per-block K x tau reception matrices, one row per user."""
+    """Per-block K x tau reception matrices, one row per user.
+
+    receive stores them as one (B, K, tau) array, so per_block[b] is a
+    view.
+    """
 
     field: FieldContext
-    per_block: tuple
+    per_block: np.ndarray
 
     def for_user(self, k: int) -> list:
         return [(b, y[k]) for b, y in enumerate(self.per_block)]
@@ -113,17 +121,16 @@ def draw_channel(
 
 
 def receive(H: ChannelMatrix, schedule) -> ReceptionLog:
-    """Apply the channel to every block: per block, y = H @ signal."""
-    field = H.field
-    logs = []
-    for block in schedule.blocks:
-        sig = block.signal
-        if sig.shape[0] != H.L:
-            raise DimensionMismatch(
-                f"block has {sig.shape[0]} antenna rows, channel expects {H.L}"
-            )
-        logs.append(field.matmul(H.H, sig))
-    return ReceptionLog(field, tuple(logs))
+    """Apply the channel to every block at once: y[b] = H @ signal[b]."""
+    signals = getattr(schedule, "signals", None)
+    if signals is None:
+        signals = np.stack([block.signal for block in schedule.blocks])
+    if signals.shape[1] != H.L:
+        raise DimensionMismatch(
+            f"block has {signals.shape[1]} antenna rows, channel expects {H.L}"
+        )
+    rx = H.field.matmul(H.H, signals)
+    return ReceptionLog(H.field, rx)
 
 
 def _check_consistent(k, d, Z_k, log, H: ChannelMatrix, schedule) -> None:
@@ -142,38 +149,27 @@ def _check_consistent(k, d, Z_k, log, H: ChannelMatrix, schedule) -> None:
         )
 
 
-def _decode_row(field, k, plan, blocks, ys, Z_k) -> np.ndarray:
-    """User k's subfile of one row, from that row's receptions ys."""
-    if k == plan.owner:
-        # Own row: A combines the receptions into the per-minifile sums
-        # of the other users' subfiles, and the cache closes the gap.
-        sums = field.matmul(field.convert(plan.A), np.stack(ys))
-        return field.sub(Z_k.payload, sums.ravel())
-    # Reception t carries coeffs[k] @ minifiles / gain; with C the
-    # stacked coefficients, the minifiles are C^-1 diag(gains) @ Y.
-    ts = plan.serving[k]
-    C = field.convert([plan.transmissions[t].coeffs[k] for t in ts])
-    gains = field.zeros((len(ts), len(ts)))
-    for q, t in enumerate(ts):
-        gains[q, q] = blocks[t].gains[blocks[t].group.index(k)]
-    return field.matmul(solve(field, C, gains), np.stack([ys[t] for t in ts])).ravel()
-
-
 def decode_user(k: int, d, Z_k, log: ReceptionLog, H: ChannelMatrix, schedule) -> DecodeResult:
     """Reconstruct user k's requested file from receptions plus cache.
 
-    A row served to k yields its subfile by descaling k's receptions and
-    inverting k's planned coefficient system; k's own row comes from
-    subtracting the received sum from Z_k.
+    In a row served to k, reception q carries k's planned combination
+    coeffs_q @ minifiles divided by the owner gain g_q, so with Cinv
+    the plan's integer inverse of k's stacked coefficients the
+    minifiles are Cinv diag(g) Y; all N-1 such rows go in one batched
+    product. k's own row comes from subtracting the received sum A @ Y
+    from Z_k.
     """
     _check_consistent(k, d, Z_k, log, H, schedule)
     field = H.field
-    subfiles = []
-    for i, ids in enumerate(schedule.rows):
-        blocks = [schedule.blocks[b] for b in ids]
-        ys = [log.per_block[b][k] for b in ids]
-        subfiles.append(_decode_row(field, k, schedule.plans[i], blocks, ys, Z_k))
-    data = np.concatenate(subfiles)
+    layout = schedule.layout
+    rx = np.asarray(log.per_block)
+    serve = layout.serve[k]
+    gains = schedule.gains[serve, layout.slot[k]]
+    served = field.matmul(field.mul(layout.decoders[k], gains[:, None, :]), rx[serve, k])
+    n_tx = layout.transmissions
+    sums = field.matmul(field.convert(layout.plans[k].A), rx[k * n_tx : (k + 1) * n_tx, k])
+    own = field.sub(Z_k.payload, sums.ravel())
+    data = np.concatenate([served[:k].ravel(), own, served[k:].ravel()])
     want = schedule.library.data[d[k]]
     return DecodeResult(user=k, data=data, success=field.close(data, want))
 

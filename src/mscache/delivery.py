@@ -16,23 +16,30 @@ a column-deleted bidiagonal matrix, so that consecutive receptions
 combine (telescope) into the per-index minifile sums the owner needs.
 
 Everything downstream reads the row plan, so only plan construction and
-the table's term labels know which regime is running. Every plan is
-re-verified by exact integer linear algebra before use; a verification
-failure is a hard error, never a fallback.
+the table's term labels know which regime is running. Each plan also
+carries, per user, the exact integer inverse of that user's stacked
+coefficient system (the column-deleted bidiagonal for a telescoping
+user, the identity otherwise), so decoding needs no elimination. Every
+plan is verified by exact integer linear algebra before use, including
+inverse times coefficients equal to I; a verification failure is a hard
+error, never a fallback. Plan arrays are read-only: reduced plans are
+cached per row, and the index layout of both regimes per (N, L).
 
-Zero-forcing beams come from a beam bank: the schedule collects the
-distinct served groups of all row plans and inverts their channel rows
-in one batched pass, and a block reads the beam of served user q as
-column q of its group's inverse. Each block carries the gain its owner
-sees on every served user's beam, which receivers use to descale their
-receptions.
+Zero-forcing beams come from a beam bank: the schedule inverts the
+channel rows of the distinct served groups of all row plans in one
+batched pass, and the beam of served user q is column q of its group's
+inverse. Each row is then synthesized at once: one product for the
+owner gains of all its beams, one element-wise inverse, and one batched
+W @ C written into the schedule's (B, L, tau) signal stack, of which
+each block's signal is a view. The owner gains, kept per block, let
+receivers descale their receptions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,26 +108,7 @@ def segment_sizes(N: int, L: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Exact integer helpers (plan-time only; L <= 8 here)
-
-
-def _exact_int_det(rows) -> int:
-    n = len(rows)
-    m = [[Fraction(int(x)) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return int(det)
+# Exact integer helpers (plan-time only)
 
 
 def _exact_int_inverse(rows) -> list[list[int]]:
@@ -161,6 +149,12 @@ class Transmission:
     coeffs: dict
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """Freeze an array that cached plans or layouts share across schedules."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class RowCodePlan:
     """Complete minifile coding plan for one table row, m minifiles per subfile.
@@ -171,6 +165,9 @@ class RowCodePlan:
     applied to the row's receptions yields the sum over users of
     minifile j.
     serving: per user, the m transmission indices that serve it.
+    inverses: (N-1, m, m) integer matrices; inverses[q] inverts the
+    stacked coefficient system of users[q] (its coeffs in the
+    transmissions serving[users[q]], one per row).
     """
 
     owner: int
@@ -178,21 +175,39 @@ class RowCodePlan:
     transmissions: tuple
     A: np.ndarray
     serving: dict
+    inverses: np.ndarray | None = None
 
     @property
     def minifiles(self) -> int:
         return self.A.shape[0]
 
+    @cached_property
+    def groups(self) -> np.ndarray:
+        """(transmissions, L) served users of every transmission, in plan order."""
+        served = [tx.served for tx in self.transmissions]
+        return _readonly(np.array(served, dtype=np.int64))
 
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """(transmissions, L, m) coefficient vector of every served user."""
+        coeffs = [[tx.coeffs[u] for u in tx.served] for tx in self.transmissions]
+        return _readonly(np.array(coeffs, dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
 def _telescoping_pattern(L: int):
-    """Bidiagonal combination block B and the served/missed bijection.
+    """Bidiagonal combination block B, the served/missed bijection, and
+    each segment position's coefficient rows and decoding inverse.
 
     B has unit diagonal and a +/-1 superdiagonal; any column-deleted
     square submatrix is unimodular, so its inverse provides integer
     coefficient vectors. miss[u] is the one transmission (of L+1) that
     skips segment position u. The sign and miss layouts for even and
     odd L are the two orientations that make the telescoping sums come
-    out with all-positive totals.
+    out with all-positive totals. Position u is served by the
+    transmissions kept[u]; Bu[u] is B with column miss[u] deleted and
+    rows[u] = inv(Bu[u]) stacks u's coefficient vectors, one per kept
+    transmission. The pattern depends on L only, so every row shares it.
     """
     if L % 2 == 0:
         signs = [1 if j % 2 else -1 for j in range(L)]
@@ -204,11 +219,18 @@ def _telescoping_pattern(L: int):
     for j in range(L):
         B[j][j] = 1
         B[j][j + 1] = signs[j]
-    return B, miss
+    kept = [[c for c in range(L + 1) if c != miss[u]] for u in range(L + 1)]
+    Bu = [[[B[r][c] for c in cols] for r in range(L)] for cols in kept]
+    rows = [_exact_int_inverse(b) for b in Bu]
+    return B, miss, kept, Bu, rows
 
 
 def build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
-    """Deterministic verified coding plan for row i at any supported (N, L)."""
+    """Deterministic verified coding plan for row i at any supported (N, L).
+
+    Reduced plans are cached; schedule_layout caches the plans of both
+    regimes. Cached plans are shared, so every plan's arrays are read-only.
+    """
     if regime(N, L) == "reduced":
         return build_row_plan_reduced(i, N, L)
     return _build_row_plan(i, N, L)
@@ -230,6 +252,9 @@ def _build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
     transmissions = []
     A = np.zeros((m, (N - 1) * m // L), dtype=np.int64)
     serving = {u: [] for u in users}
+    # Jointly served users see the identity system; a telescoping
+    # user's coefficients are inv(Bu), so Bu is its decoding inverse.
+    inverses = np.tile(np.eye(m, dtype=np.int64), (N - 1, 1, 1))
     pos = 0
     col = 0
     for size in segment_sizes(N, L):
@@ -248,14 +273,8 @@ def _build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
                 A[t_local, t] = 1
             col += m
         else:
-            B, miss = _telescoping_pattern(L)
-            rows_of = {}
-            kept_of = {}
-            for idx in range(size):
-                kept = [c for c in range(size) if c != miss[idx]]
-                Bu = [[B[r][c] for c in kept] for r in range(L)]
-                rows_of[idx] = _exact_int_inverse(Bu)
-                kept_of[idx] = kept
+            B, miss, kept, Bu, rows = _telescoping_pattern(L)
+            inverses[pos : pos + size] = Bu
             for t_local in range(size):
                 t = col + t_local
                 served = []
@@ -264,8 +283,7 @@ def _build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
                     if miss[idx] == t_local:
                         continue
                     served.append(u)
-                    r = kept_of[idx].index(t_local)
-                    coeffs[u] = tuple(rows_of[idx][r])
+                    coeffs[u] = tuple(rows[idx][kept[idx].index(t_local)])
                     serving[u].append(t)
                 transmissions.append(Transmission(tuple(served), coeffs))
                 for j in range(L):
@@ -276,8 +294,9 @@ def _build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
         owner=i,
         users=tuple(users),
         transmissions=tuple(transmissions),
-        A=A,
+        A=_readonly(A),
         serving={u: tuple(ts) for u, ts in serving.items()},
+        inverses=_readonly(inverses),
     )
     verify_row_plan(plan, N, L)
     return plan
@@ -287,10 +306,11 @@ def verify_row_plan(plan: RowCodePlan, N: int, L: int) -> None:
     """Certify a RowCodePlan by exact integer linear algebra.
 
     With m = minifile_count(N, L), checks: (N-1)*m/L transmissions of
-    exactly L served users; every user served exactly m times with an
-    invertible stacked coefficient system; A entries in {-1,0,1}; and A
-    times the stacked reception functionals equals the per-index
-    minifile-sum functionals.
+    exactly L served users; every user served exactly m times, with a
+    stacked coefficient system that the plan's integer inverse turns
+    into I (so it is invertible over every prime field); A entries in
+    {-1,0,1}; and A times the stacked reception functionals equals the
+    per-index minifile-sum functionals.
     """
 
     def fail(msg: str):
@@ -311,13 +331,18 @@ def verify_row_plan(plan: RowCodePlan, N: int, L: int) -> None:
         for u in tx.served:
             if len(tx.coeffs[u]) != m:
                 fail(f"coefficient vector of user {u} in transmission {t} not length {m}")
+    stacked = []
     for u in plan.users:
         ts = plan.serving[u]
         if len(ts) != m:
             fail(f"user {u} served in {len(ts)} transmissions, expected {m}")
-        stacked = [plan.transmissions[t].coeffs[u] for t in ts]
-        if _exact_int_det(stacked) == 0:
-            fail(f"user {u} has a singular stacked coefficient system")
+        stacked.append([plan.transmissions[t].coeffs[u] for t in ts])
+    if plan.inverses is None or plan.inverses.shape != (n1, m, m):
+        fail(f"decoding inverses must be one {m} x {m} integer matrix per user")
+    products = plan.inverses @ np.array(stacked, dtype=np.int64)
+    wrong = np.flatnonzero((products != np.eye(m, dtype=np.int64)).any(axis=(1, 2)))
+    if wrong.size:
+        fail(f"user {plan.users[wrong[0]]}'s decoding inverse does not invert its coefficients")
     if plan.A.shape != (m, n_tx):
         fail(f"A has shape {plan.A.shape}, expected {(m, n_tx)}")
     if not np.all(np.isin(plan.A, (-1, 0, 1))):
@@ -387,8 +412,67 @@ class TransmitBlock:
 
 
 @dataclass(frozen=True, eq=False)
+class ScheduleLayout:
+    """Channel- and demand-free index arrays of every schedule at (N, L).
+
+    Block b = i * transmissions + t is transmission t of row i. Row i
+    takes its zero-forcing inverses from the beam bank: bank_groups
+    lists the distinct served groups, bank_ids[i, t] the one of block
+    (i, t). For user k, row r of serve[k], slot[k] and decoders[k]
+    describes the r-th row other than k: the m blocks serving k, k's
+    position in each block's group, and the integer inverse of k's
+    stacked coefficient system there.
+    """
+
+    plans: tuple
+    transmissions: int
+    bank_groups: np.ndarray
+    bank_ids: np.ndarray
+    serve: np.ndarray
+    slot: np.ndarray
+    decoders: np.ndarray
+
+    @property
+    def minifiles(self) -> int:
+        return self.plans[0].minifiles
+
+
+@lru_cache(maxsize=None)
+def schedule_layout(N: int, L: int) -> ScheduleLayout:
+    """The cached layout of every schedule at a supported (N, L)."""
+    plans = tuple(build_row_plan(i, N, L) for i in range(N))
+    n_tx = len(plans[0].transmissions)
+    m = plans[0].minifiles
+    bank_groups, bank_ids = np.unique(
+        np.concatenate([plan.groups for plan in plans]), axis=0, return_inverse=True
+    )
+    serve = np.empty((N, N - 1, m), dtype=np.int64)
+    slot = np.empty((N, N - 1, m), dtype=np.int64)
+    decoders = np.empty((N, N - 1, m, m), dtype=np.int64)
+    for k in range(N):
+        for r, plan in enumerate(p for p in plans if p.owner != k):
+            ts = plan.serving[k]
+            serve[k, r] = [plan.owner * n_tx + t for t in ts]
+            slot[k, r] = [plan.transmissions[t].served.index(k) for t in ts]
+            decoders[k, r] = plan.inverses[plan.users.index(k)]
+    return ScheduleLayout(
+        plans=plans,
+        transmissions=n_tx,
+        bank_groups=_readonly(bank_groups),
+        bank_ids=_readonly(bank_ids.reshape(N, n_tx)),
+        serve=_readonly(serve),
+        slot=_readonly(slot),
+        decoders=_readonly(decoders),
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class DeliverySchedule:
-    """Ordered blocks plus everything a genie receiver may consult."""
+    """Ordered blocks plus everything a genie receiver may consult.
+
+    signals (B, L, tau) and gains (B, L) stack every block's signal and
+    owner gains; each block's signal is a view into signals.
+    """
 
     blocks: tuple
     total_time: Fraction
@@ -396,8 +480,20 @@ class DeliverySchedule:
     demand: tuple
     channel: ChannelMatrix
     library: Library
-    plans: dict
-    rows: tuple
+    layout: ScheduleLayout
+    signals: np.ndarray
+    gains: np.ndarray
+
+    @property
+    def plans(self) -> dict:
+        """Row index -> row plan."""
+        return dict(enumerate(self.layout.plans))
+
+    @property
+    def rows(self) -> tuple:
+        """Per row, the range of its block indices."""
+        n_tx = self.layout.transmissions
+        return tuple(range(i * n_tx, (i + 1) * n_tx) for i in range(self.cfg.N))
 
 
 def _as_channel(H, field) -> ChannelMatrix:
@@ -415,35 +511,53 @@ def _as_demand(d, N: int) -> DemandVector:
     return dv
 
 
-def _beam_bank(H: ChannelMatrix, groups) -> dict:
-    """inv(H[group]) for each distinct served group, from one inverse_stack call.
+def _beam_bank(H: ChannelMatrix, groups: np.ndarray) -> np.ndarray:
+    """inv(H[group]) for each row of groups, from one inverse_stack call.
 
     Column q of a group's inverse is the zero-forcing beam of group[q]:
     unit gain at group[q], zero at every other member.
     """
     field = H.field
-    groups = list(dict.fromkeys(tuple(g) for g in groups))
-    stack = H.H[np.array(groups)]
+    stack = H.H[groups]
     inverses, nonsingular = inverse_stack(field, stack)
     if not nonsingular.all():
-        bad = groups[int(np.argmin(nonsingular))]
+        bad = tuple(int(u) for u in groups[np.argmin(nonsingular)])
         raise DegenerateChannel(f"channel rows of served group {bad} are dependent")
     eye = field.convert(np.eye(stack.shape[1], dtype=np.int64))
     if not field.satisfies(stack, inverses, eye):
         raise DegenerateChannel("zero-forcing residual above tolerance")
-    return dict(zip(groups, inverses))
+    return inverses
 
 
-def build_block(
-    plan: RowCodePlan, t: int, d, H, library: Library, inverse=None
-) -> TransmitBlock:
+def _synthesize(plan: RowCodePlan, ts, d: np.ndarray, H: ChannelMatrix, P, inverses, out=None):
+    """Signals (n, L, tau) and owner gains (n, L) of transmissions ts of a row.
+
+    Signal s is W[s] @ C[s]: column q of W[s] is the zero-forcing beam
+    inverses[s][:, q] of served user u = group[q], scaled to unit gain at
+    the row owner, and row q of C[s] is u's planned combination of the
+    minifiles P[d[u], owner] of subfile (d[u], owner). The signals are
+    written into ``out`` when it is given.
+    """
+    field = H.field
+    i = plan.owner
+    groups = plan.groups[ts]
+    gains = field.matmul(H.H[i], inverses)
+    try:
+        W = field.mul(inverses, field.inv_each(gains)[:, None, :])
+    except ZeroDivisionError:
+        u = groups.flat[int(np.argmin(np.abs(gains)))]
+        raise DegenerateChannel(f"row {i} channel is orthogonal to user {u}'s beam") from None
+    coeffs = field.convert(plan.coefficients[ts])[:, :, None, :]
+    # One gather of the row's minifiles; the combinations are (1, m) @ (m, tau).
+    C = field.matmul(coeffs, P[d[groups], i])[:, :, 0]
+    return field.matmul(W, C, out=out), gains
+
+
+def build_block(plan: RowCodePlan, t: int, d, H, library: Library) -> TransmitBlock:
     """Transmission t of a verified row plan, beamformed over channel H.
 
-    The signal is W @ C: column q of W is the zero-forcing beam of served
-    user u = group[q], scaled to unit gain at the row owner, and row q of
-    C is u's planned combination of the minifiles of subfile (d[u], owner).
-    ``inverse`` is inv(H[group]), as build_schedule's beam bank supplies
-    it; when omitted it is computed for this one group.
+    The one-transmission case of build_schedule's synthesis, with a beam
+    bank of the one served group.
     """
     field = library.field
     N = library.N
@@ -460,30 +574,25 @@ def build_block(
         raise DimensionMismatch(
             f"transmission serves {len(tx.served)} users, channel has L={H.L} antennas"
         )
-    i = plan.owner
-    if inverse is None:
-        inverse = _beam_bank(H, [tx.served])[tx.served]
-    gains = field.matmul(H.H[i], inverse)
-    try:
-        W = field.mul(inverse, field.inv_each(gains))
-    except ZeroDivisionError:
-        u = tx.served[int(np.argmin(np.abs(gains)))]
-        raise DegenerateChannel(f"row {i} channel is orthogonal to user {u}'s beam") from None
     P = library.parts(plan.minifiles)
-    # Basic indexing: P[d[u], i] is a view, not a copy of the library.
-    combos = [field.matmul(field.convert(tx.coeffs[u]), P[d[u], i]) for u in tx.served]
+    bank = _beam_bank(H, plan.groups[[t]])
+    signal, gains = _synthesize(plan, [t], np.array(d.d), H, P, bank)
     return TransmitBlock(
-        signal=field.matmul(W, np.stack(combos)),
+        signal=signal[0],
         duration=Fraction(1, N * plan.minifiles),
-        owner=i,
+        owner=plan.owner,
         t=t,
-        group=tuple(tx.served),
-        gains=tuple(gains),
+        group=tx.served,
+        gains=tuple(gains[0].tolist()),
     )
 
 
 def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedule:
-    """Full delivery schedule: every row's transmissions in order, T = (N-1)/L."""
+    """Full delivery schedule: every row's transmissions in order, T = (N-1)/L.
+
+    Each row is synthesized in one batched pass, written into one
+    (B, L, tau) signal stack.
+    """
     field = library.field
     H = _as_channel(H, field)
     if H.field != field:
@@ -497,29 +606,45 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
             f"channel shape {H.H.shape} does not match config K={cfg.K}, L={cfg.L}"
         )
     d = _as_demand(d, cfg.N)
-    plans = {i: build_row_plan(i, cfg.N, cfg.L) for i in range(cfg.N)}
-    bank = _beam_bank(H, (tx.served for plan in plans.values() for tx in plan.transmissions))
-    blocks: list[TransmitBlock] = []
-    rows = []
-    for plan in plans.values():
-        rows.append(tuple(range(len(blocks), len(blocks) + len(plan.transmissions))))
-        blocks.extend(
-            build_block(plan, t, d, H, library, bank[tx.served])
-            for t, tx in enumerate(plan.transmissions)
+    layout = schedule_layout(cfg.N, cfg.L)
+    bank = _beam_bank(H, layout.bank_groups)
+    n_tx, m = layout.transmissions, layout.minifiles
+    P = library.parts(m)
+    demand = np.array(d.d)
+    signals = np.empty((cfg.N * n_tx, cfg.L, P.shape[-1]), dtype=field.dtype)
+    gains = np.empty((cfg.N * n_tx, cfg.L), dtype=field.dtype)
+    for i, plan in enumerate(layout.plans):
+        rows = slice(i * n_tx, (i + 1) * n_tx)
+        _, gains[rows] = _synthesize(
+            plan, slice(None), demand, H, P, bank[layout.bank_ids[i]], out=signals[rows]
         )
-    total = sum((b.duration for b in blocks), Fraction(0))
+    duration = Fraction(1, cfg.N * m)
+    blocks = tuple(
+        TransmitBlock(
+            signal=signals[plan.owner * n_tx + t],
+            duration=duration,
+            owner=plan.owner,
+            t=t,
+            group=tx.served,
+            gains=tuple(gains[plan.owner * n_tx + t].tolist()),
+        )
+        for plan in layout.plans
+        for t, tx in enumerate(plan.transmissions)
+    )
+    total = duration * len(blocks)
     expected = delivery_time(cfg.N, cfg.L)
     if total != expected:
         raise InconsistentInputs(f"schedule time {total} != expected {expected}")
     return DeliverySchedule(
-        blocks=tuple(blocks),
+        blocks=blocks,
         total_time=total,
         cfg=cfg,
         demand=tuple(d),
         channel=H,
         library=library,
-        plans=plans,
-        rows=tuple(rows),
+        layout=layout,
+        signals=signals,
+        gains=gains,
     )
 
 

@@ -82,12 +82,26 @@ class PrimeField:
     def mul(self, a, b) -> np.ndarray:
         return (np.asarray(a) * np.asarray(b)) % self.p
 
-    def matmul(self, a, b) -> np.ndarray:
+    def matmul(self, a, b, out=None) -> np.ndarray:
+        """a @ b mod p, with numpy's stacking rules; reduced in place.
+
+        The contraction runs over the last axis of a and the first axis
+        of a vector b, or the second-to-last axis of a matrix or stack b.
+        ``out``, if given, receives the product, as in np.matmul.
+        """
         a, b = np.asarray(a), np.asarray(b)
         n, step = a.shape[-1], self.matmul_chunk
-        out = (a[..., :step] @ b[:step]) % self.p
+
+        def terms(s):
+            return b[s : s + step] if b.ndim == 1 else b[..., s : s + step, :]
+
+        out = np.matmul(a[..., :step], terms(0), out=out)
+        out %= self.p
         for s in range(step, n, step):
-            out = (out + (a[..., s : s + step] @ b[s : s + step]) % self.p) % self.p
+            part = a[..., s : s + step] @ terms(s)
+            part %= self.p
+            out += part
+            out %= self.p
         return out
 
     def inv(self, x) -> int:
@@ -205,8 +219,8 @@ class ComplexField:
     def mul(self, a, b) -> np.ndarray:
         return np.asarray(a) * np.asarray(b)
 
-    def matmul(self, a, b) -> np.ndarray:
-        return np.asarray(a) @ np.asarray(b)
+    def matmul(self, a, b, out=None) -> np.ndarray:
+        return np.matmul(a, b, out=out)
 
     def inv(self, x) -> complex:
         x = complex(x)

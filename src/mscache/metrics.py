@@ -38,7 +38,12 @@ def converse_bound(K: int, N: int, M, L: int) -> Fraction:
 
 
 def uncoded_baseline(K: int, N: int, M, L: int) -> Fraction:
-    """Per-user caching plus L parallel zero-forced streams: K(1 - M/N)/L."""
+    """Per-user caching plus L parallel zero-forced streams: K(1 - M/N)/L.
+
+    Defined for N >= 1 and L >= 1; InconsistentInputs otherwise.
+    """
+    if L < 1 or N < 1:
+        raise InconsistentInputs(f"uncoded baseline needs N >= 1 and L >= 1, got N={N} L={L}")
     M = Fraction(M)
     return Fraction(K, L) * (1 - M / N)
 

@@ -274,3 +274,17 @@ def test_bounds_unsupported_when_k_differs_from_n(capsys):
     assert code == 0
     assert "achieved_T = unsupported-regime" in out
     assert "uncoded_T  = 5/8" in out
+
+
+def test_verify_at_scale_in_both_regimes(capsys):
+    # A full-antenna trial at N = 40 and a reduced one past the N <= 9
+    # the other suites cover; correctness only, no timing.
+    for argv in (
+        ["verify", "--N", "40", "--trials", "1", "--format", "json"],
+        ["verify", "--N", "21", "--L", "4", "--trials", "1", "--format", "json"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and err == "", argv
+        (row,) = json.loads(out)
+        assert row["decode_ok"] is True
+        assert row["achieved_T"] == row["converse_T"]

@@ -1,5 +1,6 @@
 """Row plans, transmit blocks, schedules, and the delivery table."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from mscache import (
     segment_sizes,
     verify_row_plan,
 )
-from mscache.delivery import RowCodePlan, Transmission
+from mscache.delivery import RowCodePlan, Transmission, schedule_layout
 
 GF = PrimeField(65537)
 
@@ -123,6 +124,67 @@ def test_all_supported_plans_verify():
             assert all(tx.coeffs[u] == (1,) for u in tx.served)
             assert plan.A.tolist() == [[1]]
             assert plan.serving == {u: (0,) for u in plan.users}
+
+
+def test_plan_inverses_invert_each_users_coefficients():
+    # The decoder's integer inverses, straight from the build: a telescoping
+    # user's is its column-deleted bidiagonal, a jointly served user's and
+    # every full-regime user's the identity.
+    for (N, L) in [(4, 2), (5, 3), (8, 3), (9, 4), (5, 4)]:
+        for i in range(N):
+            plan = build_row_plan(i, N, L)
+            m = plan.minifiles
+            assert plan.inverses.shape == (N - 1, m, m)
+            for q, u in enumerate(plan.users):
+                stacked = np.array([plan.transmissions[t].coeffs[u] for t in plan.serving[u]])
+                assert (plan.inverses[q] @ stacked).tolist() == np.eye(m, dtype=int).tolist()
+    assert build_row_plan(0, 4, 3).inverses.tolist() == [[[1]]] * 3
+    assert build_row_plan(3, 4, 2).inverses.tolist() == [
+        [[1, 0], [0, 1]], [[1, -1], [0, 1]], [[-1, 0], [1, 1]]
+    ]
+
+
+def test_cached_plans_are_read_only():
+    # Plans of both regimes are cached in the schedule layout (reduced
+    # plans also per row) and shared by every later schedule.
+    assert build_row_plan(3, 4, 2) is build_row_plan(3, 4, 2)
+    for i, N, L in ((0, 4, 3), (3, 4, 2)):
+        plan = build_row_plan(i, N, L)
+        assert schedule_layout(N, L) is schedule_layout(N, L)
+        with pytest.raises(ValueError):
+            schedule_layout(N, L).plans[i].A[0, 0] = 0
+        with pytest.raises(ValueError):
+            plan.A[0, 0] = 0
+        with pytest.raises(ValueError):
+            plan.inverses[0, 0, 0] = 0
+        with pytest.raises(ValueError):
+            schedule_layout(N, L).decoders[0, 0, 0, 0] = 0
+
+
+def test_verify_rejects_a_wrong_decoding_inverse():
+    good = build_row_plan_reduced(3, 4, 2)
+    verify_row_plan(good, 4, 2)
+    wrong = good.inverses.copy()
+    wrong[1] = np.eye(2, dtype=np.int64)
+    with pytest.raises(PlanVerificationError, match="user 1's decoding inverse does not"):
+        verify_row_plan(dataclasses.replace(good, inverses=wrong), 4, 2)
+    with pytest.raises(PlanVerificationError, match="decoding inverses must be"):
+        verify_row_plan(dataclasses.replace(good, inverses=None), 4, 2)
+    # the corruptions of test_verify_rejects_corrupted_plan, with the good
+    # inverses kept, fail on the check each one targets
+    bad_A = good.A.copy()
+    bad_A[0, 0] = 0
+    with pytest.raises(PlanVerificationError, match="A-combined receptions"):
+        verify_row_plan(dataclasses.replace(good, A=bad_A), 4, 2)
+    txs = list(good.transmissions)
+    txs[0] = Transmission(txs[0].served, {**txs[0].coeffs, 0: (0, 1)})
+    with pytest.raises(PlanVerificationError, match="user 0's decoding inverse does not"):
+        verify_row_plan(dataclasses.replace(good, transmissions=tuple(txs)), 4, 2)
+    full = build_row_plan(0, 4, 3)
+    (tx,) = full.transmissions
+    zeroed = (Transmission(tx.served, {**tx.coeffs, 2: (0,)}),)
+    with pytest.raises(PlanVerificationError, match="user 2's decoding inverse does not"):
+        verify_row_plan(dataclasses.replace(full, transmissions=zeroed), 4, 3)
 
 
 def test_plan_coefficients_stay_small():

@@ -1,0 +1,90 @@
+"""End-to-end properties over (N, L, prime, demand, seed).
+
+Every drawn instance runs the whole chain: library, channel, placement,
+schedule, reception and decoding. Each block's receptions must be the
+channel applied to its signal, every user must decode its file exactly,
+and, at small N, the independent span oracle must agree. Channels that
+cannot be drawn at a small prime (no generic channel within the draw
+budget) are assumed away, not counted as passes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from span_oracle import file_in_span, observation_functionals, wanted_rows
+
+from mscache import (
+    ComplexField,
+    DemandVector,
+    LibraryConfig,
+    PrimeField,
+    ResamplingExhausted,
+    build_schedule,
+    decode_all,
+    draw_channel,
+    is_supported,
+    place_caches,
+    random_library,
+    receive,
+)
+
+SUPPORTED = [(N, L) for N in range(2, 10) for L in range(1, N) if is_supported(N, L)]
+PRIMES = (5, 7, 11, 65537, 536870909)
+# The oracle probes the chain once per library symbol (N * F of them)
+# and row-reduces in plain Python, so it runs only up to this N.
+ORACLE_MAX_N = 5
+
+
+@st.composite
+def instances(draw):
+    N, L = draw(st.sampled_from(SUPPORTED))
+    p = draw(st.sampled_from(PRIMES))
+    demand = draw(st.permutations(range(N)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return N, L, p, demand, seed
+
+
+def _run(field, N, L, demand, seed):
+    cfg = LibraryConfig(N=N, K=N, L=L, F=N * L)
+    H = draw_channel(N, L, seed, field)
+    lib = random_library(field, N, cfg.F, seed + 1)
+    d = DemandVector(demand)
+    sched = build_schedule(d, H, lib, cfg)
+    log = receive(H, sched)
+    results = decode_all(d, place_caches(lib, cfg), log, H, sched)
+    return cfg, H, lib, d, sched, log, results
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_receptions_decode_exactly_and_agree_with_the_span_oracle(instance):
+    N, L, p, demand, seed = instance
+    field = PrimeField(p)
+    try:
+        cfg, H, lib, d, sched, log, results = _run(field, N, L, demand, seed)
+    except ResamplingExhausted:
+        assume(False)
+    assert len(log.per_block) == len(sched.blocks)
+    for b, block in enumerate(sched.blocks):
+        assert field.equal(log.per_block[b], field.matmul(H.H, block.signal))
+    for k, res in enumerate(results):
+        assert res.success
+        assert field.equal(res.data, lib.data[d[k]])
+    if N <= ORACLE_MAX_N:
+        obs = observation_functionals(cfg, H, d, field)
+        for k in range(N):
+            rec, cac = obs[k]
+            assert file_in_span(rec + cac, wanted_rows(cfg, d[k]), p) == results[k].success
+
+
+@pytest.mark.parametrize("N, L", [(12, 5), (16, 15)])
+def test_complex_decode_error_far_below_tolerance(N, L):
+    # The measured margin: about 1e-14 against decode_atol = 1e-6.
+    cc = ComplexField()
+    demand = np.random.default_rng(N).permutation(N).tolist()
+    _, _, lib, d, _, _, results = _run(cc, N, L, demand, seed=0)
+    err = max(float(np.max(np.abs(r.data - lib.data[d[k]]))) for k, r in enumerate(results))
+    assert all(r.success for r in results)
+    assert err < 1e-12

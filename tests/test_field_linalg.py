@@ -57,6 +57,26 @@ def test_gf_matmul_exact_past_one_int64_chunk():
         assert int(big.matmul(a[0], b[:, 0])) == want[0][0]
 
 
+def test_gf_matmul_chunks_the_contraction_axis_of_stacks():
+    # A vector or a stack against a stack, as a row's owner gains against
+    # its beam-bank inverses: the chunks must run over the inner axis (40,
+    # longer than one 32-term chunk), not over the batch axis.
+    p = 536870909
+    big = PrimeField(p)
+    a = np.full(40, p - 1)
+    b = np.full((3, 40, 5), p - 1)
+    out = big.matmul(a, b)
+    assert out.shape == (3, 5)
+    assert out.tolist() == [big.matmul(a, b[j]).tolist() for j in range(3)]
+    assert out.tolist() == [[40] * 5] * 3  # (p-1)**2 = 1 mod p
+    rng = np.random.default_rng(6)
+    a2 = big.sample(rng, (2, 4, 40))
+    b2 = big.sample(rng, (2, 40, 3))
+    want = [[[sum(int(a2[j, r, q]) * int(b2[j, q, c]) for q in range(40)) % p
+              for c in range(3)] for r in range(4)] for j in range(2)]
+    assert big.matmul(a2, b2).tolist() == want
+
+
 def test_gf_samples_in_range():
     rng = np.random.default_rng(0)
     sym = GF7.sample(rng, 1000)

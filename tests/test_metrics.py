@@ -65,6 +65,13 @@ def test_uncoded_frozen_values():
     assert uncoded_baseline(4, 4, Fraction(1, 4), 2) == Fraction(15, 8)
 
 
+def test_uncoded_rejects_sizes_it_is_not_defined_for():
+    with pytest.raises(InconsistentInputs):
+        uncoded_baseline(4, 4, Fraction(1, 4), 0)  # no antennas
+    with pytest.raises(InconsistentInputs):
+        uncoded_baseline(4, 0, Fraction(1, 4), 3)  # no files
+
+
 def test_achievable_times():
     assert achievable_time(LibraryConfig(N=9, K=9, L=4, F=36)) == 2
     assert achievable_time(LibraryConfig(N=4, K=4, L=3, F=12)) == 1
