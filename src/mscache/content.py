@@ -144,10 +144,8 @@ def place_caches(library: Library, cfg: LibraryConfig) -> list[CacheContent]:
             f"library shape {library.data.shape} does not match config "
             f"N={cfg.N}, F={cfg.F}"
         )
-    subfiles = library.parts(1)[:, :, 0]
-    z = library.field.zeros(subfiles.shape[1:])
-    for n in range(cfg.N):
-        z = library.field.add(z, subfiles[n])
+    # One pass over the files and one reduction: a sum of N residues fits in int64.
+    z = library.field.convert(library.parts(1)[:, :, 0].sum(axis=0))
     return [CacheContent(k, z[k]) for k in range(cfg.K)]
 
 

@@ -30,7 +30,8 @@ channel rows of the distinct served groups of all row plans in one
 batched pass, and the beam of served user q is column q of its group's
 inverse. Each row is then synthesized at once: one product for the
 owner gains of all its beams, one element-wise inverse, and one batched
-W @ C written into the schedule's (B, L, tau) signal stack, of which
+payload product M @ P, with the plan's coefficients folded into the
+beams, written into the schedule's (B, L, tau) signal stack, of which
 each block's signal is a view. The owner gains, kept per block, let
 receivers descale their receptions.
 """
@@ -535,8 +536,11 @@ def _synthesize(plan: RowCodePlan, ts, d: np.ndarray, H: ChannelMatrix, P, inver
     Signal s is W[s] @ C[s]: column q of W[s] is the zero-forcing beam
     inverses[s][:, q] of served user u = group[q], scaled to unit gain at
     the row owner, and row q of C[s] is u's planned combination of the
-    minifiles P[d[u], owner] of subfile (d[u], owner). The signals are
-    written into ``out`` when it is given.
+    minifiles P[d[u], owner] of subfile (d[u], owner). The combination
+    is folded into the beams on the small side, M[s][:, q*m + j] =
+    W[s][:, q] * coeff_j, so the row's payload passes through one
+    product M @ P over its gathered minifiles, written into ``out``
+    when it is given.
     """
     field = H.field
     i = plan.owner
@@ -547,10 +551,11 @@ def _synthesize(plan: RowCodePlan, ts, d: np.ndarray, H: ChannelMatrix, P, inver
     except ZeroDivisionError:
         u = groups.flat[int(np.argmin(np.abs(gains)))]
         raise DegenerateChannel(f"row {i} channel is orthogonal to user {u}'s beam") from None
-    coeffs = field.convert(plan.coefficients[ts])[:, :, None, :]
-    # One gather of the row's minifiles; the combinations are (1, m) @ (m, tau).
-    C = field.matmul(coeffs, P[d[groups], i])[:, :, 0]
-    return field.matmul(W, C, out=out), gains
+    coeffs = field.convert(plan.coefficients[ts])
+    n, L, m = coeffs.shape
+    M = field.mul(W[:, :, :, None], coeffs[:, None]).reshape(n, L, L * m)
+    # One gather of the row's minifiles, stacked (L*m, tau) per transmission.
+    return field.matmul(M, P[d[groups], i].reshape(n, L * m, -1), out=out), gains
 
 
 def build_block(plan: RowCodePlan, t: int, d, H, library: Library) -> TransmitBlock:

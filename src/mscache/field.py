@@ -8,6 +8,15 @@ in for exactness. A context owns every arithmetic decision (dtype,
 inversion, zero tests, equality), so no other module branches on the
 mode. Values are plain numpy arrays; a single computation must stay
 within one context.
+
+``PrimeField.matmul`` is exact in one of two regimes, chosen by the
+context from p and the inner length n. While n*(p-1)**2 < 2**53 every
+partial sum is an integer that float64 represents exactly, so the
+product runs through float64 BLAS, one block of output columns at a
+time, and is reduced mod p in int64. Past that bound it runs numpy's
+int64 product, reduced mod p every ``matmul_chunk`` terms so that no
+sum overflows. Products too small to repay the float64 casts also run
+in int64, which is exact for them as well.
 """
 
 from __future__ import annotations
@@ -17,9 +26,20 @@ import math
 import numpy as np
 
 # Largest allowed prime. Keeps every product a*b of two residues below
-# 2**58, so a product sum overflows int64 only past 32 terms; matmul
-# reduces in chunks short enough for the actual p.
+# 2**58, so an int64 product sum overflows only past 32 terms; matmul
+# reduces in chunks short enough for the actual p. Float64 sums are
+# exact only below 2**53: for a single term that holds up to
+# p = 94,906,249, and at p = 65537 for inner lengths below 2**21.
 _MAX_PRIME = (1 << 29) - 1
+
+# Bytes of float64 operand plus result per column block of a float64
+# matmul: the block's temporaries stay this small whatever the width.
+_FLOAT_BLOCK_BYTES = 1 << 20
+
+# Multiply-adds below which a product stays in int64 although float64
+# would be exact: the casts cost more than BLAS saves on tiny products
+# (about the break-even of the two paths on 5x5 to 16x16 beams).
+_FLOAT_MIN_WORK = 1 << 14
 
 
 def _is_prime(n: int) -> bool:
@@ -35,9 +55,10 @@ class PrimeField:
     """Arithmetic modulo a prime p, on int64 numpy arrays.
 
     Elements are canonical residues in [0, p). Matrix products of any
-    inner dimension are exact: they are reduced mod p every
-    ``matmul_chunk`` terms, the most whose sum of (p-1)**2 products
-    still fits in int64.
+    inner dimension are exact. Up to ``float_terms`` terms, the most
+    whose sum of (p-1)**2 products stays below 2**53, they run in
+    float64 BLAS; longer ones run in int64 and are reduced mod p every
+    ``matmul_chunk`` terms, the most whose sum still fits in int64.
     """
 
     mode = "gf"
@@ -50,6 +71,7 @@ class PrimeField:
             raise ValueError(f"prime {p} too large for exact int64 arithmetic")
         self.p = p
         self.matmul_chunk = ((1 << 63) - 1) // (p - 1) ** 2
+        self.float_terms = ((1 << 53) - 1) // (p - 1) ** 2
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
@@ -61,7 +83,20 @@ class PrimeField:
         return hash(("gf", self.p))
 
     def convert(self, a) -> np.ndarray:
-        return np.asarray(a, dtype=np.int64) % self.p
+        """Canonical residues of a; canonical int64 input comes back as is.
+
+        Integral floats are accepted; any other float (fractional,
+        non-finite or beyond int64) raises ValueError instead of being
+        truncated.
+        """
+        a = np.asarray(a)
+        if a.dtype.kind == "f" and not np.all((a == np.floor(a)) & (np.abs(a) < 2.0**63)):
+            raise ValueError("value entering prime field context is not an int64 integer")
+        a = np.asarray(a, dtype=np.int64)
+        # One pass: read as uint64, a negative entry exceeds every p.
+        if a.size and a.view(np.uint64).max() < self.p:
+            return a
+        return a % self.p
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(shape, dtype=np.int64)
@@ -88,8 +123,14 @@ class PrimeField:
         The contraction runs over the last axis of a and the first axis
         of a vector b, or the second-to-last axis of a matrix or stack b.
         ``out``, if given, receives the product, as in np.matmul.
+        Products of at most ``float_terms`` terms run in float64 BLAS,
+        unless they are too small to repay the casts; longer ones run in
+        int64, ``matmul_chunk`` terms at a time.
         """
         a, b = np.asarray(a), np.asarray(b)
+        work = b.size * (a.shape[-2] if a.ndim > 1 else 1)
+        if a.shape[-1] <= self.float_terms and work >= _FLOAT_MIN_WORK:
+            return self._matmul_float(a, b, out)
         n, step = a.shape[-1], self.matmul_chunk
 
         def terms(s):
@@ -102,6 +143,36 @@ class PrimeField:
             part %= self.p
             out += part
             out %= self.p
+        return out
+
+    def _matmul_float(self, a, b, out) -> np.ndarray:
+        """Exact a @ b mod p in float64, one block of output columns at a time.
+
+        Each block casts its columns of b, multiplies, and reduces its
+        columns of ``out`` in place, so the float64 temporaries stay
+        near _FLOAT_BLOCK_BYTES however wide b is. The reduction
+        subtracts (x // p) * p, the same residue as x % p at a
+        fraction of the cost: numpy divides by a scalar fast in
+        floor_divide but not in remainder.
+        """
+        if b.ndim == 1:
+            # A vector b is one column; its output has no column axis.
+            col = self._matmul_float(a, b[:, None], None if out is None else out[..., None])
+            return col[..., 0] if out is None else out
+        rows = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + a.shape[-2:-1]
+        width = b.shape[-1]
+        if out is None:
+            out = np.empty(rows + (width,), dtype=np.int64)
+        per_column = 8 * (math.prod(b.shape[:-1]) + math.prod(rows))
+        step = max(1, _FLOAT_BLOCK_BYTES // per_column)
+        af = a.astype(np.float64)
+        for s in range(0, width, step):
+            r = np.matmul(af, b[..., s : s + step].astype(np.float64))
+            block = out[..., s : s + step]
+            np.copyto(block, r, casting="unsafe")
+            q = block // self.p
+            q *= self.p
+            block -= q
         return out
 
     def inv(self, x) -> int:

@@ -219,6 +219,26 @@ def test_decode_inconsistent_inputs():
         decode_user(0, d, short_cache, log, H, sched)
 
 
+def test_decode_fails_on_a_single_flipped_symbol():
+    # Decoded files and library rows are canonical residues, which the
+    # comparison reads without copying; one wrong symbol must still fail.
+    cfg = LibraryConfig(N=4, K=4, L=3, F=12)
+    lib = random_library(GF, 4, 12, seed=51)
+    H = draw_channel(4, 3, seed=52, field=GF)
+    d = DemandVector([1, 2, 3, 0])
+    sched = build_schedule(d, H, lib, cfg)
+    log = receive(H, sched)
+    caches = place_caches(lib, cfg)
+    k = 2
+    assert decode_user(k, d, caches[k], log, H, sched).success
+    for b in (sched.layout.serve[k][0][0], k * sched.layout.transmissions):
+        rx = log.per_block.copy()
+        rx[b, k, 1] = (rx[b, k, 1] + 1) % GF.p  # a served row, then k's own row
+        res = decode_user(k, d, caches[k], type(log)(GF, rx), H, sched)
+        assert not res.success
+        assert np.count_nonzero(res.data != lib.data[d[k]]) == 1
+
+
 def test_cache_is_necessary():
     # a receiver with a blanked cache gets every row right except its
     # own, which is exactly the part only the cache can supply

@@ -91,6 +91,22 @@ def test_place_caches_constant_library_gf7():
         assert GF7.equal(z.payload, np.full(2, 5, dtype=np.int64))
 
 
+def test_place_caches_reduces_column_sums_past_p():
+    # Nine files over GF(7): a cache symbol sums nine residues, up to 54,
+    # and must come back as the canonical residue of that sum.
+    cfg = LibraryConfig(N=9, K=9, L=8, F=18)
+    lib = Library(GF7, np.full((9, 18), 6, dtype=np.int64))
+    for z in place_caches(lib, cfg):
+        assert z.payload.tolist() == [54 % 7] * 2
+    rng = np.random.default_rng(4)
+    lib = Library(GF7, GF7.sample(rng, (9, 18)))
+    caches = place_caches(lib, cfg)
+    for k, z in enumerate(caches):
+        want = [sum(int(lib.data[n, 2 * k + t]) for n in range(9)) % 7 for t in range(2)]
+        assert z.payload.dtype == np.int64
+        assert z.payload.tolist() == want
+
+
 def test_place_caches_degenerate_single_file():
     cfg = LibraryConfig(N=1, K=1, L=1, F=4)
     lib = Library(GF, [[3, 1, 4, 1]])

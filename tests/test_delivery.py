@@ -431,6 +431,29 @@ def test_schedule_determinism():
         assert b1.group == b2.group and b1.gains == b2.gains
 
 
+@pytest.mark.parametrize("N, L", [(8, 7), (7, 3), (6, 4)])
+def test_schedule_makes_one_payload_product_per_row(N, L):
+    # The plan's coefficients fold into the beams on the small side, so
+    # each row's payload passes through a single field.matmul.
+    field = PrimeField(65537)
+    cfg = LibraryConfig(N=N, K=N, L=L, F=16 * N * L)
+    lib = random_library(field, N, cfg.F, seed=N)
+    H = draw_channel(N, L, seed=L, field=field)
+    tau = cfg.F // (N * schedule_layout(N, L).minifiles)
+    widths = []
+    inner = field.matmul
+
+    def counting(a, b, out=None):
+        widths.append(np.shape(b)[-1])
+        return inner(a, b, out=out)
+
+    field.matmul = counting
+    sched = build_schedule(DemandVector(range(N)), H, lib, cfg)
+    assert widths.count(tau) == N
+    assert all(w < tau for w in widths if w != tau)  # the rest are beam-sized
+    assert sched.signals.shape[-1] == tau
+
+
 def test_schedule_input_validation():
     cfg = LibraryConfig(N=4, K=4, L=3, F=12)
     lib = random_library(GF, 4, 12, seed=1)

@@ -85,6 +85,43 @@ def test_gf_samples_in_range():
     assert chan.min() >= 1 and chan.max() < 7
 
 
+def test_gf_convert_returns_canonical_int64_input_as_is():
+    x = np.array([[0, 3], [6, 1]], dtype=np.int64)
+    assert GF7.convert(x) is x
+    frozen = np.arange(7, dtype=np.int64)
+    frozen.setflags(write=False)
+    assert GF7.convert(frozen) is frozen
+
+
+def test_gf_convert_reduces_other_input_into_a_new_array():
+    for raw in ([-1, 2, 3], [0, 7, 15]):
+        x = np.array(raw, dtype=np.int64)
+        y = GF7.convert(x)
+        assert y is not x and not np.shares_memory(x, y)
+        assert y.tolist() == [v % 7 for v in raw]
+        assert x.tolist() == raw  # the input is left as it was
+    # Other integer dtypes come back as int64 residues.
+    assert GF7.convert(np.array([1, 9], dtype=np.int32)).dtype == np.int64
+    assert GF7.convert([]).shape == (0,)
+
+
+def test_gf_equal_compares_residues():
+    assert GF7.equal([8], [1])  # p + 1 and 1
+    assert GF7.equal(np.array([[8, -1]]), np.array([[1, 6]]))
+    assert not GF7.equal([2], [1])
+    assert GF7.close([8, 0], [1, 7]) and not GF7.close([1, 0], [1, 1])
+
+
+def test_gf_convert_rejects_non_integral_floats():
+    assert GF7.convert(np.array([1.0, -1.0, 8.0])).tolist() == [1, 6, 1]
+    assert GF7.convert(3.0).tolist() == 3
+    for bad in ([1.5], [2.0, -0.25], [np.nan], [np.inf], [-np.inf], [1e30]):
+        with pytest.raises(ValueError, match="not an int64 integer"):
+            GF7.convert(np.array(bad))
+    with pytest.raises(ValueError, match="not an int64 integer"):
+        GF.convert(0.5)
+
+
 def test_complex_guards():
     with pytest.raises(ValueError):
         CC.convert([np.inf, 0.0])
