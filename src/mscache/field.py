@@ -15,8 +15,7 @@ partial sum is an integer that float64 represents exactly, so the
 product runs through float64 BLAS, one block of output columns at a
 time, and is reduced mod p in int64. Past that bound it runs numpy's
 int64 product, reduced mod p every ``matmul_chunk`` terms so that no
-sum overflows. Products too small to repay the float64 casts also run
-in int64, which is exact for them as well.
+sum overflows.
 """
 
 from __future__ import annotations
@@ -36,11 +35,6 @@ _MAX_PRIME = (1 << 29) - 1
 # matmul: the block's temporaries stay this small whatever the width.
 _FLOAT_BLOCK_BYTES = 1 << 20
 
-# Multiply-adds below which a product stays in int64 although float64
-# would be exact: the casts cost more than BLAS saves on tiny products
-# (about the break-even of the two paths on 5x5 to 16x16 beams).
-_FLOAT_MIN_WORK = 1 << 14
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -49,6 +43,13 @@ def _is_prime(n: int) -> bool:
         if n % q == 0:
             return False
     return True
+
+
+def _product_shape(a, b) -> tuple:
+    """Shape of np.matmul(a, b) for operands of at least one axis."""
+    if b.ndim == 1:
+        return a.shape[:-1]
+    return np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + a.shape[-2:-1] + b.shape[-1:]
 
 
 class PrimeField:
@@ -122,15 +123,20 @@ class PrimeField:
 
         The contraction runs over the last axis of a and the first axis
         of a vector b, or the second-to-last axis of a matrix or stack b.
-        ``out``, if given, receives the product, as in np.matmul.
-        Products of at most ``float_terms`` terms run in float64 BLAS,
-        unless they are too small to repay the casts; longer ones run in
-        int64, ``matmul_chunk`` terms at a time.
+        ``out``, if given, receives the product; it must be an int64
+        array (a strided view is fine) of exactly the product's shape,
+        else ValueError, where np.matmul would broadcast or cast.
+        Products of at most ``float_terms`` terms run in float64 BLAS;
+        longer ones run in int64, ``matmul_chunk`` terms at a time.
         """
         a, b = np.asarray(a), np.asarray(b)
-        work = b.size * (a.shape[-2] if a.ndim > 1 else 1)
-        if a.shape[-1] <= self.float_terms and work >= _FLOAT_MIN_WORK:
-            return self._matmul_float(a, b, out)
+        shape = _product_shape(a, b)
+        if out is not None and (out.shape != shape or out.dtype != np.int64):
+            raise ValueError(
+                f"matmul out must be int64 of shape {shape}, not {out.dtype} of shape {out.shape}"
+            )
+        if a.shape[-1] <= self.float_terms:
+            return self._matmul_float(a, b, shape, out)
         n, step = a.shape[-1], self.matmul_chunk
 
         def terms(s):
@@ -145,7 +151,7 @@ class PrimeField:
             out %= self.p
         return out
 
-    def _matmul_float(self, a, b, out) -> np.ndarray:
+    def _matmul_float(self, a, b, shape, out) -> np.ndarray:
         """Exact a @ b mod p in float64, one block of output columns at a time.
 
         Each block casts its columns of b, multiplies, and reduces its
@@ -157,13 +163,13 @@ class PrimeField:
         """
         if b.ndim == 1:
             # A vector b is one column; its output has no column axis.
-            col = self._matmul_float(a, b[:, None], None if out is None else out[..., None])
+            col_out = None if out is None else out[..., None]
+            col = self._matmul_float(a, b[:, None], shape + (1,), col_out)
             return col[..., 0] if out is None else out
-        rows = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + a.shape[-2:-1]
-        width = b.shape[-1]
         if out is None:
-            out = np.empty(rows + (width,), dtype=np.int64)
-        per_column = 8 * (math.prod(b.shape[:-1]) + math.prod(rows))
+            out = np.empty(shape, dtype=np.int64)
+        width = shape[-1]
+        per_column = 8 * (math.prod(b.shape[:-1]) + math.prod(shape[:-1]))
         step = max(1, _FLOAT_BLOCK_BYTES // per_column)
         af = a.astype(np.float64)
         for s in range(0, width, step):

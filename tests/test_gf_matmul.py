@@ -1,10 +1,9 @@
 """Exactness and memory of PrimeField.matmul in both of its regimes.
 
 Products of at most ``float_terms`` terms run in float64 BLAS, one block
-of output columns at a time, unless they are tiny; longer ones run in
-int64, reduced every ``matmul_chunk`` terms. Every product is checked
-against Python integers or against an int64 product that cannot
-overflow.
+of output columns at a time; longer ones run in int64, reduced every
+``matmul_chunk`` terms. Every product is checked against Python integers
+or against an int64 product that cannot overflow.
 """
 
 import tracemalloc
@@ -69,20 +68,15 @@ def products(draw):
 @settings(max_examples=200, deadline=None)
 @given(
     case=products(),
-    min_work=st.sampled_from([field_module._FLOAT_MIN_WORK, 0]),
     block_bytes=st.sampled_from([field_module._FLOAT_BLOCK_BYTES, 16, 64, 200]),
     into_view=st.booleans(),
 )
-def test_matmul_matches_python_integers(case, min_work, block_bytes, into_view):
-    # Without a size floor every product within the float64 bound takes
-    # the float64 path, and small column blocks make narrow products
-    # cross block boundaries.
+def test_matmul_matches_python_integers(case, block_bytes, into_view):
+    # Small column blocks make narrow float64 products cross block
+    # boundaries.
     field, a, b = case
     want = reference(a, b, field.p)
-    with (
-        mock.patch.object(field_module, "_FLOAT_MIN_WORK", min_work),
-        mock.patch.object(field_module, "_FLOAT_BLOCK_BYTES", block_bytes),
-    ):
+    with mock.patch.object(field_module, "_FLOAT_BLOCK_BYTES", block_bytes):
         if into_view and np.ndim(want):
             # A strided view, as a slice of a larger array.
             buf = np.full(np.shape(want) + (2,), -1, dtype=np.int64)
@@ -107,17 +101,35 @@ def test_regime_bounds():
         assert field.float_terms * (p - 1) ** 2 < 1 << 53 <= (field.float_terms + 1) * (p - 1) ** 2
 
 
-def test_tiny_products_stay_in_int64():
+def test_beam_sized_products_are_exact():
+    # The control plane's products: one owner row against a bank of
+    # 15 x 15 beams, and a stack of them.
     field = PrimeField(65537)
     rng = np.random.default_rng(2)
     a, b = field.sample(rng, (16, 15)), field.sample(rng, (16, 15, 15))
-    with mock.patch.object(field, "_matmul_float", wraps=field._matmul_float) as spy:
-        small = field.matmul(a[0], b)  # 3600 multiply-adds: int64
-        assert not spy.called
-        big = field.matmul(a, b)  # 57600: float64
-        assert spy.called
-    assert np.array_equal(small, np.matmul(a[0], b) % field.p)
-    assert np.array_equal(big, np.matmul(a, b) % field.p)
+    assert np.array_equal(field.matmul(a[0], b), np.matmul(a[0], b) % field.p)
+    assert np.array_equal(field.matmul(a, b), np.matmul(a, b) % field.p)
+
+
+@pytest.mark.parametrize("p", [65537, 536870909])  # float64 and int64 paths
+@pytest.mark.parametrize(
+    "b_shape, out_shape, dtype",
+    [
+        ((3, 5), (2, 4, 5), np.int64),  # extra leading axis
+        ((3, 5), (4, 6), np.int64),  # wider than b
+        ((3, 5), (4, 5), np.float64),
+        ((3, 5), (4, 5), np.int32),
+        ((3,), (4, 1), np.int64),  # vector b keeps no column axis
+    ],
+)
+def test_matmul_refuses_a_mismatched_out(p, b_shape, out_shape, dtype):
+    field = PrimeField(p)
+    rng = np.random.default_rng(4)
+    a, b = field.sample(rng, (4, 3)), field.sample(rng, b_shape)
+    out = np.zeros(out_shape, dtype=dtype)
+    with pytest.raises(ValueError, match="matmul out"):
+        field.matmul(a, b, out=out)
+    assert not out.any()
 
 
 @pytest.mark.parametrize("n, regime", [((1 << 21) - 1, "float"), (1 << 21, "int")])
