@@ -28,7 +28,6 @@ from .delivery import (
     DeliverySchedule,
     RowCodePlan,
     TransmitBlock,
-    Transmission,
     build_block,
     build_row_plan,
     build_row_plan_reduced,
@@ -85,7 +84,6 @@ __all__ = [
     "ResamplingExhausted",
     "RowCodePlan",
     "SimulatorError",
-    "Transmission",
     "TransmitBlock",
     "WrongRegime",
     "achievable_time",

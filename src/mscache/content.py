@@ -183,12 +183,26 @@ def load_library(path) -> tuple[Library, LibraryConfig]:
         raise InconsistentInputs(f"{path}: not a library file (bad magic {magic!r})")
     if version != _FORMAT_VERSION:
         raise InconsistentInputs(f"{path}: unsupported format version {version}")
+    if mode_tag not in (0, 1):
+        raise InconsistentInputs(f"{path}: unknown field mode tag {mode_tag}")
     body = raw[_HEADER.size :]
+    dtype = np.dtype("<u4" if mode_tag == 0 else "<c16")
+    if len(body) != N * F * dtype.itemsize:
+        raise InconsistentInputs(
+            f"{path}: {len(body)} body bytes, expected N*F={N * F} symbols "
+            f"of {dtype.itemsize} bytes"
+        )
+    symbols = np.frombuffer(body, dtype=dtype).reshape(N, F)
     if mode_tag == 0:
-        fld: FieldContext = PrimeField(p)
-        data = np.frombuffer(body, dtype="<u4").astype(np.int64).reshape(N, F)
+        try:
+            fld: FieldContext = PrimeField(p)
+        except ValueError as exc:
+            raise InconsistentInputs(f"{path}: {exc}") from None
+        if symbols.size and symbols.max() >= p:
+            raise InconsistentInputs(f"{path}: symbol {symbols.max()} is not below the prime {p}")
+        data = symbols.astype(np.int64)
     else:
         fld = ComplexField()
-        data = np.frombuffer(body, dtype="<c16").astype(np.complex128).reshape(N, F)
+        data = symbols.astype(np.complex128)
     cfg = LibraryConfig(N=N, K=K, L=L, F=F)
     return Library(fld, data), cfg

@@ -16,14 +16,16 @@ a column-deleted bidiagonal matrix, so that consecutive receptions
 combine (telescope) into the per-index minifile sums the owner needs.
 
 Everything downstream reads the row plan, so only plan construction and
-the table's term labels know which regime is running. Each plan also
-carries, per user, the exact integer inverse of that user's stacked
-coefficient system (the column-deleted bidiagonal for a telescoping
-user, the identity otherwise), so decoding needs no elimination. Every
-plan is verified by exact integer linear algebra before use, including
-inverse times coefficients equal to I; a verification failure is a hard
-error, never a fallback. Plan arrays are read-only: reduced plans are
-cached per row, and the index layout of both regimes per (N, L).
+the table's term labels know which regime is running. A plan is a few
+integer arrays: served groups, coefficient vectors and the combination
+matrix A. Decoders are A at the user's transmissions: the columns of A
+there invert the user's stacked coefficient system (the column-deleted
+bidiagonal for a telescoping user, the identity otherwise), so decoding
+needs no elimination. Every plan is verified by exact integer linear
+algebra before use, including that product equal to I; a verification
+failure is a hard error, never a fallback. Plan arrays are read-only:
+reduced plans are cached per row, and the index layout of both regimes
+per (N, L).
 
 Zero-forcing beams come from a beam bank: the schedule inverts the
 channel rows of the distinct served groups of all row plans in one
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,45 +111,7 @@ def segment_sizes(N: int, L: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Exact integer helpers (plan-time only)
-
-
-def _exact_int_inverse(rows) -> list[list[int]]:
-    n = len(rows)
-    aug = [
-        [Fraction(int(x)) for x in row] + [Fraction(int(r == c)) for c in range(n)]
-        for r, row in enumerate(rows)
-    ]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if piv is None:
-            raise PlanVerificationError("segment coefficient matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        scale = aug[c][c]
-        aug[c] = [x / scale for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    out = []
-    for r in range(n):
-        row = aug[r][n:]
-        if any(x.denominator != 1 for x in row):
-            raise PlanVerificationError("segment inverse is not integral")
-        out.append([int(x) for x in row])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Row plans
-
-
-@dataclass(frozen=True, eq=False)
-class Transmission:
-    """One transmission of a row: served users and their minifile combinations."""
-
-    served: tuple
-    coeffs: dict
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -160,70 +124,67 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class RowCodePlan:
     """Complete minifile coding plan for one table row, m minifiles per subfile.
 
-    transmissions: the (N-1)*m/L transmissions in order; coeffs[u] is
-    the length-m integer vector applied to user u's minifiles.
-    A: m x (N-1)*m/L matrix with entries in {-1, 0, 1}; row j of A
+    users: the N-1 non-owners in ascending order.
+    groups: (transmissions, L) served users of every transmission, in
+    plan order; transmissions = (N-1)*m/L.
+    coefficients: (transmissions, L, m) integer vector applied to the
+    minifiles of each served user.
+    A: m x transmissions matrix with entries in {-1, 0, 1}; row j of A
     applied to the row's receptions yields the sum over users of
-    minifile j.
-    serving: per user, the m transmission indices that serve it.
-    inverses: (N-1, m, m) integer matrices; inverses[q] inverts the
-    stacked coefficient system of users[q] (its coeffs in the
-    transmissions serving[users[q]], one per row).
+    minifile j. A user's decoder is A at the user's transmissions: it
+    inverts the user's stacked coefficient vectors. Built plans at one
+    (N, L) share their coefficients and A.
     """
 
     owner: int
     users: tuple
-    transmissions: tuple
+    groups: np.ndarray
+    coefficients: np.ndarray
     A: np.ndarray
-    serving: dict
-    inverses: np.ndarray | None = None
 
     @property
     def minifiles(self) -> int:
         return self.A.shape[0]
 
-    @cached_property
-    def groups(self) -> np.ndarray:
-        """(transmissions, L) served users of every transmission, in plan order."""
-        served = [tx.served for tx in self.transmissions]
-        return _readonly(np.array(served, dtype=np.int64))
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """(transmissions, L, m) coefficient vector of every served user."""
-        coeffs = [[tx.coeffs[u] for u in tx.served] for tx in self.transmissions]
-        return _readonly(np.array(coeffs, dtype=np.int64))
-
 
 @lru_cache(maxsize=None)
 def _telescoping_pattern(L: int):
-    """Bidiagonal combination block B, the served/missed bijection, and
-    each segment position's coefficient rows and decoding inverse.
+    """Combination block B, served positions and coefficient vectors of a
+    size-(L+1) segment, in segment-local coordinates.
 
-    B has unit diagonal and a +/-1 superdiagonal; any column-deleted
-    square submatrix is unimodular, so its inverse provides integer
-    coefficient vectors. miss[u] is the one transmission (of L+1) that
-    skips segment position u. The sign and miss layouts for even and
-    odd L are the two orientations that make the telescoping sums come
-    out with all-positive totals. Position u is served by the
-    transmissions kept[u]; Bu[u] is B with column miss[u] deleted and
-    rows[u] = inv(Bu[u]) stacks u's coefficient vectors, one per kept
-    transmission. The pattern depends on L only, so every row shares it.
+    B is L x (L+1) with unit diagonal and superdiagonal signs s; position
+    u of the segment is skipped by transmission miss[u] only. The sign
+    and miss layouts for even and odd L are the two orientations that
+    make the telescoping sums come out with all-positive totals. u's
+    coefficient vectors, one per transmission it hears, are the rows of
+    the inverse of Bc, B with column c = miss[u] deleted, so the columns
+    of B at u's transmissions decode u. Bc is block diagonal: an upper
+    unit-bidiagonal block on rows and columns below c, and a lower
+    bidiagonal block with diagonal s on the rest. With prefix products
+    Q[j] = prod_{i<j} (-s_i), inverting each block gives the entry for
+    transmission k and minifile j as Q[j] Q[k] when k <= j < c,
+    -Q[j] Q[k] when c <= j < k, and 0 otherwise: all in {-1, 0, 1}.
+    served[t] lists the positions transmission t serves, ascending, and
+    coefficients[t, q] is the vector of position served[t, q]. The
+    pattern depends on L only, so every row shares it.
     """
+    j = np.arange(L)
+    u = np.arange(L + 1)
     if L % 2 == 0:
-        signs = [1 if j % 2 else -1 for j in range(L)]
-        miss = [(u + 1) % (L + 1) for u in range(L + 1)]
+        signs = np.where(j % 2, 1, -1)
+        miss = (u + 1) % (L + 1)
     else:
-        signs = [1] * L
-        miss = [L - u for u in range(L + 1)]
-    B = [[0] * (L + 1) for _ in range(L)]
-    for j in range(L):
-        B[j][j] = 1
-        B[j][j + 1] = signs[j]
-    kept = [[c for c in range(L + 1) if c != miss[u]] for u in range(L + 1)]
-    Bu = [[[B[r][c] for c in cols] for r in range(L)] for cols in kept]
-    rows = [_exact_int_inverse(b) for b in Bu]
-    return B, miss, kept, Bu, rows
+        signs = np.ones(L, dtype=np.int64)
+        miss = L - u
+    B = np.zeros((L, L + 1), dtype=np.int64)
+    B[j, j] = 1
+    B[j, j + 1] = signs
+    Q = np.concatenate(([1], np.cumprod(-signs)))
+    k, jj, c = u[None, :, None], j[None, None, :], miss[:, None, None]
+    sign = ((k <= jj) & (jj < c)).astype(np.int64) - ((c <= jj) & (jj < k))
+    coeffs = sign * Q[k] * Q[jj]
+    served = np.nonzero(miss[None, :] != u[:, None])[1].reshape(L + 1, L)
+    return _readonly(B), _readonly(served), _readonly(coeffs[served, u[:, None]])
 
 
 def build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
@@ -245,59 +206,45 @@ def build_row_plan_reduced(i: int, N: int, L: int) -> RowCodePlan:
     return _build_row_plan(i, N, L)
 
 
-def _build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
-    if not 0 <= i < N:
-        raise InconsistentInputs(f"row index {i} out of range for N={N}")
+@lru_cache(maxsize=None)
+def _row_pattern(N: int, L: int):
+    """Served positions (into a row's users), coefficients and A of every
+    row at (N, L): rows differ only in the labels of their users."""
     m = minifile_count(N, L)
-    users = [u for u in range(N) if u != i]
-    transmissions = []
-    A = np.zeros((m, (N - 1) * m // L), dtype=np.int64)
-    serving = {u: [] for u in users}
-    # Jointly served users see the identity system; a telescoping
-    # user's coefficients are inv(Bu), so Bu is its decoding inverse.
-    inverses = np.tile(np.eye(m, dtype=np.int64), (N - 1, 1, 1))
+    served, coefficients, blocks = [], [], []
     pos = 0
-    col = 0
     for size in segment_sizes(N, L):
-        seg = users[pos : pos + size]
         if size == L:
             # Jointly served group: transmission t of the segment sends
             # minifile t of every member, so each member's coefficient
             # system is the identity.
-            for t_local in range(m):
-                t = col + t_local
-                unit = tuple(int(j == t_local) for j in range(m))
-                coeffs = {u: unit for u in seg}
-                for u in seg:
-                    serving[u].append(t)
-                transmissions.append(Transmission(tuple(seg), coeffs))
-                A[t_local, t] = 1
-            col += m
+            block = np.eye(m, dtype=np.int64)
+            positions = np.broadcast_to(np.arange(L), (m, L))
+            coeffs = np.broadcast_to(block[:, None], (m, L, m))
         else:
-            B, miss, kept, Bu, rows = _telescoping_pattern(L)
-            inverses[pos : pos + size] = Bu
-            for t_local in range(size):
-                t = col + t_local
-                served = []
-                coeffs = {}
-                for idx, u in enumerate(seg):
-                    if miss[idx] == t_local:
-                        continue
-                    served.append(u)
-                    coeffs[u] = tuple(rows[idx][kept[idx].index(t_local)])
-                    serving[u].append(t)
-                transmissions.append(Transmission(tuple(served), coeffs))
-                for j in range(L):
-                    A[j, t] = B[j][t_local]
-            col += size
+            block, positions, coeffs = _telescoping_pattern(L)
+        served.append(pos + positions)
+        coefficients.append(coeffs)
+        blocks.append(block)
         pos += size
+    return (
+        _readonly(np.concatenate(served)),
+        _readonly(np.concatenate(coefficients)),
+        _readonly(np.concatenate(blocks, axis=1)),
+    )
+
+
+def _build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
+    if not 0 <= i < N:
+        raise InconsistentInputs(f"row index {i} out of range for N={N}")
+    users = np.delete(np.arange(N), i)
+    served, coefficients, A = _row_pattern(N, L)
     plan = RowCodePlan(
         owner=i,
-        users=tuple(users),
-        transmissions=tuple(transmissions),
-        A=_readonly(A),
-        serving={u: tuple(ts) for u, ts in serving.items()},
-        inverses=_readonly(inverses),
+        users=tuple(users.tolist()),
+        groups=_readonly(users[served]),
+        coefficients=coefficients,
+        A=A,
     )
     verify_row_plan(plan, N, L)
     return plan
@@ -306,12 +253,15 @@ def _build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
 def verify_row_plan(plan: RowCodePlan, N: int, L: int) -> None:
     """Certify a RowCodePlan by exact integer linear algebra.
 
-    With m = minifile_count(N, L), checks: (N-1)*m/L transmissions of
-    exactly L served users; every user served exactly m times, with a
-    stacked coefficient system that the plan's integer inverse turns
-    into I (so it is invertible over every prime field); A entries in
-    {-1,0,1}; and A times the stacked reception functionals equals the
-    per-index minifile-sum functionals.
+    With m = minifile_count(N, L), checks: the users are the N-1
+    non-owners; (N-1)*m/L transmissions of L distinct users each, with
+    one length-m integer coefficient vector per served user; every user
+    served exactly m times; A and coefficient entries in {-1, 0, 1}; and,
+    user by user, A at the user's transmissions times its stacked
+    coefficient vectors equal to I. Those products are A times the
+    receptions equal to the per-index minifile sums, and they make each
+    user's coefficient system invertible over every prime field, with A
+    as its decoder.
     """
 
     def fail(msg: str):
@@ -320,46 +270,40 @@ def verify_row_plan(plan: RowCodePlan, N: int, L: int) -> None:
     n1 = N - 1
     m = minifile_count(N, L)
     n_tx = n1 * m // L
-    if len(plan.users) != n1 or plan.owner in plan.users:
+    if plan.users != tuple(u for u in range(N) if u != plan.owner):
         fail("user set must be the N-1 non-owners")
-    if len(plan.transmissions) != n_tx:
-        fail(f"{len(plan.transmissions)} transmissions, expected {n_tx}")
-    for t, tx in enumerate(plan.transmissions):
-        if len(tx.served) != L:
-            fail(f"transmission {t} serves {len(tx.served)} users, expected {L}")
-        if len(set(tx.served)) != L or any(u not in plan.users for u in tx.served):
-            fail(f"transmission {t} served set invalid: {tx.served}")
-        for u in tx.served:
-            if len(tx.coeffs[u]) != m:
-                fail(f"coefficient vector of user {u} in transmission {t} not length {m}")
-    stacked = []
-    for u in plan.users:
-        ts = plan.serving[u]
-        if len(ts) != m:
-            fail(f"user {u} served in {len(ts)} transmissions, expected {m}")
-        stacked.append([plan.transmissions[t].coeffs[u] for t in ts])
-    if plan.inverses is None or plan.inverses.shape != (n1, m, m):
-        fail(f"decoding inverses must be one {m} x {m} integer matrix per user")
-    products = plan.inverses @ np.array(stacked, dtype=np.int64)
-    wrong = np.flatnonzero((products != np.eye(m, dtype=np.int64)).any(axis=(1, 2)))
+    for name, want in (("groups", (n_tx, L)), ("coefficients", (n_tx, L, m)), ("A", (m, n_tx))):
+        a = getattr(plan, name)
+        if a.shape != want or not np.issubdtype(a.dtype, np.integer):
+            fail(f"{name} must be an integer array of shape {want}, got {a.dtype} {a.shape}")
+    ordered = np.sort(plan.groups, axis=1)
+    bad = (
+        (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        | (plan.groups == plan.owner).any(axis=1)
+        | (ordered[:, 0] < 0)
+        | (ordered[:, -1] >= N)
+    )
+    if bad.any():
+        t = int(np.argmax(bad))
+        fail(f"transmission {t} served set invalid: {tuple(plan.groups[t].tolist())}")
+    counts = np.bincount(plan.groups.ravel(), minlength=N)[list(plan.users)]
+    if (counts != m).any():
+        q = int(np.argmax(counts != m))
+        fail(f"user {plan.users[q]} served in {counts[q]} transmissions, expected {m}")
+    for name in ("A", "coefficients"):
+        if np.abs(getattr(plan, name)).max() > 1:
+            fail(f"{name} has entries outside {{-1, 0, 1}}")
+    # Stable sort by user: user q's m (transmission, slot) pairs, t ascending.
+    order = np.argsort(plan.groups.ravel(), kind="stable").reshape(n1, m)
+    # Entries in {-1, 0, 1} keep every partial sum within m < 2^24, so
+    # float32 BLAS computes the integer products exactly.
+    stacked = plan.coefficients.reshape(n_tx * L, m).astype(np.float32)[order]
+    columns = plan.A.T.astype(np.float32)[order // L]
+    products = np.swapaxes(columns, 1, 2) @ stacked
+    wrong = np.flatnonzero((products != np.eye(m)).any(axis=(1, 2)))
     if wrong.size:
-        fail(f"user {plan.users[wrong[0]]}'s decoding inverse does not invert its coefficients")
-    if plan.A.shape != (m, n_tx):
-        fail(f"A has shape {plan.A.shape}, expected {(m, n_tx)}")
-    if not np.all(np.isin(plan.A, (-1, 0, 1))):
-        fail("A has entries outside {-1, 0, 1}")
-    index = {u: q for q, u in enumerate(plan.users)}
-    R = np.zeros((n_tx, n1 * m), dtype=np.int64)
-    for t, tx in enumerate(plan.transmissions):
-        for u in tx.served:
-            base = index[u] * m
-            R[t, base : base + m] = tx.coeffs[u]
-    S = np.zeros((m, n1 * m), dtype=np.int64)
-    for j in range(m):
-        for q in range(n1):
-            S[j, q * m + j] = 1
-    if not np.array_equal(plan.A @ R, S):
-        fail("A-combined receptions do not equal the minifile sums")
+        fail(f"A at user {plan.users[wrong[0]]}'s transmissions is not the decoding inverse "
+             "of its coefficients")
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +365,8 @@ class ScheduleLayout:
     lists the distinct served groups, bank_ids[i, t] the one of block
     (i, t). For user k, row r of serve[k], slot[k] and decoders[k]
     describes the r-th row other than k: the m blocks serving k, k's
-    position in each block's group, and the integer inverse of k's
-    stacked coefficient system there.
+    position in each block's group, and the decoder, A at k's
+    transmissions, the integer inverse of k's stacked coefficients there.
     """
 
     plans: tuple
@@ -438,24 +382,36 @@ class ScheduleLayout:
         return self.plans[0].minifiles
 
 
+def _unique_rows(a: np.ndarray):
+    """np.unique(a, axis=0, return_inverse=True) for a 2-D integer array,
+    by one lexsort instead of a sort of structured rows."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(a), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ordered[new], ids
+
+
 @lru_cache(maxsize=None)
 def schedule_layout(N: int, L: int) -> ScheduleLayout:
     """The cached layout of every schedule at a supported (N, L)."""
     plans = tuple(build_row_plan(i, N, L) for i in range(N))
-    n_tx = len(plans[0].transmissions)
-    m = plans[0].minifiles
-    bank_groups, bank_ids = np.unique(
-        np.concatenate([plan.groups for plan in plans]), axis=0, return_inverse=True
-    )
-    serve = np.empty((N, N - 1, m), dtype=np.int64)
-    slot = np.empty((N, N - 1, m), dtype=np.int64)
-    decoders = np.empty((N, N - 1, m, m), dtype=np.int64)
-    for k in range(N):
-        for r, plan in enumerate(p for p in plans if p.owner != k):
-            ts = plan.serving[k]
-            serve[k, r] = [plan.owner * n_tx + t for t in ts]
-            slot[k, r] = [plan.transmissions[t].served.index(k) for t in ts]
-            decoders[k, r] = plan.inverses[plan.users.index(k)]
+    n_tx, m = plans[0].groups.shape[0], plans[0].minifiles
+    groups = np.stack([plan.groups for plan in plans])
+    bank_groups, bank_ids = _unique_rows(groups.reshape(-1, L))
+    # Row i's (transmission, slot) pairs sorted stably by user: its q-th
+    # user, q-th of the ascending non-owners, holds pairs q*m .. q*m+m-1.
+    order = np.argsort(groups.reshape(N, -1), axis=1, kind="stable").reshape(N, N - 1, m)
+    k = np.arange(N)[:, None]
+    rows = np.arange(N - 1) + (np.arange(N - 1) >= k)  # rows[k, r]: r-th row other than k
+    ts, slot = np.divmod(order[rows, k - (k > rows)], L)
+    serve = rows[..., None] * n_tx + ts
+    # Gather whole columns of A as rows of A^T, then lay them out as
+    # columns: contiguous decoders keep the per-trial decode products fast.
+    At = np.stack([plan.A.T for plan in plans])
+    decoders = np.ascontiguousarray(np.swapaxes(At[rows[..., None], ts], -1, -2))
     return ScheduleLayout(
         plans=plans,
         transmissions=n_tx,
@@ -571,13 +527,13 @@ def build_block(plan: RowCodePlan, t: int, d, H, library: Library) -> TransmitBl
         raise InconsistentInputs(f"channel has {H.K} users, library has {N} files")
     if len(plan.users) != N - 1 or not 0 <= plan.owner < N:
         raise InconsistentInputs(f"plan for row {plan.owner} does not fit N={N} files")
-    if not 0 <= t < len(plan.transmissions):
+    if not 0 <= t < len(plan.groups):
         raise InconsistentInputs(f"transmission index {t} out of range")
     d = _as_demand(d, N)
-    tx = plan.transmissions[t]
-    if len(tx.served) != H.L:
+    group = tuple(plan.groups[t].tolist())
+    if len(group) != H.L:
         raise DimensionMismatch(
-            f"transmission serves {len(tx.served)} users, channel has L={H.L} antennas"
+            f"transmission serves {len(group)} users, channel has L={H.L} antennas"
         )
     P = library.parts(plan.minifiles)
     bank = _beam_bank(H, plan.groups[[t]])
@@ -587,7 +543,7 @@ def build_block(plan: RowCodePlan, t: int, d, H, library: Library) -> TransmitBl
         duration=Fraction(1, N * plan.minifiles),
         owner=plan.owner,
         t=t,
-        group=tx.served,
+        group=group,
         gains=tuple(gains[0].tolist()),
     )
 
@@ -624,17 +580,18 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
             plan, slice(None), demand, H, P, bank[layout.bank_ids[i]], out=signals[rows]
         )
     duration = Fraction(1, cfg.N * m)
+    groups = layout.bank_groups[layout.bank_ids.ravel()].tolist()
+    gain_rows = gains.tolist()
     blocks = tuple(
         TransmitBlock(
-            signal=signals[plan.owner * n_tx + t],
+            signal=signals[b],
             duration=duration,
-            owner=plan.owner,
-            t=t,
-            group=tx.served,
-            gains=tuple(gains[plan.owner * n_tx + t].tolist()),
+            owner=b // n_tx,
+            t=b % n_tx,
+            group=tuple(groups[b]),
+            gains=tuple(gain_rows[b]),
         )
-        for plan in layout.plans
-        for t, tx in enumerate(plan.transmissions)
+        for b in range(cfg.N * n_tx)
     )
     total = duration * len(blocks)
     expected = delivery_time(cfg.N, cfg.L)
@@ -668,13 +625,11 @@ def render_delivery_table(cfg: LibraryConfig, demand) -> str:
         lines.append(f"row {i + 1} (owner user {i + 1})")
         plan = build_row_plan(i, N, L)
         dur = Fraction(1, N * plan.minifiles)
-        for t, tx in enumerate(plan.transmissions):
+        for t, (group, coeffs) in enumerate(zip(plan.groups.tolist(), plan.coefficients.tolist())):
             cells = []
             owner_terms = []
-            for u in tx.served:
-                terms = [
-                    (c, _term(d[u], i, j, minifile_label)) for j, c in enumerate(tx.coeffs[u])
-                ]
+            for u, vec in zip(group, coeffs):
+                terms = [(c, _term(d[u], i, j, minifile_label)) for j, c in enumerate(vec)]
                 cells.append(f"user {u + 1} <- {_terms_to_str(terms)}")
                 owner_terms.extend(terms)
             cells.append(f"user {i + 1}* <- {_terms_to_str(owner_terms)}")

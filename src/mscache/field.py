@@ -66,10 +66,11 @@ class PrimeField:
     dtype = np.int64
 
     def __init__(self, p: int = 65537):
+        # Size first: trial division of a 64-bit modulus would not finish.
+        if p > _MAX_PRIME:
+            raise ValueError(f"modulus {p} too large for exact int64 arithmetic")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        if p > _MAX_PRIME:
-            raise ValueError(f"prime {p} too large for exact int64 arithmetic")
         self.p = p
         self.matmul_chunk = ((1 << 63) - 1) // (p - 1) ** 2
         self.float_terms = ((1 << 53) - 1) // (p - 1) ** 2

@@ -155,7 +155,21 @@ def test_library_save_load_roundtrip_complex(tmp_path):
 
 
 def test_load_rejects_garbage(tmp_path):
+    good = tmp_path / "good.bin"
+    save_library(Library(GF7, np.ones((4, 8), dtype=np.int64)), LibraryConfig(4, 4, 2, 8), good)
+    # 32 header bytes: magic, version, mode tag, pad, N, K, L, F, then p at 24
+    raw = good.read_bytes()
+    bad = [
+        b"NOPE" + b"\x00" * 40,  # bad magic
+        raw[:-1],  # body shorter than N*F symbols
+        raw + b"\x00" * 4,  # body longer than N*F symbols
+        raw[:6] + b"\x02" + raw[7:],  # mode tag outside {0, 1}
+        raw[:32] + (100).to_bytes(4, "little") + raw[36:],  # GF(7) symbol 100
+        raw[:24] + (8).to_bytes(8, "little") + raw[32:],  # composite modulus
+        raw[:24] + ((1 << 61) - 1).to_bytes(8, "little") + raw[32:],  # 64-bit prime
+    ]
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(InconsistentInputs):
-        load_library(path)
+    for data in bad:
+        path.write_bytes(data)
+        with pytest.raises(InconsistentInputs):
+            load_library(path)

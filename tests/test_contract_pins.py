@@ -69,6 +69,15 @@ TABLE_DIGESTS = {
     (9, 8): "f0bc2e32af0570ad0c3b95f321e837cf01d19e7fb7d336d0cb9d10256cb34917",
 }
 
+# The same digests at N > 9, with even and odd telescoping L, taken while
+# the telescoping coefficients came from Fraction inverses: they pin the
+# closed form that replaced them.
+LARGE_TABLE_DIGESTS = {
+    (22, 10): "d0533f13373f9d6dc4c2cf48973b809200cbdae913bbcda8d8c03c8dc9e63051",
+    (24, 11): "820688b4cb0c8fbc08f72bd6a8c77ef00c68af2353cac2e1eeb95121c581ef8a",
+    (31, 14): "269006d08b5c6ac2e0bdd0d8d1c106716bda51accd4bff34ab7be6b4082be19e",
+}
+
 # sha256 of every block's K x tau GF reception, in schedule order.
 RECEPTION_DIGESTS = {
     (2, 1): "2bcedba622b778378f91cb7e067e019de45cbf5c4fac0e2eee8aafb9181d4712",
@@ -99,6 +108,11 @@ def test_tables_pin_every_supported_pair():
     assert sorted(TABLE_DIGESTS) == pairs
     for N, L in pairs:
         assert table_digest(N, L) == TABLE_DIGESTS[(N, L)], f"(N={N}, L={L})"
+
+
+def test_tables_pin_larger_pairs():
+    for (N, L), want in LARGE_TABLE_DIGESTS.items():
+        assert table_digest(N, L) == want, f"(N={N}, L={L})"
 
 
 def test_receptions_pin_seeded_gf_runs():

@@ -27,7 +27,7 @@ from mscache import (
     segment_sizes,
     verify_row_plan,
 )
-from mscache.delivery import RowCodePlan, Transmission, schedule_layout
+from mscache.delivery import RowCodePlan, _row_pattern, _telescoping_pattern, schedule_layout
 
 GF = PrimeField(65537)
 
@@ -71,31 +71,36 @@ def test_segment_sizes_tile_the_row():
         assert set(sizes) <= {L, L + 1}
 
 
+def _serving(plan, u) -> tuple:
+    """The transmissions of a plan that serve user u, in order."""
+    return tuple(np.nonzero(plan.groups == u)[0].tolist())
+
+
 def test_plan_4_2_frozen_golden():
     # Row owner 3 (0-based), users 0,1,2: the three-transmission
     # telescoping schedule with the minus sign in the middle.
     plan = build_row_plan_reduced(3, 4, 2)
     assert plan.users == (0, 1, 2)
-    t0, t1, t2 = plan.transmissions
-    assert t0.served == (0, 1) and t0.coeffs[0] == (1, 0) and t0.coeffs[1] == (1, 1)
-    assert t1.served == (1, 2) and t1.coeffs[1] == (0, 1) and t1.coeffs[2] == (-1, 0)
-    assert t2.served == (0, 2) and t2.coeffs[0] == (0, 1) and t2.coeffs[2] == (1, 1)
+    assert plan.groups.tolist() == [[0, 1], [1, 2], [0, 2]]
+    assert plan.coefficients.tolist() == [
+        [[1, 0], [1, 1]],
+        [[0, 1], [-1, 0]],
+        [[0, 1], [1, 1]],
+    ]
     assert plan.A.tolist() == [[1, -1, 0], [0, 1, 1]]
-    assert plan.serving == {0: (0, 2), 1: (0, 1), 2: (1, 2)}
+    assert {u: _serving(plan, u) for u in plan.users} == {0: (0, 2), 1: (0, 1), 2: (1, 2)}
 
 
 def test_plan_5_3_frozen_golden():
     plan = build_row_plan_reduced(4, 5, 3)
     assert plan.users == (0, 1, 2, 3)
-    t0, t1, t2, t3 = plan.transmissions
-    assert t0.served == (0, 1, 2)
-    assert t0.coeffs[0] == (1, -1, 1) and t0.coeffs[1] == (1, -1, 0) and t0.coeffs[2] == (1, 0, 0)
-    assert t1.served == (0, 1, 3)
-    assert t1.coeffs[0] == (0, 1, -1) and t1.coeffs[1] == (0, 1, 0) and t1.coeffs[3] == (1, 0, 0)
-    assert t2.served == (0, 2, 3)
-    assert t2.coeffs[0] == (0, 0, 1) and t2.coeffs[2] == (0, 1, 0) and t2.coeffs[3] == (-1, 1, 0)
-    assert t3.served == (1, 2, 3)
-    assert t3.coeffs[1] == (0, 0, 1) and t3.coeffs[2] == (0, -1, 1) and t3.coeffs[3] == (1, -1, 1)
+    assert plan.groups.tolist() == [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    assert plan.coefficients.tolist() == [
+        [[1, -1, 1], [1, -1, 0], [1, 0, 0]],
+        [[0, 1, -1], [0, 1, 0], [1, 0, 0]],
+        [[0, 0, 1], [0, 1, 0], [-1, 1, 0]],
+        [[0, 0, 1], [0, -1, 1], [1, -1, 1]],
+    ]
     assert plan.A.tolist() == [
         [1, 1, 0, 0],
         [0, 1, 1, 0],
@@ -108,9 +113,9 @@ def test_all_supported_plans_verify():
         for i in range(N):
             plan = build_row_plan_reduced(i, N, L)
             verify_row_plan(plan, N, L)  # raises on any defect
-            assert len(plan.transmissions) == N - 1
+            assert plan.groups.shape == (N - 1, L)
             for u in plan.users:
-                assert len(plan.serving[u]) == L
+                assert len(_serving(plan, u)) == L
             flat = plan.A.ravel()
             assert set(int(x) for x in flat) <= {-1, 0, 1}
             assert build_row_plan(i, N, L) is plan
@@ -119,29 +124,66 @@ def test_all_supported_plans_verify():
         for i in range(N):
             plan = build_row_plan(i, N, N - 1)
             verify_row_plan(plan, N, N - 1)
-            (tx,) = plan.transmissions
-            assert tx.served == plan.users == tuple(u for u in range(N) if u != i)
-            assert all(tx.coeffs[u] == (1,) for u in tx.served)
+            (group,) = plan.groups.tolist()
+            assert tuple(group) == plan.users == tuple(u for u in range(N) if u != i)
+            assert plan.coefficients.tolist() == [[[1]] * (N - 1)]
             assert plan.A.tolist() == [[1]]
-            assert plan.serving == {u: (0,) for u in plan.users}
+            assert {u: _serving(plan, u) for u in plan.users} == {u: (0,) for u in plan.users}
 
 
 def test_plan_inverses_invert_each_users_coefficients():
-    # The decoder's integer inverses, straight from the build: a telescoping
-    # user's is its column-deleted bidiagonal, a jointly served user's and
-    # every full-regime user's the identity.
+    # Decoders are A at the user's transmissions: a telescoping user's is
+    # its column-deleted bidiagonal, a jointly served user's and every
+    # full-regime user's the identity. The layout gathers the same columns.
     for (N, L) in [(4, 2), (5, 3), (8, 3), (9, 4), (5, 4)]:
+        layout = schedule_layout(N, L)
         for i in range(N):
             plan = build_row_plan(i, N, L)
             m = plan.minifiles
-            assert plan.inverses.shape == (N - 1, m, m)
-            for q, u in enumerate(plan.users):
-                stacked = np.array([plan.transmissions[t].coeffs[u] for t in plan.serving[u]])
-                assert (plan.inverses[q] @ stacked).tolist() == np.eye(m, dtype=int).tolist()
-    assert build_row_plan(0, 4, 3).inverses.tolist() == [[[1]]] * 3
-    assert build_row_plan(3, 4, 2).inverses.tolist() == [
+            for u in plan.users:
+                decoder = plan.A[:, list(_serving(plan, u))]
+                stacked = plan.coefficients[plan.groups == u]
+                assert (decoder @ stacked).tolist() == np.eye(m, dtype=int).tolist()
+                r = i - (i > u)  # row i is the r-th row other than u
+                assert layout.decoders[u, r].tolist() == decoder.tolist()
+    full = build_row_plan(0, 4, 3)
+    assert [full.A[:, list(_serving(full, u))].tolist() for u in full.users] == [[[1]]] * 3
+    plan = build_row_plan(3, 4, 2)
+    assert [plan.A[:, list(_serving(plan, u))].tolist() for u in plan.users] == [
         [[1, 0], [0, 1]], [[1, -1], [0, 1]], [[-1, 0], [1, 1]]
     ]
+
+
+def test_telescoping_pattern_inverts_column_deleted_bidiagonals():
+    # The closed form: position u's coefficient block inverts B without
+    # the column of the one transmission that skips u, entries in {-1, 0, 1}.
+    for L in range(1, 41):
+        B, served, coeffs = _telescoping_pattern(L)
+        assert B.shape == (L, L + 1) and served.shape == (L + 1, L)
+        assert coeffs.shape == (L + 1, L, L)
+        assert set(np.unique(coeffs).tolist()) <= {-1, 0, 1}
+        for u in range(L + 1):
+            ts, slots = np.nonzero(served == u)
+            assert len(ts) == L
+            product = B[:, ts] @ coeffs[ts, slots]
+            assert np.array_equal(product, np.eye(L, dtype=np.int64)), (L, u)
+
+
+@pytest.mark.parametrize("N, L", [(24, 11), (60, 29)])
+def test_cold_layouts_at_scale_build_and_verify(N, L):
+    for cache in (_telescoping_pattern, _row_pattern, build_row_plan_reduced, schedule_layout):
+        cache.cache_clear()
+    layout = schedule_layout(N, L)
+    assert len(layout.plans) == N and layout.minifiles == L
+    for plan in layout.plans:
+        verify_row_plan(plan, N, L)
+    n_tx = layout.transmissions
+    for k in (0, N // 2, N - 1):
+        for r in range(N - 1):
+            i, ts = divmod(layout.serve[k, r], n_tx)
+            plan = layout.plans[i[0]]
+            assert (plan.groups[ts, layout.slot[k, r]] == k).all()
+            assert np.array_equal(layout.decoders[k, r], plan.A[:, ts])
 
 
 def test_cached_plans_are_read_only():
@@ -156,44 +198,40 @@ def test_cached_plans_are_read_only():
         with pytest.raises(ValueError):
             plan.A[0, 0] = 0
         with pytest.raises(ValueError):
-            plan.inverses[0, 0, 0] = 0
+            plan.groups[0, 0] = 0
+        with pytest.raises(ValueError):
+            plan.coefficients[0, 0, 0] = 0
         with pytest.raises(ValueError):
             schedule_layout(N, L).decoders[0, 0, 0, 0] = 0
 
 
+def _with(plan, name, index, value):
+    """A copy of plan with entry ``index`` of its array ``name`` set to value."""
+    a = getattr(plan, name).copy()
+    a[index] = value
+    return dataclasses.replace(plan, **{name: a})
+
+
 def test_verify_rejects_a_wrong_decoding_inverse():
+    # A is every user's decoder: corrupting A, or a coefficient vector that
+    # A no longer inverts, fails the certificate at the first user it breaks.
     good = build_row_plan_reduced(3, 4, 2)
     verify_row_plan(good, 4, 2)
-    wrong = good.inverses.copy()
-    wrong[1] = np.eye(2, dtype=np.int64)
-    with pytest.raises(PlanVerificationError, match="user 1's decoding inverse does not"):
-        verify_row_plan(dataclasses.replace(good, inverses=wrong), 4, 2)
-    with pytest.raises(PlanVerificationError, match="decoding inverses must be"):
-        verify_row_plan(dataclasses.replace(good, inverses=None), 4, 2)
-    # the corruptions of test_verify_rejects_corrupted_plan, with the good
-    # inverses kept, fail on the check each one targets
-    bad_A = good.A.copy()
-    bad_A[0, 0] = 0
-    with pytest.raises(PlanVerificationError, match="A-combined receptions"):
-        verify_row_plan(dataclasses.replace(good, A=bad_A), 4, 2)
-    txs = list(good.transmissions)
-    txs[0] = Transmission(txs[0].served, {**txs[0].coeffs, 0: (0, 1)})
-    with pytest.raises(PlanVerificationError, match="user 0's decoding inverse does not"):
-        verify_row_plan(dataclasses.replace(good, transmissions=tuple(txs)), 4, 2)
+    with pytest.raises(PlanVerificationError, match="user 0's transmissions is not the decoding"):
+        verify_row_plan(_with(good, "A", (0, 0), 0), 4, 2)
+    # user 0's coefficient rows become (0, 1) and (0, 1)
+    with pytest.raises(PlanVerificationError, match="user 0's transmissions is not the decoding"):
+        verify_row_plan(_with(good, "coefficients", (0, 0), (0, 1)), 4, 2)
     full = build_row_plan(0, 4, 3)
-    (tx,) = full.transmissions
-    zeroed = (Transmission(tx.served, {**tx.coeffs, 2: (0,)}),)
-    with pytest.raises(PlanVerificationError, match="user 2's decoding inverse does not"):
-        verify_row_plan(dataclasses.replace(full, transmissions=zeroed), 4, 3)
+    with pytest.raises(PlanVerificationError, match="user 2's transmissions is not the decoding"):
+        verify_row_plan(_with(full, "coefficients", (0, 1), (0,)), 4, 3)
 
 
 def test_plan_coefficients_stay_small():
     # all combination coefficients come from unimodular inverses
     for (N, L) in sorted(SUPPORTED_REDUCED):
         plan = build_row_plan_reduced(0, N, L)
-        for tx in plan.transmissions:
-            for u in tx.served:
-                assert set(tx.coeffs[u]) <= {-1, 0, 1}
+        assert set(np.unique(plan.coefficients).tolist()) <= {-1, 0, 1}
 
 
 def test_unsupported_pairs_raise():
@@ -208,47 +246,26 @@ def test_unsupported_pairs_raise():
 
 def test_verify_rejects_corrupted_plan():
     good = build_row_plan_reduced(3, 4, 2)
-    # break the combination matrix
-    bad_A = good.A.copy()
-    bad_A[0, 0] = 0
-    bad = RowCodePlan(
-        owner=good.owner,
-        users=good.users,
-        transmissions=good.transmissions,
-        A=bad_A,
-        serving=good.serving,
-    )
-    with pytest.raises(PlanVerificationError):
-        verify_row_plan(bad, 4, 2)
-    # break a coefficient so a user's stacked system goes singular
-    txs = list(good.transmissions)
-    t0 = txs[0]
-    coeffs = dict(t0.coeffs)
-    coeffs[0] = (0, 1)  # now rows (0,1) and (0,1) for user 0
-    txs[0] = Transmission(t0.served, coeffs)
-    bad2 = RowCodePlan(
-        owner=good.owner,
-        users=good.users,
-        transmissions=tuple(txs),
-        A=good.A,
-        serving=good.serving,
-    )
-    with pytest.raises(PlanVerificationError):
-        verify_row_plan(bad2, 4, 2)
-    # a full-antenna plan with a zero coefficient, or checked as reduced
     full = build_row_plan(0, 4, 3)
-    (tx,) = full.transmissions
-    zeroed = RowCodePlan(
-        owner=full.owner,
-        users=full.users,
-        transmissions=(Transmission(tx.served, {**tx.coeffs, 2: (0,)}),),
-        A=full.A,
-        serving=full.serving,
-    )
-    with pytest.raises(PlanVerificationError):
-        verify_row_plan(zeroed, 4, 3)
-    with pytest.raises(PlanVerificationError):
-        verify_row_plan(full, 4, 2)
+    singular = "is not the decoding inverse"
+    corrupted = [
+        (_with(good, "A", (0, 0), 0), 2, singular),  # break the combination matrix
+        (_with(good, "coefficients", (0, 0), (0, 1)), 2, singular),  # user 0 goes singular
+        (_with(full, "coefficients", (0, 1), (0,)), 3, singular),  # zero full coefficient
+        (full, 2, "groups must be"),  # a full-antenna plan checked as reduced
+        (_with(good, "groups", 0, (0, 0)), 2, "served set invalid"),  # repeats a user
+        (_with(good, "groups", 0, (0, 3)), 2, "served set invalid"),  # names the owner
+        (_with(good, "groups", 0, (0, 7)), 2, "served set invalid"),  # a user beyond N
+        (_with(good, "groups", 0, (0, 2)), 2, "user 1 served in 1"),  # user 1 short
+        (_with(good, "coefficients", (0, 0), (2, 0)), 2, "outside"),
+        (dataclasses.replace(good, coefficients=good.coefficients[:, :, :1]), 2,
+         "coefficients must be"),
+        (dataclasses.replace(good, A=good.A.astype(float)), 2, "A must be an integer array"),
+        (dataclasses.replace(good, users=(0, 2, 1)), 2, "user set"),
+    ]
+    for plan, L, match in corrupted:
+        with pytest.raises(PlanVerificationError, match=match):
+            verify_row_plan(plan, 4, L)
 
 
 def _minifiles(lib, n, i, m):
@@ -327,19 +344,18 @@ def test_reduced_block_reception_contracts():
     plan = build_row_plan_reduced(i, N, L)
     block = build_block(plan, 1, d, H, lib)
     assert block.duration == Fraction(1, 8)
-    tx = plan.transmissions[1]
-    assert tx.served == (1, 2)
+    assert plan.groups[1].tolist() == [1, 2] and block.group == (1, 2)
     combos = {}
-    for u in tx.served:
+    for u, coeffs in zip(plan.groups[1].tolist(), plan.coefficients[1].tolist()):
         minis = _minifiles(lib, d[u], i, L)
         combo = GF.zeros(lib.F // (N * L))
-        for j, c in enumerate(tx.coeffs[u]):
+        for j, c in enumerate(coeffs):
             if c == 1:
                 combo = GF.add(combo, minis[j])
             elif c == -1:
                 combo = GF.sub(combo, minis[j])
         combos[u] = combo
-    for u in tx.served:
+    for u in block.group:
         y = GF.matmul(H.H[u], block.signal)
         assert _proportional(GF, y, combos[u])
     y_owner = GF.matmul(H.H[i], block.signal)
@@ -355,13 +371,13 @@ def test_reduced_block_random_pair_products():
     d = DemandVector([3, 5, 1, 0, 6, 2, 4])
     for i in (0, 4):
         plan = build_row_plan_reduced(i, N, L)
-        for t, tx in enumerate(plan.transmissions):
+        for t, (group, vectors) in enumerate(zip(plan.groups.tolist(), plan.coefficients.tolist())):
             block = build_block(plan, t, d, H, lib)
             owner_sum = GF.zeros(lib.F // (N * L))
-            for u in tx.served:
+            for u, coeffs in zip(group, vectors):
                 minis = _minifiles(lib, d[u], i, L)
                 combo = GF.zeros(lib.F // (N * L))
-                for j, c in enumerate(tx.coeffs[u]):
+                for j, c in enumerate(coeffs):
                     if c == 1:
                         combo = GF.add(combo, minis[j])
                     elif c == -1:
@@ -378,9 +394,9 @@ def test_zero_coefficient_plan_gives_zero_block():
     plan = RowCodePlan(
         owner=1,
         users=(0,),
-        transmissions=(Transmission((0,), {0: (0,)}),),
+        groups=np.array([[0]]),
+        coefficients=np.zeros((1, 1, 1), dtype=np.int64),
         A=np.zeros((1, 1), dtype=np.int64),
-        serving={0: (0,)},
     )
     lib = random_library(GF, 2, 4, seed=2)
     H = draw_channel(2, 1, seed=3, field=GF)
