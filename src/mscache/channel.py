@@ -4,10 +4,12 @@ Every user k observes y_k = h_k^H x for each transmitted column x, with
 h_k a fixed row of the channel matrix H. Channels are drawn seeded and
 rejection-sampled until every set of L distinct rows is invertible, so
 the zero-forcing synthesis downstream can never degenerate. The check
-feeds the C(K, L) row subsets through the batched ``inverse_stack`` in
-fixed-size chunks, so memory stays bounded, and stops at the first
-chunk holding a singular subset; it accepts exactly the draws that a
-per-subset rank test accepts.
+walks the sorted row prefixes of H depth first, each with a basis of
+its null space: a row joins a prefix by one product with that basis
+and one eliminated basis vector, so each of the C(K, L) subsets costs
+one length-L dot product at the last level instead of an L x L
+elimination. Prefixes are extended in chunks of bounded size, and the
+walk stops at the first dependent prefix.
 
 Reception is one product H @ S over the schedule's (B, L, tau) signal
 stack, giving every user's receptions of every block as one (B, K, tau)
@@ -22,7 +24,6 @@ one gather and one batched product, and makes no elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
 
 import numpy as np
 
@@ -32,17 +33,24 @@ from .errors import (
     ResamplingExhausted,
 )
 from .field import FieldContext
-from .linalg import inverse_stack, rank
+from .linalg import rank
 
 # Channel draws before giving up; exceeding this signals a pathological
 # field size or dimensions, not bad luck.
 DRAW_BUDGET = 64
 
-# Bytes of stacked row subsets per inverse_stack call in the genericity
-# check: small enough that a chunk's temporaries leave peak memory about
-# where the per-subset check had it, large enough that numpy call
-# overhead stays small (a few hundred 5 x 5 subsets).
-CHUNK_BYTES = 1 << 16
+# Bytes of one step of the genericity check: the children's null-space
+# bases plus the matmul rows of the prefixes it extends. The depth-first
+# sweep keeps the prefixes still to visit on every level it is inside,
+# so a step is a fraction of a MiB: the whole check then peaks near
+# 1.6 MiB at (K, L) = (20, 9) and 4 MiB at (100, 99).
+CHUNK_BYTES = 1 << 18
+
+# In complex mode a candidate row is dependent when every entry of its
+# product with a prefix's null-space basis is at most this many times
+# the channel's pivot threshold; the margin keeps the check from
+# accepting a draw that the per-subset rank test rejects.
+PIVOT_MARGIN = 10
 
 
 @dataclass(frozen=True)
@@ -91,16 +99,59 @@ class DecodeResult:
 
 
 def _generic(field: FieldContext, H: np.ndarray, L: int) -> bool:
-    """Whether every L-row subset of H is invertible (all K rows independent if K < L)."""
+    """Whether every L-row subset of H is independent (all K rows if K < L).
+
+    A sweep over sorted row prefixes: K >= L puts every prefix inside
+    some L-subset, so the draw is generic exactly when no prefix gains a
+    row that its null space already annihilates. In GF the verdict is
+    exact, the same as a rank test on every subset. In complex mode a
+    row counts as dependent when every entry of its product with the
+    prefix's null-space basis is at most PIVOT_MARGIN times the
+    channel's pivot threshold. On channels whose rows share one scale,
+    as ``sample_channel``'s i.i.d. entries do, that rule is never looser
+    than a rank test on every subset, and it accepts the well-conditioned
+    draws that test accepts; rows of very different scales can make it
+    looser.
+    """
     K = H.shape[0]
     if K < L:
         return rank(field, H) == K
-    subsets = combinations(range(K), L)
-    per_chunk = max(1, CHUNK_BYTES // H[:L].nbytes)
-    while chunk := list(islice(subsets, per_chunk)):
-        _, nonsingular = inverse_stack(field, H[np.array(chunk)])
-        if not nonsingular.all():
+    threshold = PIVOT_MARGIN * field.pivot_threshold(H)
+    # Prefixes still to extend, deepest last: a (B, w, L) stack of bases,
+    # prefix b's rows annihilating the w rows of N[b], and each prefix's
+    # largest row (-1 for the empty prefix).
+    pending = [(field.convert(np.eye(L, dtype=np.int64))[None], np.array([-1]))]
+    while pending:
+        N, last = pending.pop()
+        w = N.shape[1]
+        # A child adds a row in (last, top], leaving room for w - 1 more.
+        top = K - w
+        count = top - last
+        # Extend the first prefixes that fit in CHUNK_BYTES; the rest wait
+        # as a copy, so that this stack of bases can be freed.
+        cost = np.cumsum(N.itemsize * w * (K + L * count))
+        stop = max(1, int(np.searchsorted(cost, CHUNK_BYTES, side="right")))
+        if stop < len(N):
+            pending.append((N[stop:].copy(), last[stop:]))
+        N, last, count = N[:stop], last[:stop], count[:stop]
+        parent = np.repeat(np.arange(stop), count)
+        each = np.arange(len(parent))
+        # The children of prefix b take rows last[b] + 1, ..., top in turn.
+        rows = each - np.repeat(np.cumsum(count) - count - last - 1, count)
+        low = int(last.min()) + 1
+        products = field.matmul(H[low : top + 1], N.reshape(-1, L).T)
+        c = products.reshape(top + 1 - low, stop, w)[rows - low, parent]
+        t, found = field.select_pivot(c, threshold)
+        if not found.all():
             return False
+        if w > 1:
+            # Eliminate basis row t from the others, then drop it.
+            factors = field.mul(c, field.inv_each(c[each, t])[:, None])
+            children = N[parent]
+            pivot_rows = children[each, t]
+            children = field.sub(children, field.mul(factors[:, :, None], pivot_rows[:, None, :]))
+            children[each, t] = children[:, -1]
+            pending.append((children[:, :-1], rows))
     return True
 
 

@@ -9,9 +9,11 @@ and whether a solution needs a second check.
 ``_rref`` is plain row-by-row Gaussian elimination on one matrix of any
 shape; rank, nullspace and solve use it. ``inverse_stack`` is a batched
 Gauss-Jordan on a (B, n, n) stack: each column step is a few numpy
-operations over the whole stack, so the channel check (every L-row
-subset) and the schedule's zero-forcing beams (one inverse per served
-group) each cost one pass instead of one Python elimination per matrix.
+operations over the whole stack, so the schedule's zero-forcing beams
+(one inverse per served group) cost one pass instead of one Python
+elimination per matrix. The channel's genericity check needs no
+inverses and does not use it: it carries null spaces of row prefixes
+instead (``channel._generic``).
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Command-line interface: goldens, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from mscache import CSV_HEADER, MetricsReport
 from mscache.cli import main
@@ -245,10 +247,14 @@ def test_sweep_runs_every_trial_and_keeps_the_schema(monkeypatch, capsys):
 
 
 def test_console_entry_point():
+    # The child imports this checkout's package, not an installed copy.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "mscache.cli", "bounds", "--N", "5", "--L", "4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "uncoded_T  = 6/5" in proc.stdout

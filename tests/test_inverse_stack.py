@@ -1,11 +1,15 @@
-"""The batched Gauss-Jordan kernel against the scalar elimination.
+"""The batched kernels against the scalar elimination.
 
 ``inverse_stack`` must make exactly the decisions of ``rank`` on every
 matrix of a stack, in both field modes, and its GF inverses must be
-exact. The channel check built on it must accept exactly the draws the
-per-subset rank loop accepted; that loop is kept here as the reference.
+exact. The channel check, a sweep over null spaces of row prefixes,
+must accept exactly the draws the per-subset rank loop accepts in GF,
+and never a draw that loop rejects in complex mode; the loop is kept
+here as the reference.
 """
 
+import hashlib
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mscache.channel as channel
 from mscache import (
     ComplexField,
     DegenerateChannel,
@@ -176,10 +181,77 @@ def test_channel_check_spans_several_chunks(monkeypatch):
     # A singular subset in a late chunk must still reject the draw.
     import mscache.channel as channel
 
-    monkeypatch.setattr(channel, "CHUNK_BYTES", 4 * 3 * 3 * 8)  # four 3 x 3 subsets
+    monkeypatch.setattr(channel, "CHUNK_BYTES", 4 * 3 * 3 * 8)  # one or two prefixes a chunk
     field = PrimeField(65537)
     H = field.sample_channel(np.random.default_rng(1), (7, 3))
     assert channel._generic(field, H, 3)
     H[6] = field.add(H[4], H[5])  # subset (4, 5, 6) comes last
     assert not channel._generic(field, H, 3)
     assert not _rank_loop_generic(field, H, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from((3, 5, 7, 11, 65537)),
+    KL=st.integers(1, 8).flatmap(lambda K: st.tuples(st.just(K), st.integers(1, K + 1))),
+    plant=st.booleans(),
+    seed=SEEDS,
+)
+def test_gf_prefix_sweep_equals_rank_loop(p, KL, plant, seed):
+    # A planted row is a combination of at most L - 1 others (a zero row
+    # when none), so some L-subset, or H itself if K < L, is singular.
+    K, L = KL
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    H = field.sample_channel(rng, (K, L))
+    if plant:
+        j = int(rng.integers(K))
+        others = [r for r in range(K) if r != j]
+        picked = rng.choice(others, size=int(rng.integers(0, min(L - 1, K - 1) + 1)), replace=False)
+        H[j] = field.matmul(field.sample(rng, len(picked)), H[picked]) if len(picked) else 0
+    verdict = channel._generic(field, H, L)
+    assert verdict == _rank_loop_generic(field, H, L)
+    assert not (plant and verdict)
+
+
+def test_complex_check_is_never_looser_than_the_rank_loop():
+    # The last row is the sum of two others plus noise of size eps: the
+    # rank loop rejects the small eps, and the sweep must reject them too.
+    accepted = rejected = 0
+    for K, L in ((4, 3), (6, 4), (7, 5), (9, 4)):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            H = CC.sample_channel(rng, (K, L))
+            assert _rank_loop_generic(CC, H, L)
+            assert channel._generic(CC, H, L)
+            for eps in 10.0 ** np.arange(-14, -2.5, 0.5):
+                near = H.copy()
+                near[-1] = H[0] + H[1] + eps * CC.sample(rng, L)
+                if _rank_loop_generic(CC, near, L):
+                    accepted += 1
+                else:
+                    rejected += 1
+                    assert not channel._generic(CC, near, L), (K, L, seed, eps)
+    assert accepted and rejected
+
+
+def test_channel_check_memory_stays_bounded():
+    # One full sweep over the C(20, 9) = 167,960 subsets of a generic draw.
+    field = PrimeField(65537)
+    H = draw_channel(20, 9, 12, field).H
+    tracemalloc.start()
+    try:
+        assert channel._generic(field, H, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_draw_channel_at_20_9_keeps_its_draws():
+    # Seed 11 rejects its first draw and accepts its second; the digest
+    # pins the accepted channel's bytes.
+    H, draws = _counted_draw(20, 9, 11, PrimeField(65537), budget=channel.DRAW_BUDGET)
+    assert draws == 2
+    digest = hashlib.sha256(np.ascontiguousarray(H, dtype=np.int64).tobytes()).hexdigest()
+    assert digest == "4aa478e7ea4939c2c1d2511011d30857ee3611bdedaddb3d7b2e96cb4ce575b5"
