@@ -3,7 +3,10 @@
 Every user k observes y_k = h_k^H x for each transmitted column x, with
 h_k a fixed row of the channel matrix H. Channels are drawn seeded and
 rejection-sampled until every set of L distinct rows is invertible, so
-the zero-forcing synthesis downstream can never degenerate. The check
+the zero-forcing synthesis downstream can never degenerate. With K =
+L+1 rows, as in the full regime, the L-row subsets are H without one
+row each, and one tall elimination decides them all: H must have full
+column rank and its left null vector no zero entry. Otherwise the check
 walks the sorted row prefixes of H depth first, each with a basis of
 its null space: a row joins a prefix by one product with that basis
 and one eliminated basis vector, so each of the C(K, L) subsets costs
@@ -33,7 +36,7 @@ from .errors import (
     ResamplingExhausted,
 )
 from .field import FieldContext
-from .linalg import rank
+from .linalg import left_inverse_stack, rank
 
 # Channel draws before giving up; exceeding this signals a pathological
 # field size or dimensions, not bad luck.
@@ -101,7 +104,11 @@ class DecodeResult:
 def _generic(field: FieldContext, H: np.ndarray, L: int) -> bool:
     """Whether every L-row subset of H is independent (all K rows if K < L).
 
-    A sweep over sorted row prefixes: K >= L puts every prefix inside
+    At K = L+1 the decision is one tall elimination's: full column rank
+    and a left null vector with every entry nonzero by the field's
+    ``null_support``. In GF that is exactly the rank test on every
+    subset; in complex mode see ``ComplexField.null_support``. Otherwise
+    it is a sweep over sorted row prefixes: K >= L puts every prefix inside
     some L-subset, so the draw is generic exactly when no prefix gains a
     row that its null space already annihilates. In GF the verdict is
     exact, the same as a rank test on every subset. In complex mode a
@@ -116,6 +123,12 @@ def _generic(field: FieldContext, H: np.ndarray, L: int) -> bool:
     K = H.shape[0]
     if K < L:
         return rank(field, H) == K
+    if K == L + 1:
+        # The L-subsets are H without one row each: all are independent
+        # exactly when H has full column rank and its left null vector
+        # has no zero entry.
+        _, v, full_rank = left_inverse_stack(field, H[None])
+        return bool(full_rank[0] and field.null_support(v).all())
     threshold = PIVOT_MARGIN * field.pivot_threshold(H)
     # Prefixes still to extend, deepest last: a (B, w, L) stack of bases,
     # prefix b's rows annihilating the w rows of N[b], and each prefix's

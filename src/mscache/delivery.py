@@ -27,15 +27,19 @@ failure is a hard error, never a fallback. Plan arrays are read-only:
 reduced plans are cached per row, and the index layout of both regimes
 per (N, L).
 
-Zero-forcing beams come from a beam bank: the schedule inverts the
-channel rows of the distinct served groups of all row plans in one
-batched pass, and the beam of served user q is column q of its group's
-inverse. Each row is then synthesized at once: one product for the
-owner gains of all its beams, one element-wise inverse, and one batched
-payload product M @ P, with the plan's coefficients folded into the
-beams, written into the schedule's (B, L, tau) signal stack, of which
-each block's signal is a view. The owner gains, kept per block, let
-receivers descale their receptions.
+Zero-forcing beams come from a beam bank over parent sets of L+1
+channel rows: all N users in the full regime, each telescoping segment,
+and each jointly served segment of L users completed by a zero row.
+One batched elimination gives every parent set a left inverse G and a
+left null vector v. The inverse for the group that leaves out parent
+row k is G without column k minus the rank-one term G[:, k] v / v_k
+there, and the beam of served user q is its column q. Beams, owner
+gains (one product and one element-wise inverse) and the beams scaled
+to unit owner gain are computed for every block in one pass. Each row's
+payload then passes through one batched product M @ P, with the plan's
+coefficients folded into the beams, written into the schedule's
+(B, L, tau) signal stack, of which each block's signal is a view. The
+owner gains, kept per block, let receivers descale their receptions.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .errors import (
     PlanVerificationError,
     WrongRegime,
 )
-from .linalg import inverse_stack
+from .linalg import left_inverse_stack
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -209,9 +213,11 @@ def build_row_plan_reduced(i: int, N: int, L: int) -> RowCodePlan:
 @lru_cache(maxsize=None)
 def _row_pattern(N: int, L: int):
     """Served positions (into a row's users), coefficients and A of every
-    row at (N, L): rows differ only in the labels of their users."""
+    row at (N, L): rows differ only in the labels of their users. Also,
+    per transmission, the position of the segment member it does not
+    serve, or -1 when it serves its whole segment."""
     m = minifile_count(N, L)
-    served, coefficients, blocks = [], [], []
+    served, coefficients, blocks, unserved = [], [], [], []
     pos = 0
     for size in segment_sizes(N, L):
         if size == L:
@@ -221,8 +227,11 @@ def _row_pattern(N: int, L: int):
             block = np.eye(m, dtype=np.int64)
             positions = np.broadcast_to(np.arange(L), (m, L))
             coeffs = np.broadcast_to(block[:, None], (m, L, m))
+            unserved.append(np.full(m, -1))
         else:
             block, positions, coeffs = _telescoping_pattern(L)
+            # The one position of 0..L that each transmission skips.
+            unserved.append(pos + L * (L + 1) // 2 - positions.sum(axis=1))
         served.append(pos + positions)
         coefficients.append(coeffs)
         blocks.append(block)
@@ -231,6 +240,7 @@ def _row_pattern(N: int, L: int):
         _readonly(np.concatenate(served)),
         _readonly(np.concatenate(coefficients)),
         _readonly(np.concatenate(blocks, axis=1)),
+        _readonly(np.concatenate(unserved)),
     )
 
 
@@ -238,7 +248,7 @@ def _build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
     if not 0 <= i < N:
         raise InconsistentInputs(f"row index {i} out of range for N={N}")
     users = np.delete(np.arange(N), i)
-    served, coefficients, A = _row_pattern(N, L)
+    served, coefficients, A, _ = _row_pattern(N, L)
     plan = RowCodePlan(
         owner=i,
         users=tuple(users.tolist()),
@@ -360,19 +370,25 @@ class TransmitBlock:
 class ScheduleLayout:
     """Channel- and demand-free index arrays of every schedule at (N, L).
 
-    Block b = i * transmissions + t is transmission t of row i. Row i
-    takes its zero-forcing inverses from the beam bank: bank_groups
-    lists the distinct served groups, bank_ids[i, t] the one of block
-    (i, t). For user k, row r of serve[k], slot[k] and decoders[k]
-    describes the r-th row other than k: the m blocks serving k, k's
-    position in each block's group, and the decoder, A at k's
-    transmissions, the integer inverse of k's stacked coefficients there.
+    Block b = i * transmissions + t is transmission t of row i and serves
+    groups[b]. Its zero-forcing beams come from its parent set: the
+    group plus one more row of the channel extended by a zero row N,
+    parents[parent_ids[b]] with that row at position left_out[b]. The
+    extra row is the member of the group's telescoping segment that the
+    transmission skips; in the full regime it is the row owner, so that
+    all N users form the one parent set; otherwise it is the zero row.
+    For user k, row r of serve[k], slot[k] and decoders[k] describes the
+    r-th row other than k: the m blocks serving k, k's position in each
+    block's group, and the decoder, A at k's transmissions, the integer
+    inverse of k's stacked coefficients there.
     """
 
     plans: tuple
     transmissions: int
-    bank_groups: np.ndarray
-    bank_ids: np.ndarray
+    groups: np.ndarray
+    parents: np.ndarray
+    parent_ids: np.ndarray
+    left_out: np.ndarray
     serve: np.ndarray
     slot: np.ndarray
     decoders: np.ndarray
@@ -400,12 +416,18 @@ def schedule_layout(N: int, L: int) -> ScheduleLayout:
     plans = tuple(build_row_plan(i, N, L) for i in range(N))
     n_tx, m = plans[0].groups.shape[0], plans[0].minifiles
     groups = np.stack([plan.groups for plan in plans])
-    bank_groups, bank_ids = _unique_rows(groups.reshape(-1, L))
+    k = np.arange(N)[:, None]
+    rows = np.arange(N - 1) + (np.arange(N - 1) >= k)  # rows[k, r]: r-th row other than k
+    # The row that completes each group to its parent set.
+    unserved = _row_pattern(N, L)[3]
+    extra = np.where(unserved >= 0, rows[:, unserved], k if regime(N, L) == "full" else N)
+    # Groups are ascending, so dropping left_out from a sorted parent gives the group.
+    parent_rows = np.concatenate([groups, extra[..., None]], axis=2).reshape(-1, L + 1)
+    parents, parent_ids = _unique_rows(np.sort(parent_rows, axis=1))
+    left_out = (groups < extra[..., None]).sum(axis=2)
     # Row i's (transmission, slot) pairs sorted stably by user: its q-th
     # user, q-th of the ascending non-owners, holds pairs q*m .. q*m+m-1.
     order = np.argsort(groups.reshape(N, -1), axis=1, kind="stable").reshape(N, N - 1, m)
-    k = np.arange(N)[:, None]
-    rows = np.arange(N - 1) + (np.arange(N - 1) >= k)  # rows[k, r]: r-th row other than k
     ts, slot = np.divmod(order[rows, k - (k > rows)], L)
     serve = rows[..., None] * n_tx + ts
     # Gather whole columns of A as rows of A^T, then lay them out as
@@ -415,8 +437,10 @@ def schedule_layout(N: int, L: int) -> ScheduleLayout:
     return ScheduleLayout(
         plans=plans,
         transmissions=n_tx,
-        bank_groups=_readonly(bank_groups),
-        bank_ids=_readonly(bank_ids.reshape(N, n_tx)),
+        groups=_readonly(groups.reshape(-1, L)),
+        parents=_readonly(parents),
+        parent_ids=_readonly(parent_ids),
+        left_out=_readonly(left_out.ravel()),
         serve=_readonly(serve),
         slot=_readonly(slot),
         decoders=_readonly(decoders),
@@ -468,57 +492,80 @@ def _as_demand(d, N: int) -> DemandVector:
     return dv
 
 
-def _beam_bank(H: ChannelMatrix, groups: np.ndarray) -> np.ndarray:
-    """inv(H[group]) for each row of groups, from one inverse_stack call.
+def _beam_bank(H: ChannelMatrix, parents, parent_ids, left_out):
+    """Inverses (B, L, L) of the channel rows of B groups, and which exist.
 
-    Column q of a group's inverse is the zero-forcing beam of group[q]:
-    unit gain at group[q], zero at every other member.
+    Group b is parent set parents[parent_ids[b]] without the row at
+    position left_out[b], where row K is a zero row. One
+    left_inverse_stack pass gives every parent set its G and v; the
+    group's inverse is then the rank-one update G[:, S] - G[:, k] v[S] / v[k],
+    with k = left_out[b] and S the other positions, and it exists when
+    the parent set has full column rank and v[k] is nonzero by the
+    field's ``null_support``. Column q of an inverse is the zero-forcing
+    beam of the group's q-th user: unit gain at it, zero at every other
+    member.
     """
     field = H.field
-    stack = H.H[groups]
-    inverses, nonsingular = inverse_stack(field, stack)
-    if not nonsingular.all():
-        bad = tuple(int(u) for u in groups[np.argmin(nonsingular)])
+    L = H.L
+    extended = np.concatenate([H.H, field.zeros((1, L))])
+    G, v, full_rank = left_inverse_stack(field, extended[parents])
+    exists = (full_rank[:, None] & field.null_support(v))[parent_ids, left_out]
+    keep = np.arange(L) + (np.arange(L) >= left_out[:, None])
+    vk = np.where(exists, v[parent_ids, left_out], field.coeff(1))
+    ratio = field.mul(v[parent_ids[:, None], keep], field.inv_each(vk)[:, None])
+    rank_one = field.mul(G[parent_ids, :, left_out][:, :, None], ratio[:, None, :])
+    kept = G[parent_ids[:, None, None], np.arange(L)[:, None], keep[:, None]]
+    inverses = field.sub(kept, rank_one)
+    return inverses, exists
+
+
+def _beams(H: ChannelMatrix, parents, parent_ids, left_out, owners, groups):
+    """Zero-forcing beams (B, L, L) at unit owner gain, and the owner gains (B, L).
+
+    Block b serves groups[b] for row owners[b], with its inverse from
+    the beam bank. The gain of a beam at the owner is H[owner] @ beam;
+    the returned beams are divided by their gains.
+    """
+    field = H.field
+    inverses, exists = _beam_bank(H, parents, parent_ids, left_out)
+    if not exists.all():
+        bad = tuple(groups[int(np.argmin(exists))].tolist())
         raise DegenerateChannel(f"channel rows of served group {bad} are dependent")
-    eye = field.convert(np.eye(stack.shape[1], dtype=np.int64))
-    if not field.satisfies(stack, inverses, eye):
+    eye = field.convert(np.eye(H.L, dtype=np.int64))
+    if not field.satisfies(H.H[groups], inverses, eye):
         raise DegenerateChannel("zero-forcing residual above tolerance")
-    return inverses
-
-
-def _synthesize(plan: RowCodePlan, ts, d: np.ndarray, H: ChannelMatrix, P, inverses, out=None):
-    """Signals (n, L, tau) and owner gains (n, L) of transmissions ts of a row.
-
-    Signal s is W[s] @ C[s]: column q of W[s] is the zero-forcing beam
-    inverses[s][:, q] of served user u = group[q], scaled to unit gain at
-    the row owner, and row q of C[s] is u's planned combination of the
-    minifiles P[d[u], owner] of subfile (d[u], owner). The combination
-    is folded into the beams on the small side, M[s][:, q*m + j] =
-    W[s][:, q] * coeff_j, so the row's payload passes through one
-    product M @ P over its gathered minifiles, written into ``out``
-    when it is given.
-    """
-    field = H.field
-    i = plan.owner
-    groups = plan.groups[ts]
-    gains = field.matmul(H.H[i], inverses)
+    gains = field.matmul(H.H[owners][:, None, :], inverses)[:, 0]
     try:
-        W = field.mul(inverses, field.inv_each(gains)[:, None, :])
+        beams = field.mul(inverses, field.inv_each(gains)[:, None, :])
     except ZeroDivisionError:
-        u = groups.flat[int(np.argmin(np.abs(gains)))]
-        raise DegenerateChannel(f"row {i} channel is orthogonal to user {u}'s beam") from None
-    coeffs = field.convert(plan.coefficients[ts])
+        b, q = np.unravel_index(int(np.argmin(np.abs(gains))), gains.shape)
+        raise DegenerateChannel(
+            f"row {owners[b]} channel is orthogonal to user {groups[b, q]}'s beam"
+        ) from None
+    return beams, gains
+
+
+def _payload(field, beams, coeffs, P, d: np.ndarray, groups, i: int, out=None):
+    """Signals (n, L, tau) of n transmissions of row i from their beams.
+
+    Signal s is beams[s] @ C[s], where row q of C[s] is served user
+    u = groups[s, q]'s planned combination coeffs[s, q] of the minifiles
+    P[d[u], i] of subfile (d[u], i). The combination is folded into the
+    beams on the small side, M[s][:, q*m + j] = beams[s][:, q] * coeff_j,
+    so the payload passes through one product M @ P over the gathered
+    minifiles, written into ``out`` when it is given.
+    """
     n, L, m = coeffs.shape
-    M = field.mul(W[:, :, :, None], coeffs[:, None]).reshape(n, L, L * m)
+    M = field.mul(beams[:, :, :, None], coeffs[:, None]).reshape(n, L, L * m)
     # One gather of the row's minifiles, stacked (L*m, tau) per transmission.
-    return field.matmul(M, P[d[groups], i].reshape(n, L * m, -1), out=out), gains
+    return field.matmul(M, P[d[groups], i].reshape(n, L * m, -1), out=out)
 
 
 def build_block(plan: RowCodePlan, t: int, d, H, library: Library) -> TransmitBlock:
     """Transmission t of a verified row plan, beamformed over channel H.
 
-    The one-transmission case of build_schedule's synthesis, with a beam
-    bank of the one served group.
+    The one-block case of build_schedule's synthesis: the group's parent
+    set is the group plus the zero row.
     """
     field = library.field
     N = library.N
@@ -530,20 +577,23 @@ def build_block(plan: RowCodePlan, t: int, d, H, library: Library) -> TransmitBl
     if not 0 <= t < len(plan.groups):
         raise InconsistentInputs(f"transmission index {t} out of range")
     d = _as_demand(d, N)
-    group = tuple(plan.groups[t].tolist())
-    if len(group) != H.L:
+    group = plan.groups[[t]]
+    if group.shape[1] != H.L:
         raise DimensionMismatch(
-            f"transmission serves {len(group)} users, channel has L={H.L} antennas"
+            f"transmission serves {group.shape[1]} users, channel has L={H.L} antennas"
         )
     P = library.parts(plan.minifiles)
-    bank = _beam_bank(H, plan.groups[[t]])
-    signal, gains = _synthesize(plan, [t], np.array(d.d), H, P, bank)
+    parent = np.append(group, [[N]], axis=1)
+    first = np.zeros(1, dtype=np.int64)
+    beams, gains = _beams(H, parent, first, np.array([H.L]), [plan.owner], group)
+    coeffs = field.convert(plan.coefficients[[t]])
+    signal = _payload(field, beams, coeffs, P, np.array(d.d), group, plan.owner)
     return TransmitBlock(
         signal=signal[0],
         duration=Fraction(1, N * plan.minifiles),
         owner=plan.owner,
         t=t,
-        group=group,
+        group=tuple(group[0].tolist()),
         gains=tuple(gains[0].tolist()),
     )
 
@@ -568,19 +618,21 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
         )
     d = _as_demand(d, cfg.N)
     layout = schedule_layout(cfg.N, cfg.L)
-    bank = _beam_bank(H, layout.bank_groups)
     n_tx, m = layout.transmissions, layout.minifiles
+    owners = np.arange(cfg.N * n_tx) // n_tx
+    beams, gains = _beams(
+        H, layout.parents, layout.parent_ids, layout.left_out, owners, layout.groups
+    )
     P = library.parts(m)
     demand = np.array(d.d)
+    # Every row's plan shares one coefficient array.
+    coeffs = field.convert(layout.plans[0].coefficients)
     signals = np.empty((cfg.N * n_tx, cfg.L, P.shape[-1]), dtype=field.dtype)
-    gains = np.empty((cfg.N * n_tx, cfg.L), dtype=field.dtype)
     for i, plan in enumerate(layout.plans):
         rows = slice(i * n_tx, (i + 1) * n_tx)
-        _, gains[rows] = _synthesize(
-            plan, slice(None), demand, H, P, bank[layout.bank_ids[i]], out=signals[rows]
-        )
+        _payload(field, beams[rows], coeffs, P, demand, plan.groups, i, out=signals[rows])
     duration = Fraction(1, cfg.N * m)
-    groups = layout.bank_groups[layout.bank_ids.ravel()].tolist()
+    groups = layout.groups.tolist()
     gain_rows = gains.tolist()
     blocks = tuple(
         TransmitBlock(

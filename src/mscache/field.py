@@ -21,6 +21,7 @@ sum overflows.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,16 @@ _MAX_PRIME = (1 << 29) - 1
 # matmul: the block's temporaries stay this small whatever the width.
 _FLOAT_BLOCK_BYTES = 1 << 20
 
+# Primes up to this size invert element-wise by one gather from a
+# cached table of all p inverses (512 KiB at p = 65537); larger ones
+# by Fermat's x**(p-2).
+_TABLE_MAX_PRIME = 1 << 17
+
+# Residues per step of a table build. Its 64 KiB temporaries stay below
+# the allocator's mmap threshold; larger ones, once freed, raise that
+# threshold and change how the process allocates its later large arrays.
+_TABLE_CHUNK = 8192
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -43,6 +54,30 @@ def _is_prime(n: int) -> bool:
         if n % q == 0:
             return False
     return True
+
+
+def _fermat(x: np.ndarray, p: int) -> np.ndarray:
+    """x**(p-2) mod p element-wise, by square and multiply."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def _inverse_table(p: int) -> np.ndarray:
+    """Read-only table t of length p with t[x] = x**(p-2) mod p, the
+    inverse of every nonzero x, built _TABLE_CHUNK residues at a time."""
+    table = np.empty(p, dtype=np.int64)
+    for s in range(0, p, _TABLE_CHUNK):
+        x = np.arange(s, min(s + _TABLE_CHUNK, p), dtype=np.int64)
+        table[s : s + len(x)] = _fermat(x, p)
+    table.setflags(write=False)
+    return table
 
 
 def _product_shape(a, b) -> tuple:
@@ -190,18 +225,17 @@ class PrimeField:
         return pow(x, -1, self.p)
 
     def inv_each(self, x) -> np.ndarray:
-        """Element-wise inverse x**(p-2) (Fermat); ZeroDivisionError if any x is 0."""
+        """Element-wise inverse; ZeroDivisionError if any x is 0.
+
+        One gather from the cached inverse table for p up to
+        _TABLE_MAX_PRIME, Fermat's x**(p-2) beyond it.
+        """
         x = self.convert(x)
         if not np.all(x):
             raise ZeroDivisionError("inverse of zero in GF(p)")
-        out = np.ones_like(x)
-        e = self.p - 2
-        while e:
-            if e & 1:
-                out = out * x % self.p
-            x = x * x % self.p
-            e >>= 1
-        return out
+        if self.p <= _TABLE_MAX_PRIME:
+            return _inverse_table(self.p)[x]
+        return _fermat(x, self.p)
 
     def is_zero(self, x):
         """Element-wise test for x = 0 mod p."""
@@ -229,6 +263,10 @@ class PrimeField:
     def negligible(self, residual, threshold) -> bool:
         return not np.any(residual)
 
+    def null_support(self, v) -> np.ndarray:
+        """Which entries of null vectors (along the last axis) are nonzero."""
+        return np.asarray(v) != 0
+
     def satisfies(self, a, x, b) -> bool:
         """Whether a @ x == b for a solution x from ``linalg.solve``.
 
@@ -249,6 +287,7 @@ class ComplexField:
     """Complex floating-point arithmetic with explicit tolerances.
 
     pivot_rtol: relative pivot threshold for rank decisions.
+    null_rtol:  relative threshold for nonzero null-vector entries.
     zero_atol:  residual bound accepted as zero (beamformer contracts).
     decode_atol: max-abs deviation accepted as a successful decode.
     Sized for well-conditioned random channels at desk-scale dimensions.
@@ -260,6 +299,7 @@ class ComplexField:
     pivot_rtol = 1e-10
     zero_atol = 1e-9
     decode_atol = 1e-6
+    null_rtol = 1e-8
 
     # Below this magnitude a scalar is treated as not invertible.
     _inv_floor = 1e-12
@@ -337,6 +377,19 @@ class ComplexField:
     def negligible(self, residual, threshold) -> bool:
         """Whether an eliminated right-hand side is zero within tolerance."""
         return bool(np.max(np.abs(residual), initial=0.0) <= max(threshold, self.zero_atol))
+
+    def null_support(self, v) -> np.ndarray:
+        """Which entries of null vectors (along the last axis) count as nonzero.
+
+        An entry counts when it exceeds null_rtol times the largest
+        magnitude in its vector. For the left null vector of an
+        (n+1) x n matrix, |v_k| / max |v| is the ratio of the
+        determinant without row k to the largest such determinant. On
+        near-dependent CN(0,1) draws that the per-subset rank test
+        rejects, it stayed below 5e-10, 20 times under null_rtol.
+        """
+        mag = np.abs(v)
+        return mag > self.null_rtol * mag.max(axis=-1, keepdims=True)
 
     def satisfies(self, a, x, b) -> bool:
         """Whether a @ x matches b within zero_atol, max-abs.

@@ -7,13 +7,15 @@ an elimination factor counts as zero, when a residual counts as zero,
 and whether a solution needs a second check.
 
 ``_rref`` is plain row-by-row Gaussian elimination on one matrix of any
-shape; rank, nullspace and solve use it. ``inverse_stack`` is a batched
-Gauss-Jordan on a (B, n, n) stack: each column step is a few numpy
-operations over the whole stack, so the schedule's zero-forcing beams
-(one inverse per served group) cost one pass instead of one Python
-elimination per matrix. The channel's genericity check needs no
-inverses and does not use it: it carries null spaces of row prefixes
-instead (``channel._generic``).
+shape; rank, nullspace and solve use it. ``_gauss_jordan`` is a batched
+Gauss-Jordan on a (B, r, n) stack with r >= n: each column step is a
+few numpy operations over the whole stack, not one Python elimination
+per matrix. ``inverse_stack`` is its square case. ``left_inverse_stack``
+is its tall case, r = n+1: one pass gives every matrix a left inverse G
+and a left null vector v, and the inverse of the matrix without any one
+row k is then a rank-one update of G. The schedule's beam bank and the
+channel check at K = L+1 use the tall case; the channel check at larger
+K carries null spaces of row prefixes instead (``channel._generic``).
 """
 
 from __future__ import annotations
@@ -112,33 +114,30 @@ def solve(field: FieldContext, a, b) -> np.ndarray:
     return x[:, 0] if vector_rhs else x
 
 
-def inverse_stack(field: FieldContext, a) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a (B, n, n) stack by one batched Gauss-Jordan pass.
+def _gauss_jordan(field: FieldContext, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Gauss-Jordan on a (B, r, n) stack with r >= n: (E, full_rank).
 
-    Returns (inverses, nonsingular). nonsingular[b] equals
-    ``rank(field, a[b]) == n``: column c of every matrix takes the pivot
-    ``_rref`` would take, against that matrix's own threshold, and a row
-    whose elimination factor is zero is left alone, as ``_rref`` leaves
-    it. inverses[b] is meaningful only where nonsingular[b]; a matrix
-    that runs out of pivots carries on with a unit pivot so that the
-    others are not disturbed.
+    full_rank[b] equals ``rank(field, a[b]) == n``: column c of every
+    matrix takes the pivot ``_rref`` would take, against that matrix's
+    own threshold, and a row whose elimination factor is zero is left
+    alone, as ``_rref`` leaves it. E[b] (r x r) holds the row
+    operations, so that where full_rank[b], E[b] @ a[b] is I_n on top of
+    r - n zero rows. A matrix that runs out of pivots carries on with a
+    unit pivot so that the others are not disturbed.
     """
-    a = field.convert(a)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise DimensionMismatch(f"inverse_stack needs a (B, n, n) stack, got {a.shape}")
-    B, n, _ = a.shape
-    eye = field.convert(np.eye(n, dtype=np.int64))
-    m = np.concatenate([a, np.broadcast_to(eye, a.shape)], axis=2)
+    B, r, n = a.shape
+    eye = field.convert(np.eye(r, dtype=np.int64))
+    m = np.concatenate([a, np.broadcast_to(eye, (B, r, r))], axis=2)
     threshold = field.pivot_threshold(a)
-    nonsingular = np.ones(B, dtype=bool)
+    full_rank = np.ones(B, dtype=bool)
     batch = np.arange(B)
     for c in range(n):
         k, found = field.select_pivot(m[:, c:, c], threshold)
-        nonsingular &= found
-        # Columns left of c no longer steer a pivot or reach the inverse.
+        full_rank &= found
+        # Columns left of c no longer steer a pivot or reach E.
         pivot_rows = m[batch, k + c, c:]
         m[batch, k + c, c:] = m[:, c, c:]
-        pivot = np.where(nonsingular, pivot_rows[:, 0], field.coeff(1))
+        pivot = np.where(full_rank, pivot_rows[:, 0], field.coeff(1))
         pivot_rows = field.mul(pivot_rows, field.inv_each(pivot)[:, None])
         m[:, c, c:] = pivot_rows
         factors = m[:, :, c].copy()
@@ -146,7 +145,37 @@ def inverse_stack(field: FieldContext, a) -> tuple[np.ndarray, np.ndarray]:
         factors[field.is_zero(factors)] = 0
         update = field.mul(factors[:, :, None], pivot_rows[:, None, :])
         m[:, :, c:] = field.sub(m[:, :, c:], update)
-    return m[:, :, n:], nonsingular
+    return m[:, :, n:], full_rank
+
+
+def inverse_stack(field: FieldContext, a) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a (B, n, n) stack by one batched Gauss-Jordan pass.
+
+    Returns (inverses, nonsingular). nonsingular[b] equals
+    ``rank(field, a[b]) == n``; inverses[b] is meaningful only where
+    nonsingular[b].
+    """
+    a = field.convert(a)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"inverse_stack needs a (B, n, n) stack, got {a.shape}")
+    return _gauss_jordan(field, a)
+
+
+def left_inverse_stack(field: FieldContext, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left inverses and left null vectors of a (B, n+1, n) stack, in one pass.
+
+    Returns (G, v, full_rank): where full_rank[b], which equals
+    ``rank(field, a[b]) == n``, G[b] @ a[b] = I_n and v[b] @ a[b] = 0
+    with v[b] != 0. Then a[b] without row k is invertible exactly when
+    v[b, k] is nonzero, and its inverse is G[b] without column k minus
+    the rank-one term G[b][:, k] v[b] / v[b, k] without column k.
+    """
+    a = field.convert(a)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] + 1:
+        raise DimensionMismatch(f"left_inverse_stack needs a (B, n+1, n) stack, got {a.shape}")
+    E, full_rank = _gauss_jordan(field, a)
+    n = a.shape[2]
+    return E[:, :n], E[:, n], full_rank
 
 
 def invert(field: FieldContext, a) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mscache.field
 from mscache import (
     ComplexField,
     DegenerateChannel,
@@ -36,6 +37,22 @@ def test_gf_scalar_ops():
         GF7.inv(0)
     assert GF7.equal(GF7.convert([-1, 8]), [6, 1])
     assert GF7.is_zero(7) and not GF7.is_zero(3)
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 65537, 536870909))
+def test_gf_inv_each_inverts_every_residue(p):
+    # Primes up to 2^17 gather from a cached read-only table, larger ones
+    # run Fermat's loop; both must give every nonzero residue's inverse.
+    field = PrimeField(p)
+    x = np.arange(1, p) if p < 1 << 17 else np.random.default_rng(p).integers(1, p, 4096)
+    inv = field.inv_each(x)
+    assert np.array_equal(inv * x % p, np.ones_like(x))
+    assert inv.flags.writeable
+    if p < 1 << 17:
+        assert not mscache.field._inverse_table(p).flags.writeable
+    assert np.array_equal(field.inv_each(x.reshape(-1, 1))[:, 0], inv)
+    with pytest.raises(ZeroDivisionError):
+        field.inv_each(np.array([1, 0]))
 
 
 def test_gf_matmul_exact_past_one_int64_chunk():

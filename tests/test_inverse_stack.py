@@ -29,6 +29,7 @@ from mscache import (
     invert,
     rank,
 )
+from mscache.linalg import left_inverse_stack
 
 CC = ComplexField()
 PRIMES = (2, 3, 5, 7, 65537)
@@ -96,6 +97,57 @@ def test_complex_mask_equals_rank_with_planted_dependent_rows(n, B, seed, shrink
     for b in range(3, B, 4):
         assert nonsingular[b]
         assert np.max(np.abs(stack[b] @ inverses[b] - np.eye(n))) <= 1e-6
+
+
+def _plant(field, rng, a, shrink=None):
+    """Replace up to two rows of each (n+1) x n matrix by combinations of others.
+
+    One planted row keeps the rank at n but zeros entries of the null
+    vector; two make the matrix rank deficient. With ``shrink``, a
+    planted row is a near-dependency: the combination plus noise of
+    that size.
+    """
+    B, r, n = a.shape
+    for b in range(B):
+        planted = rng.permutation(r)[: int(rng.integers(0, 3))]
+        base = [i for i in range(r) if i not in planted]
+        for j in planted:
+            others = rng.permutation(base)[: int(rng.integers(0, n))]
+            row = field.matmul(field.sample(rng, len(others)), a[b, others]) if len(others) else 0
+            a[b, j] = row if shrink is None else row + shrink * field.sample(rng, n)
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 7), B=st.integers(1, 6), p=st.sampled_from(PRIMES), seed=SEEDS)
+def test_tall_elimination_gives_left_inverse_and_null_vector(n, B, p, seed):
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    a = _plant(field, rng, field.sample_channel(rng, (B, n + 1, n)))
+    G, v, full_rank = left_inverse_stack(field, a)
+    assert G.shape == (B, n, n + 1) and v.shape == (B, n + 1) and full_rank.shape == (B,)
+    eye = np.eye(n, dtype=np.int64)
+    for b in range(B):
+        assert bool(full_rank[b]) == (rank(field, a[b]) == n)
+        if full_rank[b]:
+            assert field.equal(field.matmul(G[b], a[b]), eye)
+            assert not field.matmul(v[b], a[b]).any()
+            assert v[b].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    B=st.integers(1, 6),
+    seed=SEEDS,
+    shrink=st.sampled_from((0.0, 1e-12, 3e-10, 1e-8, 1e-5)),
+)
+def test_complex_tall_flag_equals_rank_on_near_dependencies(n, B, seed, shrink):
+    rng = np.random.default_rng(seed)
+    a = _plant(CC, rng, CC.sample(rng, (B, n + 1, n)), shrink)
+    _, _, full_rank = left_inverse_stack(CC, a)
+    for b in range(B):
+        assert bool(full_rank[b]) == (rank(CC, a[b]) == n)
 
 
 def test_rejects_non_square_stacks():
@@ -232,6 +284,29 @@ def test_complex_check_is_never_looser_than_the_rank_loop():
                 else:
                     rejected += 1
                     assert not channel._generic(CC, near, L), (K, L, seed, eps)
+    assert accepted and rejected
+
+
+def test_complex_tall_check_is_never_looser_than_the_rank_loop():
+    # At K = L+1 the check is one tall elimination's; the last row is the
+    # sum of two others plus noise of size eps, as above. Over 42 seeds
+    # of this grid, the largest |v_k| / max |v| on a draw the rank loop
+    # rejects was 4.6e-10, against null_rtol = 1e-8.
+    accepted = rejected = 0
+    for L in (3, 4, 6, 8, 12):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            H = CC.sample_channel(rng, (L + 1, L))
+            assert _rank_loop_generic(CC, H, L)
+            assert channel._generic(CC, H, L)
+            for eps in 10.0 ** np.arange(-14, -2.5, 0.5):
+                near = H.copy()
+                near[-1] = H[0] + H[1] + eps * CC.sample(rng, L)
+                if _rank_loop_generic(CC, near, L):
+                    accepted += 1
+                else:
+                    rejected += 1
+                    assert not channel._generic(CC, near, L), (L, seed, eps)
     assert accepted and rejected
 
 
