@@ -20,8 +20,10 @@ array. Decoding assumes the standard genie model: receivers know H, the
 demand vector, and the schedule's metadata (row plans with their
 integer decoding inverses and, per block, the owner gain of every
 served user's beam), and read the beamformer scalings from the schedule
-rather than estimating them. A user decodes all rows served to it with
-one gather and one batched product, and makes no elimination.
+rather than estimating them. Every user of a row decodes with the row
+plan's one combination matrix A, scaled per block by the user's owner
+gain, so all users decode in one pass: one batched product of these
+decoders with the reception stack, and no elimination.
 """
 
 from __future__ import annotations
@@ -197,49 +199,75 @@ def receive(H: ChannelMatrix, schedule) -> ReceptionLog:
     return ReceptionLog(H.field, rx)
 
 
-def _check_consistent(k, d, Z_k, log, H: ChannelMatrix, schedule) -> None:
+def _check_consistent(d, caches, users: range, log, H: ChannelMatrix, schedule) -> None:
     cfg = schedule.cfg
     if tuple(d) != tuple(schedule.demand):
         raise InconsistentInputs("demand vector differs from the one scheduled")
     if H.field != schedule.channel.field or not H.field.equal(H.H, schedule.channel.H):
         raise InconsistentInputs("channel differs from the one scheduled")
-    if not 0 <= k < cfg.K:
-        raise InconsistentInputs(f"user {k} out of range for K={cfg.K}")
-    if len(log.per_block) != len(schedule.blocks):
-        raise InconsistentInputs("reception log does not cover the schedule")
-    if Z_k.payload.shape[0] != cfg.subfile_symbols:
+    B, _, tau = schedule.signals.shape
+    if np.shape(log.per_block) != (B, cfg.K, tau):
         raise InconsistentInputs(
-            f"cache of {Z_k.payload.shape[0]} symbols, expected {cfg.subfile_symbols}"
+            f"reception log of shape {np.shape(log.per_block)} does not cover the "
+            f"schedule's (B, K, tau) = {(B, cfg.K, tau)}"
         )
+    if len(caches) != len(users):
+        raise InconsistentInputs(f"{len(caches)} caches for {len(users)} users")
+    for k, Z in zip(users, caches):
+        if Z.user != k:
+            raise InconsistentInputs(f"cache of user {Z.user} given for user {k}")
+        if Z.payload.shape != (cfg.subfile_symbols,):
+            raise InconsistentInputs(f"cache of shape {Z.payload.shape}, expected "
+                                     f"{cfg.subfile_symbols} symbols")
+
+
+def _decoders(field: FieldContext, layout, gains, users: slice) -> np.ndarray:
+    """Decoders (N, n, m, transmissions) of the n users in a slice of 0..K-1.
+
+    Row r's decoder for user u is the shared A with column b scaled by
+    u's scale in block b: the owner gain of u's beam where b serves u, 1
+    where u owns the row, 0 elsewhere.
+    """
+    B, K = len(gains), len(layout.plans)
+    scales = field.zeros((B, K))
+    np.put_along_axis(scales, layout.groups, gains, axis=1)
+    scales[np.arange(B), np.arange(B) // layout.transmissions] = field.coeff(1)
+    per_row = scales[:, users].reshape(K, layout.transmissions, -1).transpose(0, 2, 1)
+    return field.mul(field.convert(layout.plans[0].A), per_row[:, :, None, :])
+
+
+def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: slice) -> list:
+    """Decode a slice of the users with one product, read from the
+    reception stack without a copy, into one (n, N, m, tau) buffer; each
+    file is a contiguous view of it. A user's own row then holds the
+    received sums, which it subtracts from its cache."""
+    field = H.field
+    layout = schedule.layout
+    N, K = schedule.cfg.N, schedule.cfg.K
+    _check_consistent(d, caches, range(K)[users], log, H, schedule)
+    tau = schedule.signals.shape[-1]
+    rx = np.asarray(log.per_block).reshape(N, layout.transmissions, K, tau)[:, :, users]
+    data = np.empty((len(caches), N, layout.minifiles, tau), dtype=field.dtype)
+    decoders = _decoders(field, layout, schedule.gains, users)
+    field.matmul(decoders, rx.swapaxes(1, 2), out=data.swapaxes(0, 1))
+    results = []
+    for Z, rows in zip(caches, data):
+        k = Z.user
+        rows[k] = field.sub(Z.payload.reshape(rows[k].shape), rows[k])
+        flat = rows.reshape(-1)
+        success = field.close(flat, schedule.library.data[d[k]])
+        results.append(DecodeResult(user=k, data=flat, success=success))
+    return results
 
 
 def decode_user(k: int, d, Z_k, log: ReceptionLog, H: ChannelMatrix, schedule) -> DecodeResult:
-    """Reconstruct user k's requested file from receptions plus cache.
-
-    In a row served to k, reception q carries k's planned combination
-    coeffs_q @ minifiles divided by the owner gain g_q, so with Cinv
-    the plan's integer inverse of k's stacked coefficients the
-    minifiles are Cinv diag(g) Y; all N-1 such rows go in one batched
-    product. k's own row comes from subtracting the received sum A @ Y
-    from Z_k.
-    """
-    _check_consistent(k, d, Z_k, log, H, schedule)
-    field = H.field
-    layout = schedule.layout
-    rx = np.asarray(log.per_block)
-    serve = layout.serve[k]
-    gains = schedule.gains[serve, layout.slot[k]]
-    served = field.matmul(field.mul(layout.decoders[k], gains[:, None, :]), rx[serve, k])
-    n_tx = layout.transmissions
-    sums = field.matmul(field.convert(layout.plans[k].A), rx[k * n_tx : (k + 1) * n_tx, k])
-    own = field.sub(Z_k.payload, sums.ravel())
-    data = np.concatenate([served[:k].ravel(), own, served[k:].ravel()])
-    want = schedule.library.data[d[k]]
-    return DecodeResult(user=k, data=data, success=field.close(data, want))
+    """Reconstruct user k's requested file from receptions plus cache:
+    the one-user case of decode_all."""
+    if not 0 <= k < schedule.cfg.K:
+        raise InconsistentInputs(f"user {k} out of range for K={schedule.cfg.K}")
+    return _decode(d, [Z_k], log, H, schedule, slice(k, k + 1))[0]
 
 
 def decode_all(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule) -> list[DecodeResult]:
-    return [
-        decode_user(k, d, caches[k], log, H, schedule)
-        for k in range(schedule.cfg.K)
-    ]
+    """Every user's file from receptions plus caches[k], user k's cache."""
+    return _decode(d, caches, log, H, schedule, slice(None))

@@ -26,6 +26,7 @@ from .metrics import (
     achievable_time,
     assemble_report,
     converse_bound,
+    csv_cells,
     uncoded_baseline,
 )
 
@@ -198,28 +199,12 @@ def _sweep_cells(args, N: int, L: int, field):
     M = Fraction(1, N)
     conv = converse_bound(N, N, M, L)
     unc = uncoded_baseline(N, N, M, L)
-    cells = {
-        "K": str(N),
-        "N": str(N),
-        "L": str(L),
-        "M_num": str(M.numerator),
-        "M_den": str(M.denominator),
-        "achieved_num": "",
-        "achieved_den": "",
-        "converse_num": str(conv.numerator),
-        "converse_den": str(conv.denominator),
-        "uncoded_num": str(unc.numerator),
-        "uncoded_den": str(unc.denominator),
-        "decode_ok": "unsupported-regime",
-        "seed": str(args.seed),
-    }
     if not is_supported(N, L):
-        return cells, None
+        return csv_cells(N, N, L, M, None, conv, unc, None, args.seed), None
     cfg = LibraryConfig(N=N, K=N, L=L, F=args.scale * N * L)
     reps = [_run_trial(cfg, field, args, args.seed + trial) for trial in range(args.trials)]
-    cells["achieved_num"] = str(reps[0].achieved_T.numerator)
-    cells["achieved_den"] = str(reps[0].achieved_T.denominator)
-    cells["decode_ok"] = "true" if all(r.decode_ok for r in reps) else "false"
+    ok = all(r.decode_ok for r in reps)
+    cells = csv_cells(N, N, L, M, reps[0].achieved_T, conv, unc, ok, args.seed)
     failures = (_check_report(r, cfg, f"N={N} L={L} seed={r.seed}") for r in reps)
     return cells, next((f for f in failures if f), None)
 
@@ -227,7 +212,6 @@ def _sweep_cells(args, N: int, L: int, field):
 def cmd_sweep(args) -> int:
     _check_trials(args)
     field = make_field(args.mode, args.prime)
-    columns = CSV_HEADER.split(",")
     rows = []
     failure = None
     for N in parse_range(args.N):
@@ -240,12 +224,12 @@ def cmd_sweep(args) -> int:
     if fmt == "json":
         text = json.dumps(rows, indent=2) + "\n"
     elif fmt == "table":
-        lines = ["  ".join(columns)]
-        lines += ["  ".join(r[c] or "-" for c in columns) for r in rows]
+        lines = ["  ".join(CSV_HEADER.split(","))]
+        lines += ["  ".join(v or "-" for v in r.values()) for r in rows]
         text = "\n".join(lines) + "\n"
     else:
         lines = [CSV_HEADER]
-        lines += [",".join(r[c] for c in columns) for r in rows]
+        lines += [",".join(r.values()) for r in rows]
         text = "\n".join(lines) + "\n"
     _emit(args, text)
     if failure:
@@ -274,10 +258,9 @@ def cmd_bounds(args) -> int:
     M = Fraction(1, N)
     conv = converse_bound(K, N, M, L)
     unc = uncoded_baseline(K, N, M, L)
-    achieved = ""
     # The scheme serves exactly K = N users.
-    if K == N and is_supported(N, L):
-        achieved = str(delivery_time(N, L))
+    achieved = delivery_time(N, L) if K == N and is_supported(N, L) else None
+    shown = "unsupported-regime" if achieved is None else str(achieved)
     fmt = args.fmt or "table"
     if fmt == "json":
         text = (
@@ -288,29 +271,20 @@ def cmd_bounds(args) -> int:
                     "L": L,
                     "M": str(M),
                     "converse_T": str(conv),
-                    "achieved_T": achieved or "unsupported-regime",
+                    "achieved_T": shown,
                     "uncoded_T": str(unc),
                 }
             )
             + "\n"
         )
     elif fmt == "csv":
-        row = [
-            str(K), str(N), str(L),
-            str(M.numerator), str(M.denominator),
-            str(Fraction(achieved).numerator) if achieved else "",
-            str(Fraction(achieved).denominator) if achieved else "",
-            str(conv.numerator), str(conv.denominator),
-            str(unc.numerator), str(unc.denominator),
-            "" if achieved else "unsupported-regime",
-            "",
-        ]
-        text = CSV_HEADER + "\n" + ",".join(row) + "\n"
+        cells = csv_cells(K, N, L, M, achieved, conv, unc, None, None)
+        text = CSV_HEADER + "\n" + ",".join(cells.values()) + "\n"
     else:
         text = (
             f"K={K} N={N} L={L} M={M}\n"
             f"converse_T = {conv}\n"
-            f"achieved_T = {achieved or 'unsupported-regime'}\n"
+            f"achieved_T = {shown}\n"
             f"uncoded_T  = {unc}\n"
         )
     _emit(args, text)

@@ -18,14 +18,14 @@ combine (telescope) into the per-index minifile sums the owner needs.
 Everything downstream reads the row plan, so only plan construction and
 the table's term labels know which regime is running. A plan is a few
 integer arrays: served groups, coefficient vectors and the combination
-matrix A. Decoders are A at the user's transmissions: the columns of A
-there invert the user's stacked coefficient system (the column-deleted
-bidiagonal for a telescoping user, the identity otherwise), so decoding
-needs no elimination. Every plan is verified by exact integer linear
-algebra before use, including that product equal to I; a verification
-failure is a hard error, never a fallback. Plan arrays are read-only:
-reduced plans are cached per row, and the index layout of both regimes
-per (N, L).
+matrix A. Every user of a row decodes with the same A: its columns at
+the user's transmissions invert the user's stacked coefficient system
+(the column-deleted bidiagonal for a telescoping user, the identity
+otherwise), so decoding needs no elimination.
+Every plan is verified by exact integer linear algebra before use,
+including that product equal to I; a verification failure is a hard
+error, never a fallback. Plan arrays are read-only: reduced plans are
+cached per row, and the index layout of both regimes per (N, L).
 
 Zero-forcing beams come from a beam bank over parent sets of L+1
 channel rows: all N users in the full regime, each telescoping segment,
@@ -38,15 +38,16 @@ gains (one product and one element-wise inverse) and the beams scaled
 to unit owner gain are computed for every block in one pass. Each row's
 payload then passes through one batched product M @ P, with the plan's
 coefficients folded into the beams, written into the schedule's
-(B, L, tau) signal stack, of which each block's signal is a view. The
-owner gains, kept per block, let receivers descale their receptions.
+(B, L, tau) signal stack. The owner gains, kept as one (B, L) stack,
+let receivers descale their receptions. Block objects, each a view
+into these stacks, are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -377,10 +378,9 @@ class ScheduleLayout:
     extra row is the member of the group's telescoping segment that the
     transmission skips; in the full regime it is the row owner, so that
     all N users form the one parent set; otherwise it is the zero row.
-    For user k, row r of serve[k], slot[k] and decoders[k] describes the
-    r-th row other than k: the m blocks serving k, k's position in each
-    block's group, and the decoder, A at k's transmissions, the integer
-    inverse of k's stacked coefficients there.
+    Nothing here is per user: a user's decoder for a row is the shared A
+    with the columns of the transmissions that do not serve it zeroed,
+    read off groups at decode time.
     """
 
     plans: tuple
@@ -389,9 +389,6 @@ class ScheduleLayout:
     parents: np.ndarray
     parent_ids: np.ndarray
     left_out: np.ndarray
-    serve: np.ndarray
-    slot: np.ndarray
-    decoders: np.ndarray
 
     @property
     def minifiles(self) -> int:
@@ -414,48 +411,35 @@ def _unique_rows(a: np.ndarray):
 def schedule_layout(N: int, L: int) -> ScheduleLayout:
     """The cached layout of every schedule at a supported (N, L)."""
     plans = tuple(build_row_plan(i, N, L) for i in range(N))
-    n_tx, m = plans[0].groups.shape[0], plans[0].minifiles
     groups = np.stack([plan.groups for plan in plans])
-    k = np.arange(N)[:, None]
-    rows = np.arange(N - 1) + (np.arange(N - 1) >= k)  # rows[k, r]: r-th row other than k
+    i = np.arange(N)[:, None]
+    users = np.arange(N - 1) + (np.arange(N - 1) >= i)  # users[i]: row i's users, ascending
     # The row that completes each group to its parent set.
     unserved = _row_pattern(N, L)[3]
-    extra = np.where(unserved >= 0, rows[:, unserved], k if regime(N, L) == "full" else N)
+    extra = np.where(unserved >= 0, users[:, unserved], i if regime(N, L) == "full" else N)
     # Groups are ascending, so dropping left_out from a sorted parent gives the group.
     parent_rows = np.concatenate([groups, extra[..., None]], axis=2).reshape(-1, L + 1)
     parents, parent_ids = _unique_rows(np.sort(parent_rows, axis=1))
     left_out = (groups < extra[..., None]).sum(axis=2)
-    # Row i's (transmission, slot) pairs sorted stably by user: its q-th
-    # user, q-th of the ascending non-owners, holds pairs q*m .. q*m+m-1.
-    order = np.argsort(groups.reshape(N, -1), axis=1, kind="stable").reshape(N, N - 1, m)
-    ts, slot = np.divmod(order[rows, k - (k > rows)], L)
-    serve = rows[..., None] * n_tx + ts
-    # Gather whole columns of A as rows of A^T, then lay them out as
-    # columns: contiguous decoders keep the per-trial decode products fast.
-    At = np.stack([plan.A.T for plan in plans])
-    decoders = np.ascontiguousarray(np.swapaxes(At[rows[..., None], ts], -1, -2))
     return ScheduleLayout(
         plans=plans,
-        transmissions=n_tx,
+        transmissions=groups.shape[1],
         groups=_readonly(groups.reshape(-1, L)),
         parents=_readonly(parents),
         parent_ids=_readonly(parent_ids),
         left_out=_readonly(left_out.ravel()),
-        serve=_readonly(serve),
-        slot=_readonly(slot),
-        decoders=_readonly(decoders),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class DeliverySchedule:
-    """Ordered blocks plus everything a genie receiver may consult.
+    """Every row's transmissions plus everything a genie receiver may consult.
 
     signals (B, L, tau) and gains (B, L) stack every block's signal and
-    owner gains; each block's signal is a view into signals.
+    owner gains; block b is transmission b % transmissions of row
+    b // transmissions and serves layout.groups[b].
     """
 
-    blocks: tuple
     total_time: Fraction
     cfg: LibraryConfig
     demand: tuple
@@ -469,6 +453,25 @@ class DeliverySchedule:
     def plans(self) -> dict:
         """Row index -> row plan."""
         return dict(enumerate(self.layout.plans))
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The B blocks in order, built on first access; signals are views."""
+        n_tx = self.layout.transmissions
+        duration = Fraction(1, self.cfg.N * self.layout.minifiles)
+        groups = self.layout.groups.tolist()
+        gains = self.gains.tolist()
+        return tuple(
+            TransmitBlock(
+                signal=signal,
+                duration=duration,
+                owner=b // n_tx,
+                t=b % n_tx,
+                group=tuple(groups[b]),
+                gains=tuple(gains[b]),
+            )
+            for b, signal in enumerate(self.signals)
+        )
 
     @property
     def rows(self) -> tuple:
@@ -602,7 +605,8 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
     """Full delivery schedule: every row's transmissions in order, T = (N-1)/L.
 
     Each row is synthesized in one batched pass, written into one
-    (B, L, tau) signal stack.
+    (B, L, tau) signal stack; no block object is built until
+    ``blocks`` is read.
     """
     field = library.field
     H = _as_channel(H, field)
@@ -631,26 +635,11 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
     for i, plan in enumerate(layout.plans):
         rows = slice(i * n_tx, (i + 1) * n_tx)
         _payload(field, beams[rows], coeffs, P, demand, plan.groups, i, out=signals[rows])
-    duration = Fraction(1, cfg.N * m)
-    groups = layout.groups.tolist()
-    gain_rows = gains.tolist()
-    blocks = tuple(
-        TransmitBlock(
-            signal=signals[b],
-            duration=duration,
-            owner=b // n_tx,
-            t=b % n_tx,
-            group=tuple(groups[b]),
-            gains=tuple(gain_rows[b]),
-        )
-        for b in range(cfg.N * n_tx)
-    )
-    total = duration * len(blocks)
+    total = Fraction(len(signals), cfg.N * m)
     expected = delivery_time(cfg.N, cfg.L)
     if total != expected:
         raise InconsistentInputs(f"schedule time {total} != expected {expected}")
     return DeliverySchedule(
-        blocks=blocks,
         total_time=total,
         cfg=cfg,
         demand=tuple(d),

@@ -21,6 +21,25 @@ CSV_HEADER = (
 )
 
 
+def csv_cells(K, N, L, M: Fraction, achieved, converse: Fraction, uncoded: Fraction,
+              decode_ok, seed) -> dict:
+    """The CSV_HEADER columns of one row, as strings in header order.
+
+    achieved None (an unsupported (N, L)) and seed None read empty.
+    decode_ok None (no run) reads empty, or "unsupported-regime" when
+    achieved is None too.
+    """
+    if decode_ok is None:
+        ok = "unsupported-regime" if achieved is None else ""
+    else:
+        ok = "true" if decode_ok else "false"
+    ratio = ("", "") if achieved is None else (achieved.numerator, achieved.denominator)
+    values = (K, N, L, M.numerator, M.denominator, *ratio, converse.numerator,
+              converse.denominator, uncoded.numerator, uncoded.denominator, ok,
+              "" if seed is None else seed)
+    return dict(zip(CSV_HEADER.split(","), map(str, values)))
+
+
 def converse_bound(K: int, N: int, M, L: int) -> Fraction:
     """Lower bound on T: max over s in 1..K of (s - sM/floor(N/s)) / min(s, L).
 
@@ -69,23 +88,9 @@ class MetricsReport:
     seed: int | None
 
     def to_csv_row(self) -> str:
-        seed = "" if self.seed is None else str(self.seed)
-        parts = [
-            self.K,
-            self.N,
-            self.L,
-            self.M.numerator,
-            self.M.denominator,
-            self.achieved_T.numerator,
-            self.achieved_T.denominator,
-            self.converse_T.numerator,
-            self.converse_T.denominator,
-            self.uncoded_T.numerator,
-            self.uncoded_T.denominator,
-            "true" if self.decode_ok else "false",
-            seed,
-        ]
-        return ",".join(str(x) for x in parts)
+        cells = csv_cells(self.K, self.N, self.L, self.M, self.achieved_T, self.converse_T,
+                          self.uncoded_T, self.decode_ok, self.seed)
+        return ",".join(cells.values())
 
     def to_json_dict(self) -> dict:
         return {

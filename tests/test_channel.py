@@ -217,6 +217,14 @@ def test_decode_inconsistent_inputs():
     short_cache = CacheContent(user=0, payload=caches[0].payload[:-1])
     with pytest.raises(InconsistentInputs):
         decode_user(0, d, short_cache, log, H, sched)
+    # decode_all: a missing cache, a log with fewer than K user rows, and
+    # caches out of user order.
+    with pytest.raises(InconsistentInputs):
+        decode_all(d, caches[:-1], log, H, sched)
+    with pytest.raises(InconsistentInputs):
+        decode_all(d, caches, type(log)(GF, log.per_block[:, :-1]), H, sched)
+    with pytest.raises(InconsistentInputs):
+        decode_all(d, caches[::-1], log, H, sched)
 
 
 def test_decode_fails_on_a_single_flipped_symbol():
@@ -231,7 +239,8 @@ def test_decode_fails_on_a_single_flipped_symbol():
     caches = place_caches(lib, cfg)
     k = 2
     assert decode_user(k, d, caches[k], log, H, sched).success
-    for b in (sched.layout.serve[k][0][0], k * sched.layout.transmissions):
+    first_served = int(np.argmax((sched.layout.groups == k).any(axis=1)))
+    for b in (first_served, k * sched.layout.transmissions):
         rx = log.per_block.copy()
         rx[b, k, 1] = (rx[b, k, 1] + 1) % GF.p  # a served row, then k's own row
         res = decode_user(k, d, caches[k], type(log)(GF, rx), H, sched)
@@ -257,3 +266,26 @@ def test_cache_is_necessary():
     for i in range(4):
         seg_ok = GF.equal(res.data[i * sz : (i + 1) * sz], truth[i * sz : (i + 1) * sz])
         assert seg_ok == (i != k)
+
+
+@pytest.mark.parametrize("N, L", [(16, 15), (17, 5)])
+def test_decode_all_is_one_matmul(monkeypatch, N, L):
+    # Every user of every row decodes in one product.
+    cfg = LibraryConfig(N=N, K=N, L=L, F=N * L)
+    lib = random_library(GF, N, cfg.F, seed=N)
+    H = draw_channel(N, L, seed=L, field=GF)
+    d = DemandVector(np.random.default_rng(N).permutation(N))
+    sched = build_schedule(d, H, lib, cfg)
+    log = receive(H, sched)
+    caches = place_caches(lib, cfg)
+    calls = []
+    matmul = GF.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(GF, "matmul", counting)
+    results = decode_all(d, caches, log, H, sched)
+    assert len(calls) == 1
+    assert all(res.success for res in results)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mscache.delivery as delivery
 from mscache import (
     DemandVector,
     DimensionMismatch,
@@ -27,6 +28,7 @@ from mscache import (
     segment_sizes,
     verify_row_plan,
 )
+from mscache.channel import _decoders
 from mscache.delivery import RowCodePlan, _row_pattern, _telescoping_pattern, schedule_layout
 
 GF = PrimeField(65537)
@@ -74,6 +76,16 @@ def test_segment_sizes_tile_the_row():
 def _serving(plan, u) -> tuple:
     """The transmissions of a plan that serve user u, in order."""
     return tuple(np.nonzero(plan.groups == u)[0].tolist())
+
+
+def _unit_gain_decoders(layout, users=slice(None)):
+    """The decode's (row, user) decoders at unit owner gains, in GF."""
+    return _decoders(GF, layout, np.ones(layout.groups.shape, dtype=np.int64), users)
+
+
+def _zeroed_outside(plan, u):
+    """A with the columns of the transmissions not serving u zeroed, in GF."""
+    return GF.convert(plan.A * (plan.groups == u).any(axis=1))
 
 
 def test_plan_4_2_frozen_golden():
@@ -134,18 +146,21 @@ def test_all_supported_plans_verify():
 def test_plan_inverses_invert_each_users_coefficients():
     # Decoders are A at the user's transmissions: a telescoping user's is
     # its column-deleted bidiagonal, a jointly served user's and every
-    # full-regime user's the identity. The layout gathers the same columns.
+    # full-regime user's the identity. The decode's (row, user) decoder
+    # at unit gains is A with the other columns zeroed; the owner's is A.
     for (N, L) in [(4, 2), (5, 3), (8, 3), (9, 4), (5, 4)]:
-        layout = schedule_layout(N, L)
+        decoders = _unit_gain_decoders(schedule_layout(N, L))
         for i in range(N):
             plan = build_row_plan(i, N, L)
             m = plan.minifiles
+            assert np.array_equal(decoders[i, i], GF.convert(plan.A))
             for u in plan.users:
                 decoder = plan.A[:, list(_serving(plan, u))]
                 stacked = plan.coefficients[plan.groups == u]
                 assert (decoder @ stacked).tolist() == np.eye(m, dtype=int).tolist()
-                r = i - (i > u)  # row i is the r-th row other than u
-                assert layout.decoders[u, r].tolist() == decoder.tolist()
+                assert np.array_equal(decoders[i, u], _zeroed_outside(plan, u))
+                assert np.array_equal(decoders[i, u][:, list(_serving(plan, u))],
+                                      GF.convert(decoder))
     full = build_row_plan(0, 4, 3)
     assert [full.A[:, list(_serving(full, u))].tolist() for u in full.users] == [[[1]]] * 3
     plan = build_row_plan(3, 4, 2)
@@ -177,13 +192,15 @@ def test_cold_layouts_at_scale_build_and_verify(N, L):
     assert len(layout.plans) == N and layout.minifiles == L
     for plan in layout.plans:
         verify_row_plan(plan, N, L)
-    n_tx = layout.transmissions
     for k in (0, N // 2, N - 1):
-        for r in range(N - 1):
-            i, ts = divmod(layout.serve[k, r], n_tx)
-            plan = layout.plans[i[0]]
-            assert (plan.groups[ts, layout.slot[k, r]] == k).all()
-            assert np.array_equal(layout.decoders[k, r], plan.A[:, ts])
+        decoders = _unit_gain_decoders(layout, slice(k, k + 1))[:, 0]
+        for plan in layout.plans:
+            if plan.owner == k:
+                assert np.array_equal(decoders[k], GF.convert(plan.A))
+                continue
+            # k is served in exactly m of the row's transmissions.
+            assert len(_serving(plan, k)) == layout.minifiles
+            assert np.array_equal(decoders[plan.owner], _zeroed_outside(plan, k))
 
 
 def test_cached_plans_are_read_only():
@@ -202,7 +219,7 @@ def test_cached_plans_are_read_only():
         with pytest.raises(ValueError):
             plan.coefficients[0, 0, 0] = 0
         with pytest.raises(ValueError):
-            schedule_layout(N, L).decoders[0, 0, 0, 0] = 0
+            schedule_layout(N, L).groups[0, 0] = 0
 
 
 def _with(plan, name, index, value):
@@ -432,6 +449,42 @@ def test_schedule_block_counts_and_durations():
         # row-major order: block owners ascend
         owners = [b.owner for b in sched.blocks]
         assert owners == sorted(owners)
+
+
+@pytest.mark.parametrize("N, L", [(16, 15), (17, 5), (7, 3)])
+def test_blocks_are_built_on_first_access(monkeypatch, N, L):
+    # build_schedule builds no block object; the first read of blocks
+    # builds all B of them from the signal and gain stacks and the layout.
+    built = []
+    block_type = delivery.TransmitBlock
+
+    def counting(**fields):
+        built.append(fields["owner"])
+        return block_type(**fields)
+
+    monkeypatch.setattr(delivery, "TransmitBlock", counting)
+    cfg = LibraryConfig(N=N, K=N, L=L, F=N * L)
+    lib = random_library(GF, N, cfg.F, seed=N)
+    H = draw_channel(N, L, seed=L, field=GF)
+    d = DemandVector(np.random.default_rng(N).permutation(N))
+    sched = build_schedule(d, H, lib, cfg)
+    assert built == []
+    layout = sched.layout
+    n_tx = layout.transmissions
+    blocks = sched.blocks
+    assert len(built) == len(blocks) == N * n_tx
+    assert sched.blocks is blocks
+    for b, block in enumerate(blocks):
+        assert (block.owner, block.t) == divmod(b, n_tx)
+        assert block.group == tuple(layout.groups[b].tolist())
+        assert block.gains == tuple(sched.gains[b].tolist())
+        assert block.duration == Fraction(1, N * layout.minifiles)
+        assert np.shares_memory(block.signal, sched.signals)
+        assert np.array_equal(block.signal, sched.signals[b])
+        if b % 5 == 0:
+            alone = build_block(layout.plans[block.owner], block.t, d, H, lib)
+            assert np.array_equal(alone.signal, block.signal)
+            assert (alone.group, alone.gains) == (block.group, block.gains)
 
 
 def test_schedule_determinism():

@@ -3,9 +3,10 @@
 Every drawn instance runs the whole chain: library, channel, placement,
 schedule, reception and decoding. Each block's receptions must be the
 channel applied to its signal, every user must decode its file exactly,
-and, at small N, the independent span oracle must agree. Channels that
-cannot be drawn at a small prime (no generic channel within the draw
-budget) are assumed away, not counted as passes.
+decoding one user alone must give what the batch gives (in complex mode
+within decode_atol), and, at small N, the independent span oracle must
+agree. Channels that cannot be drawn at a small prime (no generic
+channel within the draw budget) are assumed away, not counted as passes.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from mscache import (
     ResamplingExhausted,
     build_schedule,
     decode_all,
+    decode_user,
     draw_channel,
     is_supported,
     place_caches,
@@ -69,9 +71,21 @@ def test_receptions_decode_exactly_and_agree_with_the_span_oracle(instance):
     assert len(log.per_block) == len(sched.blocks)
     for b, block in enumerate(sched.blocks):
         assert field.equal(log.per_block[b], field.matmul(H.H, block.signal))
+    caches = place_caches(lib, cfg)
     for k, res in enumerate(results):
         assert res.success
         assert field.equal(res.data, lib.data[d[k]])
+        # The one-user case is the batch, bit for bit.
+        alone = decode_user(k, d, caches[k], log, H, sched)
+        assert alone.success and np.array_equal(alone.data, res.data)
+    # In complex mode, within decode_atol of the batch.
+    cc = ComplexField()
+    _, cH, _, _, csched, clog, cresults = _run(cc, N, L, demand, seed)
+    ccaches = place_caches(csched.library, cfg)
+    for k, res in enumerate(cresults):
+        alone = decode_user(k, d, ccaches[k], clog, cH, csched)
+        assert res.success and alone.success
+        assert np.max(np.abs(alone.data - res.data)) <= cc.decode_atol
     if N <= ORACLE_MAX_N:
         obs = observation_functionals(cfg, H, d, field)
         for k in range(N):
