@@ -28,7 +28,6 @@ from .delivery import (
     DeliverySchedule,
     RowCodePlan,
     TransmitBlock,
-    build_block,
     build_row_plan,
     build_row_plan_reduced,
     build_schedule,
@@ -50,7 +49,7 @@ from .errors import (
     WrongRegime,
 )
 from .field import ComplexField, FieldContext, PrimeField, make_field
-from .linalg import inverse_stack, invert, nullspace_basis, rank, solve, zero_forcing_vector
+from .linalg import inverse_stack, rank
 from .metrics import (
     CSV_HEADER,
     MetricsReport,
@@ -88,7 +87,6 @@ __all__ = [
     "WrongRegime",
     "achievable_time",
     "assemble_report",
-    "build_block",
     "build_row_plan",
     "build_row_plan_reduced",
     "build_schedule",
@@ -98,11 +96,9 @@ __all__ = [
     "delivery_time",
     "draw_channel",
     "inverse_stack",
-    "invert",
     "is_supported",
     "load_library",
     "make_field",
-    "nullspace_basis",
     "place_caches",
     "random_library",
     "rank",
@@ -111,8 +107,6 @@ __all__ = [
     "render_delivery_table",
     "save_library",
     "segment_sizes",
-    "solve",
     "uncoded_baseline",
     "verify_row_plan",
-    "zero_forcing_vector",
 ]

@@ -14,16 +14,17 @@ one length-L dot product at the last level instead of an L x L
 elimination. Prefixes are extended in chunks of bounded size, and the
 walk stops at the first dependent prefix.
 
-Reception is one product H @ S over the schedule's (B, L, tau) signal
-stack, giving every user's receptions of every block as one (B, K, tau)
-array. Decoding assumes the standard genie model: receivers know H, the
-demand vector, and the schedule's metadata (row plans with their
-integer decoding inverses and, per block, the owner gain of every
-served user's beam), and read the beamformer scalings from the schedule
-rather than estimating them. Every user of a row decodes with the row
-plan's one combination matrix A, scaled per block by the user's owner
-gain, so all users decode in one pass: one batched product of these
-decoders with the reception stack, and no elimination.
+Reception reads only the schedule's (B, L, tau) signal stack, never its
+block objects: one product H @ S gives every user's receptions of every
+block as one (B, K, tau) array. Decoding assumes the standard genie
+model: receivers know H, the demand vector, and the schedule's metadata
+(row plans with their integer decoding inverses and, per block, the
+owner gain of every served user's beam), and read the beamformer
+scalings from the schedule rather than estimating them. Every user of a
+row decodes with the row plan's one combination matrix A, scaled per
+block by the user's owner gain, so all users decode in one pass: one
+batched product of these decoders with the reception stack, and no
+elimination.
 """
 
 from __future__ import annotations
@@ -89,9 +90,6 @@ class ReceptionLog:
 
     field: FieldContext
     per_block: np.ndarray
-
-    def for_user(self, k: int) -> list:
-        return [(b, y[k]) for b, y in enumerate(self.per_block)]
 
 
 @dataclass(frozen=True)
@@ -187,10 +185,8 @@ def draw_channel(
 
 
 def receive(H: ChannelMatrix, schedule) -> ReceptionLog:
-    """Apply the channel to every block at once: y[b] = H @ signal[b]."""
-    signals = getattr(schedule, "signals", None)
-    if signals is None:
-        signals = np.stack([block.signal for block in schedule.blocks])
+    """Apply the channel to every block at once: y[b] = H @ signals[b]."""
+    signals = schedule.signals
     if signals.shape[1] != H.L:
         raise DimensionMismatch(
             f"block has {signals.shape[1]} antenna rows, channel expects {H.L}"

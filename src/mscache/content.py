@@ -112,12 +112,23 @@ class CacheContent:
 
 @dataclass(frozen=True)
 class DemandVector:
-    """Per-user requested file indices; must be pairwise distinct."""
+    """Per-user requested file indices; must be pairwise distinct.
+
+    Integral floats such as 1.0 are accepted; 1.7, nan or inf are
+    refused, not truncated.
+    """
 
     d: tuple
 
     def __init__(self, d):
-        object.__setattr__(self, "d", tuple(int(x) for x in d))
+        raw = tuple(d)
+        try:
+            ints = tuple(int(x) for x in raw)
+        except (ValueError, OverflowError):  # nan, inf
+            ints = None
+        if ints != raw:
+            raise InconsistentInputs(f"demand indices must be integers, got {raw}")
+        object.__setattr__(self, "d", ints)
         if len(set(self.d)) != len(self.d):
             raise InconsistentInputs(f"demands must be pairwise distinct, got {self.d}")
         if any(x < 0 for x in self.d):

@@ -55,7 +55,6 @@ from .channel import ChannelMatrix
 from .content import DemandVector, Library, LibraryConfig
 from .errors import (
     DegenerateChannel,
-    DimensionMismatch,
     InconsistentInputs,
     PlanVerificationError,
     WrongRegime,
@@ -562,43 +561,6 @@ def _payload(field, beams, coeffs, P, d: np.ndarray, groups, i: int, out=None):
     M = field.mul(beams[:, :, :, None], coeffs[:, None]).reshape(n, L, L * m)
     # One gather of the row's minifiles, stacked (L*m, tau) per transmission.
     return field.matmul(M, P[d[groups], i].reshape(n, L * m, -1), out=out)
-
-
-def build_block(plan: RowCodePlan, t: int, d, H, library: Library) -> TransmitBlock:
-    """Transmission t of a verified row plan, beamformed over channel H.
-
-    The one-block case of build_schedule's synthesis: the group's parent
-    set is the group plus the zero row.
-    """
-    field = library.field
-    N = library.N
-    H = _as_channel(H, field)
-    if H.K != N:
-        raise InconsistentInputs(f"channel has {H.K} users, library has {N} files")
-    if len(plan.users) != N - 1 or not 0 <= plan.owner < N:
-        raise InconsistentInputs(f"plan for row {plan.owner} does not fit N={N} files")
-    if not 0 <= t < len(plan.groups):
-        raise InconsistentInputs(f"transmission index {t} out of range")
-    d = _as_demand(d, N)
-    group = plan.groups[[t]]
-    if group.shape[1] != H.L:
-        raise DimensionMismatch(
-            f"transmission serves {group.shape[1]} users, channel has L={H.L} antennas"
-        )
-    P = library.parts(plan.minifiles)
-    parent = np.append(group, [[N]], axis=1)
-    first = np.zeros(1, dtype=np.int64)
-    beams, gains = _beams(H, parent, first, np.array([H.L]), [plan.owner], group)
-    coeffs = field.convert(plan.coefficients[[t]])
-    signal = _payload(field, beams, coeffs, P, np.array(d.d), group, plan.owner)
-    return TransmitBlock(
-        signal=signal[0],
-        duration=Fraction(1, N * plan.minifiles),
-        owner=plan.owner,
-        t=t,
-        group=tuple(group[0].tolist()),
-        gains=tuple(gains[0].tolist()),
-    )
 
 
 def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedule:

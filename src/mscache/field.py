@@ -122,12 +122,21 @@ class PrimeField:
     def convert(self, a) -> np.ndarray:
         """Canonical residues of a; canonical int64 input comes back as is.
 
-        Integral floats are accepted; any other float (fractional,
-        non-finite or beyond int64) raises ValueError instead of being
-        truncated.
+        Integral floats are accepted. Any other float (fractional,
+        non-finite or beyond int64), any integer beyond int64 and any
+        non-numeric or complex input raises ValueError instead of being
+        truncated or wrapped.
         """
         a = np.asarray(a)
-        if a.dtype.kind == "f" and not np.all((a == np.floor(a)) & (np.abs(a) < 2.0**63)):
+        kind = a.dtype.kind
+        if kind == "f":
+            fits = np.all((a == np.floor(a)) & (np.abs(a) < 2.0**63))
+        else:
+            # Only these kinds cast exactly: a uint64 of 2**63 or more
+            # would wrap, a complex value lose its imaginary part, and
+            # numpy keeps Python ints beyond int64 as objects.
+            fits = kind in "biu" and (kind != "u" or not a.size or a.max() < 1 << 63)
+        if not fits:
             raise ValueError("value entering prime field context is not an int64 integer")
         a = np.asarray(a, dtype=np.int64)
         # One pass: read as uint64, a negative entry exceeds every p.
@@ -217,13 +226,6 @@ class PrimeField:
             block -= q
         return out
 
-    def inv(self, x) -> int:
-        """Multiplicative inverse of a scalar; raises ZeroDivisionError on 0."""
-        x = int(x) % self.p
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p)")
-        return pow(x, -1, self.p)
-
     def inv_each(self, x) -> np.ndarray:
         """Element-wise inverse; ZeroDivisionError if any x is 0.
 
@@ -248,9 +250,9 @@ class PrimeField:
     # Exactness makes the decode-success test identical to equality.
     close = equal
 
-    # Elimination decisions: any nonzero entry is a usable pivot, and a
-    # residual is negligible only when it is exactly zero. Pivot choice
-    # works on a single column or on a stack of columns (leading axes).
+    # Elimination decisions: any nonzero entry is a usable pivot. Pivot
+    # choice works on a single column or on a stack of columns (leading
+    # axes).
 
     def pivot_threshold(self, m) -> float:
         return 0.0
@@ -260,17 +262,14 @@ class PrimeField:
         nz = np.asarray(cols) != 0
         return nz.argmax(axis=-1), nz.any(axis=-1)
 
-    def negligible(self, residual, threshold) -> bool:
-        return not np.any(residual)
-
     def null_support(self, v) -> np.ndarray:
         """Which entries of null vectors (along the last axis) are nonzero."""
         return np.asarray(v) != 0
 
     def satisfies(self, a, x, b) -> bool:
-        """Whether a @ x == b for a solution x from ``linalg.solve``.
-
-        Exact elimination guarantees it, so the product is skipped.
+        """Whether a @ x == b for x from an exact elimination, as the beam
+        bank's inverses are; exactness guarantees it, so the product is
+        skipped.
         """
         return True
 
@@ -340,12 +339,6 @@ class ComplexField:
     def matmul(self, a, b, out=None) -> np.ndarray:
         return np.matmul(a, b, out=out)
 
-    def inv(self, x) -> complex:
-        x = complex(x)
-        if abs(x) < self._inv_floor:
-            raise ZeroDivisionError("inverse of (numerically) zero scalar")
-        return 1.0 / x
-
     def inv_each(self, x) -> np.ndarray:
         """Element-wise 1/x; ZeroDivisionError if any |x| is below the floor."""
         x = np.asarray(x)
@@ -374,10 +367,6 @@ class ComplexField:
         mag = np.abs(cols)
         return mag.argmax(axis=-1), mag.max(axis=-1) > threshold
 
-    def negligible(self, residual, threshold) -> bool:
-        """Whether an eliminated right-hand side is zero within tolerance."""
-        return bool(np.max(np.abs(residual), initial=0.0) <= max(threshold, self.zero_atol))
-
     def null_support(self, v) -> np.ndarray:
         """Which entries of null vectors (along the last axis) count as nonzero.
 
@@ -394,7 +383,8 @@ class ComplexField:
     def satisfies(self, a, x, b) -> bool:
         """Whether a @ x matches b within zero_atol, max-abs.
 
-        Rechecks a solution so that near-degenerate systems surface.
+        Rechecks the beam bank's inverses so that near-degenerate
+        channels surface.
         """
         return float(np.max(np.abs(self.matmul(a, x) - b))) <= self.zero_atol
 

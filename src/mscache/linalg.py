@@ -1,126 +1,66 @@
 """Dense linear algebra over a field context.
 
-Two eliminations share the field context's decisions: the pivot
+The eliminations share the field context's decisions: the pivot
 threshold and choice (first nonzero in the exact prime field, largest
-magnitude above a per-matrix relative threshold in complex mode), when
-an elimination factor counts as zero, when a residual counts as zero,
-and whether a solution needs a second check.
+magnitude above a per-matrix relative threshold in complex mode) and
+when an elimination factor counts as zero.
 
-``_rref`` is plain row-by-row Gaussian elimination on one matrix of any
-shape; rank, nullspace and solve use it. ``_gauss_jordan`` is a batched
-Gauss-Jordan on a (B, r, n) stack with r >= n: each column step is a
-few numpy operations over the whole stack, not one Python elimination
-per matrix. ``inverse_stack`` is its square case. ``left_inverse_stack``
+``rank`` is plain row-by-row Gaussian elimination on one matrix of any
+shape; it counts pivots. ``_gauss_jordan`` is a batched Gauss-Jordan on
+a (B, r, n) stack with r >= n: each column step is a few numpy
+operations over the whole stack, not one Python elimination per
+matrix. ``inverse_stack`` is its square case. ``left_inverse_stack``
 is its tall case, r = n+1: one pass gives every matrix a left inverse G
 and a left null vector v, and the inverse of the matrix without any one
 row k is then a rank-one update of G. The schedule's beam bank and the
 channel check at K = L+1 use the tall case; the channel check at larger
-K carries null spaces of row prefixes instead (``channel._generic``).
+K carries null spaces of row prefixes instead (``channel._generic``),
+and at K < L it calls ``rank``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateChannel, DimensionMismatch
+from .errors import DimensionMismatch
 from .field import FieldContext
 
 
-def _rref(field: FieldContext, a: np.ndarray):
-    """Reduced row-echelon form; returns (R, pivot_columns)."""
-    m = field.convert(a).copy()
+def rank(field: FieldContext, a) -> int:
+    """Rank of a matrix over the field (tolerance-based in complex mode)."""
+    m = field.convert(a)
+    if m.ndim != 2 or m.size == 0:
+        raise DimensionMismatch(f"rank needs a nonempty 2-d matrix, got shape {m.shape}")
+    m = m.copy()
     rows, cols = m.shape
     threshold = field.pivot_threshold(m)
-    pivots: list[int] = []
     r = 0
     for c in range(cols):
-        if r >= rows:
+        if r == rows:
             break
         k, found = field.select_pivot(m[r:, c], threshold)
         if not found:
             continue
         k = int(k) + r
-        if k != r:
-            m[[r, k]] = m[[k, r]]
-        m[r] = field.mul(m[r], field.inv(m[r, c]))
-        # Rows whose factor is zero are left alone (a zero factor's update
-        # changes nothing but the sign of a zero).
-        factors = m[:, c].copy()
-        factors[r] = 0
+        m[[r, k]] = m[[k, r]]
+        m[r] = field.mul(m[r], field.inv_each(m[r, c]))
+        # Only the rows below steer later pivots. Rows whose factor is
+        # zero are left alone (its update changes nothing but the sign
+        # of a zero).
+        factors = m[r + 1 :, c].copy()
         factors[field.is_zero(factors)] = 0
-        m = field.sub(m, field.mul(factors[:, None], m[r]))
-        pivots.append(c)
+        m[r + 1 :] = field.sub(m[r + 1 :], field.mul(factors[:, None], m[r]))
         r += 1
-    return m, pivots
-
-
-def rank(field: FieldContext, a) -> int:
-    """Rank of a matrix over the field (tolerance-based in complex mode)."""
-    a = field.convert(a)
-    if a.ndim != 2 or a.size == 0:
-        raise DimensionMismatch(f"rank needs a nonempty 2-d matrix, got shape {a.shape}")
-    _, pivots = _rref(field, a)
-    return len(pivots)
-
-
-def nullspace_basis(field: FieldContext, a) -> list[np.ndarray]:
-    """Basis of {v : a @ v = 0}; empty list when the nullspace is trivial.
-
-    Basis vectors follow the standard free-column construction from the
-    reduced echelon form, so they are linearly independent by shape.
-    """
-    a = field.convert(a)
-    if a.ndim != 2 or a.size == 0:
-        raise DimensionMismatch(f"nullspace needs a nonempty 2-d matrix, got shape {a.shape}")
-    r, pivots = _rref(field, a)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = field.zeros(cols)
-        v[f] = field.coeff(1)
-        for row, pc in enumerate(pivots):
-            v[pc] = field.neg(r[row, f])
-        basis.append(v)
-    return basis
-
-
-def solve(field: FieldContext, a, b) -> np.ndarray:
-    """One solution of a @ x = b (free variables set to zero).
-
-    Raises DegenerateChannel when the system is inconsistent. ``b`` may
-    be a vector or a matrix of stacked right-hand sides.
-    """
-    a = field.convert(a)
-    b = field.convert(b)
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b.reshape(-1, 1)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"solve: {a.shape} vs rhs {b.shape}")
-    n = a.shape[1]
-    aug = np.concatenate([a, b], axis=1)
-    r, pivots = _rref(field, aug)
-    threshold = field.pivot_threshold(aug)
-    for row in range(len(pivots), r.shape[0]):
-        # Zero coefficient row: any surviving rhs mass means no solution.
-        if not field.negligible(r[row, n:], threshold):
-            raise DegenerateChannel("linear system is inconsistent")
-    if any(pc >= n for pc in pivots):
-        raise DegenerateChannel("linear system is inconsistent")
-    x = field.zeros((n, b.shape[1]))
-    for row, pc in enumerate(pivots):
-        x[pc] = r[row, n:]
-    return x[:, 0] if vector_rhs else x
+    return r
 
 
 def _gauss_jordan(field: FieldContext, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Gauss-Jordan on a (B, r, n) stack with r >= n: (E, full_rank).
 
     full_rank[b] equals ``rank(field, a[b]) == n``: column c of every
-    matrix takes the pivot ``_rref`` would take, against that matrix's
+    matrix takes the pivot ``rank`` would take, against that matrix's
     own threshold, and a row whose elimination factor is zero is left
-    alone, as ``_rref`` leaves it. E[b] (r x r) holds the row
+    alone, as ``rank`` leaves it. E[b] (r x r) holds the row
     operations, so that where full_rank[b], E[b] @ a[b] is I_n on top of
     r - n zero rows. A matrix that runs out of pivots carries on with a
     unit pivot so that the others are not disturbed.
@@ -176,49 +116,3 @@ def left_inverse_stack(field: FieldContext, a) -> tuple[np.ndarray, np.ndarray, 
     E, full_rank = _gauss_jordan(field, a)
     n = a.shape[2]
     return E[:, :n], E[:, n], full_rank
-
-
-def invert(field: FieldContext, a) -> np.ndarray:
-    """Inverse of a square matrix; DegenerateChannel if singular."""
-    a = field.convert(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"invert needs a square matrix, got {a.shape}")
-    inverses, nonsingular = inverse_stack(field, a[None])
-    if not nonsingular[0]:
-        raise DegenerateChannel("matrix is singular")
-    return inverses[0]
-
-
-def zero_forcing_vector(field: FieldContext, h_rows, k: int, group) -> np.ndarray:
-    """Beamforming vector for user k within the served group.
-
-    ``h_rows`` holds one channel functional per user (row k applied to a
-    transmit vector gives user k's reception). The returned w satisfies
-    h_j @ w = 0 for every other group member j and h_k @ w = 1; the unit
-    response at k fixes the otherwise arbitrary scale.
-
-    Raises DegenerateChannel when h_k lies in the span of the other
-    members' rows, in which case no such vector exists.
-    """
-    h_rows = field.convert(h_rows)
-    group = sorted(set(int(u) for u in group))
-    if k not in group:
-        raise DimensionMismatch(f"user {k} not in served group {group}")
-    n_antennas = h_rows.shape[1]
-    if len(group) > n_antennas:
-        raise DimensionMismatch(
-            f"group of {len(group)} users exceeds {n_antennas} antennas"
-        )
-    others = [u for u in group if u != k]
-    m = h_rows[others + [k], :]
-    rhs = field.zeros(len(group))
-    rhs[-1] = field.coeff(1)
-    try:
-        w = solve(field, m, rhs)
-    except DegenerateChannel:
-        raise DegenerateChannel(
-            f"channel row {k} lies in the span of rows {others}"
-        ) from None
-    if not field.satisfies(m, w, rhs):
-        raise DegenerateChannel("zero-forcing residual above tolerance")
-    return w

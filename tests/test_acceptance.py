@@ -32,9 +32,9 @@ from mscache import (
     receive,
     uncoded_baseline,
     verify_row_plan,
-    zero_forcing_vector,
 )
 from mscache.content import CacheContent
+from mscache.delivery import _beam_bank
 
 GF = PrimeField(65537)
 CC = ComplexField()
@@ -214,7 +214,9 @@ def test_criterion_8_property_suite():
     with _criterion(8, "beam orthogonality on 1000 triples (exact GF, <1e-9 "
                        "complex), reception linearity, cache necessity, "
                        "byte-identical reruns"):
-        # 1000 random (channel, group, target) triples in each mode
+        # 1000 random (channel, group, target) triples in each mode, the
+        # beams from the schedule's beam bank with one parent set per
+        # triple: the group plus the zero row K
         rng = np.random.default_rng(2024)
         done = 0
         while done < 1000:
@@ -222,19 +224,24 @@ def test_criterion_8_property_suite():
             L = int(rng.integers(1, K))
             Hg = draw_channel(K, L, seed=int(rng.integers(1 << 30)), field=GF)
             Hc = draw_channel(K, L, seed=int(rng.integers(1 << 30)), field=CC)
-            for _ in range(min(20, 1000 - done)):
-                group = tuple(sorted(rng.choice(K, size=L, replace=False).tolist()))
-                k = int(rng.choice(group))
-                w = zero_forcing_vector(GF, Hg.H, k, group)
-                for j in group:
-                    got = int(GF.matmul(Hg.H[j], w))
-                    assert got % P == (1 if j == k else 0)
-                wc = zero_forcing_vector(CC, Hc.H, k, group)
-                for j in group:
-                    got = complex(CC.matmul(Hc.H[j], wc))
-                    want = 1 if j == k else 0
-                    assert abs(got - want) < 1e-9
-                done += 1
+            n = min(20, 1000 - done)
+            groups, targets = [], []
+            for _ in range(n):
+                group = sorted(rng.choice(K, size=L, replace=False).tolist())
+                targets.append(group.index(int(rng.choice(group))))
+                groups.append(group)
+            parents = np.append(groups, np.full((n, 1), K), axis=1)
+            for H, exact in ((Hg, True), (Hc, False)):
+                inverses, exists = _beam_bank(H, parents, np.arange(n), np.full(n, L))
+                assert exists.all()
+                for group, q, inverse in zip(groups, targets, inverses):
+                    got = H.field.matmul(H.H[group], inverse[:, q])
+                    want = np.eye(L)[q]
+                    if exact:
+                        assert np.array_equal(got, want)
+                    else:
+                        assert np.max(np.abs(got - want)) < 1e-9
+            done += n
 
         # receptions are linear in the library
         cfg = _cfg(4, 2)

@@ -121,6 +121,15 @@ def test_demand_vector_distinctness():
         DemandVector([0, 0, 1])
 
 
+def test_demand_vector_refuses_non_integral_entries():
+    # Integral floats are accepted, as the field's convert accepts them.
+    assert DemandVector([1.0, 0]).d == (1, 0)
+    assert DemandVector(np.array([2.0, 0.0, 1.0])).d == (2, 0, 1)
+    for bad in ([1.7, 0], [0, 2.5, 1], np.array([0.5, 1.0]), [np.nan, 0], [np.inf, 0]):
+        with pytest.raises(InconsistentInputs, match="must be integers"):
+            DemandVector(bad)
+
+
 def test_random_library_seeded():
     a = random_library(GF, 3, 6, seed=9)
     b = random_library(GF, 3, 6, seed=9)

@@ -8,15 +8,15 @@ import pytest
 
 import mscache.delivery as delivery
 from mscache import (
+    ComplexField,
+    DegenerateChannel,
     DemandVector,
-    DimensionMismatch,
     InconsistentInputs,
     Library,
     LibraryConfig,
     PlanVerificationError,
     PrimeField,
     WrongRegime,
-    build_block,
     build_row_plan,
     build_row_plan_reduced,
     build_schedule,
@@ -28,8 +28,8 @@ from mscache import (
     segment_sizes,
     verify_row_plan,
 )
-from mscache.channel import _decoders
-from mscache.delivery import RowCodePlan, _row_pattern, _telescoping_pattern, schedule_layout
+from mscache.channel import ChannelMatrix, _decoders
+from mscache.delivery import _row_pattern, _telescoping_pattern, schedule_layout
 
 GF = PrimeField(65537)
 
@@ -292,6 +292,13 @@ def _minifiles(lib, n, i, m):
     return [row[j * (sub // m) : (j + 1) * (sub // m)] for j in range(m)]
 
 
+def _scheduled_block(d, H, lib, i, t):
+    """Transmission t of row i, read from the whole schedule."""
+    cfg = LibraryConfig(N=lib.N, K=lib.N, L=H.L, F=lib.F)
+    sched = build_schedule(d, H, lib, cfg)
+    return sched.blocks[i * sched.layout.transmissions + t]
+
+
 def _proportional(field, y, ref) -> bool:
     """y == c * ref for some nonzero field scalar c (exact, cross products)."""
     y = field.convert(y)
@@ -316,7 +323,7 @@ def test_full_block_reception_contracts():
     H = draw_channel(N, L, seed=rng_seed, field=GF)
     d = DemandVector([4, 2, 0, 1, 3])
     i = 2
-    block = build_block(build_row_plan(i, N, L), 0, d, H, lib)
+    block = _scheduled_block(d, H, lib, i, 0)
     assert block.duration == Fraction(1, 5)
     assert block.signal.shape == (4, 2)
     sum_expect = GF.zeros(2)
@@ -336,18 +343,19 @@ def test_full_block_two_user_degenerate():
     lib = random_library(GF, 2, 4, seed=1)
     H = draw_channel(2, 1, seed=2, field=GF)
     d = DemandVector([1, 0])
-    block = build_block(build_row_plan(0, 2, 1), 0, d, H, lib)
+    block = _scheduled_block(d, H, lib, 0, 0)
     y_owner = GF.matmul(H.H[0], block.signal)
     assert GF.equal(y_owner, lib.data[d[1], 0:2])
 
 
 def test_full_block_wrong_regime():
-    # a three-user full-antenna transmission cannot be zero-forced
-    # over two antennas
-    lib = random_library(GF, 4, 8, seed=0)
+    # three-user full-antenna transmissions cannot be zero-forced over
+    # two antennas
+    cfg = LibraryConfig(N=4, K=4, L=3, F=12)
+    lib = random_library(GF, 4, 12, seed=0)
     H = draw_channel(4, 2, seed=0, field=GF)
-    with pytest.raises(DimensionMismatch):
-        build_block(build_row_plan(0, 4, 3), 0, DemandVector([0, 1, 2, 3]), H, lib)
+    with pytest.raises(InconsistentInputs, match="does not match config"):
+        build_schedule(DemandVector([0, 1, 2, 3]), H, lib, cfg)
 
 
 def test_reduced_block_reception_contracts():
@@ -359,7 +367,7 @@ def test_reduced_block_reception_contracts():
     d = DemandVector([0, 1, 2, 3])
     i = 3
     plan = build_row_plan_reduced(i, N, L)
-    block = build_block(plan, 1, d, H, lib)
+    block = _scheduled_block(d, H, lib, i, 1)
     assert block.duration == Fraction(1, 8)
     assert plan.groups[1].tolist() == [1, 2] and block.group == (1, 2)
     combos = {}
@@ -386,10 +394,13 @@ def test_reduced_block_random_pair_products():
     lib = random_library(GF, N, N * L, seed=31)
     H = draw_channel(N, L, seed=37, field=GF)
     d = DemandVector([3, 5, 1, 0, 6, 2, 4])
+    cfg = LibraryConfig(N=N, K=N, L=L, F=N * L)
+    sched = build_schedule(d, H, lib, cfg)
+    n_tx = sched.layout.transmissions
     for i in (0, 4):
         plan = build_row_plan_reduced(i, N, L)
         for t, (group, vectors) in enumerate(zip(plan.groups.tolist(), plan.coefficients.tolist())):
-            block = build_block(plan, t, d, H, lib)
+            block = sched.blocks[i * n_tx + t]
             owner_sum = GF.zeros(lib.F // (N * L))
             for u, coeffs in zip(group, vectors):
                 minis = _minifiles(lib, d[u], i, L)
@@ -407,29 +418,41 @@ def test_reduced_block_random_pair_products():
 
 
 def test_zero_coefficient_plan_gives_zero_block():
-    # hand-made single-user plan with all-zero coefficients
-    plan = RowCodePlan(
-        owner=1,
-        users=(0,),
-        groups=np.array([[0]]),
-        coefficients=np.zeros((1, 1, 1), dtype=np.int64),
-        A=np.zeros((1, 1), dtype=np.int64),
-    )
-    lib = random_library(GF, 2, 4, seed=2)
-    H = draw_channel(2, 1, seed=3, field=GF)
-    block = build_block(plan, 0, DemandVector([1, 0]), H, lib)
-    assert GF.equal(block.signal, GF.zeros(block.signal.shape))
+    # all-zero coefficients put no payload on a row's beams
+    N, L = 4, 2
+    plan = build_row_plan(1, N, L)
+    lib = random_library(GF, N, 8, seed=2)
+    beams = GF.sample(np.random.default_rng(3), (len(plan.groups), L, L))
+    zero = np.zeros_like(plan.coefficients)
+    signals = delivery._payload(GF, beams, zero, lib.parts(L), np.arange(N), plan.groups, 1)
+    assert signals.shape == (3, L, 1)
+    assert GF.equal(signals, GF.zeros(signals.shape))
 
 
-def test_block_from_plan_owner_mismatch():
-    # a plan for another row layout, or a transmission it does not have
-    lib = random_library(GF, 4, 8, seed=4)
-    H = draw_channel(4, 2, seed=5, field=GF)
-    d = DemandVector([0, 1, 2, 3])
-    with pytest.raises(InconsistentInputs):
-        build_block(build_row_plan(0, 5, 2), 0, d, H, lib)
-    with pytest.raises(InconsistentInputs):
-        build_block(build_row_plan(0, 4, 2), 3, d, H, lib)
+DEPENDENT = r"channel rows of served group \(1, 2\) are dependent"
+
+
+@pytest.mark.parametrize(
+    "field, row, source, scale, message",
+    [
+        (GF, 2, 1, 3, DEPENDENT),
+        (GF, 0, 3, 7, r"row 0 channel is orthogonal to user 4's beam"),
+        (ComplexField(), 2, 1, 3, DEPENDENT),
+    ],
+    ids=["gf-dependent", "gf-orthogonal", "complex-dependent"],
+)
+def test_degenerate_channels_are_refused(field, row, source, scale, message):
+    # Channels that draw_channel would reject, built directly. At (5, 2)
+    # each row serves its users as two jointly served pairs; H[2] = 3 H[1]
+    # makes row 0's pair (1, 2) singular, and H[0] = 7 H[3] makes row 0's
+    # beam for user 4, which nulls user 3, null at the owner too.
+    N, L = 5, 2
+    H = field.sample_channel(np.random.default_rng(5), (N, L))
+    H[row] = field.mul(H[source], field.coeff(scale))
+    cfg = LibraryConfig(N=N, K=N, L=L, F=N * L)
+    lib = random_library(field, N, cfg.F, seed=5)
+    with pytest.raises(DegenerateChannel, match=message):
+        build_schedule(DemandVector(range(N)), ChannelMatrix(field, H), lib, cfg)
 
 
 def test_schedule_block_counts_and_durations():
@@ -481,10 +504,6 @@ def test_blocks_are_built_on_first_access(monkeypatch, N, L):
         assert block.duration == Fraction(1, N * layout.minifiles)
         assert np.shares_memory(block.signal, sched.signals)
         assert np.array_equal(block.signal, sched.signals[b])
-        if b % 5 == 0:
-            alone = build_block(layout.plans[block.owner], block.t, d, H, lib)
-            assert np.array_equal(alone.signal, block.signal)
-            assert (alone.group, alone.gains) == (block.group, block.gains)
 
 
 def test_schedule_determinism():

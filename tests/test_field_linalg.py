@@ -1,4 +1,10 @@
-"""Field contexts and the elimination core."""
+"""Field contexts and the elimination core.
+
+Null vectors, solutions and zero-forcing beams are checked on the
+kernels the program makes them with: ``left_inverse_stack``,
+``inverse_stack``, and the schedule's beam bank with each group's
+parent set made of the group plus the zero row.
+"""
 
 import numpy as np
 import pytest
@@ -8,12 +14,13 @@ from mscache import (
     ComplexField,
     DegenerateChannel,
     PrimeField,
+    inverse_stack,
     make_field,
-    nullspace_basis,
     rank,
-    solve,
-    zero_forcing_vector,
 )
+from mscache.channel import ChannelMatrix
+from mscache.delivery import _beam_bank, _beams
+from mscache.linalg import left_inverse_stack
 
 GF = PrimeField(65537)
 GF7 = PrimeField(7)
@@ -32,9 +39,10 @@ def test_prime_validation():
 
 def test_gf_scalar_ops():
     assert GF7.coeff(-1) == 6
-    assert GF7.inv(3) == 5  # 3*5 = 15 = 1 mod 7
+    assert GF7.inv_each(3) == 5  # 3*5 = 15 = 1 mod 7
+    assert GF7.inv_each([3, 6]).tolist() == [5, 6]
     with pytest.raises(ZeroDivisionError):
-        GF7.inv(0)
+        GF7.inv_each(0)
     assert GF7.equal(GF7.convert([-1, 8]), [6, 1])
     assert GF7.is_zero(7) and not GF7.is_zero(3)
 
@@ -139,11 +147,38 @@ def test_gf_convert_rejects_non_integral_floats():
         GF.convert(0.5)
 
 
+def test_gf_convert_refuses_what_an_int64_cast_would_change():
+    # A plain int64 cast would wrap, truncate or overflow on each of these.
+    for bad in (
+        [2**64 - 1],  # residue 0; the cast gives 65536
+        [2**63],  # residue 32769; the cast gives 32768
+        np.array([2**63, 1], dtype=np.uint64),
+        np.array([2**64 - 1], dtype=np.uint64),
+        [2**64],
+        [-(2**63) - 1],
+        [3, 2**70],
+        [1 + 2j],  # the cast keeps only the real part
+        np.array([3 + 0j]),
+        ["3"],
+    ):
+        with pytest.raises(ValueError, match="not an int64 integer"):
+            GF.convert(bad)
+    # At the int64 edges, and for unsigned input below 2**63, residues are exact.
+    edges = [2**63 - 1, -(2**63)]
+    assert GF.convert(edges).tolist() == [x % GF.p for x in edges]
+    unsigned = [5, 70000, 2**63 - 1]
+    got = GF.convert(np.array(unsigned, dtype=np.uint64))
+    assert got.tolist() == [x % GF.p for x in unsigned]
+
+
 def test_complex_guards():
     with pytest.raises(ValueError):
         CC.convert([np.inf, 0.0])
     with pytest.raises(ZeroDivisionError):
-        CC.inv(0.0)
+        CC.inv_each(0.0)
+    with pytest.raises(ZeroDivisionError):
+        CC.inv_each([1.0, 1e-13])
+    assert CC.inv_each([2.0, 1j]).tolist() == [0.5, -1j]
     assert CC.close([1.0 + 0j], [1.0 + 5e-7j])
     assert not CC.close([1.0 + 0j], [1.0 + 1e-3j])
 
@@ -180,72 +215,104 @@ def test_rank_complex_tolerance():
     assert rank(CC, [[1.0, 0.0], [0.0, 1.0]]) == 2
 
 
+def _bank(field, H, groups):
+    """Beam-bank inverses of H's rows at each group, and which exist; each
+    group's parent set is the group plus the zero row."""
+    H = ChannelMatrix(field, H)
+    groups = np.asarray(groups).reshape(-1, H.L)
+    B = len(groups)
+    parents = np.append(groups, np.full((B, 1), H.K), axis=1)
+    return _beam_bank(H, parents, np.arange(B), np.full(B, H.L))
+
+
 def test_nullspace_trivial():
-    assert nullspace_basis(GF, np.eye(2, dtype=np.int64)) == []
+    # A nonsingular block has no left null vector of its own: with the
+    # zero row appended, as the bank does for a jointly served group, the
+    # null vector lives on the zero row alone and G begins with the inverse.
+    a = np.concatenate([np.eye(2, dtype=np.int64), np.zeros((1, 2), dtype=np.int64)])
+    G, v, full_rank = left_inverse_stack(GF, a[None])
+    assert full_rank[0]
+    assert GF.null_support(v[0]).tolist() == [False, False, True]
+    assert GF.equal(G[0][:, :2], np.eye(2, dtype=np.int64))
 
 
 def test_nullspace_single_row_gf7():
-    basis = nullspace_basis(GF7, [[1, 1]])
-    assert len(basis) == 1
-    v = basis[0]
-    assert not GF7.is_zero(v[0]) or not GF7.is_zero(v[1])
+    _, v, full_rank = left_inverse_stack(GF7, [[[1], [1]]])
+    assert full_rank[0]
+    v = v[0]
+    assert GF7.null_support(v).all()
     assert int(v[0] + v[1]) % 7 == 0  # forced: v2 = -v1, i.e. (1, 6) up to scale
 
 
 def test_nullspace_annihilation_seeded():
     rng = np.random.default_rng(3)
-    for trial in range(25):
-        A = GF.sample(rng, (2, 3))
-        if rank(GF, A) < 2:
+    A = GF.sample(rng, (25, 3, 2))
+    G, v, full_rank = left_inverse_stack(GF, A)
+    for a, g, vb, ok in zip(A, G, v, full_rank):
+        assert bool(ok) == (rank(GF, a) == 2)
+        if not ok:
             continue
-        basis = nullspace_basis(GF, A)
-        assert len(basis) == 1
-        prod = GF.matmul(A, basis[0])
-        assert GF.equal(prod, GF.zeros(2))
+        assert vb.any()
+        assert GF.equal(GF.matmul(vb, a), GF.zeros(2))
+        assert GF.equal(GF.matmul(g, a), np.eye(2, dtype=np.int64))
 
 
 def test_nullspace_dimension_counts():
+    # An (n+1) x n matrix of rank r has a left null space of dimension
+    # n + 1 - r: a single vector, the one the tall elimination returns,
+    # exactly when it reports full rank.
     rng = np.random.default_rng(11)
     for trial in range(25):
-        A = GF.sample(rng, (3, 5))
-        assert len(nullspace_basis(GF, A)) == 5 - rank(GF, A)
+        r = int(rng.integers(1, 4))
+        a = GF.matmul(GF.sample_channel(rng, (4, r)), GF.sample_channel(rng, (r, 3)))
+        _, v, full_rank = left_inverse_stack(GF, a[None])
+        assert bool(full_rank[0]) == (rank(GF, a) == 3)
+        if full_rank[0]:
+            assert v[0].any() and GF.equal(GF.matmul(v[0], a), GF.zeros(3))
 
 
 def test_solve_roundtrip():
     rng = np.random.default_rng(9)
-    for trial in range(25):
-        A = GF.sample(rng, (4, 4))
-        if rank(GF, A) < 4:
-            continue
-        x = GF.sample(rng, 4)
-        b = GF.matmul(A, x)
-        got = solve(GF, A, b)
-        assert GF.equal(got, x)
+    A = GF.sample(rng, (25, 4, 4))
+    x = GF.sample(rng, (25, 4, 1))
+    inverses, nonsingular = inverse_stack(GF, A)
+    got = GF.matmul(inverses, GF.matmul(A, x))
+    for b in range(25):
+        assert bool(nonsingular[b]) == (rank(GF, A[b]) == 4)
+        if nonsingular[b]:
+            assert GF.equal(got[b], x[b])
 
 
 def test_solve_inconsistent_raises():
-    # x + y = 1 and 2x + 2y = 3 cannot both hold
-    with pytest.raises(DegenerateChannel):
-        solve(GF7, [[1, 1], [2, 2]], [1, 3])
+    # x + y = 1 and 2x + 2y = 3 cannot both hold: users 0 and 1 of this
+    # channel cannot be served together, and the schedule's beams refuse.
+    H = ChannelMatrix(GF7, [[1, 1], [2, 2], [1, 3]])
+    _, exists = _bank(GF7, H.H, [[0, 1], [0, 2]])
+    assert exists.tolist() == [False, True]
+    group = np.array([[0, 1]])
+    with pytest.raises(DegenerateChannel, match=r"served group \(0, 1\) are dependent"):
+        _beams(H, np.array([[0, 1, 3]]), np.array([0]), np.array([2]), [2], group)
 
 
 def test_zf_no_interferers():
-    H = GF.convert([[3, 5], [2, 9]])
-    w = zero_forcing_vector(GF, H, 0, [0])
-    assert int(GF.matmul(H[0], w)) == 1
+    H = GF.convert([[3], [2]])
+    inverses, exists = _bank(GF, H, [[0]])
+    assert exists[0]
+    assert int(GF.matmul(H[0], inverses[0][:, 0])) == 1
 
 
 def test_zf_axis_aligned():
-    H = [[1, 0], [0, 1]]
-    w = zero_forcing_vector(GF, H, 0, [0, 1])
-    assert GF.equal(w, [1, 0])
+    inverses, exists = _bank(GF, [[1, 0], [0, 1]], [[0, 1]])
+    assert exists[0]
+    assert GF.equal(inverses[0][:, 0], [1, 0])
 
 
 def test_zf_seeded_triple_products():
     rng = np.random.default_rng(21)
     H = GF.sample_channel(rng, (3, 3))
     assert rank(GF, H) == 3
-    w = zero_forcing_vector(GF, H, 1, [0, 1, 2])
+    inverses, exists = _bank(GF, H, [[0, 1, 2]])
+    w = inverses[0][:, 1]
     assert GF.is_zero(GF.matmul(H[0], w))
     assert GF.is_zero(GF.matmul(H[2], w))
     assert int(GF.matmul(H[1], w)) == 1
@@ -253,9 +320,12 @@ def test_zf_seeded_triple_products():
 
 def test_zf_degenerate_raises():
     # second row is twice the first, so user 0 cannot null user 1
-    H = GF7.convert([[1, 2], [2, 4]])
-    with pytest.raises(DegenerateChannel):
-        zero_forcing_vector(GF7, H, 0, [0, 1])
+    for field, rows in ((GF7, [[1, 2], [2, 4], [1, 1]]), (CC, [[1, 2], [2, 4], [1, 1j]])):
+        H = ChannelMatrix(field, rows)
+        _, exists = _bank(field, H.H, [[0, 1]])
+        assert not exists[0]
+        with pytest.raises(DegenerateChannel):
+            _beams(H, np.array([[0, 1, 3]]), np.array([0]), np.array([2]), [2], np.array([[0, 1]]))
 
 
 def test_zf_orthogonality_seeded_sweep():
@@ -269,7 +339,9 @@ def test_zf_orthogonality_seeded_sweep():
             if rank(field, np.asarray(H)[users, :]) < len(users):
                 continue
             k = int(users[0])
-            w = zero_forcing_vector(field, H, k, users)
+            inverses, exists = _bank(field, H, [users])
+            assert exists[0]
+            w = inverses[0][:, 0]
             for j in users:
                 got = field.matmul(field.convert(H)[j], w)
                 if j == k:

@@ -20,13 +20,11 @@ from hypothesis import strategies as st
 import mscache.channel as channel
 from mscache import (
     ComplexField,
-    DegenerateChannel,
     DimensionMismatch,
     PrimeField,
     ResamplingExhausted,
     draw_channel,
     inverse_stack,
-    invert,
     rank,
 )
 from mscache.linalg import left_inverse_stack
@@ -157,14 +155,13 @@ def test_rejects_non_square_stacks():
         inverse_stack(PrimeField(7), np.eye(3, dtype=np.int64))
 
 
-def test_invert_is_the_one_matrix_kernel():
+def test_one_matrix_stacks_invert_or_flag_singular():
     gf7 = PrimeField(7)
-    a = gf7.convert([[2, 1], [1, 1]])
-    assert invert(gf7, a).tolist() == [[1, 6], [6, 2]]
-    with pytest.raises(DegenerateChannel):
-        invert(gf7, [[1, 2], [2, 4]])
-    with pytest.raises(DegenerateChannel):
-        invert(CC, [[1.0, 0.0], [0.0, 1e-13]])
+    inverses, nonsingular = inverse_stack(gf7, [[[2, 1], [1, 1]], [[1, 2], [2, 4]]])
+    assert nonsingular.tolist() == [True, False]
+    assert inverses[0].tolist() == [[1, 6], [6, 2]]
+    _, nonsingular = inverse_stack(CC, [[[1.0, 0.0], [0.0, 1e-13]]])
+    assert not nonsingular[0]
 
 
 def _rank_loop_generic(field, H, L):
