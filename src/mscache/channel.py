@@ -9,10 +9,10 @@ row each, and one tall elimination decides them all: H must have full
 column rank and its left null vector no zero entry. Otherwise the check
 walks the sorted row prefixes of H depth first, each with a basis of
 its null space: a row joins a prefix by one product with that basis
-and one eliminated basis vector, so each of the C(K, L) subsets costs
-one length-L dot product at the last level instead of an L x L
-elimination. Prefixes are extended in chunks of bounded size, and the
-walk stops at the first dependent prefix.
+and one eliminated basis vector, so each of the C(K, L) subsets (at
+K < L, all K rows) costs one length-L dot product at the last level
+instead of an elimination. Prefixes are extended in chunks of bounded
+size, and the walk stops at the first dependent prefix.
 
 Reception reads only the schedule's (B, L, tau) signal stack, never its
 block objects: one product H @ S gives every user's receptions of every
@@ -39,7 +39,7 @@ from .errors import (
     ResamplingExhausted,
 )
 from .field import FieldContext
-from .linalg import left_inverse_stack, rank
+from .linalg import left_inverse_stack
 
 # Channel draws before giving up; exceeding this signals a pathological
 # field size or dimensions, not bad luck.
@@ -49,7 +49,7 @@ DRAW_BUDGET = 64
 # bases plus the matmul rows of the prefixes it extends. The depth-first
 # sweep keeps the prefixes still to visit on every level it is inside,
 # so a step is a fraction of a MiB: the whole check then peaks near
-# 1.6 MiB at (K, L) = (20, 9) and 4 MiB at (100, 99).
+# 1.6 MiB at (K, L) = (20, 9) and 3.7 MiB at (40, 36) (tracemalloc).
 CHUNK_BYTES = 1 << 18
 
 # In complex mode a candidate row is dependent when every entry of its
@@ -104,25 +104,22 @@ class DecodeResult:
 def _generic(field: FieldContext, H: np.ndarray, L: int) -> bool:
     """Whether every L-row subset of H is independent (all K rows if K < L).
 
-    At K = L+1 the decision is one tall elimination's: full column rank
-    and a left null vector with every entry nonzero by the field's
-    ``null_support``. In GF that is exactly the rank test on every
-    subset; in complex mode see ``ComplexField.null_support``. Otherwise
-    it is a sweep over sorted row prefixes: K >= L puts every prefix inside
-    some L-subset, so the draw is generic exactly when no prefix gains a
-    row that its null space already annihilates. In GF the verdict is
-    exact, the same as a rank test on every subset. In complex mode a
-    row counts as dependent when every entry of its product with the
-    prefix's null-space basis is at most PIVOT_MARGIN times the
-    channel's pivot threshold. On channels whose rows share one scale,
-    as ``sample_channel``'s i.i.d. entries do, that rule is never looser
-    than a rank test on every subset, and it accepts the well-conditioned
-    draws that test accepts; rows of very different scales can make it
-    looser.
+    At K = L+1 the decision is one tall elimination's: full column rank and
+    a left null vector with every entry nonzero by the field's
+    ``null_support``. In GF that is exactly the rank test on every subset;
+    in complex mode see ``ComplexField.null_support``. Otherwise it is a
+    sweep over sorted row prefixes up to depth min(K, L): every prefix lies
+    inside some subset the check covers, so the draw is generic exactly when
+    no prefix gains a row that its null space already annihilates. In GF the
+    verdict is exact, the same as a rank test on every subset. In complex
+    mode a row counts as dependent when every entry of its product with the
+    prefix's null-space basis is at most PIVOT_MARGIN times the channel's
+    pivot threshold. On channels whose rows share one scale, as
+    ``sample_channel``'s i.i.d. entries do, that rule is never looser than a
+    rank test on every subset, and it accepts the well-conditioned draws
+    that test accepts; rows of very different scales can make it looser.
     """
     K = H.shape[0]
-    if K < L:
-        return rank(field, H) == K
     if K == L + 1:
         # The L-subsets are H without one row each: all are independent
         # exactly when H has full column rank and its left null vector
@@ -134,11 +131,12 @@ def _generic(field: FieldContext, H: np.ndarray, L: int) -> bool:
     # prefix b's rows annihilating the w rows of N[b], and each prefix's
     # largest row (-1 for the empty prefix).
     pending = [(field.convert(np.eye(L, dtype=np.int64))[None], np.array([-1]))]
+    spare = max(L - K, 0)  # basis rows left at the last depth, min(K, L)
     while pending:
         N, last = pending.pop()
         w = N.shape[1]
-        # A child adds a row in (last, top], leaving room for w - 1 more.
-        top = K - w
+        # A child adds a row in (last, top], leaving room for w - spare - 1 more.
+        top = K - w + spare
         count = top - last
         # Extend the first prefixes that fit in CHUNK_BYTES; the rest wait
         # as a copy, so that this stack of bases can be freed.
@@ -157,7 +155,7 @@ def _generic(field: FieldContext, H: np.ndarray, L: int) -> bool:
         t, found = field.select_pivot(c, threshold)
         if not found.all():
             return False
-        if w > 1:
+        if w > spare + 1:
             # Eliminate basis row t from the others, then drop it.
             factors = field.mul(c, field.inv_each(c[each, t])[:, None])
             children = N[parent]

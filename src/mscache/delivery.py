@@ -28,8 +28,9 @@ error, never a fallback. Plan arrays are read-only: reduced plans are
 cached per row, and the index layout of both regimes per (N, L).
 
 Zero-forcing beams come from a beam bank over parent sets of L+1
-channel rows: all N users in the full regime, each telescoping segment,
-and each jointly served segment of L users completed by a zero row.
+channel rows: each served group plus the member of its telescoping
+segment that the transmission skips, or else the smallest user it does
+not serve, which in the full regime makes all N users one set.
 One batched elimination gives every parent set a left inverse G and a
 left null vector v. The inverse for the group that leaves out parent
 row k is G without column k minus the rank-one term G[:, k] v / v_k
@@ -372,11 +373,11 @@ class ScheduleLayout:
 
     Block b = i * transmissions + t is transmission t of row i and serves
     groups[b]. Its zero-forcing beams come from its parent set: the
-    group plus one more row of the channel extended by a zero row N,
-    parents[parent_ids[b]] with that row at position left_out[b]. The
-    extra row is the member of the group's telescoping segment that the
-    transmission skips; in the full regime it is the row owner, so that
-    all N users form the one parent set; otherwise it is the zero row.
+    group plus one more channel row, parents[parent_ids[b]] with that
+    row at position left_out[b]. The extra row is the member of the
+    group's telescoping segment that the transmission skips, and
+    otherwise the smallest user the group does not serve; in the full
+    regime that is the row owner, so all N users form the one parent set.
     Nothing here is per user: a user's decoder for a row is the shared A
     with the columns of the transmissions that do not serve it zeroed,
     read off groups at decode time.
@@ -413,9 +414,11 @@ def schedule_layout(N: int, L: int) -> ScheduleLayout:
     groups = np.stack([plan.groups for plan in plans])
     i = np.arange(N)[:, None]
     users = np.arange(N - 1) + (np.arange(N - 1) >= i)  # users[i]: row i's users, ascending
-    # The row that completes each group to its parent set.
+    # The row that completes each group (ScheduleLayout). A jointly served
+    # group holding user 0 is row i's first L users, so it misses min(i, L).
     unserved = _row_pattern(N, L)[3]
-    extra = np.where(unserved >= 0, users[:, unserved], i if regime(N, L) == "full" else N)
+    smallest = np.where(groups[..., 0] > 0, 0, np.minimum(i, L))
+    extra = np.where(unserved >= 0, users[:, unserved], smallest)
     # Groups are ascending, so dropping left_out from a sorted parent gives the group.
     parent_rows = np.concatenate([groups, extra[..., None]], axis=2).reshape(-1, L + 1)
     parents, parent_ids = _unique_rows(np.sort(parent_rows, axis=1))
@@ -497,10 +500,10 @@ def _as_demand(d, N: int) -> DemandVector:
 def _beam_bank(H: ChannelMatrix, parents, parent_ids, left_out):
     """Inverses (B, L, L) of the channel rows of B groups, and which exist.
 
-    Group b is parent set parents[parent_ids[b]] without the row at
-    position left_out[b], where row K is a zero row. One
-    left_inverse_stack pass gives every parent set its G and v; the
-    group's inverse is then the rank-one update G[:, S] - G[:, k] v[S] / v[k],
+    Group b is parent set parents[parent_ids[b]] of channel rows without
+    the row at position left_out[b]. One left_inverse_stack pass gives
+    every parent set its G and v; the group's inverse is then the
+    rank-one update G[:, S] - G[:, k] v[S] / v[k],
     with k = left_out[b] and S the other positions, and it exists when
     the parent set has full column rank and v[k] is nonzero by the
     field's ``null_support``. Column q of an inverse is the zero-forcing
@@ -509,8 +512,7 @@ def _beam_bank(H: ChannelMatrix, parents, parent_ids, left_out):
     """
     field = H.field
     L = H.L
-    extended = np.concatenate([H.H, field.zeros((1, L))])
-    G, v, full_rank = left_inverse_stack(field, extended[parents])
+    G, v, full_rank = left_inverse_stack(field, H.H[parents])
     exists = (full_rank[:, None] & field.null_support(v))[parent_ids, left_out]
     keep = np.arange(L) + (np.arange(L) >= left_out[:, None])
     vk = np.where(exists, v[parent_ids, left_out], field.coeff(1))

@@ -6,16 +6,15 @@ magnitude above a per-matrix relative threshold in complex mode) and
 when an elimination factor counts as zero.
 
 ``rank`` is plain row-by-row Gaussian elimination on one matrix of any
-shape; it counts pivots. ``_gauss_jordan`` is a batched Gauss-Jordan on
+shape, the tests' reference. ``_gauss_jordan`` is a batched Gauss-Jordan on
 a (B, r, n) stack with r >= n: each column step is a few numpy
 operations over the whole stack, not one Python elimination per
 matrix. ``inverse_stack`` is its square case. ``left_inverse_stack``
 is its tall case, r = n+1: one pass gives every matrix a left inverse G
 and a left null vector v, and the inverse of the matrix without any one
 row k is then a rank-one update of G. The schedule's beam bank and the
-channel check at K = L+1 use the tall case; the channel check at larger
-K carries null spaces of row prefixes instead (``channel._generic``),
-and at K < L it calls ``rank``.
+channel check at K = L+1 use the tall case; at every other K the channel
+check carries null spaces of row prefixes instead (``channel._generic``).
 """
 
 from __future__ import annotations

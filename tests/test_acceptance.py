@@ -15,6 +15,7 @@ import pytest
 from span_oracle import file_in_span, observation_functionals, wanted_rows
 
 from mscache import (
+    ChannelMatrix,
     ComplexField,
     DemandVector,
     Library,
@@ -216,7 +217,7 @@ def test_criterion_8_property_suite():
                        "byte-identical reruns"):
         # 1000 random (channel, group, target) triples in each mode, the
         # beams from the schedule's beam bank with one parent set per
-        # triple: the group plus the zero row K
+        # triple: the group plus a zero row K appended to the channel
         rng = np.random.default_rng(2024)
         done = 0
         while done < 1000:
@@ -232,7 +233,8 @@ def test_criterion_8_property_suite():
                 groups.append(group)
             parents = np.append(groups, np.full((n, 1), K), axis=1)
             for H, exact in ((Hg, True), (Hc, False)):
-                inverses, exists = _beam_bank(H, parents, np.arange(n), np.full(n, L))
+                padded = ChannelMatrix(H.field, np.concatenate([H.H, H.field.zeros((1, L))]))
+                inverses, exists = _beam_bank(padded, parents, np.arange(n), np.full(n, L))
                 assert exists.all()
                 for group, q, inverse in zip(groups, targets, inverses):
                     got = H.field.matmul(H.H[group], inverse[:, q])

@@ -20,12 +20,37 @@ from mscache import (
     inverse_stack,
     is_supported,
     random_library,
+    segment_sizes,
 )
 from mscache.channel import ChannelMatrix
 from mscache.delivery import _beam_bank, schedule_layout
 from mscache.linalg import left_inverse_stack
 
 SUPPORTED = [(N, L) for N in range(2, 13) for L in range(1, N) if is_supported(N, L)]
+
+
+@pytest.mark.parametrize("N, L", SUPPORTED + [(40, 13), (60, 29)])
+def test_parent_sets_complete_groups_with_a_channel_row(N, L):
+    # A group's parent set adds the member of its size-(L+1) segment that
+    # the transmission skips, and otherwise the smallest user it does not
+    # serve: always a real row, and in the full regime the row owner.
+    layout = schedule_layout(N, L)
+    assert layout.parents.max() < N
+    if L == N - 1:
+        assert len(layout.parents) == 1
+    bounds = np.cumsum([0] + segment_sizes(N, L))
+    for b, group in enumerate(layout.groups.tolist()):
+        users = [u for u in range(N) if u != b // layout.transmissions]
+        segment = next(
+            users[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if group[0] in users[lo:hi]
+        )
+        if len(segment) == L + 1:
+            (extra,) = set(segment) - set(group)
+        else:
+            extra = min(set(range(N)) - set(group))
+        parent = layout.parents[layout.parent_ids[b]]
+        assert parent.tolist() == sorted(group + [extra]), (N, L, b)
+        assert parent[layout.left_out[b]] == extra
 
 
 @pytest.mark.parametrize("p", (7, 65537))
@@ -87,10 +112,10 @@ def test_one_elimination_for_a_full_schedule(monkeypatch):
 
 
 def test_one_elimination_per_parent_set_at_17_5(monkeypatch):
-    # Rows tile their 16 users as segments [5, 5, 6]: 19 distinct parent
-    # sets (size-6 segments, and size-5 ones with the zero row) cover the
-    # 33 distinct served groups.
+    # Rows tile their 16 users as segments [5, 5, 6]: 14 distinct parent
+    # sets (size-6 segments, and size-5 ones with the smallest user they
+    # do not serve) cover the 33 distinct served groups.
     layout = schedule_layout(17, 5)
     assert len(np.unique(layout.groups, axis=0)) == 33
-    assert len(layout.parents) == 19
-    assert _eliminated(monkeypatch, 17, 5) == [19]
+    assert len(layout.parents) == 14
+    assert _eliminated(monkeypatch, 17, 5) == [14]

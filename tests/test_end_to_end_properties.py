@@ -33,7 +33,7 @@ from mscache import (
 )
 
 SUPPORTED = [(N, L) for N in range(2, 10) for L in range(1, N) if is_supported(N, L)]
-PRIMES = (5, 7, 11, 65537, 536870909)
+PRIMES = (3, 5, 7, 11, 65537, 536870909)
 # The oracle probes the chain once per library symbol (N * F of them)
 # and row-reduces in plain Python, so it runs only up to this N.
 ORACLE_MAX_N = 5

@@ -215,13 +215,20 @@ def test_rank_complex_tolerance():
     assert rank(CC, [[1.0, 0.0], [0.0, 1.0]]) == 2
 
 
+def _zero_padded(field, H):
+    """H with a zero row K appended, so that a group plus row K is a parent
+    set whose left null vector lives on that row alone."""
+    H = ChannelMatrix(field, H)
+    return ChannelMatrix(field, np.concatenate([H.H, field.zeros((1, H.L))]))
+
+
 def _bank(field, H, groups):
     """Beam-bank inverses of H's rows at each group, and which exist; each
-    group's parent set is the group plus the zero row."""
-    H = ChannelMatrix(field, H)
+    group's parent set is the group plus an appended zero row."""
+    H = _zero_padded(field, H)
     groups = np.asarray(groups).reshape(-1, H.L)
     B = len(groups)
-    parents = np.append(groups, np.full((B, 1), H.K), axis=1)
+    parents = np.append(groups, np.full((B, 1), H.K - 1), axis=1)
     return _beam_bank(H, parents, np.arange(B), np.full(B, H.L))
 
 
@@ -291,7 +298,8 @@ def test_solve_inconsistent_raises():
     assert exists.tolist() == [False, True]
     group = np.array([[0, 1]])
     with pytest.raises(DegenerateChannel, match=r"served group \(0, 1\) are dependent"):
-        _beams(H, np.array([[0, 1, 3]]), np.array([0]), np.array([2]), [2], group)
+        _beams(_zero_padded(GF7, H.H), np.array([[0, 1, 3]]), np.array([0]), np.array([2]), [2],
+               group)
 
 
 def test_zf_no_interferers():
@@ -325,7 +333,8 @@ def test_zf_degenerate_raises():
         _, exists = _bank(field, H.H, [[0, 1]])
         assert not exists[0]
         with pytest.raises(DegenerateChannel):
-            _beams(H, np.array([[0, 1, 3]]), np.array([0]), np.array([2]), [2], np.array([[0, 1]]))
+            _beams(_zero_padded(field, H.H), np.array([[0, 1, 3]]), np.array([0]), np.array([2]),
+                   [2], np.array([[0, 1]]))
 
 
 def test_zf_orthogonality_seeded_sweep():

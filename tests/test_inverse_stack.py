@@ -218,7 +218,7 @@ def test_draw_channel_matches_rank_loop_over_a_seed_grid(p):
 
 
 def test_complex_draw_channel_matches_rank_loop():
-    for K, L in ((4, 3), (6, 2), (7, 5), (2, 3)):
+    for K, L in ((4, 3), (6, 2), (7, 5), (2, 3), (2, 5), (3, 6)):
         for seed in range(3):
             want_H, want_draws = _rank_loop_draw(K, L, seed, CC, budget=4)
             got_H, got_draws = _counted_draw(K, L, seed, CC, budget=4)
@@ -242,7 +242,7 @@ def test_channel_check_spans_several_chunks(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(
     p=st.sampled_from((3, 5, 7, 11, 65537)),
-    KL=st.integers(1, 8).flatmap(lambda K: st.tuples(st.just(K), st.integers(1, K + 1))),
+    KL=st.integers(1, 8).flatmap(lambda K: st.tuples(st.just(K), st.integers(1, K + 3))),
     plant=st.booleans(),
     seed=SEEDS,
 )
