@@ -32,6 +32,7 @@ from .delivery import (
     build_row_plan_reduced,
     build_schedule,
     delivery_time,
+    draw_plan_channel,
     is_supported,
     regime,
     render_delivery_table,
@@ -95,6 +96,7 @@ __all__ = [
     "decode_user",
     "delivery_time",
     "draw_channel",
+    "draw_plan_channel",
     "inverse_stack",
     "is_supported",
     "load_library",

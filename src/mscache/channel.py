@@ -2,17 +2,28 @@
 
 Every user k observes y_k = h_k^H x for each transmitted column x, with
 h_k a fixed row of the channel matrix H. Channels are drawn seeded and
-rejection-sampled until every set of L distinct rows is invertible, so
-the zero-forcing synthesis downstream can never degenerate. With K =
-L+1 rows, as in the full regime, the L-row subsets are H without one
-row each, and one tall elimination decides them all: H must have full
-column rank and its left null vector no zero entry. Otherwise the check
-walks the sorted row prefixes of H depth first, each with a basis of
-its null space: a row joins a prefix by one product with that basis
-and one eliminated basis vector, so each of the C(K, L) subsets (at
-K < L, all K rows) costs one length-L dot product at the last level
+rejection-sampled. ``draw_channel`` accepts a draw when every set of L
+distinct rows is invertible, so the zero-forcing synthesis downstream
+can never degenerate. The plan-aware draw (``delivery.draw_plan_channel``,
+which the CLI uses) samples the same stream but accepts a draw when the
+schedule's own beam bank serves every group, which at reduced N in the
+tens is one draw where the all-subsets check would exhaust its budget.
+
+With K = L+1 rows, as in the full regime, the L-row subsets are H
+without one row each, and one tall elimination decides them all: H must
+have full column rank and its left null vector no zero entry. Otherwise
+the check walks the sorted row prefixes of H depth first, each with a
+basis of its null space: a row joins a prefix by one product with that
+basis and one eliminated basis vector, so each of the C(K, L) subsets
+(at K < L, all K rows) costs one length-L dot product at the last level
 instead of an elimination. Prefixes are extended in chunks of bounded
 size, and the walk stops at the first dependent prefix.
+
+A ``ChannelMatrix`` keeps a read-only copy of H and memoizes the tall
+eliminations of its parent sets of rows (``left_inverses``). The check
+at K = L+1 and the schedule's beam bank ask for the same one in the
+full regime, and the plan-aware check is the beam bank itself, so a
+trial eliminates each parent set once.
 
 Reception reads only the schedule's (B, L, tau) signal stack, never its
 block objects: one product H @ S gives every user's receptions of every
@@ -61,15 +72,38 @@ PIVOT_MARGIN = 10
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """K x L channel; row k is user k's receive functional h_k^H."""
+    """K x L channel; row k is user k's receive functional h_k^H.
+
+    H is a private read-only copy of the given matrix, so the
+    eliminations the channel memoizes (``left_inverses``) stay valid.
+    """
 
     field: FieldContext
     H: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "H", self.field.convert(self.H))
-        if self.H.ndim != 2:
-            raise DimensionMismatch(f"channel needs a K x L matrix, got {self.H.shape}")
+        H = np.array(self.field.convert(self.H))
+        if H.ndim != 2:
+            raise DimensionMismatch(f"channel needs a K x L matrix, got {H.shape}")
+        H.setflags(write=False)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "_eliminations", {})
+
+    def left_inverses(self, parents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``left_inverse_stack`` of the (P, L+1) parent sets of rows, memoized.
+
+        The channel check and the beam bank ask for the same parent sets
+        of one channel, so each is eliminated once. The returned arrays
+        are shared by every caller and read-only.
+        """
+        parents = np.ascontiguousarray(parents, dtype=np.int64)
+        key = (parents.shape, parents.tobytes())
+        if key not in self._eliminations:
+            result = left_inverse_stack(self.field, self.H[parents])
+            for a in result:
+                a.setflags(write=False)
+            self._eliminations[key] = result
+        return self._eliminations[key]
 
     @property
     def K(self) -> int:
@@ -101,31 +135,37 @@ class DecodeResult:
     success: bool
 
 
-def _generic(field: FieldContext, H: np.ndarray, L: int) -> bool:
+def _generic(field: FieldContext, H, L: int) -> bool:
     """Whether every L-row subset of H is independent (all K rows if K < L).
 
-    At K = L+1 the decision is one tall elimination's: full column rank and
-    a left null vector with every entry nonzero by the field's
-    ``null_support``. In GF that is exactly the rank test on every subset;
-    in complex mode see ``ComplexField.null_support``. Otherwise it is a
-    sweep over sorted row prefixes up to depth min(K, L): every prefix lies
-    inside some subset the check covers, so the draw is generic exactly when
-    no prefix gains a row that its null space already annihilates. In GF the
-    verdict is exact, the same as a rank test on every subset. In complex
-    mode a row counts as dependent when every entry of its product with the
-    prefix's null-space basis is at most PIVOT_MARGIN times the channel's
-    pivot threshold. On channels whose rows share one scale, as
-    ``sample_channel``'s i.i.d. entries do, that rule is never looser than a
-    rank test on every subset, and it accepts the well-conditioned draws
-    that test accepts; rows of very different scales can make it looser.
+    H is a ChannelMatrix or a raw K x L array, which is wrapped in one.
+    At K = L+1 the decision is one tall elimination's, the channel's
+    memoized one over all its rows (``ChannelMatrix.left_inverses``):
+    full column rank and a left null vector with every entry nonzero by
+    the field's ``null_support``. In GF that is exactly the rank test on
+    every subset; in complex mode see ``ComplexField.null_support``.
+    Otherwise it is a sweep over sorted row prefixes up to depth
+    min(K, L): every prefix lies inside some subset the check covers, so
+    the draw is generic exactly when no prefix gains a row that its null
+    space already annihilates. In GF the verdict is exact, the same as a
+    rank test on every subset. In complex mode a row counts as dependent
+    when every entry of its product with the prefix's null-space basis is
+    at most PIVOT_MARGIN times the channel's pivot threshold. On channels
+    whose rows share one scale, as ``sample_channel``'s i.i.d. entries
+    do, that rule is never looser than a rank test on every subset, and
+    it accepts the well-conditioned draws that test accepts; rows of very
+    different scales can make it looser.
     """
-    K = H.shape[0]
+    if not isinstance(H, ChannelMatrix):
+        H = ChannelMatrix(field, H)
+    K = H.K
     if K == L + 1:
         # The L-subsets are H without one row each: all are independent
         # exactly when H has full column rank and its left null vector
         # has no zero entry.
-        _, v, full_rank = left_inverse_stack(field, H[None])
+        _, v, full_rank = H.left_inverses(np.arange(K)[None])
         return bool(full_rank[0] and field.null_support(v).all())
+    H = H.H
     threshold = PIVOT_MARGIN * field.pivot_threshold(H)
     # Prefixes still to extend, deepest last: a (B, w, L) stack of bases,
     # prefix b's rows annihilating the w rows of N[b], and each prefix's
@@ -174,9 +214,9 @@ def draw_channel(
         raise InconsistentInputs(f"need K, L >= 1, got K={K}, L={L}")
     rng = np.random.default_rng(seed)
     for _ in range(budget):
-        H = field.sample_channel(rng, (K, L))
+        H = ChannelMatrix(field, field.sample_channel(rng, (K, L)))
         if _generic(field, H, L):
-            return ChannelMatrix(field, H)
+            return H
     raise ResamplingExhausted(
         f"no generic {K}x{L} channel found in {budget} draws over {field!r}"
     )

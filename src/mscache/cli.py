@@ -16,9 +16,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import decode_all, draw_channel, receive
+from .channel import decode_all, receive
 from .content import DemandVector, LibraryConfig, place_caches, random_library
-from .delivery import build_schedule, delivery_time, is_supported, render_delivery_table
+from .delivery import (
+    build_schedule,
+    delivery_time,
+    draw_plan_channel,
+    is_supported,
+    render_delivery_table,
+)
 from .errors import SimulatorError
 from .field import make_field
 from .metrics import (
@@ -125,7 +131,7 @@ def _emit(args, text: str) -> None:
 
 def _run_trial(cfg: LibraryConfig, field, args, seed: int):
     library = random_library(field, cfg.N, cfg.F, 2 * seed + 1)
-    H = draw_channel(cfg.K, cfg.L, 2 * seed, field)
+    H = draw_plan_channel(cfg.N, cfg.L, 2 * seed, field)
     d = _demand_for(args, cfg, seed)
     caches = place_caches(library, cfg)
     schedule = build_schedule(d, H, library, cfg)

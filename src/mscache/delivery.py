@@ -32,16 +32,22 @@ channel rows: each served group plus the member of its telescoping
 segment that the transmission skips, or else the smallest user it does
 not serve, which in the full regime makes all N users one set.
 One batched elimination gives every parent set a left inverse G and a
-left null vector v. The inverse for the group that leaves out parent
-row k is G without column k minus the rank-one term G[:, k] v / v_k
-there, and the beam of served user q is its column q. Beams, owner
-gains (one product and one element-wise inverse) and the beams scaled
-to unit owner gain are computed for every block in one pass. Each row's
-payload then passes through one batched product M @ P, with the plan's
-coefficients folded into the beams, written into the schedule's
-(B, L, tau) signal stack. The owner gains, kept as one (B, L) stack,
-let receivers descale their receptions. Block objects, each a view
-into these stacks, are built only when a caller reads them.
+left null vector v; the channel memoizes it, so the bank shares it with
+the channel check that accepted the channel. The inverse for the group
+that leaves out parent row k is G without column k minus the rank-one
+term G[:, k] v / v_k there, and the beam of served user q is its
+column q. Beams, owner gains (one product and one element-wise inverse)
+and the beams scaled to unit owner gain are computed for every block in
+one pass. Each row's payload then passes through one batched product
+M @ P, with the plan's coefficients folded into the beams, written into
+the schedule's (B, L, tau) signal stack. The owner gains, kept as one
+(B, L) stack, let receivers descale their receptions. Block objects,
+each a view into these stacks, are built only when a caller reads them.
+
+The beam bank is also a channel check: ``draw_plan_channel`` accepts a
+draw when the bank gives every group an inverse and every beam a
+nonzero owner gain, which is what the schedule needs, instead of
+asking it of all C(N, L) row subsets.
 """
 
 from __future__ import annotations
@@ -52,15 +58,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import ChannelMatrix
+from .channel import DRAW_BUDGET, ChannelMatrix
 from .content import DemandVector, Library, LibraryConfig
 from .errors import (
     DegenerateChannel,
     InconsistentInputs,
     PlanVerificationError,
+    ResamplingExhausted,
     WrongRegime,
 )
-from .linalg import left_inverse_stack
+from .field import FieldContext
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -512,7 +519,7 @@ def _beam_bank(H: ChannelMatrix, parents, parent_ids, left_out):
     """
     field = H.field
     L = H.L
-    G, v, full_rank = left_inverse_stack(field, H.H[parents])
+    G, v, full_rank = H.left_inverses(parents)
     exists = (full_rank[:, None] & field.null_support(v))[parent_ids, left_out]
     keep = np.arange(L) + (np.arange(L) >= left_out[:, None])
     vk = np.where(exists, v[parent_ids, left_out], field.coeff(1))
@@ -547,6 +554,39 @@ def _beams(H: ChannelMatrix, parents, parent_ids, left_out, owners, groups):
             f"row {owners[b]} channel is orthogonal to user {groups[b, q]}'s beam"
         ) from None
     return beams, gains
+
+
+def _layout_beams(H: ChannelMatrix, layout: ScheduleLayout):
+    """_beams for every block of a schedule layout, in block order."""
+    owners = np.arange(len(layout.groups)) // layout.transmissions
+    return _beams(H, layout.parents, layout.parent_ids, layout.left_out, owners, layout.groups)
+
+
+def draw_plan_channel(
+    N: int, L: int, seed: int, field: FieldContext, budget: int = DRAW_BUDGET
+) -> ChannelMatrix:
+    """Seeded N x L channel draw, rejected until the schedule can use it.
+
+    Draws come from the same stream as ``draw_channel(N, L, seed, field)``,
+    but a draw is accepted when the beam bank over schedule_layout(N, L)
+    gives every served group a zero-forcing inverse and every beam a
+    nonzero owner gain, instead of when every L-row subset is invertible.
+    The channel keeps the accepted elimination, so build_schedule does
+    not eliminate again.
+    """
+    layout = schedule_layout(N, L)
+    rng = np.random.default_rng(seed)
+    for _ in range(budget):
+        H = ChannelMatrix(field, field.sample_channel(rng, (N, L)))
+        try:
+            _layout_beams(H, layout)
+        except DegenerateChannel:
+            continue
+        return H
+    raise ResamplingExhausted(
+        f"no {N}x{L} channel found in {budget} draws over {field!r} that serves "
+        "every group of the schedule"
+    )
 
 
 def _payload(field, beams, coeffs, P, d: np.ndarray, groups, i: int, out=None):
@@ -587,10 +627,7 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
     d = _as_demand(d, cfg.N)
     layout = schedule_layout(cfg.N, cfg.L)
     n_tx, m = layout.transmissions, layout.minifiles
-    owners = np.arange(cfg.N * n_tx) // n_tx
-    beams, gains = _beams(
-        H, layout.parents, layout.parent_ids, layout.left_out, owners, layout.groups
-    )
+    beams, gains = _layout_beams(H, layout)
     P = library.parts(m)
     demand = np.array(d.d)
     # Every row's plan shares one coefficient array.

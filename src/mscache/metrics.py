@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .content import LibraryConfig
 from .delivery import delivery_time
@@ -40,10 +41,13 @@ def csv_cells(K, N, L, M: Fraction, achieved, converse: Fraction, uncoded: Fract
     return dict(zip(CSV_HEADER.split(","), map(str, values)))
 
 
+@lru_cache(maxsize=None)
 def converse_bound(K: int, N: int, M, L: int) -> Fraction:
     """Lower bound on T: max over s in 1..K of (s - sM/floor(N/s)) / min(s, L).
 
     Defined for 1 <= K <= N and L >= 1; InconsistentInputs otherwise.
+    A pure function of its arguments, so results are cached (errors are
+    not).
     """
     if L < 1 or not 1 <= K <= N:
         raise InconsistentInputs(f"converse needs 1 <= K <= N and L >= 1, got K={K} N={N} L={L}")

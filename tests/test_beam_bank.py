@@ -17,6 +17,7 @@ from mscache import (
     PrimeField,
     build_schedule,
     draw_channel,
+    draw_plan_channel,
     inverse_stack,
     is_supported,
     random_library,
@@ -88,11 +89,11 @@ def test_full_regime_gains_are_null_vector_ratios(p):
             assert np.array_equal(np.array(block.gains), want), (N, k)
 
 
-def _eliminated(monkeypatch, N, L):
-    """Matrices the batched kernel eliminates while one schedule is built."""
+def _eliminated(monkeypatch, N, L, draw=draw_channel):
+    """Matrices the batched kernel eliminates while one channel is drawn
+    and one schedule is built on it."""
     field = PrimeField(65537)
     cfg = LibraryConfig(N=N, K=N, L=L, F=N * L)
-    H = draw_channel(N, L, 0, field)
     lib = random_library(field, N, cfg.F, 1)
     count = []
     kernel = linalg._gauss_jordan
@@ -102,12 +103,14 @@ def _eliminated(monkeypatch, N, L):
         return kernel(field, a)
 
     monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    H = draw(N, L, 0, field)
     build_schedule(DemandVector(range(N)), H, lib, cfg)
     return count
 
 
 def test_one_elimination_for_a_full_schedule(monkeypatch):
-    # All 64 groups leave one user out of the same 64 rows.
+    # All 64 groups leave one user out of the same 64 rows, and the
+    # channel check's elimination of those rows is the one the bank uses.
     assert _eliminated(monkeypatch, 64, 63) == [1]
 
 
@@ -119,3 +122,9 @@ def test_one_elimination_per_parent_set_at_17_5(monkeypatch):
     assert len(np.unique(layout.groups, axis=0)) == 33
     assert len(layout.parents) == 14
     assert _eliminated(monkeypatch, 17, 5) == [14]
+
+
+def test_plan_draw_eliminates_once_for_draw_and_schedule(monkeypatch):
+    # The plan-aware check is the beam bank itself: one draw at seed 0
+    # eliminates the 14 parent sets once, and the schedule reuses them.
+    assert _eliminated(monkeypatch, 17, 5, draw=draw_plan_channel) == [14]

@@ -5,8 +5,10 @@ schedule, reception and decoding. Each block's receptions must be the
 channel applied to its signal, every user must decode its file exactly,
 decoding one user alone must give what the batch gives (in complex mode
 within decode_atol), and, at small N, the independent span oracle must
-agree. Channels that cannot be drawn at a small prime (no generic
-channel within the draw budget) are assumed away, not counted as passes.
+agree. A channel comes from either draw: the all-subsets check or the
+schedule's own (plan-aware) one. Channels that cannot be drawn at a
+small prime (none accepted within the draw budget) are assumed away,
+not counted as passes.
 """
 
 import numpy as np
@@ -26,6 +28,7 @@ from mscache import (
     decode_all,
     decode_user,
     draw_channel,
+    draw_plan_channel,
     is_supported,
     place_caches,
     random_library,
@@ -45,12 +48,13 @@ def instances(draw):
     p = draw(st.sampled_from(PRIMES))
     demand = draw(st.permutations(range(N)))
     seed = draw(st.integers(0, 2**32 - 1))
-    return N, L, p, demand, seed
+    channel = draw(st.sampled_from((draw_channel, draw_plan_channel)))
+    return N, L, p, demand, seed, channel
 
 
-def _run(field, N, L, demand, seed):
+def _run(field, N, L, demand, seed, draw=draw_channel):
     cfg = LibraryConfig(N=N, K=N, L=L, F=N * L)
-    H = draw_channel(N, L, seed, field)
+    H = draw(N, L, seed, field)
     lib = random_library(field, N, cfg.F, seed + 1)
     d = DemandVector(demand)
     sched = build_schedule(d, H, lib, cfg)
@@ -62,10 +66,10 @@ def _run(field, N, L, demand, seed):
 @settings(max_examples=100, deadline=None)
 @given(instances())
 def test_receptions_decode_exactly_and_agree_with_the_span_oracle(instance):
-    N, L, p, demand, seed = instance
+    N, L, p, demand, seed, draw = instance
     field = PrimeField(p)
     try:
-        cfg, H, lib, d, sched, log, results = _run(field, N, L, demand, seed)
+        cfg, H, lib, d, sched, log, results = _run(field, N, L, demand, seed, draw)
     except ResamplingExhausted:
         assume(False)
     assert len(log.per_block) == len(sched.blocks)
@@ -80,7 +84,7 @@ def test_receptions_decode_exactly_and_agree_with_the_span_oracle(instance):
         assert alone.success and np.array_equal(alone.data, res.data)
     # In complex mode, within decode_atol of the batch.
     cc = ComplexField()
-    _, cH, _, _, csched, clog, cresults = _run(cc, N, L, demand, seed)
+    _, cH, _, _, csched, clog, cresults = _run(cc, N, L, demand, seed, draw)
     ccaches = place_caches(csched.library, cfg)
     for k, res in enumerate(cresults):
         alone = decode_user(k, d, ccaches[k], clog, cH, csched)
@@ -93,12 +97,24 @@ def test_receptions_decode_exactly_and_agree_with_the_span_oracle(instance):
             assert file_in_span(rec + cac, wanted_rows(cfg, d[k]), p) == results[k].success
 
 
-@pytest.mark.parametrize("N, L", [(12, 5), (16, 15)])
-def test_complex_decode_error_far_below_tolerance(N, L):
-    # The measured margin: about 1e-14 against decode_atol = 1e-6.
+@pytest.mark.parametrize(
+    "N, L, draw",
+    [
+        (12, 5, draw_channel),
+        (16, 15, draw_channel),
+        (24, 11, draw_plan_channel),
+        (40, 13, draw_plan_channel),
+    ],
+    ids=["12-5", "16-15", "24-11", "40-13"],
+)
+def test_complex_decode_error_far_below_tolerance(N, L, draw):
+    # The measured margin: about 1e-14 against decode_atol = 1e-6, and
+    # 1.4e-13 at (24, 11), 5.6e-14 at (40, 13). Those two take the
+    # plan-aware draw: the all-subsets check would sweep C(24, 11) = 2.5M
+    # and C(40, 13) = 1.2e10 subsets.
     cc = ComplexField()
     demand = np.random.default_rng(N).permutation(N).tolist()
-    _, _, lib, d, _, _, results = _run(cc, N, L, demand, seed=0)
+    _, _, lib, d, _, _, results = _run(cc, N, L, demand, seed=0, draw=draw)
     err = max(float(np.max(np.abs(r.data - lib.data[d[k]]))) for k, r in enumerate(results))
     assert all(r.success for r in results)
     assert err < 1e-12
@@ -121,6 +137,31 @@ def test_full_regime_decodes_exactly_at_scale(instance):
     N, p, demand, seed = instance
     field = PrimeField(p)
     _, _, lib, d, _, _, results = _run(field, N, N - 1, demand, seed)
+    for k, res in enumerate(results):
+        assert res.success
+        assert field.equal(res.data, lib.data[d[k]])
+
+
+@st.composite
+def reduced_regime_instances(draw):
+    N = draw(st.integers(10, 40))
+    # L <= N // 2 keeps an example near 0.2 s: the decoder stack grows as
+    # N^3 L, and (40, 38) takes 1.5 s.
+    L = draw(st.sampled_from([L for L in range(1, N // 2 + 1) if is_supported(N, L)]))
+    p = draw(st.sampled_from((65537, 536870909)))
+    demand = draw(st.permutations(range(N)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return N, L, p, demand, seed
+
+
+@settings(max_examples=6, deadline=None)
+@given(reduced_regime_instances())
+def test_reduced_regime_decodes_exactly_at_scale(instance):
+    # The plan-aware draw lets reduced N in the tens run: the all-subsets
+    # check exhausts its budget from about (24, 11) on.
+    N, L, p, demand, seed = instance
+    field = PrimeField(p)
+    _, _, lib, d, _, _, results = _run(field, N, L, demand, seed, draw=draw_plan_channel)
     for k, res in enumerate(results):
         assert res.success
         assert field.equal(res.data, lib.data[d[k]])

@@ -53,6 +53,16 @@ def test_converse_rejects_sizes_it_is_not_defined_for():
         converse_bound(5, 4, Fraction(1, 4), 3)  # more users than files
 
 
+def test_converse_is_cached_but_its_errors_are_not():
+    converse_bound.cache_clear()
+    assert converse_bound(7, 7, Fraction(1, 7), 3) == converse_bound(7, 7, Fraction(1, 7), 3)
+    assert converse_bound.cache_info().hits == 1
+    for _ in range(2):
+        with pytest.raises(InconsistentInputs):
+            converse_bound(5, 4, Fraction(1, 4), 3)
+    assert converse_bound.cache_info().currsize == 1
+
+
 def test_converse_accepts_float_and_int_memory():
     assert converse_bound(4, 4, 0.25, 3) == 1
     assert converse_bound(4, 4, Fraction(1, 4), 3) == converse_bound(4, 4, 0.25, 3)
