@@ -20,10 +20,11 @@ instead of an elimination. Prefixes are extended in chunks of bounded
 size, and the walk stops at the first dependent prefix.
 
 A ``ChannelMatrix`` keeps a read-only copy of H and memoizes the tall
-eliminations of its parent sets of rows (``left_inverses``). The check
-at K = L+1 and the schedule's beam bank ask for the same one in the
-full regime, and the plan-aware check is the beam bank itself, so a
-trial eliminates each parent set once.
+eliminations of its parent sets of rows (``left_inverses``) and the
+beams of its schedule (``cached``). The check at K = L+1 and the
+schedule's beam bank ask for the same elimination in the full regime,
+and the plan-aware check computes the schedule's beams themselves, so a
+trial eliminates each parent set once and computes its beams once.
 
 Reception reads only the schedule's (B, L, tau) signal stack, never its
 block objects: one product H @ S gives every user's receptions of every
@@ -74,8 +75,9 @@ PIVOT_MARGIN = 10
 class ChannelMatrix:
     """K x L channel; row k is user k's receive functional h_k^H.
 
-    H is a private read-only copy of the given matrix, so the
-    eliminations the channel memoizes (``left_inverses``) stay valid.
+    H is a private read-only copy of the given matrix, so what the
+    channel memoizes (``cached``) stays valid: the eliminations of its
+    parent sets of rows and the beams of its schedule.
     """
 
     field: FieldContext
@@ -87,23 +89,30 @@ class ChannelMatrix:
             raise DimensionMismatch(f"channel needs a K x L matrix, got {H.shape}")
         H.setflags(write=False)
         object.__setattr__(self, "H", H)
-        object.__setattr__(self, "_eliminations", {})
+        object.__setattr__(self, "_memo", {})
+
+    def cached(self, key, compute) -> tuple:
+        """compute()'s tuple of arrays, computed once per key and read-only.
+
+        Every caller that asks for the same key of this channel shares
+        the arrays. An exception is not cached.
+        """
+        if key not in self._memo:
+            result = compute()
+            for a in result:
+                a.setflags(write=False)
+            self._memo[key] = result
+        return self._memo[key]
 
     def left_inverses(self, parents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``left_inverse_stack`` of the (P, L+1) parent sets of rows, memoized.
 
         The channel check and the beam bank ask for the same parent sets
-        of one channel, so each is eliminated once. The returned arrays
-        are shared by every caller and read-only.
+        of one channel, so each is eliminated once.
         """
         parents = np.ascontiguousarray(parents, dtype=np.int64)
-        key = (parents.shape, parents.tobytes())
-        if key not in self._eliminations:
-            result = left_inverse_stack(self.field, self.H[parents])
-            for a in result:
-                a.setflags(write=False)
-            self._eliminations[key] = result
-        return self._eliminations[key]
+        key = ("left_inverses", parents.shape, parents.tobytes())
+        return self.cached(key, lambda: left_inverse_stack(self.field, self.H[parents]))
 
     @property
     def K(self) -> int:
@@ -112,6 +121,13 @@ class ChannelMatrix:
     @property
     def L(self) -> int:
         return self.H.shape[1]
+
+
+def _as_channel(H, field: FieldContext) -> ChannelMatrix:
+    """H itself if it is a ChannelMatrix, else a channel over field made from it."""
+    if isinstance(H, ChannelMatrix):
+        return H
+    return ChannelMatrix(field, H)
 
 
 @dataclass(frozen=True)
@@ -156,8 +172,7 @@ def _generic(field: FieldContext, H, L: int) -> bool:
     it accepts the well-conditioned draws that test accepts; rows of very
     different scales can make it looser.
     """
-    if not isinstance(H, ChannelMatrix):
-        H = ChannelMatrix(field, H)
+    H = _as_channel(H, field)
     K = H.K
     if K == L + 1:
         # The L-subsets are H without one row each: all are independent

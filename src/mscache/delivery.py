@@ -47,7 +47,11 @@ each a view into these stacks, are built only when a caller reads them.
 The beam bank is also a channel check: ``draw_plan_channel`` accepts a
 draw when the bank gives every group an inverse and every beam a
 nonzero owner gain, which is what the schedule needs, instead of
-asking it of all C(N, L) row subsets.
+asking it of all C(N, L) row subsets. An owner gain counts as nonzero
+by the same relative rule as a parent set's null-vector entry, since
+the gains are the null vector of the group plus the owner row. The
+channel memoizes the beams and gains, so the schedule built on an
+accepted draw reuses them.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import DRAW_BUDGET, ChannelMatrix
+from .channel import DRAW_BUDGET, ChannelMatrix, _as_channel
 from .content import DemandVector, Library, LibraryConfig
 from .errors import (
     DegenerateChannel,
@@ -489,12 +493,6 @@ class DeliverySchedule:
         return tuple(range(i * n_tx, (i + 1) * n_tx) for i in range(self.cfg.N))
 
 
-def _as_channel(H, field) -> ChannelMatrix:
-    if isinstance(H, ChannelMatrix):
-        return H
-    return ChannelMatrix(field, H)
-
-
 def _as_demand(d, N: int) -> DemandVector:
     dv = d if isinstance(d, DemandVector) else DemandVector(d)
     if len(dv) != N:
@@ -535,7 +533,13 @@ def _beams(H: ChannelMatrix, parents, parent_ids, left_out, owners, groups):
 
     Block b serves groups[b] for row owners[b], with its inverse from
     the beam bank. The gain of a beam at the owner is H[owner] @ beam;
-    the returned beams are divided by their gains.
+    the returned beams are divided by their gains. The owner row is the
+    sum of gains[b, q] times the channel row of groups[b, q], so the
+    gains and -1 form the left null vector of the group plus the owner
+    row, and each gain must count as nonzero by the field's
+    ``null_support``, as a parent set's null-vector entries do: in
+    complex mode relative to the largest of the gains and 1, not only
+    above the absolute floor of ``inv_each``.
     """
     field = H.field
     inverses, exists = _beam_bank(H, parents, parent_ids, left_out)
@@ -546,45 +550,56 @@ def _beams(H: ChannelMatrix, parents, parent_ids, left_out, owners, groups):
     if not field.satisfies(H.H[groups], inverses, eye):
         raise DegenerateChannel("zero-forcing residual above tolerance")
     gains = field.matmul(H.H[owners][:, None, :], inverses)[:, 0]
-    try:
-        beams = field.mul(inverses, field.inv_each(gains)[:, None, :])
-    except ZeroDivisionError:
-        b, q = np.unravel_index(int(np.argmin(np.abs(gains))), gains.shape)
+    # The owner's entry is -1; null_support does not see its sign.
+    null = np.concatenate([gains, np.ones_like(gains[:, :1])], axis=1)
+    supported = field.null_support(null)[:, :-1]
+    if not supported.all():
+        b, q = np.unravel_index(int(np.argmin(supported)), supported.shape)
         raise DegenerateChannel(
             f"row {owners[b]} channel is orthogonal to user {groups[b, q]}'s beam"
-        ) from None
+        )
+    beams = field.mul(inverses, field.inv_each(gains)[:, None, :])
     return beams, gains
 
 
-def _layout_beams(H: ChannelMatrix, layout: ScheduleLayout):
-    """_beams for every block of a schedule layout, in block order."""
-    owners = np.arange(len(layout.groups)) // layout.transmissions
-    return _beams(H, layout.parents, layout.parent_ids, layout.left_out, owners, layout.groups)
+def _layout_beams(H: ChannelMatrix):
+    """_beams for every block of H's schedule layout, in block order.
+
+    The channel memoizes them, so the plan-aware draw that accepts H
+    and the schedule built on it share one computation.
+    """
+
+    def compute():
+        layout = schedule_layout(H.K, H.L)
+        owners = np.arange(len(layout.groups)) // layout.transmissions
+        return _beams(
+            H, layout.parents, layout.parent_ids, layout.left_out, owners, layout.groups
+        )
+
+    return H.cached("layout_beams", compute)
 
 
-def draw_plan_channel(
-    N: int, L: int, seed: int, field: FieldContext, budget: int = DRAW_BUDGET
-) -> ChannelMatrix:
+def draw_plan_channel(N: int, L: int, seed: int, field: FieldContext) -> ChannelMatrix:
     """Seeded N x L channel draw, rejected until the schedule can use it.
 
     Draws come from the same stream as ``draw_channel(N, L, seed, field)``,
     but a draw is accepted when the beam bank over schedule_layout(N, L)
     gives every served group a zero-forcing inverse and every beam a
-    nonzero owner gain, instead of when every L-row subset is invertible.
-    The channel keeps the accepted elimination, so build_schedule does
-    not eliminate again.
+    nonzero owner gain (``_beams``), instead of when every L-row subset
+    is invertible. The channel keeps the accepted beams and their
+    eliminations, so build_schedule on it computes neither again.
     """
-    layout = schedule_layout(N, L)
+    schedule_layout(N, L)  # refuses an unsupported (N, L) before any draw
     rng = np.random.default_rng(seed)
-    for _ in range(budget):
+    for _ in range(DRAW_BUDGET):
         H = ChannelMatrix(field, field.sample_channel(rng, (N, L)))
         try:
-            _layout_beams(H, layout)
+            _layout_beams(H)
         except DegenerateChannel:
             continue
         return H
     raise ResamplingExhausted(
-        f"no {N}x{L} channel found in {budget} draws over {field!r} that serves "
+        f"no {N}x{L} channel found in {DRAW_BUDGET} draws over {field!r} that serves "
         "every group of the schedule"
     )
 
@@ -627,7 +642,7 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
     d = _as_demand(d, cfg.N)
     layout = schedule_layout(cfg.N, cfg.L)
     n_tx, m = layout.transmissions, layout.minifiles
-    beams, gains = _layout_beams(H, layout)
+    beams, gains = _layout_beams(H)
     P = library.parts(m)
     demand = np.array(d.d)
     # Every row's plan shares one coefficient array.

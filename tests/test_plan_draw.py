@@ -5,24 +5,32 @@ accepts a draw when the schedule can zero-force every served group with
 a nonzero owner gain, instead of when every L-row subset is invertible.
 The reference here decides that per group with ``inverse_stack``, not
 through the beam bank. A ``ChannelMatrix`` owns a private read-only copy
-of its matrix and eliminates each set of parent rows at most once.
+of its matrix and eliminates each set of parent rows, and computes its
+schedule's beams, at most once.
 """
 
 import numpy as np
 import pytest
 
+import mscache.delivery as delivery
 from mscache import (
     ChannelMatrix,
     ComplexField,
+    DegenerateChannel,
+    DemandVector,
+    LibraryConfig,
     PrimeField,
     ResamplingExhausted,
     WrongRegime,
+    build_schedule,
     draw_channel,
     draw_plan_channel,
     inverse_stack,
     is_supported,
+    random_library,
 )
-from mscache.delivery import schedule_layout
+from mscache.channel import DRAW_BUDGET
+from mscache.delivery import _layout_beams, schedule_layout
 from mscache.linalg import left_inverse_stack
 
 SUPPORTED = [(N, L) for N in range(2, 9) for L in range(1, N) if is_supported(N, L)]
@@ -39,7 +47,7 @@ def _schedulable(field, H, N, L) -> bool:
     return not field.is_zero(gains).any()
 
 
-def _counted(draw, N, L, seed, field, budget):
+def _counted(draw, N, L, seed, field):
     """(H, draws) from a draw function, counting its channel samples."""
     draws = 0
     sample = field.sample_channel
@@ -51,7 +59,7 @@ def _counted(draw, N, L, seed, field, budget):
 
     field.sample_channel = counting
     try:
-        return draw(N, L, seed, field, budget).H, draws
+        return draw(N, L, seed, field).H, draws
     except ResamplingExhausted:
         return None, draws
     finally:
@@ -66,12 +74,12 @@ def test_plan_draw_accepts_exactly_the_schedulable_draws(p):
         for seed in range(4):
             rng = np.random.default_rng(seed)
             want = None
-            for want_draws in range(1, 9):
+            for want_draws in range(1, DRAW_BUDGET + 1):
                 H = field.sample_channel(rng, (N, L))
                 if _schedulable(field, H, N, L):
                     want = H
                     break
-            got, got_draws = _counted(draw_plan_channel, N, L, seed, field, budget=8)
+            got, got_draws = _counted(draw_plan_channel, N, L, seed, field)
             assert got_draws == want_draws, (p, N, L, seed)
             assert (got is None) == (want is None), (p, N, L, seed)
             if want is not None:
@@ -87,8 +95,8 @@ def test_plan_draw_is_draw_channel_in_the_full_regime(p):
     field = PrimeField(p)
     for N in range(2, 9):
         for seed in range(4):
-            want = _counted(draw_channel, N, N - 1, seed, field, budget=8)
-            got = _counted(draw_plan_channel, N, N - 1, seed, field, budget=8)
+            want = _counted(draw_channel, N, N - 1, seed, field)
+            got = _counted(draw_plan_channel, N, N - 1, seed, field)
             assert got[1] == want[1], (p, N, seed)
             assert (got[0] is None) == (want[0] is None)
             if want[0] is not None:
@@ -101,7 +109,52 @@ def test_plan_draw_takes_one_draw_at_reduced_scale(field):
     # GF(65537) and exhausts its budget at (24, 11).
     for N, L in ((20, 9), (24, 11)):
         for seed in range(4):
-            assert _counted(draw_plan_channel, N, L, seed, field, budget=64)[1] == 1
+            assert _counted(draw_plan_channel, N, L, seed, field)[1] == 1
+
+
+def _plan_subsets(N, L):
+    """The L-row subsets the schedule at (N, L) inverts or divides by.
+
+    Every served group, and every group with one served user swapped
+    for the row owner: the owner gain of that user's beam is zero
+    exactly when this subset is dependent.
+    """
+    layout = schedule_layout(N, L)
+    owners = np.arange(len(layout.groups)) // layout.transmissions
+    subsets = set()
+    for owner, group in zip(owners.tolist(), layout.groups.tolist()):
+        subsets.add(tuple(group))
+        for q in range(L):
+            subsets.add(tuple(sorted(group[:q] + group[q + 1 :] + [owner])))
+    return np.array(sorted(subsets))
+
+
+def test_complex_plan_check_is_never_looser_than_the_rank_loop():
+    # The channel check's grid (test_inverse_stack.py): the last row is
+    # the sum of the first two plus noise of size eps. Wherever the rank
+    # test (``inverse_stack``'s) on a subset the schedule uses rejects,
+    # the beams refuse.
+    # With the owner gains held only to inv_each's absolute floor, 39
+    # draws at (7, 3), (9, 4) and (12, 5) got through, between eps = 3e-13
+    # and 3e-10.
+    field = ComplexField()
+    accepted = rejected = 0
+    for N, L in ((5, 2), (7, 3), (9, 4), (12, 5)):
+        subsets = _plan_subsets(N, L)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            H = field.sample_channel(rng, (N, L))
+            _layout_beams(ChannelMatrix(field, H))
+            for eps in 10.0 ** np.arange(-14, -2.5, 0.5):
+                near = H.copy()
+                near[-1] = H[0] + H[1] + eps * field.sample(rng, L)
+                if inverse_stack(field, near[subsets])[1].all():
+                    accepted += 1
+                else:
+                    rejected += 1
+                    with pytest.raises(DegenerateChannel):
+                        _layout_beams(ChannelMatrix(field, near))
+    assert accepted and rejected
 
 
 def test_plan_draw_refuses_what_it_cannot_draw():
@@ -111,7 +164,7 @@ def test_plan_draw_refuses_what_it_cannot_draw():
         draw_plan_channel(1, 1, seed=0, field=PrimeField(65537))
     # Over GF(2) every channel entry is 1, so any two rows are equal.
     with pytest.raises(ResamplingExhausted):
-        draw_plan_channel(4, 2, seed=0, field=PrimeField(2), budget=4)
+        draw_plan_channel(4, 2, seed=0, field=PrimeField(2))
 
 
 def test_channel_keeps_a_private_read_only_copy():
@@ -136,3 +189,21 @@ def test_left_inverses_eliminate_each_parent_set_once():
     for got, want in zip(first, left_inverse_stack(field, H.H[parents])):
         assert np.array_equal(got, want)
         assert not got.flags.writeable
+
+
+def test_plan_draw_and_schedule_share_the_beams(monkeypatch):
+    field = PrimeField(65537)
+    cfg = LibraryConfig(N=17, K=17, L=5, F=85)
+    calls = []
+    beams = delivery._beams
+
+    def counting(*args):
+        calls.append(len(args[-1]))
+        return beams(*args)
+
+    monkeypatch.setattr(delivery, "_beams", counting)
+    H = draw_plan_channel(17, 5, 0, field)
+    schedule = build_schedule(DemandVector(range(17)), H, random_library(field, 17, 85, 1), cfg)
+    assert calls == [len(schedule.layout.groups)]
+    assert schedule.gains is _layout_beams(H)[1]
+    assert not schedule.gains.flags.writeable
