@@ -33,10 +33,15 @@ model: receivers know H, the demand vector, and the schedule's metadata
 (row plans with their integer decoding inverses and, per block, the
 owner gain of every served user's beam), and read the beamformer
 scalings from the schedule rather than estimating them. Every user of a
-row decodes with the row plan's one combination matrix A, scaled per
-block by the user's owner gain, so all users decode in one pass: one
-batched product of these decoders with the reception stack, and no
-elimination.
+row decodes with the row plan's one combination matrix A: its
+receptions, each scaled by the user's owner gain in that block, go
+through A's few nonzero diagonals, the layout's taps. A jointly served
+user's minifile j is its scaled reception at transmission j of its
+segment, a telescoping user's that plus s_j times the next one, and the
+row owner takes the same taps at unit scale. So all users decode in one
+element-wise pass over the reception stack, with no decoder matrix, no
+product and no elimination; in the full regime (A = [1]) the scaled
+receptions are the decoded files.
 """
 
 from __future__ import annotations
@@ -62,6 +67,8 @@ DRAW_BUDGET = 64
 # sweep keeps the prefixes still to visit on every level it is inside,
 # so a step is a fraction of a MiB: the whole check then peaks near
 # 1.6 MiB at (K, L) = (20, 9) and 3.7 MiB at (40, 36) (tracemalloc).
+# Decoding takes its receptions in blocks of this size too, which keep
+# its temporaries in cache.
 CHUNK_BYTES = 1 << 18
 
 # In complex mode a candidate row is dependent when every entry of its
@@ -144,11 +151,19 @@ class ReceptionLog:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """One user's reconstructed file and its verification flag."""
+    """One user's reconstructed file and its verification flag.
+
+    When the file fails its check, mismatch names the first (row,
+    minifile) of it that differs from the library file; in complex mode
+    residual is the file's max-abs deviation, against decode_atol. Both
+    stay None on success.
+    """
 
     user: int
     data: np.ndarray
     success: bool
+    mismatch: tuple[int, int] | None = None
+    residual: float | None = None
 
 
 def _generic(field: FieldContext, H, L: int) -> bool:
@@ -270,42 +285,85 @@ def _check_consistent(d, caches, users: range, log, H: ChannelMatrix, schedule) 
                                      f"{cfg.subfile_symbols} symbols")
 
 
-def _decoders(field: FieldContext, layout, gains, users: slice) -> np.ndarray:
-    """Decoders (N, n, m, transmissions) of the n users in a slice of 0..K-1.
+def _scales(field: FieldContext, layout, gains, rows: slice) -> np.ndarray:
+    """Every user's scale in every block of a slice of rows, (rows, transmissions, K).
 
-    Row r's decoder for user u is the shared A with column b scaled by
-    u's scale in block b: the owner gain of u's beam where b serves u, 1
-    where u owns the row, 0 elsewhere.
+    User u's scale in block b is the owner gain of u's beam where b
+    serves u, 1 where u owns b's row, and 0 elsewhere.
     """
-    B, K = len(gains), len(layout.plans)
-    scales = field.zeros((B, K))
-    np.put_along_axis(scales, layout.groups, gains, axis=1)
-    scales[np.arange(B), np.arange(B) // layout.transmissions] = field.coeff(1)
-    per_row = scales[:, users].reshape(K, layout.transmissions, -1).transpose(0, 2, 1)
-    return field.mul(field.convert(layout.plans[0].A), per_row[:, :, None, :])
+    n_tx, K = layout.transmissions, len(layout.plans)
+    blocks = slice(rows.start * n_tx, rows.stop * n_tx)
+    scales = field.zeros((blocks.stop - blocks.start, K))
+    np.put_along_axis(scales, layout.groups[blocks], gains[blocks], axis=1)
+    owners = np.repeat(np.arange(rows.start, rows.stop), n_tx)
+    scales[np.arange(len(scales)), owners] = field.coeff(1)
+    return scales.reshape(-1, n_tx, K)
 
 
 def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: slice) -> list:
-    """Decode a slice of the users with one product, read from the
-    reception stack without a copy, into one (n, N, m, tau) buffer; each
-    file is a contiguous view of it. A user's own row then holds the
-    received sums, which it subtracts from its cache."""
+    """Decode a slice of the users into one (n, N, m, tau) buffer; each
+    file is a contiguous view of it.
+
+    User u's receptions in row i, times its scales there, are z. Its
+    minifile j is row j of A applied to z, read from the layout's taps:
+    z at transmission j of u's segment, plus s_j times z at j + 1 if the
+    segment telescopes. z is 0 at the transmissions that do not serve
+    u, so the taps of the other segments add nothing. The owner's scales
+    are 1, so its row holds the received sums, which it subtracts from
+    its cache. In the full regime A = [1], and the scaled receptions are
+    the decoded files.
+
+    The work runs in blocks of rows and symbols of about CHUNK_BYTES of
+    receptions each: one element-wise product, written straight into
+    the files when A = [1], one add per further tap, and one reduction
+    (two in GF when the taps' raw sums of products could overflow
+    int64). No temporary is larger than a block.
+    """
     field = H.field
     layout = schedule.layout
     N, K = schedule.cfg.N, schedule.cfg.K
-    _check_consistent(d, caches, range(K)[users], log, H, schedule)
-    tau = schedule.signals.shape[-1]
-    rx = np.asarray(log.per_block).reshape(N, layout.transmissions, K, tau)[:, :, users]
-    data = np.empty((len(caches), N, layout.minifiles, tau), dtype=field.dtype)
-    decoders = _decoders(field, layout, schedule.gains, users)
-    field.matmul(decoders, rx.swapaxes(1, 2), out=data.swapaxes(0, 1))
+    users = range(K)[users]
+    _check_consistent(d, caches, users, log, H, schedule)
+    n_tx, m, taps = layout.transmissions, layout.minifiles, layout.taps
+    n, tau = len(users), schedule.signals.shape[-1]
+    own = slice(users.start, users.stop)
+    rx = np.asarray(log.per_block).reshape(N, n_tx, K, tau)[:, :, own]
+    cached = [Z.payload.reshape(m, tau) for Z in caches]
+    data = np.empty((n, N, m, tau), dtype=field.dtype)
+    out = data.transpose(1, 2, 0, 3)  # (row, minifile, user, symbol)
+    # Whole rows per block while a row's receptions fit in CHUNK_BYTES,
+    # else one row per block in equal runs of symbols.
+    symbol_bytes = n_tx * n * data.itemsize
+    pieces = -(-tau * symbol_bytes // CHUNK_BYTES)
+    width = -(-tau // pieces)
+    height = max(1, CHUNK_BYTES // (symbol_bytes * width))
+    for r in range(0, N, height):
+        rows = slice(r, min(r + height, N))
+        scales = _scales(field, layout, schedule.gains, rows)[:, :, own, None]
+        owners = range(max(rows.start, users.start), min(rows.stop, users.stop))
+        for c in range(0, tau, width):
+            cols = slice(c, c + width)
+            o = out[rows, :, :, cols]
+            z = o if len(taps) == 1 else np.empty(o.shape[:1] + (n_tx,) + o.shape[2:], o.dtype)
+            np.multiply(scales, rx[rows, :, :, cols], out=z)
+            if len(taps) > 1:
+                field.reduce_products(z, len(taps))
+                np.copyto(o, z[:, taps[0][1]])
+                for j, t, sign in taps[1:]:
+                    (np.add if sign > 0 else np.subtract)(o[:, j], z[:, t], out=o[:, j])
+            for i in owners:
+                mine = o[i - rows.start, :, i - users.start]
+                np.subtract(cached[i - users.start][:, cols], mine, out=mine)
+            field.reduce(o)
     results = []
-    for Z, rows in zip(caches, data):
-        k = Z.user
-        rows[k] = field.sub(Z.payload.reshape(rows[k].shape), rows[k])
-        flat = rows.reshape(-1)
-        success = field.close(flat, schedule.library.data[d[k]])
-        results.append(DecodeResult(user=k, data=flat, success=success))
+    for k, flat in zip(users, data.reshape(n, -1)):
+        want = schedule.library.data[d[k]]
+        if field.close(flat, want):
+            results.append(DecodeResult(user=k, data=flat, success=True))
+            continue
+        index, residual = field.mismatch(flat, want)
+        results.append(DecodeResult(user=k, data=flat, success=False,
+                                    mismatch=divmod(index // tau, m), residual=residual))
     return results
 
 

@@ -389,9 +389,10 @@ class ScheduleLayout:
     group's telescoping segment that the transmission skips, and
     otherwise the smallest user the group does not serve; in the full
     regime that is the row owner, so all N users form the one parent set.
-    Nothing here is per user: a user's decoder for a row is the shared A
-    with the columns of the transmissions that do not serve it zeroed,
-    read off groups at decode time.
+    taps is the shared A in the form decoding reads it (``_taps``).
+    Nothing here is per user: a user's decoder for a row is A with the
+    columns of the transmissions that do not serve it zeroed, which its
+    scale of 0 in those blocks does at decode time.
     """
 
     plans: tuple
@@ -400,6 +401,7 @@ class ScheduleLayout:
     parents: np.ndarray
     parent_ids: np.ndarray
     left_out: np.ndarray
+    taps: tuple
 
     @property
     def minifiles(self) -> int:
@@ -416,6 +418,35 @@ def _unique_rows(a: np.ndarray):
     ids = np.empty(len(a), dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
     return ordered[new], ids
+
+
+def _taps(A: np.ndarray) -> tuple:
+    """A's nonzero entries as runs (rows, columns, sign): A[j, t] = sign
+    for the j in the slice rows and the t in the slice columns, taken in
+    step. Every run lies on one diagonal of A and holds one sign.
+
+    The first run is A's main diagonal, all ones: the diagonal of the
+    row's first segment, an identity or a bidiagonal B. A jointly served
+    segment adds one run, and a telescoping one two or three: its
+    diagonal and its superdiagonal signs, alternating for even L. A
+    diagonal whose entries of one sign are not evenly spaced is refused.
+    """
+    j, t = np.nonzero(A)
+    sign = A[j, t]
+    # Diagonals in order, ones before minus ones on each.
+    key = 2 * (t - j) + (sign < 0)
+    runs = []
+    for k in sorted(set(key.tolist())):
+        rows = j[key == k]
+        step = int(rows[1] - rows[0]) if len(rows) > 1 else 1
+        if not np.array_equal(rows, np.arange(rows[0], rows[-1] + 1, step)):
+            raise PlanVerificationError(f"diagonal {k // 2} of A is not a run of one step")
+        start, stop, shift = int(rows[0]), int(rows[-1]) + 1, k // 2
+        runs.append((slice(start, stop, step), slice(start + shift, stop + shift, step),
+                     -1 if k % 2 else 1))
+    if runs[0][:2] != (slice(0, len(A), 1),) * 2 or runs[0][2] != 1:
+        raise PlanVerificationError("the main diagonal of A is not all ones")
+    return tuple(runs)
 
 
 @lru_cache(maxsize=None)
@@ -441,6 +472,7 @@ def schedule_layout(N: int, L: int) -> ScheduleLayout:
         parents=_readonly(parents),
         parent_ids=_readonly(parent_ids),
         left_out=_readonly(left_out.ravel()),
+        taps=_taps(plans[0].A),
     )
 
 

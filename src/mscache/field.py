@@ -5,9 +5,12 @@ arithmetic on integers modulo a prime, so every delivery claim can be
 checked as a plain equality. ``ComplexField`` models the same linear
 network over complex floating point, with explicit tolerances standing
 in for exactness. A context owns every arithmetic decision (dtype,
-inversion, zero tests, equality), so no other module branches on the
-mode. Values are plain numpy arrays; a single computation must stay
-within one context.
+inversion, zero tests, equality, reduction), so no other module
+branches on the mode. Values are plain numpy arrays; a single
+computation must stay within one context. Code that combines values
+with plain numpy arithmetic (products, sums and differences of at most
+2**63 in magnitude) passes the result through ``reduce``, and products
+that it will sum further through ``reduce_products``.
 
 ``PrimeField.matmul`` is exact in one of two regimes, chosen by the
 context from p and the inner length n. While n*(p-1)**2 < 2**53 every
@@ -201,10 +204,8 @@ class PrimeField:
 
         Each block casts its columns of b, multiplies, and reduces its
         columns of ``out`` in place, so the float64 temporaries stay
-        near _FLOAT_BLOCK_BYTES however wide b is. The reduction
-        subtracts (x // p) * p, the same residue as x % p at a
-        fraction of the cost: numpy divides by a scalar fast in
-        floor_divide but not in remainder.
+        near _FLOAT_BLOCK_BYTES however wide b is. Each block is
+        reduced by ``reduce``.
         """
         if b.ndim == 1:
             # A vector b is one column; its output has no column axis.
@@ -221,10 +222,32 @@ class PrimeField:
             r = np.matmul(af, b[..., s : s + step].astype(np.float64))
             block = out[..., s : s + step]
             np.copyto(block, r, casting="unsafe")
-            q = block // self.p
-            q *= self.p
-            block -= q
+            self.reduce(block)
         return out
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """x, an int64 array of any integers, reduced in place to canonical
+        residues, and returned.
+
+        Subtracts (x // p) * p: the same residue as x % p at a fraction
+        of the cost, since numpy divides by a scalar fast in floor_divide
+        but not in remainder. Callers that sum or subtract residues with
+        plain numpy arithmetic reduce once at the end through this.
+        """
+        q = x // self.p
+        q *= self.p
+        x -= q
+        return x
+
+    def reduce_products(self, x: np.ndarray, terms: int) -> np.ndarray:
+        """x, int64 products of two residues each, made safe to add or
+        subtract ``terms`` at a time, plus one residue, with plain numpy
+        arithmetic; returned.
+
+        Each product is below (p-1)**2, so x is reduced in place only
+        when ``terms`` such products could overflow int64.
+        """
+        return x if terms < self.matmul_chunk else self.reduce(x)
 
     def inv_each(self, x) -> np.ndarray:
         """Element-wise inverse; ZeroDivisionError if any x is 0.
@@ -244,11 +267,25 @@ class PrimeField:
         return np.asarray(x) % self.p == 0
 
     def equal(self, a, b) -> bool:
-        """Exact element-wise equality of two arrays."""
+        """Exact element-wise equality of two arrays, as residues.
+
+        Two int64 arrays with the same entries are equal as they stand,
+        so that case costs one comparison pass; any other pair is
+        compared after ``convert``.
+        """
+        a, b = np.asarray(a), np.asarray(b)
+        if a.dtype == b.dtype == np.int64 and np.array_equal(a, b):
+            return True
         return bool(np.array_equal(self.convert(a), self.convert(b)))
 
     # Exactness makes the decode-success test identical to equality.
     close = equal
+
+    def mismatch(self, a, b) -> tuple[int, None]:
+        """Where ``close`` fails on two arrays of one shape: the flat index
+        of their first differing residue, and no residual (exact mode).
+        """
+        return int(np.argmax(self.convert(a) != self.convert(b))), None
 
     # Elimination decisions: any nonzero entry is a usable pivot. Pivot
     # choice works on a single column or on a stack of columns (leading
@@ -392,6 +429,22 @@ class ComplexField:
         """Decode-success comparison at decode_atol, max-abs."""
         diff = np.asarray(a) - np.asarray(b)
         return bool(np.max(np.abs(diff), initial=0.0) <= self.decode_atol)
+
+    def mismatch(self, a, b) -> tuple[int, float]:
+        """Where ``close`` fails on two arrays of one shape: the flat index
+        of the first entry off by more than decode_atol, and the max-abs
+        residual.
+        """
+        dev = np.abs(np.asarray(a) - np.asarray(b))
+        return int(np.argmax(dev > self.decode_atol)), float(dev.max(initial=0.0))
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """x itself: complex values need no reduction."""
+        return x
+
+    def reduce_products(self, x: np.ndarray, terms: int) -> np.ndarray:
+        """x itself: complex values need no reduction."""
+        return x
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         re = rng.standard_normal(shape)

@@ -1,9 +1,12 @@
 """Channel draws, reception, and receiver-side decoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mscache import (
+    ChannelMatrix,
     ComplexField,
     DemandVector,
     DimensionMismatch,
@@ -243,6 +246,60 @@ def test_decode_fails_on_a_single_flipped_symbol():
         assert np.count_nonzero(res.data != lib.data[d[k]]) == 1
 
 
+@pytest.mark.parametrize("field", [GF, CC], ids=["gf", "complex"])
+def test_failed_decode_names_its_first_wrong_minifile(field):
+    # (5, 3): one telescoping segment, so a reception at transmission t
+    # of a row feeds minifiles t - 1 and t of it. A wrong reception at
+    # t = 2 first shows in minifile 1; complex mode also reports by how
+    # much, against decode_atol. Successful files carry neither.
+    N, L = 5, 3
+    cfg = LibraryConfig(N=N, K=N, L=L, F=N * L * 2)
+    lib = random_library(field, N, cfg.F, seed=61)
+    H = draw_channel(N, L, seed=62, field=field)
+    d = DemandVector([2, 4, 0, 1, 3])
+    sched = build_schedule(d, H, lib, cfg)
+    log = receive(H, sched)
+    caches = place_caches(lib, cfg)
+    k, row = 2, 3
+    n_tx = sched.layout.transmissions
+    assert (sched.layout.groups[row * n_tx + 2] == k).any()
+    rx = log.per_block.copy()
+    rx[row * n_tx + 2, k, 1] += 1
+    results = decode_all(d, caches, type(log)(field, rx), H, sched)
+    bad = results[k]
+    assert not bad.success and bad.mismatch == (row, 1)
+    if field is CC:
+        want = np.max(np.abs(bad.data - lib.data[d[k]]))
+        assert bad.residual == want > CC.decode_atol
+    else:
+        assert bad.residual is None
+    for res in results[:k] + results[k + 1 :]:
+        assert res.success and res.mismatch is None and res.residual is None
+
+
+@pytest.mark.parametrize("N, L", [(60, 29), (100, 99)])
+def test_decode_at_scale_needs_no_decoder_stack(N, L):
+    # At (60, 29) a dense (N, K, m, transmissions) decoder stack took
+    # 97 MiB; the taps keep decoding within a few blocks of the 0.8 MiB
+    # of decoded files.
+    cfg = LibraryConfig(N=N, K=N, L=L, F=N * L)
+    lib = random_library(GF, N, cfg.F, seed=N)
+    H = ChannelMatrix(GF, GF.sample_channel(np.random.default_rng(L), (N, L)))
+    d = DemandVector(np.random.default_rng(N).permutation(N))
+    sched = build_schedule(d, H, lib, cfg)
+    log = receive(H, sched)
+    caches = place_caches(lib, cfg)
+    tracemalloc.start()
+    try:
+        results = decode_all(d, caches, log, H, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(res.success for res in results)
+    if L < N - 1:
+        assert peak < 10 * 2**20
+
+
 def test_cache_is_necessary():
     # a receiver with a blanked cache gets every row right except its
     # own, which is exactly the part only the cache can supply
@@ -264,8 +321,10 @@ def test_cache_is_necessary():
 
 
 @pytest.mark.parametrize("N, L", [(16, 15), (17, 5)])
-def test_decode_all_is_one_matmul(monkeypatch, N, L):
-    # Every user of every row decodes in one product.
+def test_decode_all_makes_no_decoder_product(monkeypatch, N, L):
+    # Every user of every row decodes by the row plan's taps: scaled
+    # receptions and their sums, with no matrix product and no per-user
+    # or stacked decoder multiplied out through the field.
     cfg = LibraryConfig(N=N, K=N, L=L, F=N * L)
     lib = random_library(GF, N, cfg.F, seed=N)
     H = draw_channel(N, L, seed=L, field=GF)
@@ -274,13 +333,14 @@ def test_decode_all_is_one_matmul(monkeypatch, N, L):
     log = receive(H, sched)
     caches = place_caches(lib, cfg)
     calls = []
-    matmul = GF.matmul
+    for name in ("matmul", "mul"):
+        method = getattr(GF, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return matmul(*args, **kwargs)
+        def counting(*args, _name=name, _method=method, **kwargs):
+            calls.append(_name)
+            return _method(*args, **kwargs)
 
-    monkeypatch.setattr(GF, "matmul", counting)
+        monkeypatch.setattr(GF, name, counting)
     results = decode_all(d, caches, log, H, sched)
-    assert len(calls) == 1
+    assert calls == []
     assert all(res.success for res in results)

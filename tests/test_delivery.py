@@ -28,7 +28,7 @@ from mscache import (
     segment_sizes,
     verify_row_plan,
 )
-from mscache.channel import ChannelMatrix, _decoders
+from mscache.channel import ChannelMatrix, _scales
 from mscache.delivery import _row_pattern, _telescoping_pattern, schedule_layout
 
 GF = PrimeField(65537)
@@ -78,9 +78,23 @@ def _serving(plan, u) -> tuple:
     return tuple(np.nonzero(plan.groups == u)[0].tolist())
 
 
+def _tap_matrix(layout):
+    """The m x transmissions matrix that the layout's decode taps apply."""
+    A = np.zeros((layout.minifiles, layout.transmissions), dtype=np.int64)
+    j, t = np.arange(layout.minifiles), np.arange(layout.transmissions)
+    for rows, cols, sign in layout.taps:
+        A[j[rows], t[cols]] += sign
+    return A
+
+
 def _unit_gain_decoders(layout, users=slice(None)):
-    """The decode's (row, user) decoders at unit owner gains, in GF."""
-    return _decoders(GF, layout, np.ones(layout.groups.shape, dtype=np.int64), users)
+    """The decode's (row, user) decoders at unit owner gains, in GF: the
+    taps' matrix with column t scaled by the user's decode scale in the
+    row's transmission t, (N, n, m, transmissions)."""
+    N = len(layout.plans)
+    gains = np.ones(layout.groups.shape, dtype=np.int64)
+    per_row = _scales(GF, layout, gains, range(N))[:, :, users].transpose(0, 2, 1)
+    return GF.mul(_tap_matrix(layout), per_row[:, :, None, :])
 
 
 def _zeroed_outside(plan, u):
@@ -146,8 +160,9 @@ def test_all_supported_plans_verify():
 def test_plan_inverses_invert_each_users_coefficients():
     # Decoders are A at the user's transmissions: a telescoping user's is
     # its column-deleted bidiagonal, a jointly served user's and every
-    # full-regime user's the identity. The decode's (row, user) decoder
-    # at unit gains is A with the other columns zeroed; the owner's is A.
+    # full-regime user's the identity. The decode reads A as taps; its
+    # (row, user) decoder at unit gains is the taps' A with the other
+    # columns zeroed, and the owner's is A.
     for (N, L) in [(4, 2), (5, 3), (8, 3), (9, 4), (5, 4)]:
         decoders = _unit_gain_decoders(schedule_layout(N, L))
         for i in range(N):
@@ -155,12 +170,10 @@ def test_plan_inverses_invert_each_users_coefficients():
             m = plan.minifiles
             assert np.array_equal(decoders[i, i], GF.convert(plan.A))
             for u in plan.users:
-                decoder = plan.A[:, list(_serving(plan, u))]
-                stacked = plan.coefficients[plan.groups == u]
-                assert (decoder @ stacked).tolist() == np.eye(m, dtype=int).tolist()
+                decoder = decoders[i, u][:, list(_serving(plan, u))]
+                stacked = GF.convert(plan.coefficients[plan.groups == u])
+                assert np.array_equal(GF.matmul(decoder, stacked), np.eye(m, dtype=np.int64))
                 assert np.array_equal(decoders[i, u], _zeroed_outside(plan, u))
-                assert np.array_equal(decoders[i, u][:, list(_serving(plan, u))],
-                                      GF.convert(decoder))
     full = build_row_plan(0, 4, 3)
     assert [full.A[:, list(_serving(full, u))].tolist() for u in full.users] == [[[1]]] * 3
     plan = build_row_plan(3, 4, 2)
@@ -198,9 +211,14 @@ def test_cold_layouts_at_scale_build_and_verify(N, L):
             if plan.owner == k:
                 assert np.array_equal(decoders[k], GF.convert(plan.A))
                 continue
-            # k is served in exactly m of the row's transmissions.
-            assert len(_serving(plan, k)) == layout.minifiles
+            # k is served in exactly m of the row's transmissions, and the
+            # taps there invert its coefficients.
+            serving = list(_serving(plan, k))
+            assert len(serving) == layout.minifiles
             assert np.array_equal(decoders[plan.owner], _zeroed_outside(plan, k))
+            stacked = GF.convert(plan.coefficients[plan.groups == k])
+            product = GF.matmul(decoders[plan.owner][:, serving], stacked)
+            assert np.array_equal(product, np.eye(layout.minifiles, dtype=np.int64))
 
 
 def test_cached_plans_are_read_only():

@@ -37,6 +37,8 @@ from mscache import (
 
 SUPPORTED = [(N, L) for N in range(2, 10) for L in range(1, N) if is_supported(N, L)]
 PRIMES = (3, 5, 7, 11, 65537, 536870909)
+# Pairs the dense reference decode covers.
+DENSE_SUPPORTED = [(N, L) for N in range(2, 13) for L in range(1, N) if is_supported(N, L)]
 # The oracle probes the chain once per library symbol (N * F of them)
 # and row-reduces in plain Python, so it runs only up to this N.
 ORACLE_MAX_N = 5
@@ -97,6 +99,77 @@ def test_receptions_decode_exactly_and_agree_with_the_span_oracle(instance):
             assert file_in_span(rec + cac, wanted_rows(cfg, d[k]), p) == results[k].success
 
 
+def _dense_decode(field, d, caches, log, sched):
+    """Every user's file, (K, F), by a dense stack of (row, user) decoders.
+
+    Row r's decoder for user u is the plan's A with column t scaled by
+    u's scale in block (r, t): the owner gain of u's beam where the
+    block serves u, 1 where u owns the row, 0 elsewhere. It multiplies
+    u's receptions of the row; the owner subtracts what it gets from its
+    cache.
+    """
+    layout = sched.layout
+    N, n_tx = len(layout.plans), layout.transmissions
+    B, tau = len(layout.groups), log.per_block.shape[-1]
+    scales = field.zeros((B, N))
+    np.put_along_axis(scales, layout.groups, sched.gains, axis=1)
+    scales[np.arange(B), np.arange(B) // n_tx] = field.coeff(1)
+    per_row = scales.reshape(N, n_tx, N).transpose(0, 2, 1)
+    decoders = field.mul(field.convert(layout.plans[0].A), per_row[:, :, None, :])
+    rx = log.per_block.reshape(N, n_tx, N, tau).transpose(0, 2, 1, 3)
+    data = field.matmul(decoders, rx).swapaxes(0, 1).copy()
+    for k, Z in enumerate(caches):
+        data[k, k] = field.sub(Z.payload.reshape(data[k, k].shape), data[k, k])
+    return data.reshape(N, -1)
+
+
+@st.composite
+def decode_instances(draw):
+    N, L = draw(st.sampled_from(DENSE_SUPPORTED))
+    field = draw(st.sampled_from([PrimeField(p) for p in PRIMES] + [ComplexField()]))
+    demand = draw(st.permutations(range(N)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(0, N - 1))
+    return N, L, field, demand, seed, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(decode_instances())
+def test_decode_equals_the_dense_decoder_stack(instance):
+    # Decoding by the plan's taps is the dense product of every (row,
+    # user) decoder: bit for bit in GF, within decode_atol in complex.
+    N, L, field, demand, seed, k = instance
+    try:
+        cfg, H, lib, d, sched, log, results = _run(field, N, L, demand, seed, draw_plan_channel)
+    except ResamplingExhausted:
+        assume(False)
+    caches = place_caches(lib, cfg)
+    dense = _dense_decode(field, d, caches, log, sched)
+    alone = decode_user(k, d, caches[k], log, H, sched)
+    got = np.stack([res.data for res in results])
+    if field.mode == "gf":
+        assert got.dtype == dense.dtype and np.array_equal(got, dense)
+        assert np.array_equal(alone.data, dense[k])
+    else:
+        assert np.max(np.abs(got - dense)) <= field.decode_atol
+        assert np.max(np.abs(alone.data - dense[k])) <= field.decode_atol
+    assert all(res.success for res in results) and alone.success
+
+
+@pytest.mark.parametrize("N", [32, 33, 40])
+def test_decode_with_many_taps_equals_the_dense_decoder_stack(N):
+    # At L = 1 every one of the N - 1 segments adds a tap to minifile 0.
+    # At p = 536870909 up to 31 products of residues and a cache symbol
+    # sum within int64, so (32, 1) sums its raw products and (33, 1) and
+    # (40, 1) reduce them first.
+    field = PrimeField(536870909)
+    demand = np.random.default_rng(N).permutation(N).tolist()
+    cfg, H, lib, d, sched, log, results = _run(field, N, 1, demand, N, draw_plan_channel)
+    dense = _dense_decode(field, d, place_caches(lib, cfg), log, sched)
+    assert np.array_equal(np.stack([res.data for res in results]), dense)
+    assert all(res.success for res in results)
+
+
 @pytest.mark.parametrize(
     "N, L, draw",
     [
@@ -145,8 +218,8 @@ def test_full_regime_decodes_exactly_at_scale(instance):
 @st.composite
 def reduced_regime_instances(draw):
     N = draw(st.integers(10, 40))
-    # L <= N // 2 keeps an example near 0.2 s: the decoder stack grows as
-    # N^3 L, and (40, 38) takes 1.5 s.
+    # L <= N // 2 keeps an example near 0.2 s: (40, 38) takes about 1 s,
+    # nearly all of it building the schedule.
     L = draw(st.sampled_from([L for L in range(1, N // 2 + 1) if is_supported(N, L)]))
     p = draw(st.sampled_from((65537, 536870909)))
     demand = draw(st.permutations(range(N)))

@@ -137,6 +137,28 @@ def test_gf_equal_compares_residues():
     assert GF7.close([8, 0], [1, 7]) and not GF7.close([1, 0], [1, 1])
 
 
+@pytest.mark.parametrize("p", [7, 65537, 536870909])
+def test_gf_reductions_give_residues_and_keep_sums_within_int64(p):
+    # reduce maps any int64 to its residue; reduce_products leaves
+    # products of residues as they are only while `terms` of them plus
+    # one residue still sum within int64.
+    field = PrimeField(p)
+    x = np.array([-(2**62), -p - 1, -1, 0, p, 2**62 + 5], dtype=np.int64)
+    assert field.reduce(x.copy()).tolist() == [int(v) % p for v in x]
+    top = (p - 1) ** 2
+    chunk = field.matmul_chunk
+    for terms in (1, chunk - 1, chunk, chunk + 1):
+        out = field.reduce_products(np.full(3, top, dtype=np.int64), terms)
+        kept = out[0] == top
+        assert kept == (terms < chunk)
+        if kept:
+            assert terms * top + p - 1 < 2**63
+        else:
+            assert out.tolist() == [top % p] * 3
+    z = np.array([1 + 2j])
+    assert CC.reduce(z) is z and CC.reduce_products(z, 2**40) is z
+
+
 def test_gf_convert_rejects_non_integral_floats():
     assert GF7.convert(np.array([1.0, -1.0, 8.0])).tolist() == [1, 6, 1]
     assert GF7.convert(3.0).tolist() == 3
