@@ -67,8 +67,9 @@ DRAW_BUDGET = 64
 # sweep keeps the prefixes still to visit on every level it is inside,
 # so a step is a fraction of a MiB: the whole check then peaks near
 # 1.6 MiB at (K, L) = (20, 9) and 3.7 MiB at (40, 36) (tracemalloc).
-# Decoding takes its receptions in blocks of this size too, which keep
-# its temporaries in cache.
+# Decoding takes its receptions in blocks of this size too, and
+# synthesis (``delivery.build_schedule``) its rows, which keeps their
+# temporaries in cache.
 CHUNK_BYTES = 1 << 18
 
 # In complex mode a candidate row is dependent when every entry of its
@@ -230,7 +231,8 @@ def _generic(field: FieldContext, H, L: int) -> bool:
             factors = field.mul(c, field.inv_each(c[each, t])[:, None])
             children = N[parent]
             pivot_rows = children[each, t]
-            children = field.sub(children, field.mul(factors[:, :, None], pivot_rows[:, None, :]))
+            children -= factors[:, :, None] * pivot_rows[:, None, :]
+            field.reduce(children)
             children[each, t] = children[:, -1]
             pending.append((children[:, :-1], rows))
     return True

@@ -155,8 +155,9 @@ def place_caches(library: Library, cfg: LibraryConfig) -> list[CacheContent]:
             f"library shape {library.data.shape} does not match config "
             f"N={cfg.N}, F={cfg.F}"
         )
-    # One pass over the files and one reduction: a sum of N residues fits in int64.
-    z = library.field.convert(library.parts(1)[:, :, 0].sum(axis=0))
+    # One pass over the files, and the fresh sum of N residues, which fits
+    # in int64, reduced in place.
+    z = library.field.reduce(library.parts(1)[:, :, 0].sum(axis=0))
     return [CacheContent(k, z[k]) for k in range(cfg.K)]
 
 

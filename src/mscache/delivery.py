@@ -38,11 +38,13 @@ that leaves out parent row k is G without column k minus the rank-one
 term G[:, k] v / v_k there, and the beam of served user q is its
 column q. Beams, owner gains (one product and one element-wise inverse)
 and the beams scaled to unit owner gain are computed for every block in
-one pass. Each row's payload then passes through one batched product
-M @ P, with the plan's coefficients folded into the beams, written into
-the schedule's (B, L, tau) signal stack. The owner gains, kept as one
-(B, L) stack, let receivers descale their receptions. Block objects,
-each a view into these stacks, are built only when a caller reads them.
+one pass. The payload then passes through one batched product M @ P
+per block of rows, with the plan's coefficients folded into the beams,
+written into the schedule's (B, L, tau) signal stack; a block holds as
+many rows as fit in CHUNK_BYTES, and at least one. The owner gains,
+kept as one (B, L) stack, let receivers descale their receptions. Block
+objects, each a view into these stacks, are built only when a caller
+reads them.
 
 The beam bank is also a channel check: ``draw_plan_channel`` accepts a
 draw when the bank gives every group an inverse and every beam a
@@ -62,7 +64,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import DRAW_BUDGET, ChannelMatrix, _as_channel
+from .channel import CHUNK_BYTES, DRAW_BUDGET, ChannelMatrix, _as_channel
 from .content import DemandVector, Library, LibraryConfig
 from .errors import (
     DegenerateChannel,
@@ -554,10 +556,9 @@ def _beam_bank(H: ChannelMatrix, parents, parent_ids, left_out):
     keep = np.arange(L) + (np.arange(L) >= left_out[:, None])
     vk = np.where(exists, v[parent_ids, left_out], field.coeff(1))
     ratio = field.mul(v[parent_ids[:, None], keep], field.inv_each(vk)[:, None])
-    rank_one = field.mul(G[parent_ids, :, left_out][:, :, None], ratio[:, None, :])
-    kept = G[parent_ids[:, None, None], np.arange(L)[:, None], keep[:, None]]
-    inverses = field.sub(kept, rank_one)
-    return inverses, exists
+    inverses = G[parent_ids[:, None, None], np.arange(L)[:, None], keep[:, None]]
+    inverses -= G[parent_ids, :, left_out][:, :, None] * ratio[:, None, :]
+    return field.reduce(inverses), exists
 
 
 def _beams(H: ChannelMatrix, parents, parent_ids, left_out, owners, groups):
@@ -636,28 +637,38 @@ def draw_plan_channel(N: int, L: int, seed: int, field: FieldContext) -> Channel
     )
 
 
-def _payload(field, beams, coeffs, P, d: np.ndarray, groups, i: int, out=None):
-    """Signals (n, L, tau) of n transmissions of row i from their beams.
+def _payload(field, beams, coeffs, P, d: np.ndarray, groups, rows, out=None):
+    """Signals (n, L, tau) of n transmissions, whole rows of the table,
+    from their beams.
 
-    Signal s is beams[s] @ C[s], where row q of C[s] is served user
-    u = groups[s, q]'s planned combination coeffs[s, q] of the minifiles
-    P[d[u], i] of subfile (d[u], i). The combination is folded into the
-    beams on the small side, M[s][:, q*m + j] = beams[s][:, q] * coeff_j,
-    so the payload passes through one product M @ P over the gathered
-    minifiles, written into ``out`` when it is given.
+    coeffs (n_tx, L, m) is one row's plan coefficients, which every row
+    shares, so n is a multiple of n_tx; rows is the table row of each
+    transmission, or one row for all. Signal s is beams[s] @ C[s], where
+    row q of C[s] is served user u = groups[s, q]'s planned combination
+    coeffs[s % n_tx, q] of the minifiles P[d[u], rows[s]] of its subfile.
+    The combination is folded into the beams on the small side,
+    M[s][:, q*m + j] = beams[s][:, q] * coeff_j, so the payload passes
+    through one product M @ P over the gathered minifiles, written into
+    ``out`` when it is given. The coefficients are in {-1, 0, 1}, so M
+    needs no reduction: its entries stay below p in magnitude, which
+    ``field.matmul`` takes.
     """
-    n, L, m = coeffs.shape
-    M = field.mul(beams[:, :, :, None], coeffs[:, None]).reshape(n, L, L * m)
-    # One gather of the row's minifiles, stacked (L*m, tau) per transmission.
-    return field.matmul(M, P[d[groups], i].reshape(n, L * m, -1), out=out)
+    n, L = beams.shape[:2]
+    n_tx, _, m = coeffs.shape
+    M = np.multiply(beams.reshape(-1, n_tx, L, L, 1), coeffs[:, None]).reshape(n, L, L * m)
+    # One gather of the minifiles, stacked (L*m, tau) per transmission.
+    minifiles = P[d[groups], np.reshape(rows, (-1, 1))]
+    return field.matmul(M, minifiles.reshape(n, L * m, -1), out=out)
 
 
 def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedule:
     """Full delivery schedule: every row's transmissions in order, T = (N-1)/L.
 
-    Each row is synthesized in one batched pass, written into one
-    (B, L, tau) signal stack; no block object is built until
-    ``blocks`` is read.
+    Rows are synthesized in blocks, each in one batched pass (one fold,
+    one gather and one product) written into one (B, L, tau) signal
+    stack. A block holds as many rows as keep its fold, gathered
+    minifiles and signals within CHUNK_BYTES, and at least one. No block
+    object is built until ``blocks`` is read.
     """
     field = library.field
     H = _as_channel(H, field)
@@ -677,12 +688,17 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
     beams, gains = _layout_beams(H)
     P = library.parts(m)
     demand = np.array(d.d)
+    tau = P.shape[-1]
+    signals = np.empty((cfg.N * n_tx, cfg.L, tau), dtype=field.dtype)
+    row_bytes = n_tx * cfg.L * (cfg.L * m + (m + 1) * tau) * signals.itemsize
+    height = max(1, CHUNK_BYTES // row_bytes)
+    owners = np.arange(len(signals)) // n_tx
     # Every row's plan shares one coefficient array.
-    coeffs = field.convert(layout.plans[0].coefficients)
-    signals = np.empty((cfg.N * n_tx, cfg.L, P.shape[-1]), dtype=field.dtype)
-    for i, plan in enumerate(layout.plans):
-        rows = slice(i * n_tx, (i + 1) * n_tx)
-        _payload(field, beams[rows], coeffs, P, demand, plan.groups, i, out=signals[rows])
+    coeffs = layout.plans[0].coefficients
+    for r in range(0, cfg.N, height):
+        rows = slice(r * n_tx, min(r + height, cfg.N) * n_tx)
+        _payload(field, beams[rows], coeffs, P, demand, layout.groups[rows], owners[rows],
+                 out=signals[rows])
     total = Fraction(len(signals), cfg.N * m)
     expected = delivery_time(cfg.N, cfg.L)
     if total != expected:

@@ -12,13 +12,21 @@ with plain numpy arithmetic (products, sums and differences of at most
 2**63 in magnitude) passes the result through ``reduce``, and products
 that it will sum further through ``reduce_products``.
 
+``PrimeField.reduce`` subtracts (x // p) * p, so every reduction,
+including those of ``add``, ``sub``, ``mul`` and ``neg``, is a floor
+division by a scalar, which numpy runs about four times faster per
+element than ``x % p``. An elimination update a - f*b is one int64 expression (one
+product of two residues, below 2**58 at the largest prime) and one
+reduction.
+
 ``PrimeField.matmul`` is exact in one of two regimes, chosen by the
 context from p and the inner length n. While n*(p-1)**2 < 2**53 every
 partial sum is an integer that float64 represents exactly, so the
 product runs through float64 BLAS, one block of output columns at a
 time, and is reduced mod p in int64. Past that bound it runs numpy's
 int64 product, reduced mod p every ``matmul_chunk`` terms so that no
-sum overflows.
+sum overflows. Both bounds hold for any operands of magnitude below p,
+so a residue times -1, 0 or 1 enters a product unreduced.
 """
 
 from __future__ import annotations
@@ -110,6 +118,8 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
+        # numpy takes a scalar of its own type faster than a Python int.
+        self._modulus = np.int64(p)
         self.matmul_chunk = ((1 << 63) - 1) // (p - 1) ** 2
         self.float_terms = ((1 << 53) - 1) // (p - 1) ** 2
 
@@ -155,22 +165,24 @@ class PrimeField:
         return c % self.p
 
     def add(self, a, b) -> np.ndarray:
-        return (np.asarray(a) + np.asarray(b)) % self.p
+        return self.reduce(np.add(a, b))
 
     def sub(self, a, b) -> np.ndarray:
-        return (np.asarray(a) - np.asarray(b)) % self.p
+        return self.reduce(np.subtract(a, b))
 
     def neg(self, a) -> np.ndarray:
-        return (-np.asarray(a)) % self.p
+        return self.reduce(np.negative(a))
 
     def mul(self, a, b) -> np.ndarray:
-        return (np.asarray(a) * np.asarray(b)) % self.p
+        return self.reduce(np.multiply(a, b))
 
     def matmul(self, a, b, out=None) -> np.ndarray:
         """a @ b mod p, with numpy's stacking rules; reduced in place.
 
-        The contraction runs over the last axis of a and the first axis
-        of a vector b, or the second-to-last axis of a matrix or stack b.
+        The operands are integers of magnitude below p: canonical
+        residues, or residues times -1, 0 or 1. The contraction runs
+        over the last axis of a and the first axis of a vector b, or the
+        second-to-last axis of a matrix or stack b.
         ``out``, if given, receives the product; it must be an int64
         array (a strided view is fine) of exactly the product's shape,
         else ValueError, where np.matmul would broadcast or cast.
@@ -190,13 +202,10 @@ class PrimeField:
         def terms(s):
             return b[s : s + step] if b.ndim == 1 else b[..., s : s + step, :]
 
-        out = np.matmul(a[..., :step], terms(0), out=out)
-        out %= self.p
+        out = self.reduce(np.matmul(a[..., :step], terms(0), out=out))
         for s in range(step, n, step):
-            part = a[..., s : s + step] @ terms(s)
-            part %= self.p
-            out += part
-            out %= self.p
+            out += self.reduce(a[..., s : s + step] @ terms(s))
+            out = self.reduce(out)
         return out
 
     def _matmul_float(self, a, b, shape, out) -> np.ndarray:
@@ -234,8 +243,8 @@ class PrimeField:
         but not in remainder. Callers that sum or subtract residues with
         plain numpy arithmetic reduce once at the end through this.
         """
-        q = x // self.p
-        q *= self.p
+        q = x // self._modulus
+        q *= self._modulus
         x -= q
         return x
 

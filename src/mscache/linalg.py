@@ -75,17 +75,18 @@ def _gauss_jordan(field: FieldContext, a: np.ndarray) -> tuple[np.ndarray, np.nd
     for c in range(n):
         k, found = field.select_pivot(m[:, c:, c], threshold)
         full_rank &= found
-        # Columns left of c no longer steer a pivot or reach E.
-        pivot_rows = m[batch, k + c, c:]
-        m[batch, k + c, c:] = m[:, c, c:]
-        pivot = np.where(full_rank, pivot_rows[:, 0], field.coeff(1))
+        # Whole rows are swapped and updated: what they change left of
+        # column c no longer steers a pivot or reaches E.
+        pivot_rows = m[batch, k + c]
+        m[batch, k + c] = m[:, c]
+        pivot = np.where(full_rank, pivot_rows[:, c], field.coeff(1))
         pivot_rows = field.mul(pivot_rows, field.inv_each(pivot)[:, None])
-        m[:, c, c:] = pivot_rows
+        m[:, c] = pivot_rows
         factors = m[:, :, c].copy()
         factors[:, c] = 0
         factors[field.is_zero(factors)] = 0
-        update = field.mul(factors[:, :, None], pivot_rows[:, None, :])
-        m[:, :, c:] = field.sub(m[:, :, c:], update)
+        # One product per entry, so one reduction keeps it exact.
+        m = field.reduce(m - factors[:, :, None] * pivot_rows[:, None, :])
     return m[:, :, n:], full_rank
 
 

@@ -21,6 +21,7 @@ from mscache import (
     build_row_plan_reduced,
     build_schedule,
     draw_channel,
+    draw_plan_channel,
     is_supported,
     random_library,
     regime,
@@ -537,27 +538,104 @@ def test_schedule_determinism():
         assert b1.group == b2.group and b1.gains == b2.gains
 
 
-@pytest.mark.parametrize("N, L", [(8, 7), (7, 3), (6, 4)])
-def test_schedule_makes_one_payload_product_per_row(N, L):
-    # The plan's coefficients fold into the beams on the small side, so
-    # each row's payload passes through a single field.matmul.
+def _row_bytes(N, L, tau, itemsize=8):
+    """Bytes of one table row's fold, gathered minifiles and signals, the
+    unit build_schedule sizes its row blocks in."""
+    layout = schedule_layout(N, L)
+    m = layout.minifiles
+    return layout.transmissions * L * (L * m + (m + 1) * tau) * itemsize
+
+
+@pytest.mark.parametrize(
+    "N, L, scale, one_row",
+    [(8, 7, 16, False), (7, 3, 16, False), (6, 4, 16, False), (16, 15, 1, False),
+     (17, 5, 1, False), (8, 7, 16, True), (17, 5, 1, True), (8, 7, 8192, False)],
+    ids=["8-7", "7-3", "6-4", "16-15", "17-5", "8-7-one-row", "17-5-one-row", "payload8"],
+)
+def test_schedule_makes_one_payload_product_per_row_block(monkeypatch, N, L, scale, one_row):
+    # The plan's coefficients fold into the beams on the small side, and
+    # rows are synthesized in blocks whose fold, gathered minifiles and
+    # signals fit in CHUNK_BYTES, so each block's payload passes through
+    # a single field.matmul. A row larger than CHUNK_BYTES (payload8's
+    # 3.2 MB rows) is a block of its own.
     field = PrimeField(65537)
-    cfg = LibraryConfig(N=N, K=N, L=L, F=16 * N * L)
+    cfg = LibraryConfig(N=N, K=N, L=L, F=scale * N * L)
     lib = random_library(field, N, cfg.F, seed=N)
-    H = draw_channel(N, L, seed=L, field=field)
-    tau = cfg.F // (N * schedule_layout(N, L).minifiles)
-    widths = []
+    # The plan-aware draw memoizes the beams, so the schedule's only
+    # products are the payload's.
+    H = draw_plan_channel(N, L, seed=L, field=field)
+    layout = schedule_layout(N, L)
+    tau = cfg.F // (N * layout.minifiles)
+    if one_row:
+        monkeypatch.setattr(delivery, "CHUNK_BYTES", _row_bytes(N, L, tau))
+    height = max(1, delivery.CHUNK_BYTES // _row_bytes(N, L, tau))
+    want = [(min(height, N - r) * layout.transmissions, tau) for r in range(0, N, height)]
+    products = []
     inner = field.matmul
 
     def counting(a, b, out=None):
-        widths.append(np.shape(b)[-1])
+        products.append((np.shape(a)[0], np.shape(b)[-1]))
         return inner(a, b, out=out)
 
     field.matmul = counting
     sched = build_schedule(DemandVector(range(N)), H, lib, cfg)
-    assert widths.count(tau) == N
-    assert all(w < tau for w in widths if w != tau)  # the rest are beam-sized
+    assert products == want
+    assert len(products) == (N if one_row or scale == 8192 else -(-N // height))
     assert sched.signals.shape[-1] == tau
+
+
+def _per_row_signals(field, beams, lib, d, N, L):
+    """Reference synthesis: transmission by transmission, each served
+    user's coded minifiles C (L, tau) first and the beams' product after."""
+    layout = schedule_layout(N, L)
+    m = layout.minifiles
+    P = lib.parts(m)
+    out = []
+    for b, group in enumerate(layout.groups.tolist()):
+        i, t = divmod(b, layout.transmissions)
+        coeffs = layout.plans[i].coefficients[t]
+        C = field.zeros((L, P.shape[-1]))
+        for q, u in enumerate(group):
+            for j in range(m):
+                term = field.mul(P[d[u], i, j], field.coeff(int(coeffs[q, j])))
+                C[q] = field.add(C[q], term)
+        out.append(field.matmul(beams[b], C))
+    return np.stack(out)
+
+
+SYNTHESIS_PAIRS = [(N, L) for N in range(2, 13) for L in range(1, N) if is_supported(N, L)]
+
+
+@pytest.mark.parametrize("N, L", SYNTHESIS_PAIRS)
+@pytest.mark.parametrize(
+    "field", [PrimeField(7), PrimeField(65537), PrimeField(536870909), ComplexField()],
+    ids=["gf7", "gf65537", "gf536870909", "complex"],
+)
+def test_row_blocked_synthesis_equals_per_row_reference(monkeypatch, field, N, L):
+    # Beams drawn at random stand in for the channel's, so that tiny
+    # primes, whose channels rarely serve every group, are covered too.
+    # Blocks of one row, of several rows with a shorter last block, and
+    # of all rows give the reference's signals: bit for bit in GF,
+    # within zero_atol in complex mode, where the fold order differs.
+    cfg = LibraryConfig(N=N, K=N, L=L, F=2 * N * L)
+    lib = random_library(field, N, cfg.F, seed=N * 13 + L)
+    rng = np.random.default_rng(N * 17 + L)
+    B = len(schedule_layout(N, L).groups)
+    beams = field.sample(rng, (B, L, L))
+    gains = field.sample_channel(rng, (B, L))
+    monkeypatch.setattr(delivery, "_layout_beams", lambda H: (beams, gains))
+    H = ChannelMatrix(field, field.sample_channel(rng, (N, L)))
+    d = DemandVector(rng.permutation(N))
+    want = _per_row_signals(field, beams, lib, d, N, L)
+    row = _row_bytes(N, L, want.shape[-1], want.itemsize)
+    for height in sorted({1, N // 2 + 1, N}):
+        monkeypatch.setattr(delivery, "CHUNK_BYTES", height * row)
+        got = build_schedule(d, H, lib, cfg).signals
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if field.mode == "gf":
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= field.zero_atol
 
 
 def test_schedule_input_validation():

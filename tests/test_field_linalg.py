@@ -159,6 +159,28 @@ def test_gf_reductions_give_residues_and_keep_sums_within_int64(p):
     assert CC.reduce(z) is z and CC.reduce_products(z, 2**40) is z
 
 
+@pytest.mark.parametrize("p", (2, 3, 65537, 536870909))
+def test_gf_elementwise_ops_equal_python_remainder(p):
+    # add, sub, mul and neg reduce one numpy expression by floor division.
+    # On every pair of these residues they equal Python's %, also where
+    # sub and neg reach -(p-1) before the reduction, and they leave their
+    # operands as they were.
+    field = PrimeField(p)
+    drawn = np.random.default_rng(p).integers(0, p, 6).tolist()
+    picks = sorted({0, 1, p // 2, p - 2, p - 1, *drawn})
+    a, b = (np.array(x, dtype=np.int64) for x in np.meshgrid(picks, picks, indexing="ij"))
+    before = a.copy(), b.copy()
+    pairs = [(x, y) for x in picks for y in picks]
+    for name, op in (("add", int.__add__), ("sub", int.__sub__), ("mul", int.__mul__)):
+        got = getattr(field, name)(a, b)
+        assert got.dtype == np.int64
+        assert got.ravel().tolist() == [op(x, y) % p for x, y in pairs], name
+    assert field.neg(a[:, 0]).tolist() == [(-x) % p for x in picks]
+    assert field.sub(0, p - 1) == 1 and field.neg(p - 1) == 1
+    assert field.mul(p - 1, p - 1) == 1
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+
 def test_gf_convert_rejects_non_integral_floats():
     assert GF7.convert(np.array([1.0, -1.0, 8.0])).tolist() == [1, 6, 1]
     assert GF7.convert(3.0).tolist() == 3

@@ -62,6 +62,10 @@ def products(draw):
     else:
         # All p-1: the largest partial sums either regime can meet.
         a, b = np.full(a_shape, p - 1), np.full(b_shape, p - 1)
+    if draw(st.booleans()):
+        # Residues times -1, 0 or 1, as the payload fold leaves them; all
+        # -1 times all p-1 gives the most negative partial sums.
+        a = a * (rng.integers(-1, 2, a_shape) if draw(st.booleans()) else -1)
     return field, a, b
 
 

@@ -133,6 +133,26 @@ def test_tall_elimination_gives_left_inverse_and_null_vector(n, B, p, seed):
             assert v[b].any()
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), B=st.integers(1, 6), seed=SEEDS)
+def test_elimination_agrees_with_rank_at_the_largest_prime(n, B, seed):
+    # At p = 536870909 each product of two residues is close to 2**58, so
+    # the update a - f*b, one product and one reduction, is the tightest
+    # int64 fit of any prime the field accepts. Planted rows make singular
+    # and rank-deficient matrices, which random ones at this p never are.
+    field = PrimeField(536870909)
+    rng = np.random.default_rng(seed)
+    tall = _plant(field, rng, field.sample_channel(rng, (B, n + 1, n)))
+    G, v, full_rank = left_inverse_stack(field, tall)
+    for b in range(B):
+        assert bool(full_rank[b]) == (rank(field, tall[b]) == n)
+        if full_rank[b]:
+            assert field.equal(field.matmul(G[b], tall[b]), np.eye(n, dtype=np.int64))
+            assert not field.matmul(v[b], tall[b]).any() and v[b].any()
+    square = _plant(field, rng, field.sample_channel(rng, (B, n, n)))
+    _check_against_rank(field, square)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 7),
