@@ -11,13 +11,24 @@ tens is one draw where the all-subsets check would exhaust its budget.
 
 With K = L+1 rows, as in the full regime, the L-row subsets are H
 without one row each, and one tall elimination decides them all: H must
-have full column rank and its left null vector no zero entry. Otherwise
-the check walks the sorted row prefixes of H depth first, each with a
-basis of its null space: a row joins a prefix by one product with that
-basis and one eliminated basis vector, so each of the C(K, L) subsets
-(at K < L, all K rows) costs one length-L dot product at the last level
-instead of an elimination. Prefixes are extended in chunks of bounded
-size, and the walk stops at the first dependent prefix.
+have full column rank and its left null vector no zero entry. At
+K >= L+2 the check has two paths, chosen by the field's ``exact``:
+
+- In an exact field it eliminates the first L rows once and condenses
+  the minors of A = H[L:] @ H[:L]^-1: every L-row subset is invertible
+  exactly when every square minor of A is nonzero, and the C(K, L)
+  minors come order by order from the two orders below by the
+  Desnanot-Jacobi identity, a few array operations per order, which
+  stop at the first order holding a zero.
+- In complex mode, and at K < L in both, it walks the sorted row
+  prefixes of H depth first, each with a basis of its null space: a row
+  joins a prefix by one product with that basis and one eliminated
+  basis vector, so each of the C(K, L) subsets (at K < L, all K rows)
+  costs one length-L dot product at the last level instead of an
+  elimination, and the walk stops at the first dependent prefix.
+
+Both paths build their temporaries in blocks of bounded size; the
+condensation also keeps three whole orders of minors.
 
 A ``ChannelMatrix`` keeps a read-only copy of H and memoizes the tall
 eliminations of its parent sets of rows (``left_inverses``) and the
@@ -46,7 +57,9 @@ receptions are the decoded files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,20 +69,22 @@ from .errors import (
     ResamplingExhausted,
 )
 from .field import FieldContext
-from .linalg import left_inverse_stack
+from .linalg import inverse_stack, left_inverse_stack
 
 # Channel draws before giving up; exceeding this signals a pathological
 # field size or dimensions, not bad luck.
 DRAW_BUDGET = 64
 
-# Bytes of one step of the genericity check: the children's null-space
-# bases plus the matmul rows of the prefixes it extends. The depth-first
-# sweep keeps the prefixes still to visit on every level it is inside,
-# so a step is a fraction of a MiB: the whole check then peaks near
-# 1.6 MiB at (K, L) = (20, 9) and 3.7 MiB at (40, 36) (tracemalloc).
-# Decoding takes its receptions in blocks of this size too, and
-# synthesis (``delivery.build_schedule``) its rows, which keeps their
-# temporaries in cache.
+# Bytes of one step of the genericity check: in the prefix sweep, the
+# children's null-space bases plus the matmul rows of the prefixes it
+# extends; in the minor condensation, each gathered term of a block of
+# minors. The sweep keeps the prefixes still to visit on every level it
+# is inside, and the condensation three orders of minors, so the check
+# peaks near 1.8 MiB at (K, L) = (20, 9) and 15.6 MiB at (24, 11), whose
+# three largest orders hold 14.9 MiB (tracemalloc). Decoding takes its
+# receptions in blocks of this size too, and synthesis
+# (``delivery.build_schedule``) its rows, which keeps their temporaries
+# in cache.
 CHUNK_BYTES = 1 << 18
 
 # In complex mode a candidate row is dependent when every entry of its
@@ -176,17 +191,26 @@ def _generic(field: FieldContext, H, L: int) -> bool:
     full column rank and a left null vector with every entry nonzero by
     the field's ``null_support``. In GF that is exactly the rank test on
     every subset; in complex mode see ``ComplexField.null_support``.
-    Otherwise it is a sweep over sorted row prefixes up to depth
-    min(K, L): every prefix lies inside some subset the check covers, so
-    the draw is generic exactly when no prefix gains a row that its null
-    space already annihilates. In GF the verdict is exact, the same as a
-    rank test on every subset. In complex mode a row counts as dependent
-    when every entry of its product with the prefix's null-space basis is
-    at most PIVOT_MARGIN times the channel's pivot threshold. On channels
-    whose rows share one scale, as ``sample_channel``'s i.i.d. entries
-    do, that rule is never looser than a rank test on every subset, and
-    it accepts the well-conditioned draws that test accepts; rows of very
-    different scales can make it looser.
+
+    At K >= L+2 in an exact field, the first L rows must be invertible,
+    and then every L-row subset is exactly when every square minor of
+    A = H[L:] @ H[:L]^-1 is nonzero (``_minors_nonzero``). The subset
+    that keeps first-block rows T and takes rows U of the rest is
+    (I[T]; A[U]) @ H[:L], whose determinant is, up to sign and
+    det H[:L], the minor of A on rows U and the columns outside T.
+
+    Otherwise (complex mode at K >= L+2, and K < L) it is a sweep over
+    sorted row prefixes up to depth min(K, L): every prefix lies inside
+    some subset the check covers, so the draw is generic exactly when no
+    prefix gains a row that its null space already annihilates. In GF
+    the verdict is exact, the same as a rank test on every subset. In
+    complex mode a row counts as dependent when every entry of its
+    product with the prefix's null-space basis is at most PIVOT_MARGIN
+    times the channel's pivot threshold. On channels whose rows share
+    one scale, as ``sample_channel``'s i.i.d. entries do, that rule is
+    never looser than a rank test on every subset, and it accepts the
+    well-conditioned draws that test accepts; rows of very different
+    scales can make it looser.
     """
     H = _as_channel(H, field)
     K = H.K
@@ -197,6 +221,117 @@ def _generic(field: FieldContext, H, L: int) -> bool:
         _, v, full_rank = H.left_inverses(np.arange(K)[None])
         return bool(full_rank[0] and field.null_support(v).all())
     H = H.H
+    if field.exact and K > L + 1:
+        inverse, nonsingular = inverse_stack(field, H[None, :L])
+        return bool(nonsingular[0]) and _minors_nonzero(field, field.matmul(H[L:], inverse[0]))
+    return _prefix_sweep(field, H, L)
+
+
+def _colex_subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n), one sorted row each, in colex order.
+
+    Colex order sorts by the largest element first, so the j-subsets of
+    range(m) are the first C(m, j) of those of range(n). Size j is then
+    one gather of size j - 1: for each largest element m in turn, the
+    first C(m, j - 1) subsets with m appended.
+    """
+    subsets = np.zeros((1, 0), dtype=np.int64)
+    for j in range(1, k + 1):
+        counts = [math.comb(m, j - 1) for m in range(j - 1, n)]
+        top = np.repeat(np.arange(j - 1, n), counts)
+        rest = np.arange(len(top)) - np.repeat(np.cumsum(counts) - counts, counts)
+        subsets = np.column_stack([subsets[rest], top])
+    return subsets
+
+
+@lru_cache(maxsize=None)
+def _condensation_maps(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each k-subset of range(n) in colex order, the colex index of
+    that subset without its first element and without its last (a
+    (2, C(n, k)) array over the (k-1)-subsets), and without both (over
+    the (k-2)-subsets).
+
+    The colex index of sorted e_1 < ... < e_j is the sum of C(e_i, i).
+    Built on first use and kept read-only.
+    """
+    subsets = _colex_subsets(n, k)
+    binom = np.array([[math.comb(e, i) for i in range(k)] for e in range(n)], dtype=np.int64)
+
+    def index(s):
+        return binom[s, np.arange(1, s.shape[1] + 1)].sum(axis=1)
+
+    ends = np.stack([index(subsets[:, 1:]), index(subsets[:, :-1])])
+    both = index(subsets[:, 1:-1])
+    ends.setflags(write=False)
+    both.setflags(write=False)
+    return ends, both
+
+
+def _minors_nonzero(field: FieldContext, A: np.ndarray) -> bool:
+    """Whether every square minor of A, of every order, is nonzero, in an
+    exact field.
+
+    Order-1 minors are A's entries. The order-k minor on sorted rows R
+    and columns C comes from orders k-1 and k-2 by the Desnanot-Jacobi
+    identity, (D[f,f] D[l,l] - D[f,l] D[l,f]) / D2[b,b], where f, l and
+    b are the index sets without their first element, without their
+    last, and without both. The divisor is nonzero because its order
+    passed. Each order is a few gathers, products and reductions over
+    blocks of at most CHUNK_BYTES per temporary. Only three consecutive
+    orders are kept, the oldest as inverses, and the check stops at the
+    first order that holds a zero. A is turned so that its rows are the
+    shorter side: an order then has few row subsets and long rows of
+    minors, so each gather runs along a long row (at (40, 36), 60 times
+    faster than the other way round). A block is a run of rows, or of
+    columns of one row when a row is longer than a block.
+    """
+    if A.shape[0] > A.shape[1]:
+        A = A.T
+    level = np.ascontiguousarray(A)
+    if not level.all():
+        return False
+    rows, cols = level.shape
+    inverses = np.ones((1, 1), dtype=np.int64)  # of the one order-0 minor
+    block = max(1, CHUNK_BYTES // 32)  # minors per block: four 8-byte terms each
+    for k in range(2, rows + 1):
+        row_ends, row_both = _condensation_maps(rows, k)
+        col_ends, col_both = _condensation_maps(cols, k)
+        height, width = row_both.size, col_both.size
+        last = k == rows
+        minors = None if last else np.empty((height, width), dtype=np.int64)
+        # Rows per block, so that the rows gathered from the orders below
+        # fit as well; a row longer than a block is split into columns.
+        step = max(1, block // max(width, level.shape[1], inverses.shape[1]))
+        span = min(width, block)
+        for r in range(0, height, step):
+            here = slice(r, r + step)
+            ends = level[row_ends[:, here]]
+            both = None if last else inverses[row_both[here]]
+            for c in range(0, width, span):
+                there = slice(c, c + span)
+                # g[i, :, j] holds D[rows without end i, columns without end j].
+                g = np.take(ends, col_ends[:, there], axis=2)
+                x = g[0, :, 0] * g[1, :, 1]
+                x -= g[0, :, 1] * g[1, :, 0]
+                field.reduce(x)
+                # The divisor is nonzero, so a minor is zero with its numerator.
+                if not x.all():
+                    return False
+                if not last:
+                    x *= np.take(both, col_both[there], axis=1)
+                    minors[here, there] = field.reduce(x)
+        if not last:
+            # Order k-1 becomes the divisor of order k+1, inverted in place.
+            flat = level.reshape(-1)
+            for s in range(0, flat.size, block):
+                flat[s : s + block] = field.inv_each(flat[s : s + block])
+            inverses, level = level, minors
+    return True
+
+
+def _prefix_sweep(field: FieldContext, H: np.ndarray, L: int) -> bool:
+    """``_generic``'s sweep over null spaces of sorted row prefixes of H."""
+    K = H.shape[0]
     threshold = PIVOT_MARGIN * field.pivot_threshold(H)
     # Prefixes still to extend, deepest last: a (B, w, L) stack of bases,
     # prefix b's rows annihilating the w rows of N[b], and each prefix's

@@ -6,8 +6,10 @@ checked as a plain equality. ``ComplexField`` models the same linear
 network over complex floating point, with explicit tolerances standing
 in for exactness. A context owns every arithmetic decision (dtype,
 inversion, zero tests, equality, reduction), so no other module
-branches on the mode. Values are plain numpy arrays; a single
-computation must stay within one context. Code that combines values
+branches on the mode; ``exact`` tells the kernels that can use exact
+arithmetic (``linalg._gauss_jordan``, ``channel._generic``) whether
+they may. Values are plain numpy arrays; a single computation must
+stay within one context. Code that combines values
 with plain numpy arithmetic (products, sums and differences of at most
 2**63 in magnitude) passes the result through ``reduce``, and products
 that it will sum further through ``reduce_products``.
@@ -15,9 +17,9 @@ that it will sum further through ``reduce_products``.
 ``PrimeField.reduce`` subtracts (x // p) * p, so every reduction,
 including those of ``add``, ``sub``, ``mul`` and ``neg``, is a floor
 division by a scalar, which numpy runs about four times faster per
-element than ``x % p``. An elimination update a - f*b is one int64 expression (one
-product of two residues, below 2**58 at the largest prime) and one
-reduction.
+element than ``x % p``. A division-free elimination update d*a - f*b
+is one int64 expression (two products of residues, each below 2**58 at
+the largest prime, so their difference fits) and one reduction.
 
 ``PrimeField.matmul`` is exact in one of two regimes, chosen by the
 context from p and the inner length n. While n*(p-1)**2 < 2**53 every
@@ -110,6 +112,9 @@ class PrimeField:
 
     mode = "gf"
     dtype = np.int64
+    # A nonzero test is a true one and division by a nonzero value is
+    # exact, so eliminations need neither thresholds nor per-step division.
+    exact = True
 
     def __init__(self, p: int = 65537):
         # Size first: trial division of a 64-bit modulus would not finish.
@@ -340,6 +345,7 @@ class ComplexField:
 
     mode = "complex"
     dtype = np.complex128
+    exact = False
 
     pivot_rtol = 1e-10
     zero_atol = 1e-9

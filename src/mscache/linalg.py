@@ -9,14 +9,22 @@ when an elimination factor counts as zero.
 shape, the tests' reference. ``_gauss_jordan`` is a batched Gauss-Jordan on
 a (B, r, n) stack with r >= n: each column step is a few numpy
 operations over the whole stack, not one Python elimination per
-matrix. ``inverse_stack`` is its square case. ``left_inverse_stack``
+matrix. It has two kernels, chosen by the field's ``exact``. In an
+exact field a step divides nothing: every row is scaled by the pivot
+and loses the pivot row times its own entry, one int64 expression and
+one reduction; rows are swapped only at a step where some diagonal
+entry is zero, and the rows are normalized once at the end, which gives
+the normalized kernel's bytes. In complex mode each step normalizes its
+pivot row against a threshold, and that kernel is also the tests'
+reference for the exact one. ``inverse_stack`` is its square case. ``left_inverse_stack``
 is its tall case, r = n+1: one pass gives every matrix a left inverse G
 and a left null vector v, and the inverse of the matrix without any one
 row k is then a rank-one update of G. The schedule's beam bank and the
 channel check at K = L+1 use the tall case, and share one elimination
 per parent set of rows through the channel, which memoizes it
-(``ChannelMatrix.left_inverses``); at every other K the channel check
-carries null spaces of row prefixes instead (``channel._generic``).
+(``ChannelMatrix.left_inverses``); at K >= L+2 in GF the check inverts
+the first L rows with ``inverse_stack`` and condenses minors, and
+otherwise carries null spaces of row prefixes (``channel._generic``).
 """
 
 from __future__ import annotations
@@ -58,13 +66,26 @@ def rank(field: FieldContext, a) -> int:
 def _gauss_jordan(field: FieldContext, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Gauss-Jordan on a (B, r, n) stack with r >= n: (E, full_rank).
 
-    full_rank[b] equals ``rank(field, a[b]) == n``: column c of every
-    matrix takes the pivot ``rank`` would take, against that matrix's
-    own threshold, and a row whose elimination factor is zero is left
-    alone, as ``rank`` leaves it. E[b] (r x r) holds the row
-    operations, so that where full_rank[b], E[b] @ a[b] is I_n on top of
-    r - n zero rows. A matrix that runs out of pivots carries on with a
-    unit pivot so that the others are not disturbed.
+    full_rank[b] equals ``rank(field, a[b]) == n``. E[b] (r x r) holds
+    the row operations, so that where full_rank[b], E[b] @ a[b] is I_n
+    on top of r - n zero rows. In an exact field the division-free
+    kernel runs, else the normalized one; where full_rank holds, their
+    E are the same bytes in GF.
+    """
+    if field.exact:
+        return _gauss_jordan_exact(field, a)
+    return _gauss_jordan_normalized(field, a)
+
+
+def _gauss_jordan_normalized(field: FieldContext, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan that normalizes each pivot row: the complex kernel,
+    and the reference for the exact one.
+
+    Column c of every matrix takes the pivot ``rank`` would take,
+    against that matrix's own threshold, and a row whose elimination
+    factor is zero is left alone, as ``rank`` leaves it. A matrix that
+    runs out of pivots carries on with a unit pivot so that the others
+    are not disturbed.
     """
     B, r, n = a.shape
     eye = field.convert(np.eye(r, dtype=np.int64))
@@ -88,6 +109,58 @@ def _gauss_jordan(field: FieldContext, a: np.ndarray) -> tuple[np.ndarray, np.nd
         # One product per entry, so one reduction keeps it exact.
         m = field.reduce(m - factors[:, :, None] * pivot_rows[:, None, :])
     return m[:, :, n:], full_rank
+
+
+def _gauss_jordan_exact(field: FieldContext, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Division-free Gauss-Jordan over an exact field, normalized once at
+    the end.
+
+    Step c scales every row by the pivot d and subtracts the pivot row
+    times the row's entry in column c: m <- d m - f (x) row_c, with
+    f_c = 0. Each term is a product of two residues, below 2**58, so
+    the update is one int64 expression and one reduction. Every row
+    stays a nonzero multiple of the normalized kernel's, so the pivots
+    are found where that kernel finds them (the first nonzero entry),
+    and rows are swapped only at a step where some diagonal entry is
+    zero. A matrix that runs out of pivots carries on with d = 1.
+    Finally row i < n is divided by its diagonal entry and each null
+    row, which no step used as a pivot, by its entry at the row's
+    original index, which the normalized kernel leaves at 1.
+    """
+    B, r, n = a.shape
+    m = np.empty((B, r, n + r), dtype=np.int64)
+    m[:, :, :n] = a
+    m[:, :, n:] = np.eye(r, dtype=np.int64)
+    full_rank = np.ones(B, dtype=bool)
+    origin = None  # each row's original index, once a step swaps rows
+    for c in range(n):
+        d = m[:, c, c].copy()
+        if np.count_nonzero(d) < B:
+            k, found = field.select_pivot(m[:, c:, c], 0)
+            full_rank &= found
+            batch = np.arange(B)
+            if origin is None:
+                origin = np.tile(np.arange(r), (B, 1))
+            for rows in (m, origin):
+                pivot_rows = rows[batch, k + c]
+                rows[batch, k + c] = rows[:, c]
+                rows[:, c] = pivot_rows
+            d = np.where(found, m[:, c, c], 1)
+        update = m[:, :, c, None] * m[:, None, c]
+        update[:, c] = 0
+        m *= d[:, None, None]
+        m -= update
+        field.reduce(m)
+    E = m[:, :, n:]
+    scale = np.empty((B, r), dtype=np.int64)
+    scale[:, :n] = np.diagonal(m[:, :n, :n], axis1=1, axis2=2)
+    null = E[:, n:]
+    if origin is None:
+        scale[:, n:] = np.diagonal(null[:, :, n:], axis1=1, axis2=2)
+    else:
+        scale[:, n:] = np.take_along_axis(null, origin[:, n:, None], axis=2)[:, :, 0]
+    scale[scale == 0] = 1  # only where a matrix ran out of pivots
+    return field.mul(E, field.inv_each(scale)[:, :, None]), full_rank
 
 
 def inverse_stack(field: FieldContext, a) -> tuple[np.ndarray, np.ndarray]:

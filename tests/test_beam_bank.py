@@ -89,9 +89,10 @@ def test_full_regime_gains_are_null_vector_ratios(p):
             assert np.array_equal(np.array(block.gains), want), (N, k)
 
 
-def _eliminated(monkeypatch, N, L, draw=draw_channel):
-    """Matrices the batched kernel eliminates while one channel is drawn
-    and one schedule is built on it."""
+def _eliminated(monkeypatch, N, L, draw=draw_channel, record=lambda a: a.shape[0]):
+    """What the batched kernel eliminates while one channel is drawn and
+    one schedule is built on it: by default the number of matrices of
+    each call."""
     field = PrimeField(65537)
     cfg = LibraryConfig(N=N, K=N, L=L, F=N * L)
     lib = random_library(field, N, cfg.F, 1)
@@ -99,7 +100,7 @@ def _eliminated(monkeypatch, N, L, draw=draw_channel):
     kernel = linalg._gauss_jordan
 
     def counting(field, a):
-        count.append(a.shape[0])
+        count.append(record(a))
         return kernel(field, a)
 
     monkeypatch.setattr(linalg, "_gauss_jordan", counting)
@@ -121,7 +122,8 @@ def test_one_elimination_per_parent_set_at_17_5(monkeypatch):
     layout = schedule_layout(17, 5)
     assert len(np.unique(layout.groups, axis=0)) == 33
     assert len(layout.parents) == 14
-    assert _eliminated(monkeypatch, 17, 5) == [14]
+    # The all-subsets check first inverts the channel's first 5 rows.
+    assert _eliminated(monkeypatch, 17, 5, record=np.shape) == [(1, 5, 5), (14, 6, 5)]
 
 
 def test_plan_draw_eliminates_once_for_draw_and_schedule(monkeypatch):

@@ -2,10 +2,11 @@
 
 ``inverse_stack`` must make exactly the decisions of ``rank`` on every
 matrix of a stack, in both field modes, and its GF inverses must be
-exact. The channel check, a sweep over null spaces of row prefixes,
-must accept exactly the draws the per-subset rank loop accepts in GF,
-and never a draw that loop rejects in complex mode; the loop is kept
-here as the reference.
+exact; in GF the division-free kernel must give the normalized one's
+bytes. The channel check (minor condensation in GF at K >= L+2, a sweep
+over null spaces of row prefixes otherwise) must accept exactly the
+draws the per-subset rank loop accepts in GF, and never a draw that
+loop rejects in complex mode; the loop is kept here as the reference.
 """
 
 import hashlib
@@ -27,10 +28,11 @@ from mscache import (
     inverse_stack,
     rank,
 )
-from mscache.linalg import left_inverse_stack
+from mscache.linalg import _gauss_jordan_exact, _gauss_jordan_normalized, left_inverse_stack
 
 CC = ComplexField()
 PRIMES = (2, 3, 5, 7, 65537)
+LARGEST_PRIME = 536870909
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -153,6 +155,39 @@ def test_elimination_agrees_with_rank_at_the_largest_prime(n, B, seed):
     _check_against_rank(field, square)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(0, 2),
+    B=st.integers(2, 6),
+    p=st.sampled_from((2, 3, 7, 65537, LARGEST_PRIME)),
+    seed=SEEDS,
+)
+def test_division_free_kernel_gives_the_normalized_bytes(n, extra, B, p, seed):
+    # Member 0 has a zero first pivot, so the batch swaps rows at step 0;
+    # member 1 is rank deficient (a zero column), so it runs out of pivots.
+    # The others must come out as they do alone, and every member with
+    # full rank as the normalized kernel makes it.
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    a = _plant(field, rng, field.sample(rng, (B, n + extra, n)))
+    a[0, 0, 0] = 0
+    a[1, :, int(rng.integers(n))] = 0
+    E, full_rank = _gauss_jordan_exact(field, a)
+    want_E, want_full_rank = _gauss_jordan_normalized(field, a)
+    assert np.array_equal(full_rank, want_full_rank)
+    assert not full_rank[1]
+    assert np.array_equal(E[full_rank], want_E[full_rank])
+    for b in range(2, B):
+        alone_E, alone_full_rank = _gauss_jordan_exact(field, a[b : b + 1])
+        assert alone_full_rank[0] == full_rank[b]
+        if full_rank[b]:
+            assert np.array_equal(alone_E[0], E[b])
+    if extra == 1:
+        _, v, _ = left_inverse_stack(field, a)
+        assert np.array_equal(v[full_rank], want_E[full_rank, n])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 7),
@@ -222,7 +257,7 @@ def _counted_draw(K, L, seed, field, budget):
         del field.sample_channel
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 11, 65537))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 65537, LARGEST_PRIME))
 def test_draw_channel_matches_rank_loop_over_a_seed_grid(p):
     field = PrimeField(p)
     for K in range(1, 7):
@@ -261,14 +296,15 @@ def test_channel_check_spans_several_chunks(monkeypatch):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    p=st.sampled_from((3, 5, 7, 11, 65537)),
-    KL=st.integers(1, 8).flatmap(lambda K: st.tuples(st.just(K), st.integers(1, K + 3))),
+    p=st.sampled_from((3, 5, 7, 11, 65537, LARGEST_PRIME)),
+    KL=st.integers(1, 10).flatmap(lambda K: st.tuples(st.just(K), st.integers(1, K + 3))),
     plant=st.booleans(),
     seed=SEEDS,
 )
 def test_gf_prefix_sweep_equals_rank_loop(p, KL, plant, seed):
     # A planted row is a combination of at most L - 1 others (a zero row
     # when none), so some L-subset, or H itself if K < L, is singular.
+    # At K >= L+2 the check condenses minors, up to order 5 at K = 10.
     K, L = KL
     field = PrimeField(p)
     rng = np.random.default_rng(seed)
@@ -347,3 +383,43 @@ def test_draw_channel_at_20_9_keeps_its_draws():
     assert draws == 2
     digest = hashlib.sha256(np.ascontiguousarray(H, dtype=np.int64).tobytes()).hexdigest()
     assert digest == "4aa478e7ea4939c2c1d2511011d30857ee3611bdedaddb3d7b2e96cb4ce575b5"
+
+
+@pytest.mark.parametrize("K, L", ((40, 36), (101, 99)))
+def test_condensation_rejects_a_dependency_planted_in_one_subset(K, L):
+    # The chosen subset holds every row past the first L and the rest
+    # from the first L, so the minor that vanishes has the highest order,
+    # K - L: the subset's last row becomes a combination of its others.
+    field = PrimeField(65537)
+    rng = np.random.default_rng(K)
+    H = draw_channel(K, L, 0, field).H.copy()
+    first = rng.choice(L, size=2 * L - K, replace=False)
+    subset = np.sort(np.concatenate([first, np.arange(L, K)]))
+    H[K - 1] = field.matmul(field.sample_channel(rng, L - 1), H[subset[:-1]])
+    assert rank(field, H[subset]) < L
+    assert not channel._generic(field, H, L)
+
+
+def test_accepted_draw_at_40_36_has_invertible_subsets():
+    field = PrimeField(65537)
+    H = draw_channel(40, 36, 3, field).H
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        rows = np.sort(rng.choice(40, size=36, replace=False))
+        assert rank(field, H[rows]) == 36
+
+
+def test_condensation_memory_stays_at_three_orders():
+    # At (24, 11) the minors of A (13 x 11) of orders 5, 6 and 7 are the
+    # three largest consecutive orders: 1.95M minors, 14.9 MiB in int64.
+    # The check keeps only three orders at a time, and its temporaries
+    # are blocks of CHUNK_BYTES, so the traced peak stays below 24 MiB.
+    field = PrimeField(LARGEST_PRIME)
+    H = field.sample_channel(np.random.default_rng(3), (24, 11))
+    tracemalloc.start()
+    try:
+        assert channel._generic(field, H, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
