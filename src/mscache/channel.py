@@ -94,7 +94,7 @@ CHUNK_BYTES = 1 << 18
 PIVOT_MARGIN = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelMatrix:
     """K x L channel; row k is user k's receive functional h_k^H.
 
@@ -153,7 +153,7 @@ def _as_channel(H, field: FieldContext) -> ChannelMatrix:
     return ChannelMatrix(field, H)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReceptionLog:
     """Per-block K x tau reception matrices, one row per user.
 
@@ -165,7 +165,7 @@ class ReceptionLog:
     per_block: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeResult:
     """One user's reconstructed file and its verification flag.
 
@@ -428,7 +428,8 @@ def _scales(field: FieldContext, layout, gains, rows: slice) -> np.ndarray:
     User u's scale in block b is the owner gain of u's beam where b
     serves u, 1 where u owns b's row, and 0 elsewhere.
     """
-    n_tx, K = layout.transmissions, len(layout.plans)
+    n_tx = layout.transmissions
+    K = len(layout.groups) // n_tx
     blocks = slice(rows.start * n_tx, rows.stop * n_tx)
     scales = field.zeros((blocks.stop - blocks.start, K))
     np.put_along_axis(scales, layout.groups[blocks], gains[blocks], axis=1)

@@ -123,8 +123,11 @@ def _demand_for(args, cfg: LibraryConfig, seed: int) -> DemandVector:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SimulatorError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -217,6 +220,8 @@ def _sweep_cells(args, N: int, L: int, field):
 
 def cmd_sweep(args) -> int:
     _check_trials(args)
+    if args.K is not None or args.L is not None:
+        raise SimulatorError("sweep runs K = N and every L from 1 to N-1; it takes no --K or --L")
     field = make_field(args.mode, args.prime)
     rows = []
     failure = None

@@ -70,7 +70,7 @@ class LibraryConfig:
         return self.F // (self.N * self.minifiles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Library:
     """The N files as an N x F symbol matrix, one row per file."""
 
@@ -102,7 +102,7 @@ class Library:
         return self.data.reshape(N, N, m, F // (N * m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CacheContent:
     """User k's cache Z_k: the sum over n of subfile (n, k)."""
 

@@ -22,10 +22,12 @@ matrix A. Every user of a row decodes with the same A: its columns at
 the user's transmissions invert the user's stacked coefficient system
 (the column-deleted bidiagonal for a telescoping user, the identity
 otherwise), so decoding needs no elimination.
-Every plan is verified by exact integer linear algebra before use,
-including that product equal to I; a verification failure is a hard
-error, never a fallback. Plan arrays are read-only: reduced plans are
-cached per row, and the index layout of both regimes per (N, L).
+The one cached plan object is the schedule layout, per (N, L): the
+shared pattern, every row's groups and the beam bank's parent sets.
+Rows differ only in the labels of their users, so the pattern is
+verified once, by exact integer linear algebra, including that product
+equal to I; a verification failure is a hard error, never a fallback.
+A row plan is a read-only view of the layout.
 
 Zero-forcing beams come from a beam bank over parent sets of L+1
 channel rows: each served group plus the member of its telescoping
@@ -133,7 +135,7 @@ def segment_sizes(N: int, L: int) -> list[int]:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """Freeze an array that cached plans or layouts share across schedules."""
+    """Freeze an array that the cached layout shares across schedules and plans."""
     a.setflags(write=False)
     return a
 
@@ -150,8 +152,10 @@ class RowCodePlan:
     A: m x transmissions matrix with entries in {-1, 0, 1}; row j of A
     applied to the row's receptions yields the sum over users of
     minifile j. A user's decoder is A at the user's transmissions: it
-    inverts the user's stacked coefficient vectors. Built plans at one
-    (N, L) share their coefficients and A.
+    inverts the user's stacked coefficient vectors. Every plan at one
+    (N, L) is a read-only view of schedule_layout(N, L): groups is its
+    row's slice of the layout's groups, coefficients and A are the
+    layout's.
     """
 
     owner: int
@@ -206,72 +210,26 @@ def _telescoping_pattern(L: int):
 
 
 def build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
-    """Deterministic verified coding plan for row i at any supported (N, L).
-
-    Reduced plans are cached; schedule_layout caches the plans of both
-    regimes. Cached plans are shared, so every plan's arrays are read-only.
-    """
-    if regime(N, L) == "reduced":
-        return build_row_plan_reduced(i, N, L)
-    return _build_row_plan(i, N, L)
-
-
-@lru_cache(maxsize=None)
-def build_row_plan_reduced(i: int, N: int, L: int) -> RowCodePlan:
-    """Deterministic verified coding plan for row i at (N, L), L < N-1."""
-    if regime(N, L) != "reduced":
-        raise WrongRegime(f"row plans exist only for L < N-1, got N={N}, L={L}")
-    return _build_row_plan(i, N, L)
-
-
-@lru_cache(maxsize=None)
-def _row_pattern(N: int, L: int):
-    """Served positions (into a row's users), coefficients and A of every
-    row at (N, L): rows differ only in the labels of their users. Also,
-    per transmission, the position of the segment member it does not
-    serve, or -1 when it serves its whole segment."""
-    m = minifile_count(N, L)
-    served, coefficients, blocks, unserved = [], [], [], []
-    pos = 0
-    for size in segment_sizes(N, L):
-        if size == L:
-            # Jointly served group: transmission t of the segment sends
-            # minifile t of every member, so each member's coefficient
-            # system is the identity.
-            block = np.eye(m, dtype=np.int64)
-            positions = np.broadcast_to(np.arange(L), (m, L))
-            coeffs = np.broadcast_to(block[:, None], (m, L, m))
-            unserved.append(np.full(m, -1))
-        else:
-            block, positions, coeffs = _telescoping_pattern(L)
-            # The one position of 0..L that each transmission skips.
-            unserved.append(pos + L * (L + 1) // 2 - positions.sum(axis=1))
-        served.append(pos + positions)
-        coefficients.append(coeffs)
-        blocks.append(block)
-        pos += size
-    return (
-        _readonly(np.concatenate(served)),
-        _readonly(np.concatenate(coefficients)),
-        _readonly(np.concatenate(blocks, axis=1)),
-        _readonly(np.concatenate(unserved)),
-    )
-
-
-def _build_row_plan(i: int, N: int, L: int) -> RowCodePlan:
+    """Row i's coding plan at any supported (N, L): a read-only view of
+    schedule_layout(N, L), whose certificate covers every row."""
+    layout = schedule_layout(N, L)
     if not 0 <= i < N:
         raise InconsistentInputs(f"row index {i} out of range for N={N}")
-    users = np.delete(np.arange(N), i)
-    served, coefficients, A, _ = _row_pattern(N, L)
-    plan = RowCodePlan(
+    n_tx = layout.transmissions
+    return RowCodePlan(
         owner=i,
-        users=tuple(users.tolist()),
-        groups=_readonly(users[served]),
-        coefficients=coefficients,
-        A=A,
+        users=tuple(range(i)) + tuple(range(i + 1, N)),
+        groups=layout.groups[i * n_tx : (i + 1) * n_tx],
+        coefficients=layout.coefficients,
+        A=layout.A,
     )
-    verify_row_plan(plan, N, L)
-    return plan
+
+
+def build_row_plan_reduced(i: int, N: int, L: int) -> RowCodePlan:
+    """build_row_plan for the reduced regime, L < N-1; WrongRegime otherwise."""
+    if regime(N, L) != "reduced":
+        raise WrongRegime(f"row plans exist only for L < N-1, got N={N}, L={L}")
+    return build_row_plan(i, N, L)
 
 
 def verify_row_plan(plan: RowCodePlan, N: int, L: int) -> None:
@@ -382,24 +340,27 @@ class TransmitBlock:
 
 @dataclass(frozen=True, eq=False)
 class ScheduleLayout:
-    """Channel- and demand-free index arrays of every schedule at (N, L).
+    """The certified, channel- and demand-free plan of every schedule at (N, L).
 
-    Block b = i * transmissions + t is transmission t of row i and serves
-    groups[b]. Its zero-forcing beams come from its parent set: the
-    group plus one more channel row, parents[parent_ids[b]] with that
-    row at position left_out[b]. The extra row is the member of the
-    group's telescoping segment that the transmission skips, and
+    Every row shares one coding pattern: coefficients (transmissions, L,
+    m) and A (m, transmissions), as in RowCodePlan; rows differ only in
+    their users' labels. Block b = i * transmissions + t is transmission
+    t of row i and serves groups[b]. Its zero-forcing beams come from its
+    parent set: the group plus one more channel row, parents[parent_ids[b]]
+    with that row at position left_out[b]. The extra row is the member of
+    the group's telescoping segment that the transmission skips, and
     otherwise the smallest user the group does not serve; in the full
     regime that is the row owner, so all N users form the one parent set.
-    taps is the shared A in the form decoding reads it (``_taps``).
+    taps is A in the form decoding reads it (``_taps``).
     Nothing here is per user: a user's decoder for a row is A with the
     columns of the transmissions that do not serve it zeroed, which its
     scale of 0 in those blocks does at decode time.
     """
 
-    plans: tuple
     transmissions: int
     groups: np.ndarray
+    coefficients: np.ndarray
+    A: np.ndarray
     parents: np.ndarray
     parent_ids: np.ndarray
     left_out: np.ndarray
@@ -407,7 +368,7 @@ class ScheduleLayout:
 
     @property
     def minifiles(self) -> int:
-        return self.plans[0].minifiles
+        return self.A.shape[0]
 
 
 def _unique_rows(a: np.ndarray):
@@ -453,14 +414,43 @@ def _taps(A: np.ndarray) -> tuple:
 
 @lru_cache(maxsize=None)
 def schedule_layout(N: int, L: int) -> ScheduleLayout:
-    """The cached layout of every schedule at a supported (N, L)."""
-    plans = tuple(build_row_plan(i, N, L) for i in range(N))
-    groups = np.stack([plan.groups for plan in plans])
+    """The cached layout of every schedule at a supported (N, L), certified once.
+
+    The shared pattern is built in positions 0..N-2 of a row's users,
+    which makes it row N-1's plan, and verify_row_plan certifies that
+    plan. Every other row relabels the positions by its ascending users,
+    an order-preserving map onto the non-owners, which keeps each
+    property the certificate checks.
+    """
+    m = minifile_count(N, L)
+    served, coefficients, blocks, unserved = [], [], [], []
+    pos = 0
+    for size in segment_sizes(N, L):
+        if size == L:
+            # Jointly served group: transmission t of the segment sends
+            # minifile t of every member, so each member's coefficient
+            # system is the identity.
+            block = np.eye(m, dtype=np.int64)
+            positions = np.broadcast_to(np.arange(L), (m, L))
+            coeffs = np.broadcast_to(block[:, None], (m, L, m))
+            unserved.append(np.full(m, -1))
+        else:
+            block, positions, coeffs = _telescoping_pattern(L)
+            # The one position of 0..L that each transmission skips.
+            unserved.append(pos + L * (L + 1) // 2 - positions.sum(axis=1))
+        served.append(pos + positions)
+        coefficients.append(coeffs)
+        blocks.append(block)
+        pos += size
+    served, unserved = np.concatenate(served), np.concatenate(unserved)
+    coefficients = _readonly(np.concatenate(coefficients))
+    A = _readonly(np.concatenate(blocks, axis=1))
+    verify_row_plan(RowCodePlan(N - 1, tuple(range(N - 1)), served, coefficients, A), N, L)
     i = np.arange(N)[:, None]
     users = np.arange(N - 1) + (np.arange(N - 1) >= i)  # users[i]: row i's users, ascending
+    groups = users[:, served]
     # The row that completes each group (ScheduleLayout). A jointly served
     # group holding user 0 is row i's first L users, so it misses min(i, L).
-    unserved = _row_pattern(N, L)[3]
     smallest = np.where(groups[..., 0] > 0, 0, np.minimum(i, L))
     extra = np.where(unserved >= 0, users[:, unserved], smallest)
     # Groups are ascending, so dropping left_out from a sorted parent gives the group.
@@ -468,13 +458,14 @@ def schedule_layout(N: int, L: int) -> ScheduleLayout:
     parents, parent_ids = _unique_rows(np.sort(parent_rows, axis=1))
     left_out = (groups < extra[..., None]).sum(axis=2)
     return ScheduleLayout(
-        plans=plans,
-        transmissions=groups.shape[1],
+        transmissions=len(served),
         groups=_readonly(groups.reshape(-1, L)),
+        coefficients=coefficients,
+        A=A,
         parents=_readonly(parents),
         parent_ids=_readonly(parent_ids),
         left_out=_readonly(left_out.ravel()),
-        taps=_taps(plans[0].A),
+        taps=_taps(A),
     )
 
 
@@ -498,8 +489,8 @@ class DeliverySchedule:
 
     @property
     def plans(self) -> dict:
-        """Row index -> row plan."""
-        return dict(enumerate(self.layout.plans))
+        """Row index -> row plan, each a view of the layout."""
+        return {i: build_row_plan(i, self.cfg.N, self.cfg.L) for i in range(self.cfg.N)}
 
     @cached_property
     def blocks(self) -> tuple:
@@ -693,12 +684,10 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
     row_bytes = n_tx * cfg.L * (cfg.L * m + (m + 1) * tau) * signals.itemsize
     height = max(1, CHUNK_BYTES // row_bytes)
     owners = np.arange(len(signals)) // n_tx
-    # Every row's plan shares one coefficient array.
-    coeffs = layout.plans[0].coefficients
     for r in range(0, cfg.N, height):
         rows = slice(r * n_tx, min(r + height, cfg.N) * n_tx)
-        _payload(field, beams[rows], coeffs, P, demand, layout.groups[rows], owners[rows],
-                 out=signals[rows])
+        _payload(field, beams[rows], layout.coefficients, P, demand, layout.groups[rows],
+                 owners[rows], out=signals[rows])
     total = Fraction(len(signals), cfg.N * m)
     expected = delivery_time(cfg.N, cfg.L)
     if total != expected:

@@ -160,6 +160,31 @@ def test_decode_reduced_end_to_end():
     assert all(r.success for r in results)
 
 
+def test_array_holding_records_compare_by_identity():
+    # Default dataclass equality over ndarray fields raises in ==, and a
+    # frozen dataclass with it hashes those arrays; these records compare
+    # and hash as objects instead.
+    cfg = LibraryConfig(N=4, K=4, L=2, F=8)
+    lib = random_library(GF, 4, 8, seed=3)
+    H = draw_channel(4, 2, seed=4, field=GF)
+    d = DemandVector([1, 0, 3, 2])
+    sched = build_schedule(d, H, lib, cfg)
+    caches = place_caches(lib, cfg)
+    log = receive(H, sched)
+    result = decode_all(d, caches, log, H, sched)[0]
+    twins = [
+        (H, ChannelMatrix(GF, H.H)),
+        (lib, Library(GF, lib.data)),
+        (log, receive(H, sched)),
+        (result, decode_user(0, d, caches[0], log, H, sched)),
+        (caches[0], CacheContent(user=0, payload=caches[0].payload.copy())),
+    ]
+    for a, b in twins:
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
 def test_decode_every_supported_pair():
     # one seeded run per (N, L) the scheduler accepts, N <= 9
     pairs = [(N, N - 1) for N in range(2, 10)]

@@ -164,6 +164,25 @@ def test_sweep_out_file(tmp_path, capsys):
     assert dest.read_text() == SWEEP_4_5
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    for argv in (
+        ["verify", "--N", "4", "--trials", "1", "--out", str(tmp_path / "missing" / "x.csv")],
+        ["table", "--N", "4", "--L", "2", "--out", str(tmp_path)],  # a directory
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: cannot write --out ") and err.count("\n") == 1, err
+
+
+def test_sweep_refuses_k_and_l(capsys):
+    for flags in (["--K", "2"], ["--L", "1"], ["--K", "2", "--L", "1"]):
+        code, out, err = _run(capsys, ["sweep", "--N", "4", *flags])
+        assert code == 2, flags
+        assert out == ""
+        assert err == "error: sweep runs K = N and every L from 1 to N-1; it takes no --K or --L\n"
+
+
 def test_byte_identical_reruns(capsys):
     argv = ["sweep", "--N", "4..6", "--trials", "2"]
     _, first, _ = _run(capsys, argv)

@@ -30,7 +30,7 @@ from mscache import (
     verify_row_plan,
 )
 from mscache.channel import ChannelMatrix, _scales
-from mscache.delivery import _row_pattern, _telescoping_pattern, schedule_layout
+from mscache.delivery import _telescoping_pattern, schedule_layout
 
 GF = PrimeField(65537)
 
@@ -92,7 +92,7 @@ def _unit_gain_decoders(layout, users=slice(None)):
     """The decode's (row, user) decoders at unit owner gains, in GF: the
     taps' matrix with column t scaled by the user's decode scale in the
     row's transmission t, (N, n, m, transmissions)."""
-    N = len(layout.plans)
+    N = len(layout.groups) // layout.transmissions
     gains = np.ones(layout.groups.shape, dtype=np.int64)
     per_row = _scales(GF, layout, gains, range(N))[:, :, users].transpose(0, 2, 1)
     return GF.mul(_tap_matrix(layout), per_row[:, :, None, :])
@@ -145,7 +145,7 @@ def test_all_supported_plans_verify():
                 assert len(_serving(plan, u)) == L
             flat = plan.A.ravel()
             assert set(int(x) for x in flat) <= {-1, 0, 1}
-            assert build_row_plan(i, N, L) is plan
+            assert np.shares_memory(build_row_plan(i, N, L).groups, plan.groups)
     # L = N-1: one transmission over a single minifile, coefficient one
     for N in range(2, 10):
         for i in range(N):
@@ -200,15 +200,16 @@ def test_telescoping_pattern_inverts_column_deleted_bidiagonals():
 
 @pytest.mark.parametrize("N, L", [(24, 11), (60, 29)])
 def test_cold_layouts_at_scale_build_and_verify(N, L):
-    for cache in (_telescoping_pattern, _row_pattern, build_row_plan_reduced, schedule_layout):
+    for cache in (_telescoping_pattern, schedule_layout):
         cache.cache_clear()
     layout = schedule_layout(N, L)
-    assert len(layout.plans) == N and layout.minifiles == L
-    for plan in layout.plans:
+    assert layout.minifiles == L
+    plans = [build_row_plan(i, N, L) for i in range(N)]
+    for plan in plans:
         verify_row_plan(plan, N, L)
     for k in (0, N // 2, N - 1):
         decoders = _unit_gain_decoders(layout, slice(k, k + 1))[:, 0]
-        for plan in layout.plans:
+        for plan in plans:
             if plan.owner == k:
                 assert np.array_equal(decoders[k], GF.convert(plan.A))
                 continue
@@ -223,14 +224,14 @@ def test_cold_layouts_at_scale_build_and_verify(N, L):
 
 
 def test_cached_plans_are_read_only():
-    # Plans of both regimes are cached in the schedule layout (reduced
-    # plans also per row) and shared by every later schedule.
-    assert build_row_plan(3, 4, 2) is build_row_plan(3, 4, 2)
+    # The schedule layout of both regimes is cached and shared by every
+    # later schedule; a row plan is a view of it.
     for i, N, L in ((0, 4, 3), (3, 4, 2)):
         plan = build_row_plan(i, N, L)
-        assert schedule_layout(N, L) is schedule_layout(N, L)
-        with pytest.raises(ValueError):
-            schedule_layout(N, L).plans[i].A[0, 0] = 0
+        layout = schedule_layout(N, L)
+        assert schedule_layout(N, L) is layout
+        assert np.shares_memory(plan.groups, layout.groups)
+        assert plan.coefficients is layout.coefficients and plan.A is layout.A
         with pytest.raises(ValueError):
             plan.A[0, 0] = 0
         with pytest.raises(ValueError):
@@ -239,6 +240,56 @@ def test_cached_plans_are_read_only():
             plan.coefficients[0, 0, 0] = 0
         with pytest.raises(ValueError):
             schedule_layout(N, L).groups[0, 0] = 0
+
+
+def test_row_views_verify_and_relabel_the_last_row():
+    # The layout certifies row N-1's plan only; every row's view passes
+    # the certificate on its own, and relabels row N-1's positions by
+    # the row's ascending users.
+    for N in range(2, 17):
+        for L in range(1, N):
+            if not is_supported(N, L):
+                continue
+            last = build_row_plan(N - 1, N, L).groups
+            for i in range(N):
+                plan = build_row_plan(i, N, L)
+                verify_row_plan(plan, N, L)
+                assert np.array_equal(plan.groups, np.delete(np.arange(N), i)[last])
+
+
+def test_cold_layout_verifies_once(monkeypatch):
+    calls = []
+    real = delivery.verify_row_plan
+
+    def counting(plan, N, L):
+        calls.append((plan.owner, N, L))
+        real(plan, N, L)
+
+    monkeypatch.setattr(delivery, "verify_row_plan", counting)
+    for N, L in ((17, 5), (8, 7)):
+        schedule_layout.cache_clear()
+        calls.clear()
+        schedule_layout(N, L)
+        build_row_plan(0, N, L)
+        assert calls == [(N - 1, N, L)]
+
+
+def test_layout_refuses_a_flipped_pattern_coefficient(monkeypatch):
+    real = delivery._telescoping_pattern
+
+    def flipped(L):
+        B, served, coeffs = real(L)
+        coeffs = coeffs.copy()
+        coeffs.flat[np.flatnonzero(coeffs)[0]] *= -1
+        return B, served, coeffs
+
+    monkeypatch.setattr(delivery, "_telescoping_pattern", flipped)
+    for N, L in ((4, 2), (17, 5)):
+        schedule_layout.cache_clear()
+        with pytest.raises(PlanVerificationError, match="is not the decoding inverse"):
+            schedule_layout(N, L)
+        with pytest.raises(PlanVerificationError):
+            build_row_plan(0, N, L)
 
 
 def _with(plan, name, index, value):
@@ -593,7 +644,7 @@ def _per_row_signals(field, beams, lib, d, N, L):
     out = []
     for b, group in enumerate(layout.groups.tolist()):
         i, t = divmod(b, layout.transmissions)
-        coeffs = layout.plans[i].coefficients[t]
+        coeffs = layout.coefficients[t]
         C = field.zeros((L, P.shape[-1]))
         for q, u in enumerate(group):
             for j in range(m):

@@ -109,13 +109,13 @@ def _dense_decode(field, d, caches, log, sched):
     cache.
     """
     layout = sched.layout
-    N, n_tx = len(layout.plans), layout.transmissions
+    N, n_tx = sched.cfg.N, layout.transmissions
     B, tau = len(layout.groups), log.per_block.shape[-1]
     scales = field.zeros((B, N))
     np.put_along_axis(scales, layout.groups, sched.gains, axis=1)
     scales[np.arange(B), np.arange(B) // n_tx] = field.coeff(1)
     per_row = scales.reshape(N, n_tx, N).transpose(0, 2, 1)
-    decoders = field.mul(field.convert(layout.plans[0].A), per_row[:, :, None, :])
+    decoders = field.mul(field.convert(layout.A), per_row[:, :, None, :])
     rx = log.per_block.reshape(N, n_tx, N, tau).transpose(0, 2, 1, 3)
     data = field.matmul(decoders, rx).swapaxes(0, 1).copy()
     for k, Z in enumerate(caches):
