@@ -6,7 +6,7 @@ rejection-sampled. ``draw_channel`` accepts a draw when every set of L
 distinct rows is invertible, so the zero-forcing synthesis downstream
 can never degenerate. The plan-aware draw (``delivery.draw_plan_channel``,
 which the CLI uses) samples the same stream but accepts a draw when the
-schedule's own beam bank serves every group, which at reduced N in the
+schedule's own beams serve every group, which at reduced N in the
 tens is one draw where the all-subsets check would exhaust its budget.
 
 With K = L+1 rows, as in the full regime, the L-row subsets are H
@@ -33,7 +33,7 @@ condensation also keeps three whole orders of minors.
 A ``ChannelMatrix`` keeps a read-only copy of H and memoizes the tall
 eliminations of its parent sets of rows (``left_inverses``) and the
 beams of its schedule (``cached``). The check at K = L+1 and the
-schedule's beam bank ask for the same elimination in the full regime,
+schedule's beams ask for the same elimination in the full regime,
 and the plan-aware check computes the schedule's beams themselves, so a
 trial eliminates each parent set once and computes its beams once.
 
@@ -130,8 +130,8 @@ class ChannelMatrix:
     def left_inverses(self, parents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``left_inverse_stack`` of the (P, L+1) parent sets of rows, memoized.
 
-        The channel check and the beam bank ask for the same parent sets
-        of one channel, so each is eliminated once.
+        The channel check and the schedule's beams ask for the same
+        parent sets of one channel, so each is eliminated once.
         """
         parents = np.ascontiguousarray(parents, dtype=np.int64)
         key = ("left_inverses", parents.shape, parents.tobytes())

@@ -23,39 +23,49 @@ the user's transmissions invert the user's stacked coefficient system
 (the column-deleted bidiagonal for a telescoping user, the identity
 otherwise), so decoding needs no elimination.
 The one cached plan object is the schedule layout, per (N, L): the
-shared pattern, every row's groups and the beam bank's parent sets.
+shared pattern, every row's groups and the beams' parent sets.
 Rows differ only in the labels of their users, so the pattern is
 verified once, by exact integer linear algebra, including that product
 equal to I; a verification failure is a hard error, never a fallback.
 A row plan is a read-only view of the layout.
 
-Zero-forcing beams come from a beam bank over parent sets of L+1
-channel rows: each served group plus the member of its telescoping
-segment that the transmission skips, or else the smallest user it does
-not serve, which in the full regime makes all N users one set.
-One batched elimination gives every parent set a left inverse G and a
-left null vector v; the channel memoizes it, so the bank shares it with
-the channel check that accepted the channel. The inverse for the group
-that leaves out parent row k is G without column k minus the rank-one
-term G[:, k] v / v_k there, and the beam of served user q is its
-column q. Beams, owner gains (one product and one element-wise inverse)
-and the beams scaled to unit owner gain are computed for every block in
-one pass. The payload then passes through one batched product M @ P
-per block of rows, with the plan's coefficients folded into the beams,
-written into the schedule's (B, L, tau) signal stack; a block holds as
-many rows as fit in CHUNK_BYTES, and at least one. The owner gains,
-kept as one (B, L) stack, let receivers descale their receptions. Block
-objects, each a view into these stacks, are built only when a caller
-reads them.
+Zero-forcing beams come from parent sets of L+1 channel rows: each
+served group plus the member of its telescoping segment that the
+transmission skips, or else the smallest user it does not serve, which
+in the full regime makes all N users one set. One batched elimination
+gives every parent set a left inverse G and a left null vector v; the
+channel memoizes it, so the beams share it with the channel check that
+accepted the channel. The group that leaves out parent row k has the
+inverse G without column k minus G[:, k] v / v_k there, and the beam of
+served user q is its column q. No inverse is formed: the owner gains
+come from the owner row times G, g_q = (hG)_q - (hG)_k v_q / v_k, and
+the beams at unit owner gain straight from G, v and the gains, in one
+pass over every block.
 
-The beam bank is also a channel check: ``draw_plan_channel`` accepts a
-draw when the bank gives every group an inverse and every beam a
-nonzero owner gain, which is what the schedule needs, instead of
-asking it of all C(N, L) row subsets. An owner gain counts as nonzero
-by the same relative rule as a parent set's null-vector entry, since
-the gains are the null vector of the group plus the owner row. The
-channel memoizes the beams and gains, so the schedule built on an
-accepted draw reuses them.
+Each transmission's signal is its beams times the combinations C
+(L, tau) that its served users are sent. A user is served in m
+transmissions of a row, and its coefficient vectors there, stacked,
+form one m x m matrix: the identity for a jointly served user, so each
+of its slots carries one of its minifiles, and a telescoping block
+otherwise, applied to the user's m minifiles by one product. The
+layout keeps these per-position matrices, the stacks that the plan's
+certificate checks A against. Synthesis then runs per block of rows:
+one gather of every slot's own minifile, one product for the
+telescoping positions (none in the full regime), and one beam product
+written into the schedule's (B, L, tau) signal stack; a block holds as
+many rows as keep their beams, combinations and signals within
+CHUNK_BYTES, and at least one. The owner gains, kept as one (B, L) stack, let receivers
+descale their receptions. Block objects, each a view into these
+stacks, are built only when a caller reads them.
+
+The beams are also a channel check: ``draw_plan_channel`` accepts a
+draw when every served group has an inverse and every beam a nonzero
+owner gain, which is what the schedule needs, instead of asking it of
+all C(N, L) row subsets. An owner gain counts as nonzero by the same
+relative rule as a parent set's null-vector entry, since the gains are
+the null vector of the group plus the owner row. The channel memoizes
+the beams and gains, so the schedule built on an accepted draw reuses
+them.
 """
 
 from __future__ import annotations
@@ -275,13 +285,12 @@ def verify_row_plan(plan: RowCodePlan, N: int, L: int) -> None:
     for name in ("A", "coefficients"):
         if np.abs(getattr(plan, name)).max() > 1:
             fail(f"{name} has entries outside {{-1, 0, 1}}")
-    # Stable sort by user: user q's m (transmission, slot) pairs, t ascending.
-    order = np.argsort(plan.groups.ravel(), kind="stable").reshape(n1, m)
+    # User q's m (transmission, slot) pairs, t ascending, and its stack.
+    order, stacked = _position_stacks(plan.groups, plan.coefficients)
     # Entries in {-1, 0, 1} keep every partial sum within m < 2^24, so
     # float32 BLAS computes the integer products exactly.
-    stacked = plan.coefficients.reshape(n_tx * L, m).astype(np.float32)[order]
     columns = plan.A.T.astype(np.float32)[order // L]
-    products = np.swapaxes(columns, 1, 2) @ stacked
+    products = np.swapaxes(columns, 1, 2) @ stacked.astype(np.float32)
     wrong = np.flatnonzero((products != np.eye(m)).any(axis=(1, 2)))
     if wrong.size:
         fail(f"A at user {plan.users[wrong[0]]}'s transmissions is not the decoding inverse "
@@ -351,7 +360,9 @@ class ScheduleLayout:
     the group's telescoping segment that the transmission skips, and
     otherwise the smallest user the group does not serve; in the full
     regime that is the row owner, so all N users form the one parent set.
-    taps is A in the form decoding reads it (``_taps``).
+    own, mixes and mixed_slots say how synthesis forms each slot's
+    combination (``_slot_combinations``). taps is A in the form decoding
+    reads it (``_taps``).
     Nothing here is per user: a user's decoder for a row is A with the
     columns of the transmissions that do not serve it zeroed, which its
     scale of 0 in those blocks does at decode time.
@@ -364,6 +375,9 @@ class ScheduleLayout:
     parents: np.ndarray
     parent_ids: np.ndarray
     left_out: np.ndarray
+    own: np.ndarray
+    mixes: np.ndarray
+    mixed_slots: np.ndarray
     taps: tuple
 
     @property
@@ -410,6 +424,43 @@ def _taps(A: np.ndarray) -> tuple:
     if runs[0][:2] != (slice(0, len(A), 1),) * 2 or runs[0][2] != 1:
         raise PlanVerificationError("the main diagonal of A is not all ones")
     return tuple(runs)
+
+
+def _position_stacks(served: np.ndarray, coefficients: np.ndarray):
+    """Each position's slots and stacked coefficient vectors, (n, m) and
+    (n, m, m) for the n positions a row pattern serves m times each.
+
+    The slots of a position are its flat slots t * L + q, transmissions
+    ascending; its stack is its m coefficient vectors there, in that
+    order, the matrix that A at those transmissions must invert.
+    """
+    m = coefficients.shape[-1]
+    slots = np.argsort(served.ravel(), kind="stable").reshape(-1, m)
+    return slots, coefficients.reshape(-1, m)[slots]
+
+
+def _slot_combinations(served: np.ndarray, coefficients: np.ndarray) -> dict:
+    """How synthesis forms every slot's combination, from a row pattern
+    that verify_row_plan has certified.
+
+    Position u's stack K_u (``_position_stacks``) is what the certificate
+    checks A against, and the slot of u's i-th transmission carries row
+    i of K_u times u's m minifiles. own[t, q] is that i for slot (t, q),
+    so a position whose K_u is the identity, as every jointly served
+    one's is, carries its own minifile there. Each other position x, in
+    ascending order, has its K_u in mixes[x], as int8 since its entries
+    are in {-1, 0, 1}, and its slots in mixed_slots[x].
+    """
+    n_tx, L, m = coefficients.shape
+    slots, stacks = _position_stacks(served, coefficients)
+    own = np.empty(n_tx * L, dtype=np.int64)
+    own[slots] = np.arange(m)
+    mixed = np.flatnonzero((stacks != np.eye(m, dtype=np.int64)).any(axis=(1, 2)))
+    return {
+        "own": _readonly(own.reshape(n_tx, L)),
+        "mixes": _readonly(stacks[mixed].astype(np.int8)),
+        "mixed_slots": _readonly(slots[mixed]),
+    }
 
 
 @lru_cache(maxsize=None)
@@ -465,6 +516,7 @@ def schedule_layout(N: int, L: int) -> ScheduleLayout:
         parents=_readonly(parents),
         parent_ids=_readonly(parent_ids),
         left_out=_readonly(left_out.ravel()),
+        **_slot_combinations(served, coefficients),
         taps=_taps(A),
     )
 
@@ -527,53 +579,42 @@ def _as_demand(d, N: int) -> DemandVector:
     return dv
 
 
-def _beam_bank(H: ChannelMatrix, parents, parent_ids, left_out):
-    """Inverses (B, L, L) of the channel rows of B groups, and which exist.
+def _beams(H: ChannelMatrix, parents, parent_ids, left_out, owners, groups):
+    """Zero-forcing beams (B, L, L) at unit owner gain, and the owner gains (B, L).
 
-    Group b is parent set parents[parent_ids[b]] of channel rows without
-    the row at position left_out[b]. One left_inverse_stack pass gives
-    every parent set its G and v; the group's inverse is then the
-    rank-one update G[:, S] - G[:, k] v[S] / v[k],
-    with k = left_out[b] and S the other positions, and it exists when
-    the parent set has full column rank and v[k] is nonzero by the
-    field's ``null_support``. Column q of an inverse is the zero-forcing
-    beam of the group's q-th user: unit gain at it, zero at every other
-    member.
+    Block b serves groups[b] for row owners[b]. Its group is parent set
+    parents[parent_ids[b]] of channel rows without the row at position
+    k = left_out[b], and its inverse, whose column q is the beam of
+    groups[b, q] (unit gain at it, zero at every other member), is
+    G[:, S] - G[:, k] r with r = v[S] / v[k] and S the other positions.
+    It exists when the parent set has full column rank and v[k] is
+    nonzero by the field's ``null_support``. The gains of the beams at
+    the owner h = H[owners[b]] are then g = (hG)[S] - (hG)[k] r, from
+    one product H @ G per parent set, and the beams divided by their
+    gains are G[:, S] / g - G[:, k] (r / g), formed in one pass, one
+    reduction per CHUNK_BYTES of beams; no inverse is formed. The owner
+    row is the sum of g_q times the channel row of groups[b, q], so the
+    gains and -1 form the left null vector of the group plus the owner
+    row, and each gain must count as nonzero by ``null_support``, as a
+    parent set's null-vector entries do: in complex mode relative to the
+    largest of the gains and 1, not only above the absolute floor of
+    ``inv_each``. Complex mode also rechecks that the group's rows times
+    the beams times the gains give I within zero_atol (``satisfies``),
+    so that near-degenerate channels surface.
     """
     field = H.field
     L = H.L
     G, v, full_rank = H.left_inverses(parents)
     exists = (full_rank[:, None] & field.null_support(v))[parent_ids, left_out]
-    keep = np.arange(L) + (np.arange(L) >= left_out[:, None])
-    vk = np.where(exists, v[parent_ids, left_out], field.coeff(1))
-    ratio = field.mul(v[parent_ids[:, None], keep], field.inv_each(vk)[:, None])
-    inverses = G[parent_ids[:, None, None], np.arange(L)[:, None], keep[:, None]]
-    inverses -= G[parent_ids, :, left_out][:, :, None] * ratio[:, None, :]
-    return field.reduce(inverses), exists
-
-
-def _beams(H: ChannelMatrix, parents, parent_ids, left_out, owners, groups):
-    """Zero-forcing beams (B, L, L) at unit owner gain, and the owner gains (B, L).
-
-    Block b serves groups[b] for row owners[b], with its inverse from
-    the beam bank. The gain of a beam at the owner is H[owner] @ beam;
-    the returned beams are divided by their gains. The owner row is the
-    sum of gains[b, q] times the channel row of groups[b, q], so the
-    gains and -1 form the left null vector of the group plus the owner
-    row, and each gain must count as nonzero by the field's
-    ``null_support``, as a parent set's null-vector entries do: in
-    complex mode relative to the largest of the gains and 1, not only
-    above the absolute floor of ``inv_each``.
-    """
-    field = H.field
-    inverses, exists = _beam_bank(H, parents, parent_ids, left_out)
     if not exists.all():
         bad = tuple(groups[int(np.argmin(exists))].tolist())
         raise DegenerateChannel(f"channel rows of served group {bad} are dependent")
-    eye = field.convert(np.eye(H.L, dtype=np.int64))
-    if not field.satisfies(H.H[groups], inverses, eye):
-        raise DegenerateChannel("zero-forcing residual above tolerance")
-    gains = field.matmul(H.H[owners][:, None, :], inverses)[:, 0]
+    blocks = np.arange(len(parent_ids))
+    keep = np.arange(L) + (np.arange(L) >= left_out[:, None])
+    vk = v[parent_ids, left_out]
+    ratio = field.mul(v[parent_ids[:, None], keep], field.inv_each(vk)[:, None])
+    hG = field.matmul(H.H, G)[parent_ids, owners]
+    gains = field.sub(hG[blocks[:, None], keep], field.mul(hG[blocks, left_out][:, None], ratio))
     # The owner's entry is -1; null_support does not see its sign.
     null = np.concatenate([gains, np.ones_like(gains[:, :1])], axis=1)
     supported = field.null_support(null)[:, :-1]
@@ -582,8 +623,25 @@ def _beams(H: ChannelMatrix, parents, parent_ids, left_out, owners, groups):
         raise DegenerateChannel(
             f"row {owners[b]} channel is orthogonal to user {groups[b, q]}'s beam"
         )
-    beams = field.mul(inverses, field.inv_each(gains)[:, None, :])
-    return beams, gains
+    scales = field.inv_each(gains)
+    shifts = field.mul(ratio, scales)
+    # Built as columns (block, q, antenna), each a contiguous row of G's
+    # transpose, in blocks of at most CHUNK_BYTES so that the
+    # temporaries, and complex mode's residual check, stay in cache; the
+    # beams are their transposed view.
+    columns = np.ascontiguousarray(np.swapaxes(G, 1, 2))
+    beams = np.empty((len(groups), L, L), dtype=field.dtype)
+    eye = field.convert(np.eye(L, dtype=np.int64))
+    step = max(1, CHUNK_BYTES // beams[0].nbytes)
+    for s in range(0, len(beams), step):
+        b = slice(s, s + step)
+        out = beams[b]
+        np.multiply(columns[parent_ids[b, None], keep[b]], scales[b, :, None], out=out)
+        out -= columns[parent_ids[b], left_out[b]][:, None, :] * shifts[b, :, None]
+        field.reduce(out)
+        if not field.satisfies(H.H, groups[b], np.swapaxes(out, 1, 2), gains[b, None, :], eye):
+            raise DegenerateChannel("zero-forcing residual above tolerance")
+    return np.swapaxes(beams, 1, 2), gains
 
 
 def _layout_beams(H: ChannelMatrix):
@@ -607,11 +665,11 @@ def draw_plan_channel(N: int, L: int, seed: int, field: FieldContext) -> Channel
     """Seeded N x L channel draw, rejected until the schedule can use it.
 
     Draws come from the same stream as ``draw_channel(N, L, seed, field)``,
-    but a draw is accepted when the beam bank over schedule_layout(N, L)
-    gives every served group a zero-forcing inverse and every beam a
-    nonzero owner gain (``_beams``), instead of when every L-row subset
-    is invertible. The channel keeps the accepted beams and their
-    eliminations, so build_schedule on it computes neither again.
+    but a draw is accepted when the beams over schedule_layout(N, L)
+    exist for every served group, each with a nonzero owner gain
+    (``_beams``), instead of when every L-row subset is invertible. The
+    channel keeps the accepted beams and their eliminations, so
+    build_schedule on it computes neither again.
     """
     schedule_layout(N, L)  # refuses an unsupported (N, L) before any draw
     rng = np.random.default_rng(seed)
@@ -628,38 +686,42 @@ def draw_plan_channel(N: int, L: int, seed: int, field: FieldContext) -> Channel
     )
 
 
-def _payload(field, beams, coeffs, P, d: np.ndarray, groups, rows, out=None):
-    """Signals (n, L, tau) of n transmissions, whole rows of the table,
-    from their beams.
+def _payload(field, beams, layout: ScheduleLayout, P, d: np.ndarray, rows: range, out=None):
+    """Signals (n, L, tau) of the n transmissions of table rows ``rows``,
+    from their beams (n, L, L), written into ``out`` when it is given.
 
-    coeffs (n_tx, L, m) is one row's plan coefficients, which every row
-    shares, so n is a multiple of n_tx; rows is the table row of each
-    transmission, or one row for all. Signal s is beams[s] @ C[s], where
-    row q of C[s] is served user u = groups[s, q]'s planned combination
-    coeffs[s % n_tx, q] of the minifiles P[d[u], rows[s]] of its subfile.
-    The combination is folded into the beams on the small side,
-    M[s][:, q*m + j] = beams[s][:, q] * coeff_j, so the payload passes
-    through one product M @ P over the gathered minifiles, written into
-    ``out`` when it is given. The coefficients are in {-1, 0, 1}, so M
-    needs no reduction: its entries stay below p in magnitude, which
-    ``field.matmul`` takes.
+    Signal s is beams[s] @ C[s], where row q of C[s] is the combination
+    that the plan sends served user u = groups[s, q], of the minifiles
+    P[d[u], i] of its subfile in row i. C comes from the layout's
+    per-position matrices (``_slot_combinations``): one gather of every
+    slot's own minifile, which is its combination where the position's
+    matrix is the identity, and for the other positions one product of
+    each matrix with the user's m minifiles, scattered into their slots.
+    Entries stay below p in magnitude, which ``field.matmul`` takes.
     """
-    n, L = beams.shape[:2]
-    n_tx, _, m = coeffs.shape
-    M = np.multiply(beams.reshape(-1, n_tx, L, L, 1), coeffs[:, None]).reshape(n, L, L * m)
-    # One gather of the minifiles, stacked (L*m, tau) per transmission.
-    minifiles = P[d[groups], np.reshape(rows, (-1, 1))]
-    return field.matmul(M, minifiles.reshape(n, L * m, -1), out=out)
+    n_tx, L = layout.transmissions, layout.groups.shape[1]
+    owners = np.asarray(rows)
+    files = d[layout.groups[rows.start * n_tx : rows.stop * n_tx]].reshape(len(owners), -1)
+    C = P[files.reshape(-1, n_tx, L), owners[:, None, None], layout.own]
+    if len(layout.mixes):
+        mixed = P[files[:, layout.mixed_slots[:, 0]], owners[:, None]]
+        C.reshape(len(owners), n_tx * L, -1)[:, layout.mixed_slots] = field.matmul(
+            layout.mixes, mixed
+        )
+    return field.matmul(beams, C.reshape(-1, L, C.shape[-1]), out=out)
 
 
 def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedule:
     """Full delivery schedule: every row's transmissions in order, T = (N-1)/L.
 
-    Rows are synthesized in blocks, each in one batched pass (one fold,
-    one gather and one product) written into one (B, L, tau) signal
-    stack. A block holds as many rows as keep its fold, gathered
-    minifiles and signals within CHUNK_BYTES, and at least one. No block
-    object is built until ``blocks`` is read.
+    The beams and owner gains come from the channel's parent sets
+    (``_beams``), once per channel. Rows are synthesized in blocks, each
+    in one batched pass (``_payload``: one gather, one product for the
+    telescoping positions if there are any, and one beam product)
+    written into one (B, L, tau) signal stack. A block holds as many
+    rows as keep its beams, combinations, telescoping products and
+    signals within CHUNK_BYTES, and at least one. No block object is
+    built until ``blocks`` is read.
     """
     field = library.field
     H = _as_channel(H, field)
@@ -681,13 +743,13 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
     demand = np.array(d.d)
     tau = P.shape[-1]
     signals = np.empty((cfg.N * n_tx, cfg.L, tau), dtype=field.dtype)
-    row_bytes = n_tx * cfg.L * (cfg.L * m + (m + 1) * tau) * signals.itemsize
+    mixing = 2 * len(layout.mixes) * m * tau
+    row_bytes = (n_tx * cfg.L * (cfg.L + 2 * tau) + mixing) * signals.itemsize
     height = max(1, CHUNK_BYTES // row_bytes)
-    owners = np.arange(len(signals)) // n_tx
     for r in range(0, cfg.N, height):
-        rows = slice(r * n_tx, min(r + height, cfg.N) * n_tx)
-        _payload(field, beams[rows], layout.coefficients, P, demand, layout.groups[rows],
-                 owners[rows], out=signals[rows])
+        rows = range(r, min(r + height, cfg.N))
+        blocks = slice(r * n_tx, rows.stop * n_tx)
+        _payload(field, beams[blocks], layout, P, demand, rows, out=signals[blocks])
     total = Fraction(len(signals), cfg.N * m)
     expected = delivery_time(cfg.N, cfg.L)
     if total != expected:

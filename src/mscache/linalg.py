@@ -19,7 +19,7 @@ pivot row against a threshold, and that kernel is also the tests'
 reference for the exact one. ``inverse_stack`` is its square case. ``left_inverse_stack``
 is its tall case, r = n+1: one pass gives every matrix a left inverse G
 and a left null vector v, and the inverse of the matrix without any one
-row k is then a rank-one update of G. The schedule's beam bank and the
+row k is then a rank-one update of G. The schedule's beams and the
 channel check at K = L+1 use the tall case, and share one elimination
 per parent set of rows through the channel, which memoizes it
 (``ChannelMatrix.left_inverses``); at K >= L+2 in GF the check inverts

@@ -12,10 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from beam_helpers import group_beams
 from span_oracle import file_in_span, observation_functionals, wanted_rows
 
 from mscache import (
-    ChannelMatrix,
     ComplexField,
     DemandVector,
     Library,
@@ -35,7 +35,6 @@ from mscache import (
     verify_row_plan,
 )
 from mscache.content import CacheContent
-from mscache.delivery import _beam_bank
 
 GF = PrimeField(65537)
 CC = ComplexField()
@@ -216,8 +215,10 @@ def test_criterion_8_property_suite():
                        "complex), reception linearity, cache necessity, "
                        "byte-identical reruns"):
         # 1000 random (channel, group, target) triples in each mode, the
-        # beams from the schedule's beam bank with one parent set per
-        # triple: the group plus a zero row K appended to the channel
+        # beams from the schedule's kernel with one parent set per triple
+        # (the group plus a zero row appended to the channel) and one
+        # owner row per triple; times their owner gains they are the
+        # group's inverse
         rng = np.random.default_rng(2024)
         done = 0
         while done < 1000:
@@ -231,11 +232,10 @@ def test_criterion_8_property_suite():
                 group = sorted(rng.choice(K, size=L, replace=False).tolist())
                 targets.append(group.index(int(rng.choice(group))))
                 groups.append(group)
-            parents = np.append(groups, np.full((n, 1), K), axis=1)
             for H, exact in ((Hg, True), (Hc, False)):
-                padded = ChannelMatrix(H.field, np.concatenate([H.H, H.field.zeros((1, L))]))
-                inverses, exists = _beam_bank(padded, parents, np.arange(n), np.full(n, L))
-                assert exists.all()
+                inverses, gains, weights = group_beams(H.field, H.H, groups, seed=done)
+                if exact:
+                    assert np.array_equal(gains, weights)
                 for group, q, inverse in zip(groups, targets, inverses):
                     got = H.field.matmul(H.H[group], inverse[:, q])
                     want = np.eye(L)[q]

@@ -1,10 +1,11 @@
-"""The rank-one beam bank against one inversion per served group.
+"""The schedule's beams from parent sets against one inversion per served group.
 
-Every block's zero-forcing inverse is a rank-one update of its parent
-set's left inverse. In GF it must equal ``inverse_stack`` on the
-group's channel rows bit for bit, and exist exactly when that matrix is
-nonsingular; in the full regime the owner gains are -v_q / v_k. One
-elimination serves each parent set, not each group.
+Every block's beams come from its parent set's left inverse G and null
+vector v, with no inverse formed. In GF the beams times their owner
+gains must equal ``inverse_stack`` on the group's channel rows bit for
+bit, and the beams must be refused exactly when that matrix is singular
+or an owner gain is zero; in the full regime the owner gains are
+-v_q / v_k. One elimination serves each parent set, not each group.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import mscache.linalg as linalg
 from mscache import (
+    DegenerateChannel,
     DemandVector,
     LibraryConfig,
     PrimeField,
@@ -24,7 +26,7 @@ from mscache import (
     segment_sizes,
 )
 from mscache.channel import ChannelMatrix
-from mscache.delivery import _beam_bank, schedule_layout
+from mscache.delivery import _beams, schedule_layout
 from mscache.linalg import left_inverse_stack
 
 SUPPORTED = [(N, L) for N in range(2, 13) for L in range(1, N) if is_supported(N, L)]
@@ -55,21 +57,33 @@ def test_parent_sets_complete_groups_with_a_channel_row(N, L):
 
 
 @pytest.mark.parametrize("p", (7, 65537))
-def test_rank_one_inverses_equal_inverse_stack_bit_for_bit(p):
+def test_beams_times_gains_equal_inverse_stack_bit_for_bit(p):
     # Channels are raw samples, not certified draws, so at p = 7 many
-    # groups are singular: the bank must flag exactly those.
+    # groups are singular and many gains zero: block by block, the beams
+    # must refuse exactly those, and otherwise give the group's inverse.
     field = PrimeField(p)
     rng = np.random.default_rng(p)
-    singular = 0
+    refused = {"are dependent": 0, "is orthogonal": 0}
     for N, L in SUPPORTED:
         layout = schedule_layout(N, L)
         H = ChannelMatrix(field, field.sample_channel(rng, (N, L)))
-        inverses, exists = _beam_bank(H, layout.parents, layout.parent_ids, layout.left_out)
         want, nonsingular = inverse_stack(field, H.H[layout.groups])
-        assert np.array_equal(exists, nonsingular), (N, L)
-        assert np.array_equal(inverses[exists], want[exists]), (N, L)
-        singular += int((~exists).sum())
-    assert singular or p == 65537
+        owners = np.arange(len(layout.groups)) // layout.transmissions
+        for b in range(len(layout.groups)):
+            one = slice(b, b + 1)
+            args = (layout.parents, layout.parent_ids[one], layout.left_out[one], owners[one],
+                    layout.groups[one])
+            gains = field.matmul(H.H[owners[b]], want[b])
+            if not nonsingular[b] or not gains.all():
+                reason = "is orthogonal" if nonsingular[b] else "are dependent"
+                with pytest.raises(DegenerateChannel, match=reason):
+                    _beams(H, *args)
+                refused[reason] += 1
+                continue
+            beams, got = _beams(H, *args)
+            assert np.array_equal(got[0], gains), (N, L, b)
+            assert np.array_equal(field.mul(beams[0], gains), want[b]), (N, L, b)
+    assert all(refused.values()) or p == 65537
 
 
 @pytest.mark.parametrize("p", (7, 65537))

@@ -275,21 +275,57 @@ def test_cold_layout_verifies_once(monkeypatch):
 
 
 def test_layout_refuses_a_flipped_pattern_coefficient(monkeypatch):
+    # The first nonzero coefficient, and the last, which the last
+    # telescoping position's per-position matrix holds.
     real = delivery._telescoping_pattern
+    for which in (0, -1):
 
-    def flipped(L):
-        B, served, coeffs = real(L)
-        coeffs = coeffs.copy()
-        coeffs.flat[np.flatnonzero(coeffs)[0]] *= -1
-        return B, served, coeffs
+        def flipped(L):
+            B, served, coeffs = real(L)
+            coeffs = coeffs.copy()
+            coeffs.flat[np.flatnonzero(coeffs)[which]] *= -1
+            return B, served, coeffs
 
-    monkeypatch.setattr(delivery, "_telescoping_pattern", flipped)
-    for N, L in ((4, 2), (17, 5)):
-        schedule_layout.cache_clear()
+        monkeypatch.setattr(delivery, "_telescoping_pattern", flipped)
+        for N, L in ((4, 2), (17, 5), (64, 62)):
+            schedule_layout.cache_clear()
+            with pytest.raises(PlanVerificationError, match="is not the decoding inverse"):
+                schedule_layout(N, L)
+            with pytest.raises(PlanVerificationError):
+                build_row_plan(0, N, L)
+
+
+@pytest.mark.parametrize(
+    "N, L", [(N, L) for N in range(2, 13) for L in range(1, N) if is_supported(N, L)]
+)
+def test_position_matrices_reproduce_the_coefficients(N, L):
+    # Synthesis reads the layout's per-position matrices, not the
+    # coefficients: slot by slot they must give the coefficients back.
+    # Only telescoping positions are mixed (at L = 2 one of each segment's
+    # three is not: its matrix is the identity).
+    layout = schedule_layout(N, L)
+    m = layout.minifiles
+    rebuilt = np.eye(m, dtype=np.int64)[layout.own]
+    rebuilt.reshape(-1, m)[layout.mixed_slots] = layout.mixes
+    assert np.array_equal(rebuilt, layout.coefficients)
+    served = build_row_plan(N - 1, N, L).groups
+    # Each mixed position's slots serve it, transmissions ascending.
+    mixed = served.ravel()[layout.mixed_slots]
+    assert (mixed == mixed[:, :1]).all() and (np.diff(mixed[:, 0]) > 0).all()
+    assert (np.diff(layout.mixed_slots, axis=1) > 0).all()
+    sizes = segment_sizes(N, L)
+    starts = np.cumsum([0] + sizes[:-1])
+    telescoping = [u for a, size in zip(starts, sizes) if size == L + 1 for u in range(a, a + size)]
+    assert set(mixed[:, 0].tolist()) <= set(telescoping)
+    # The matrices are the stacks the certificate checks A against:
+    # flipping one entry of one makes the plan fail it.
+    if len(mixed):
+        flipped = rebuilt.copy()
+        x, i, j = np.argwhere(layout.mixes)[-1]
+        flipped.reshape(-1, m)[layout.mixed_slots[x, i], j] *= -1
+        plan = dataclasses.replace(build_row_plan(N - 1, N, L), coefficients=flipped)
         with pytest.raises(PlanVerificationError, match="is not the decoding inverse"):
-            schedule_layout(N, L)
-        with pytest.raises(PlanVerificationError):
-            build_row_plan(0, N, L)
+            verify_row_plan(plan, N, L)
 
 
 def _with(plan, name, index, value):
@@ -488,13 +524,18 @@ def test_reduced_block_random_pair_products():
 
 
 def test_zero_coefficient_plan_gives_zero_block():
-    # all-zero coefficients put no payload on a row's beams
+    # all-zero coefficients put no payload on a row's beams: every
+    # position's matrix is then zero, not the identity, so every slot
+    # takes the combination product, which gives zero
     N, L = 4, 2
-    plan = build_row_plan(1, N, L)
+    layout = schedule_layout(N, L)
+    served = build_row_plan(N - 1, N, L).groups
+    zero = np.zeros_like(layout.coefficients)
+    layout = dataclasses.replace(layout, **delivery._slot_combinations(served, zero))
+    assert len(layout.mixes) == 3
     lib = random_library(GF, N, 8, seed=2)
-    beams = GF.sample(np.random.default_rng(3), (len(plan.groups), L, L))
-    zero = np.zeros_like(plan.coefficients)
-    signals = delivery._payload(GF, beams, zero, lib.parts(L), np.arange(N), plan.groups, 1)
+    beams = GF.sample(np.random.default_rng(3), (layout.transmissions, L, L))
+    signals = delivery._payload(GF, beams, layout, lib.parts(L), np.arange(N), range(1, 2))
     assert signals.shape == (3, L, 1)
     assert GF.equal(signals, GF.zeros(signals.shape))
 
@@ -590,11 +631,12 @@ def test_schedule_determinism():
 
 
 def _row_bytes(N, L, tau, itemsize=8):
-    """Bytes of one table row's fold, gathered minifiles and signals, the
-    unit build_schedule sizes its row blocks in."""
+    """Bytes of one table row's beams, combinations, telescoping products
+    and their inputs, and signals, the unit build_schedule sizes its row
+    blocks in."""
     layout = schedule_layout(N, L)
-    m = layout.minifiles
-    return layout.transmissions * L * (L * m + (m + 1) * tau) * itemsize
+    mixing = 2 * len(layout.mixes) * layout.minifiles * tau
+    return (layout.transmissions * L * (L + 2 * tau) + mixing) * itemsize
 
 
 @pytest.mark.parametrize(
@@ -604,11 +646,11 @@ def _row_bytes(N, L, tau, itemsize=8):
     ids=["8-7", "7-3", "6-4", "16-15", "17-5", "8-7-one-row", "17-5-one-row", "payload8"],
 )
 def test_schedule_makes_one_payload_product_per_row_block(monkeypatch, N, L, scale, one_row):
-    # The plan's coefficients fold into the beams on the small side, and
-    # rows are synthesized in blocks whose fold, gathered minifiles and
+    # Rows are synthesized in blocks whose beams, combinations and
     # signals fit in CHUNK_BYTES, so each block's payload passes through
-    # a single field.matmul. A row larger than CHUNK_BYTES (payload8's
-    # 3.2 MB rows) is a block of its own.
+    # a single beam product, and its telescoping positions, where the
+    # pair has any, through one combination product. A row larger than
+    # CHUNK_BYTES (payload8's 3.2 MB rows) is a block of its own.
     field = PrimeField(65537)
     cfg = LibraryConfig(N=N, K=N, L=L, F=scale * N * L)
     lib = random_library(field, N, cfg.F, seed=N)
@@ -620,17 +662,24 @@ def test_schedule_makes_one_payload_product_per_row_block(monkeypatch, N, L, sca
     if one_row:
         monkeypatch.setattr(delivery, "CHUNK_BYTES", _row_bytes(N, L, tau))
     height = max(1, delivery.CHUNK_BYTES // _row_bytes(N, L, tau))
-    want = [(min(height, N - r) * layout.transmissions, tau) for r in range(0, N, height)]
-    products = []
+    heights = [min(height, N - r) for r in range(0, N, height)]
+    want = [(rows * layout.transmissions, tau) for rows in heights]
+    products, combinations = [], []
     inner = field.matmul
 
     def counting(a, b, out=None):
-        products.append((np.shape(a)[0], np.shape(b)[-1]))
+        if a is layout.mixes:
+            combinations.append(np.shape(b)[:2])
+        else:
+            products.append((np.shape(a)[0], np.shape(b)[-1]))
         return inner(a, b, out=out)
 
     field.matmul = counting
     sched = build_schedule(DemandVector(range(N)), H, lib, cfg)
     assert products == want
+    mixed = len(layout.mixes)
+    assert combinations == ([(rows, mixed) for rows in heights] if mixed else [])
+    assert bool(mixed) == ((N, L) in ((6, 4), (17, 5)))
     assert len(products) == (N if one_row or scale == 8192 else -(-N // height))
     assert sched.signals.shape[-1] == tau
 

@@ -2,12 +2,16 @@
 
 Null vectors, solutions and zero-forcing beams are checked on the
 kernels the program makes them with: ``left_inverse_stack``,
-``inverse_stack``, and the schedule's beam bank with each group's
-parent set made of the group plus the zero row.
+``inverse_stack``, and the schedule's beams (``delivery._beams``) with
+each group's parent set made of the group plus a zero row
+(``beam_helpers.group_beams``).
 """
 
 import numpy as np
 import pytest
+from beam_helpers import group_beams
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mscache.field
 from mscache import (
@@ -19,7 +23,7 @@ from mscache import (
     rank,
 )
 from mscache.channel import ChannelMatrix
-from mscache.delivery import _beam_bank, _beams
+from mscache.delivery import _beams
 from mscache.linalg import left_inverse_stack
 
 GF = PrimeField(65537)
@@ -50,7 +54,7 @@ def test_gf_scalar_ops():
 @pytest.mark.parametrize("p", (2, 3, 7, 65537, 536870909))
 def test_gf_inv_each_inverts_every_residue(p):
     # Primes up to 2^17 gather from a cached read-only table, larger ones
-    # run Fermat's loop; both must give every nonzero residue's inverse.
+    # run a product tree; both must give every nonzero residue's inverse.
     field = PrimeField(p)
     x = np.arange(1, p) if p < 1 << 17 else np.random.default_rng(p).integers(1, p, 4096)
     inv = field.inv_each(x)
@@ -61,6 +65,32 @@ def test_gf_inv_each_inverts_every_residue(p):
     assert np.array_equal(field.inv_each(x.reshape(-1, 1))[:, 0], inv)
     with pytest.raises(ZeroDivisionError):
         field.inv_each(np.array([1, 0]))
+
+
+@st.composite
+def large_prime_residues(draw):
+    """A prime past the inverse table's bound, nonzero residues that
+    include 1 and p - 1 in drawn places, and a place for a zero."""
+    p = draw(st.sampled_from((94906249, 536870909)))
+    size = draw(st.integers(0, 300))
+    values = draw(st.lists(st.integers(1, p - 1), min_size=size, max_size=size)) + [1, p - 1]
+    order = draw(st.permutations(range(len(values))))
+    return p, np.array(values, dtype=np.int64)[order], draw(st.integers(0, len(values)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_prime_residues())
+def test_large_prime_inverses_by_product_tree_match_fermat(case):
+    # Vectors of up to 64 entries run Fermat's power directly, longer
+    # ones (and odd lengths, padded) pass through the product tree.
+    p, x, at = case
+    field = PrimeField(p)
+    inv = field.inv_each(x)
+    assert np.array_equal(inv, mscache.field._fermat(x, p))
+    assert np.array_equal(field.mul(inv, x), np.ones_like(x))
+    assert np.array_equal(field.inv_each(x.reshape(1, -1, 1)), inv.reshape(1, -1, 1))
+    with pytest.raises(ZeroDivisionError):
+        field.inv_each(np.insert(x, at, 0))
 
 
 def test_gf_matmul_exact_past_one_int64_chunk():
@@ -266,19 +296,9 @@ def _zero_padded(field, H):
     return ChannelMatrix(field, np.concatenate([H.H, field.zeros((1, H.L))]))
 
 
-def _bank(field, H, groups):
-    """Beam-bank inverses of H's rows at each group, and which exist; each
-    group's parent set is the group plus an appended zero row."""
-    H = _zero_padded(field, H)
-    groups = np.asarray(groups).reshape(-1, H.L)
-    B = len(groups)
-    parents = np.append(groups, np.full((B, 1), H.K - 1), axis=1)
-    return _beam_bank(H, parents, np.arange(B), np.full(B, H.L))
-
-
 def test_nullspace_trivial():
     # A nonsingular block has no left null vector of its own: with the
-    # zero row appended, as the bank does for a jointly served group, the
+    # zero row appended, as the beam tests (beam_helpers) do, the
     # null vector lives on the zero row alone and G begins with the inverse.
     a = np.concatenate([np.eye(2, dtype=np.int64), np.zeros((1, 2), dtype=np.int64)])
     G, v, full_rank = left_inverse_stack(GF, a[None])
@@ -338,8 +358,9 @@ def test_solve_inconsistent_raises():
     # x + y = 1 and 2x + 2y = 3 cannot both hold: users 0 and 1 of this
     # channel cannot be served together, and the schedule's beams refuse.
     H = ChannelMatrix(GF7, [[1, 1], [2, 2], [1, 3]])
-    _, exists = _bank(GF7, H.H, [[0, 1], [0, 2]])
-    assert exists.tolist() == [False, True]
+    group_beams(GF7, H.H, [[0, 2]])
+    with pytest.raises(DegenerateChannel, match=r"served group \(0, 1\) are dependent"):
+        group_beams(GF7, H.H, [[0, 2], [0, 1]])
     group = np.array([[0, 1]])
     with pytest.raises(DegenerateChannel, match=r"served group \(0, 1\) are dependent"):
         _beams(_zero_padded(GF7, H.H), np.array([[0, 1, 3]]), np.array([0]), np.array([2]), [2],
@@ -348,14 +369,13 @@ def test_solve_inconsistent_raises():
 
 def test_zf_no_interferers():
     H = GF.convert([[3], [2]])
-    inverses, exists = _bank(GF, H, [[0]])
-    assert exists[0]
+    inverses, gains, weights = group_beams(GF, H, [[0]])
+    assert np.array_equal(gains, weights)
     assert int(GF.matmul(H[0], inverses[0][:, 0])) == 1
 
 
 def test_zf_axis_aligned():
-    inverses, exists = _bank(GF, [[1, 0], [0, 1]], [[0, 1]])
-    assert exists[0]
+    inverses, _, _ = group_beams(GF, [[1, 0], [0, 1]], [[0, 1]])
     assert GF.equal(inverses[0][:, 0], [1, 0])
 
 
@@ -363,7 +383,8 @@ def test_zf_seeded_triple_products():
     rng = np.random.default_rng(21)
     H = GF.sample_channel(rng, (3, 3))
     assert rank(GF, H) == 3
-    inverses, exists = _bank(GF, H, [[0, 1, 2]])
+    inverses, gains, weights = group_beams(GF, H, [[0, 1, 2]])
+    assert np.array_equal(gains, weights)
     w = inverses[0][:, 1]
     assert GF.is_zero(GF.matmul(H[0], w))
     assert GF.is_zero(GF.matmul(H[2], w))
@@ -374,8 +395,8 @@ def test_zf_degenerate_raises():
     # second row is twice the first, so user 0 cannot null user 1
     for field, rows in ((GF7, [[1, 2], [2, 4], [1, 1]]), (CC, [[1, 2], [2, 4], [1, 1j]])):
         H = ChannelMatrix(field, rows)
-        _, exists = _bank(field, H.H, [[0, 1]])
-        assert not exists[0]
+        with pytest.raises(DegenerateChannel, match="are dependent"):
+            group_beams(field, H.H, [[0, 1]])
         with pytest.raises(DegenerateChannel):
             _beams(_zero_padded(field, H.H), np.array([[0, 1, 3]]), np.array([0]), np.array([2]),
                    [2], np.array([[0, 1]]))
@@ -392,8 +413,11 @@ def test_zf_orthogonality_seeded_sweep():
             if rank(field, np.asarray(H)[users, :]) < len(users):
                 continue
             k = int(users[0])
-            inverses, exists = _bank(field, H, [users])
-            assert exists[0]
+            inverses, gains, weights = group_beams(field, H, [users], seed=trial)
+            if mode == "gf":
+                assert np.array_equal(gains, weights)
+            else:
+                assert np.max(np.abs(gains - weights)) < 1e-9
             w = inverses[0][:, 0]
             for j in users:
                 got = field.matmul(field.convert(H)[j], w)

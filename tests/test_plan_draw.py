@@ -167,6 +167,52 @@ def test_plan_draw_refuses_what_it_cannot_draw():
         draw_plan_channel(4, 2, seed=0, field=PrimeField(2))
 
 
+def _recorded_refusals(monkeypatch) -> list:
+    """A list that collects the kind of every refusal of the beams' kernel."""
+    refusals = []
+    beams = delivery._beams
+
+    def recording(*args):
+        try:
+            return beams(*args)
+        except DegenerateChannel as e:
+            refusals.append("dependent" if "are dependent" in str(e) else "zero gain")
+            raise
+
+    monkeypatch.setattr(delivery, "_beams", recording)
+    return refusals
+
+
+SMALL_REDUCED = [(N, L) for N in range(4, 10) for L in range(2, N - 1) if is_supported(N, L)]
+
+
+def test_gf3_exhausts_every_reduced_pair_with_two_or_more_antennas(monkeypatch):
+    # Over GF(3) the schedule refuses every sample at these pairs, each
+    # for a dependent group: at L = 2, for one, channel rows take only 2
+    # directions, so a row's pairs of users cannot all be independent.
+    refusals = _recorded_refusals(monkeypatch)
+    assert len(SMALL_REDUCED) == 15
+    for N, L in SMALL_REDUCED:
+        for seed in range(3):
+            with pytest.raises(ResamplingExhausted):
+                draw_plan_channel(N, L, seed, PrimeField(3))
+    assert set(refusals) == {"dependent"}
+    assert len(refusals) == 15 * 3 * DRAW_BUDGET
+
+
+def test_gf5_and_gf7_draws_meet_both_refusals(monkeypatch):
+    # A zero null-vector entry (a dependent group) and a zero owner gain
+    # each refuse samples that GF(5) and GF(7) draw at these pairs.
+    refusals = _recorded_refusals(monkeypatch)
+    for p in (5, 7):
+        for N, L in SMALL_REDUCED:
+            try:
+                draw_plan_channel(N, L, 0, PrimeField(p))
+            except ResamplingExhausted:
+                pass
+    assert set(refusals) == {"dependent", "zero gain"}
+
+
 def test_channel_keeps_a_private_read_only_copy():
     field = PrimeField(65537)
     source = field.sample_channel(np.random.default_rng(0), (4, 3))
