@@ -53,6 +53,14 @@ row owner takes the same taps at unit scale. So all users decode in one
 element-wise pass over the reception stack, with no decoder matrix, no
 product and no elimination; in the full regime (A = [1]) the scaled
 receptions are the decoded files.
+
+Each decoding step is a numpy call per block of rows for every user at
+once, not one per user: the scales come from two scatters at the
+layout's flat indices, every cache enters the decoded files in one
+copy, and the row owners of a block complete their rows by one copy
+and one subtraction on a strided view of their own rows. The only work per user is its file's verdict,
+one comparison with the requested library file as it stands; no
+requested file is copied.
 """
 
 from __future__ import annotations
@@ -404,7 +412,9 @@ def _check_consistent(d, caches, users: range, log, H: ChannelMatrix, schedule) 
     cfg = schedule.cfg
     if tuple(d) != tuple(schedule.demand):
         raise InconsistentInputs("demand vector differs from the one scheduled")
-    if H.field != schedule.channel.field or not H.field.equal(H.H, schedule.channel.H):
+    if H is not schedule.channel and (
+        H.field != schedule.channel.field or not H.field.equal(H.H, schedule.channel.H)
+    ):
         raise InconsistentInputs("channel differs from the one scheduled")
     B, _, tau = schedule.signals.shape
     if np.shape(log.per_block) != (B, cfg.K, tau):
@@ -414,27 +424,26 @@ def _check_consistent(d, caches, users: range, log, H: ChannelMatrix, schedule) 
         )
     if len(caches) != len(users):
         raise InconsistentInputs(f"{len(caches)} caches for {len(users)} users")
-    for k, Z in zip(users, caches):
-        if Z.user != k:
-            raise InconsistentInputs(f"cache of user {Z.user} given for user {k}")
-        if Z.payload.shape != (cfg.subfile_symbols,):
-            raise InconsistentInputs(f"cache of shape {Z.payload.shape}, expected "
-                                     f"{cfg.subfile_symbols} symbols")
+    owners = [Z.user for Z in caches]
+    if owners != list(users):
+        k, owner = next((k, u) for k, u in zip(users, owners) if k != u)
+        raise InconsistentInputs(f"cache of user {owner} given for user {k}")
 
 
 def _scales(field: FieldContext, layout, gains, rows: slice) -> np.ndarray:
     """Every user's scale in every block of a slice of rows, (rows, transmissions, K).
 
     User u's scale in block b is the owner gain of u's beam where b
-    serves u, 1 where u owns b's row, and 0 elsewhere.
+    serves u, 1 where u owns b's row, and 0 elsewhere: two scatters at
+    the layout's flat indices, shifted to the slice's first block.
     """
     n_tx = layout.transmissions
-    K = len(layout.groups) // n_tx
+    K = len(layout.owner_at) // n_tx
     blocks = slice(rows.start * n_tx, rows.stop * n_tx)
-    scales = field.zeros((blocks.stop - blocks.start, K))
-    np.put_along_axis(scales, layout.groups[blocks], gains[blocks], axis=1)
-    owners = np.repeat(np.arange(rows.start, rows.stop), n_tx)
-    scales[np.arange(len(scales)), owners] = field.coeff(1)
+    first = blocks.start * K
+    scales = field.zeros((blocks.stop - blocks.start) * K)
+    scales[layout.served_at[blocks] - first] = gains[blocks]
+    scales[layout.owner_at[blocks] - first] = field.coeff(1)
     return scales.reshape(-1, n_tx, K)
 
 
@@ -451,11 +460,18 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
     its cache. In the full regime A = [1], and the scaled receptions are
     the decoded files.
 
-    The work runs in blocks of rows and symbols of about CHUNK_BYTES of
-    receptions each: one element-wise product, written straight into
-    the files when A = [1], one add per further tap, and one reduction
-    (two in GF when the taps' raw sums of products could overflow
-    int64). No temporary is larger than a block.
+    Every cache is first copied, in one call, into the buffer at its
+    owner's own row; those rows, every (N+1)-th of the buffer, are one
+    strided view. The work then runs in blocks of rows and symbols of
+    about CHUNK_BYTES of receptions each: one copy of the block's
+    owners' cached cells, before anything overwrites them, one
+    element-wise product, written straight into the files when A = [1],
+    one add per further tap, one subtraction of the received sums from
+    the copied caches into the owners' cells, and one reduction (two in GF when the taps' raw sums of products could
+    overflow int64). So no step loops over users, and no temporary of
+    the loop is larger than a block. Each file's verdict is then one
+    comparison with the library's file (``field.close``), and only a
+    failed file is read again, for its first wrong minifile.
     """
     field = H.field
     layout = schedule.layout
@@ -466,8 +482,15 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
     n, tau = len(users), schedule.signals.shape[-1]
     own = slice(users.start, users.stop)
     rx = np.asarray(log.per_block).reshape(N, n_tx, K, tau)[:, :, own]
-    cached = [Z.payload.reshape(m, tau) for Z in caches]
     data = np.empty((n, N, m, tau), dtype=field.dtype)
+    # Decoded file k's own row, row users.start + k, is every (N+1)-th row
+    # of the buffer from row users.start.
+    mine = data.reshape(n * N, m, tau)[users.start :: N + 1]
+    try:
+        np.concatenate([Z.payload[None] for Z in caches], out=mine.reshape(n, m * tau))
+    except ValueError:
+        shape = next(Z.payload.shape for Z in caches if Z.payload.shape != (m * tau,))
+        raise InconsistentInputs(f"cache of shape {shape}, expected {m * tau} symbols") from None
     out = data.transpose(1, 2, 0, 3)  # (row, minifile, user, symbol)
     # Whole rows per block while a row's receptions fit in CHUNK_BYTES,
     # else one row per block in equal runs of symbols.
@@ -478,10 +501,12 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
     for r in range(0, N, height):
         rows = slice(r, min(r + height, N))
         scales = _scales(field, layout, schedule.gains, rows)[:, :, own, None]
-        owners = range(max(rows.start, users.start), min(rows.stop, users.stop))
+        # The decoded files whose own rows the block holds.
+        owners = slice(max(rows.start - users.start, 0), max(rows.stop - users.start, 0))
         for c in range(0, tau, width):
             cols = slice(c, c + width)
             o = out[rows, :, :, cols]
+            cached = mine[owners, :, cols].copy()
             z = o if len(taps) == 1 else np.empty(o.shape[:1] + (n_tx,) + o.shape[2:], o.dtype)
             np.multiply(scales, rx[rows, :, :, cols], out=z)
             if len(taps) > 1:
@@ -489,13 +514,12 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
                 np.copyto(o, z[:, taps[0][1]])
                 for j, t, sign in taps[1:]:
                     (np.add if sign > 0 else np.subtract)(o[:, j], z[:, t], out=o[:, j])
-            for i in owners:
-                mine = o[i - rows.start, :, i - users.start]
-                np.subtract(cached[i - users.start][:, cols], mine, out=mine)
+            np.subtract(cached, mine[owners, :, cols], out=mine[owners, :, cols])
             field.reduce(o)
     results = []
+    library = schedule.library.data
     for k, flat in zip(users, data.reshape(n, -1)):
-        want = schedule.library.data[d[k]]
+        want = library[d[k]]
         if field.close(flat, want):
             results.append(DecodeResult(user=k, data=flat, success=True))
             continue

@@ -27,7 +27,12 @@ shared pattern, every row's groups and the beams' parent sets.
 Rows differ only in the labels of their users, so the pattern is
 verified once, by exact integer linear algebra, including that product
 equal to I; a verification failure is a hard error, never a fallback.
-A row plan is a read-only view of the layout.
+A row plan is a read-only view of the layout. The layout also keeps,
+read-only, the channel-free index arrays that every trial would
+otherwise rebuild: each block's row owner, the flat positions where the
+beams gather its parent set (``_beam_indices``), and the flat indices
+where decoding scatters each block's scales. A few recent layouts stay
+cached, which serves a trial and a sweep alike.
 
 Zero-forcing beams come from parent sets of L+1 channel rows: each
 served group plus the member of its telescoping segment that the
@@ -354,18 +359,26 @@ class ScheduleLayout:
     Every row shares one coding pattern: coefficients (transmissions, L,
     m) and A (m, transmissions), as in RowCodePlan; rows differ only in
     their users' labels. Block b = i * transmissions + t is transmission
-    t of row i and serves groups[b]. Its zero-forcing beams come from its
-    parent set: the group plus one more channel row, parents[parent_ids[b]]
-    with that row at position left_out[b]. The extra row is the member of
+    t of row i and serves groups[b], and owners[b] = i. Its zero-forcing
+    beams come from its parent set, one of the sorted rows of parents:
+    the group plus one more channel row. The extra row is the member of
     the group's telescoping segment that the transmission skips, and
     otherwise the smallest user the group does not serve; in the full
     regime that is the row owner, so all N users form the one parent set.
-    own, mixes and mixed_slots say how synthesis forms each slot's
-    combination (``_slot_combinations``). taps is A in the form decoding
-    reads it (``_taps``).
+    With the rows of parents stacked, P * (L+1) entries, keep[b] points at
+    the group's members and skip[b] at the extra row; owner_keep and
+    owner_skip point at the same positions in the owner-gain product
+    (``_beam_indices``). own, mixes and mixed_slots say how
+    synthesis forms each slot's combination (``_slot_combinations``).
+    taps is A in the form decoding reads it (``_taps``), and served_at
+    and owner_at are the flat indices, in a (B, K) table of every user's
+    scale in every block, of the entries of the users that block b
+    serves and of its owner.
     Nothing here is per user: a user's decoder for a row is A with the
     columns of the transmissions that do not serve it zeroed, which its
-    scale of 0 in those blocks does at decode time.
+    scale of 0 in those blocks does at decode time. Nothing here depends
+    on the channel or the demand either, so every trial at (N, L) reads
+    these arrays instead of building them.
     """
 
     transmissions: int
@@ -373,12 +386,17 @@ class ScheduleLayout:
     coefficients: np.ndarray
     A: np.ndarray
     parents: np.ndarray
-    parent_ids: np.ndarray
-    left_out: np.ndarray
+    owners: np.ndarray
+    keep: np.ndarray
+    skip: np.ndarray
+    owner_keep: np.ndarray
+    owner_skip: np.ndarray
     own: np.ndarray
     mixes: np.ndarray
     mixed_slots: np.ndarray
     taps: tuple
+    served_at: np.ndarray
+    owner_at: np.ndarray
 
     @property
     def minifiles(self) -> int:
@@ -463,7 +481,10 @@ def _slot_combinations(served: np.ndarray, coefficients: np.ndarray) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
+# A trial, and each cell of a sweep, asks for one layout many times and
+# then moves on, so a few recent layouts serve every caller; keeping every
+# one a sweep visits would hold hundreds of MiB by N = 64.
+@lru_cache(maxsize=4)
 def schedule_layout(N: int, L: int) -> ScheduleLayout:
     """The cached layout of every schedule at a supported (N, L), certified once.
 
@@ -507,18 +528,45 @@ def schedule_layout(N: int, L: int) -> ScheduleLayout:
     # Groups are ascending, so dropping left_out from a sorted parent gives the group.
     parent_rows = np.concatenate([groups, extra[..., None]], axis=2).reshape(-1, L + 1)
     parents, parent_ids = _unique_rows(np.sort(parent_rows, axis=1))
-    left_out = (groups < extra[..., None]).sum(axis=2)
+    left_out = (groups < extra[..., None]).sum(axis=2).ravel()
+    groups = groups.reshape(-1, L)
+    blocks = np.arange(len(groups))
+    owners = blocks // len(served)
     return ScheduleLayout(
         transmissions=len(served),
-        groups=_readonly(groups.reshape(-1, L)),
+        groups=_readonly(groups),
         coefficients=coefficients,
         A=A,
         parents=_readonly(parents),
-        parent_ids=_readonly(parent_ids),
-        left_out=_readonly(left_out.ravel()),
+        owners=_readonly(owners),
+        **{k: _readonly(a) for k, a in _beam_indices(parent_ids, left_out, owners, N, L).items()},
         **_slot_combinations(served, coefficients),
         taps=_taps(A),
+        served_at=_readonly(blocks[:, None] * N + groups),
+        owner_at=_readonly(blocks * N + owners),
     )
+
+
+def _beam_indices(parent_ids, left_out, owners, K: int, L: int) -> dict:
+    """Where ``_beams`` reads each block, as flat indices, one gather each.
+
+    Block b's group is parent set parent_ids[b] without its row at
+    position left_out[b], so its members sit at every other position,
+    ascending. keep (B, L) and skip (B,) are those positions and
+    left_out[b] among the stacked rows of all parent sets, P * (L+1) of
+    them; owner_keep and owner_skip are the same positions in the row
+    owners[b] of the block's parent set in the owner-gain product H @ G,
+    (P, K, L+1) flattened.
+    """
+    positions = np.arange(L) + (np.arange(L) >= left_out[:, None])
+    parent = parent_ids * (L + 1)
+    owner = (parent_ids * K + owners) * (L + 1)
+    return {
+        "keep": parent[:, None] + positions,
+        "skip": parent + left_out,
+        "owner_keep": owner[:, None] + positions,
+        "owner_skip": owner + left_out,
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -579,21 +627,23 @@ def _as_demand(d, N: int) -> DemandVector:
     return dv
 
 
-def _beams(H: ChannelMatrix, parents, parent_ids, left_out, owners, groups):
+def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, owner_skip):
     """Zero-forcing beams (B, L, L) at unit owner gain, and the owner gains (B, L).
 
-    Block b serves groups[b] for row owners[b]. Its group is parent set
-    parents[parent_ids[b]] of channel rows without the row at position
-    k = left_out[b], and its inverse, whose column q is the beam of
+    Block b serves groups[b] for row owners[b]. Its group is one of the
+    parent sets of channel rows, parents, without the row that skip[b]
+    points at, k, and keep[b] points at its members, S
+    (``_beam_indices``). Its inverse, whose column q is the beam of
     groups[b, q] (unit gain at it, zero at every other member), is
-    G[:, S] - G[:, k] r with r = v[S] / v[k] and S the other positions.
-    It exists when the parent set has full column rank and v[k] is
-    nonzero by the field's ``null_support``. The gains of the beams at
-    the owner h = H[owners[b]] are then g = (hG)[S] - (hG)[k] r, from
-    one product H @ G per parent set, and the beams divided by their
-    gains are G[:, S] / g - G[:, k] (r / g), formed in one pass, one
-    reduction per CHUNK_BYTES of beams; no inverse is formed. The owner
-    row is the sum of g_q times the channel row of groups[b, q], so the
+    G[:, S] - G[:, k] r with r = v[S] / v[k]. It exists when the parent
+    set has full column rank and v[k] is nonzero by the field's
+    ``null_support``. The gains of the beams at the owner h =
+    H[owners[b]] are then g = (hG)[S] - (hG)[k] r, from one product
+    H @ G per parent set, and the beams divided by their gains are
+    G[:, S] / g - G[:, k] (r / g), formed in one pass, one reduction per
+    CHUNK_BYTES of beams; no inverse is formed. Each of v, hG and G's
+    columns is read by one flat gather per index array. The owner row
+    is the sum of g_q times the channel row of groups[b, q], so the
     gains and -1 form the left null vector of the group plus the owner
     row, and each gain must count as nonzero by ``null_support``, as a
     parent set's null-vector entries do: in complex mode relative to the
@@ -605,16 +655,13 @@ def _beams(H: ChannelMatrix, parents, parent_ids, left_out, owners, groups):
     field = H.field
     L = H.L
     G, v, full_rank = H.left_inverses(parents)
-    exists = (full_rank[:, None] & field.null_support(v))[parent_ids, left_out]
+    exists = np.take(full_rank[:, None] & field.null_support(v), skip)
     if not exists.all():
         bad = tuple(groups[int(np.argmin(exists))].tolist())
         raise DegenerateChannel(f"channel rows of served group {bad} are dependent")
-    blocks = np.arange(len(parent_ids))
-    keep = np.arange(L) + (np.arange(L) >= left_out[:, None])
-    vk = v[parent_ids, left_out]
-    ratio = field.mul(v[parent_ids[:, None], keep], field.inv_each(vk)[:, None])
-    hG = field.matmul(H.H, G)[parent_ids, owners]
-    gains = field.sub(hG[blocks[:, None], keep], field.mul(hG[blocks, left_out][:, None], ratio))
+    ratio = field.mul(np.take(v, keep), field.inv_each(np.take(v, skip))[:, None])
+    hG = field.matmul(H.H, G)
+    gains = field.reduce(np.take(hG, owner_keep) - np.take(hG, owner_skip)[:, None] * ratio)
     # The owner's entry is -1; null_support does not see its sign.
     null = np.concatenate([gains, np.ones_like(gains[:, :1])], axis=1)
     supported = field.null_support(null)[:, :-1]
@@ -629,17 +676,16 @@ def _beams(H: ChannelMatrix, parents, parent_ids, left_out, owners, groups):
     # transpose, in blocks of at most CHUNK_BYTES so that the
     # temporaries, and complex mode's residual check, stay in cache; the
     # beams are their transposed view.
-    columns = np.ascontiguousarray(np.swapaxes(G, 1, 2))
+    columns = np.ascontiguousarray(np.swapaxes(G, 1, 2)).reshape(-1, L)
     beams = np.empty((len(groups), L, L), dtype=field.dtype)
-    eye = field.convert(np.eye(L, dtype=np.int64))
     step = max(1, CHUNK_BYTES // beams[0].nbytes)
     for s in range(0, len(beams), step):
         b = slice(s, s + step)
         out = beams[b]
-        np.multiply(columns[parent_ids[b, None], keep[b]], scales[b, :, None], out=out)
-        out -= columns[parent_ids[b], left_out[b]][:, None, :] * shifts[b, :, None]
+        np.multiply(np.take(columns, keep[b], axis=0), scales[b, :, None], out=out)
+        out -= np.take(columns, skip[b], axis=0)[:, None, :] * shifts[b, :, None]
         field.reduce(out)
-        if not field.satisfies(H.H, groups[b], np.swapaxes(out, 1, 2), gains[b, None, :], eye):
+        if not field.satisfies(H.H, groups[b], np.swapaxes(out, 1, 2), gains[b, None, :]):
             raise DegenerateChannel("zero-forcing residual above tolerance")
     return np.swapaxes(beams, 1, 2), gains
 
@@ -653,10 +699,8 @@ def _layout_beams(H: ChannelMatrix):
 
     def compute():
         layout = schedule_layout(H.K, H.L)
-        owners = np.arange(len(layout.groups)) // layout.transmissions
-        return _beams(
-            H, layout.parents, layout.parent_ids, layout.left_out, owners, layout.groups
-        )
+        return _beams(H, layout.parents, layout.owners, layout.groups, layout.keep, layout.skip,
+                      layout.owner_keep, layout.owner_skip)
 
     return H.cached("layout_beams", compute)
 

@@ -29,6 +29,15 @@ time, and is reduced mod p in int64. Past that bound it runs numpy's
 int64 product, reduced mod p every ``matmul_chunk`` terms so that no
 sum overflows. Both bounds hold for any operands of magnitude below p,
 so a residue times -1, 0 or 1 enters a product unreduced.
+
+The control plane makes a few small products, inverses and comparisons
+per trial, so their fixed cost per call is what it pays. A float64
+product small enough for one column block, as every control-plane
+product is, is taken whole: two casts, the product, a copy and a
+reduction, with no shape arithmetic or slicing. ``inv_each`` gathers int64 input straight from its table
+and finds a zero entry by one check of the inverses, and ``equal`` (the
+decode verdict) compares two int64 arrays of one shape in one pass;
+only other input pays for ``convert``.
 """
 
 from __future__ import annotations
@@ -88,11 +97,13 @@ def _fermat(x: np.ndarray, p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _inverse_table(p: int) -> np.ndarray:
     """Read-only table t of length p with t[x] = x**(p-2) mod p, the
-    inverse of every nonzero x, built _TABLE_CHUNK residues at a time."""
+    inverse of every nonzero x, and t[0] = 0, built _TABLE_CHUNK
+    residues at a time."""
     table = np.empty(p, dtype=np.int64)
     for s in range(0, p, _TABLE_CHUNK):
         x = np.arange(s, min(s + _TABLE_CHUNK, p), dtype=np.int64)
         table[s : s + len(x)] = _fermat(x, p)
+    table[0] = 0  # 0**0 is 1 at p = 2
     table.setflags(write=False)
     return table
 
@@ -199,13 +210,9 @@ class PrimeField:
         longer ones run in int64, ``matmul_chunk`` terms at a time.
         """
         a, b = np.asarray(a), np.asarray(b)
-        shape = _product_shape(a, b)
-        if out is not None and (out.shape != shape or out.dtype != np.int64):
-            raise ValueError(
-                f"matmul out must be int64 of shape {shape}, not {out.dtype} of shape {out.shape}"
-            )
         if a.shape[-1] <= self.float_terms:
-            return self._matmul_float(a, b, shape, out)
+            return self._matmul_float(a, b, out)
+        out = self._int64_out(_product_shape(a, b), out)
         n, step = a.shape[-1], self.matmul_chunk
 
         def terms(s):
@@ -217,30 +224,57 @@ class PrimeField:
             out = self.reduce(out)
         return out
 
-    def _matmul_float(self, a, b, shape, out) -> np.ndarray:
+    def _matmul_float(self, a, b, out) -> np.ndarray:
         """Exact a @ b mod p in float64, one block of output columns at a time.
 
         Each block casts its columns of b, multiplies, and reduces its
         columns of ``out`` in place, so the float64 temporaries stay
-        near _FLOAT_BLOCK_BYTES however wide b is. Each block is
-        reduced by ``reduce``.
+        near _FLOAT_BLOCK_BYTES however wide b is. A product whose b and
+        result fit one block, counted without numpy's shape arithmetic
+        (every pairing of two stacks that differ), is taken whole, and
+        ``out`` is checked, or made, from its shape: no broadcast shape
+        and no slicing, so such a call, as every control-plane product
+        is, costs its casts, product, copy and reduction.
         """
         if b.ndim == 1:
             # A vector b is one column; its output has no column axis.
-            col_out = None if out is None else out[..., None]
-            col = self._matmul_float(a, b[:, None], shape + (1,), col_out)
-            return col[..., 0] if out is None else out
-        if out is None:
-            out = np.empty(shape, dtype=np.int64)
-        width = shape[-1]
-        per_column = 8 * (math.prod(b.shape[:-1]) + math.prod(shape[:-1]))
-        step = max(1, _FLOAT_BLOCK_BYTES // per_column)
+            out = self._int64_out(a.shape[:-1], out)
+            self._matmul_float(a, b[:, None], out[..., None])
+            return out
+        width = b.shape[-1]
+        # The product's rows: a's, or at most a's times b's stacked
+        # matrices where the two stacks differ.
+        rows = a.size // max(a.shape[-1], 1)
+        if a.shape[:-2] != b.shape[:-2]:
+            rows *= b.size // max(b.shape[-2] * width, 1)
+        if 8 * (b.size + rows * width) <= _FLOAT_BLOCK_BYTES:
+            step, shape = max(width, 1), None
+        else:
+            shape = _product_shape(a, b)
+            out = self._int64_out(shape, out)
+            per_column = 8 * (math.prod(b.shape[:-1]) + math.prod(shape[:-1]))
+            step = max(1, _FLOAT_BLOCK_BYTES // per_column)
         af = a.astype(np.float64)
-        for s in range(0, width, step):
-            r = np.matmul(af, b[..., s : s + step].astype(np.float64))
-            block = out[..., s : s + step]
+        whole = step >= width
+        for s in range(0, max(width, 1), step):
+            r = np.matmul(af, (b if whole else b[..., s : s + step]).astype(np.float64))
+            if shape is None:
+                # One block: the product gives the shape.
+                out = self._int64_out(r.shape[:-1] + (width,), out)
+            block = out if whole else out[..., s : s + step]
             np.copyto(block, r, casting="unsafe")
             self.reduce(block)
+        return out
+
+    @staticmethod
+    def _int64_out(shape, out) -> np.ndarray:
+        """``out`` checked to be int64 of exactly ``shape``, or a new one."""
+        if out is None:
+            return np.empty(shape, dtype=np.int64)
+        if out.shape != shape or out.dtype != np.int64:
+            raise ValueError(
+                f"matmul out must be int64 of shape {shape}, not {out.dtype} of shape {out.shape}"
+            )
         return out
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
@@ -268,17 +302,31 @@ class PrimeField:
         return x if terms < self.matmul_chunk else self.reduce(x)
 
     def inv_each(self, x) -> np.ndarray:
-        """Element-wise inverse; ZeroDivisionError if any x is 0.
+        """Element-wise inverse; ZeroDivisionError if any x is 0 mod p.
 
-        One gather from the cached inverse table for p up to
-        _TABLE_MAX_PRIME, a product tree beyond it.
+        For p up to _TABLE_MAX_PRIME, one gather from the cached table of
+        inverses, whose entry 0 is 0. int64 input indexes it as it
+        stands: an entry in [-p, 0) reads entry p + x, its residue, and
+        one outside [-p, p) makes the gather fail and the input be
+        converted first, as any other dtype is. Larger primes invert by
+        a product tree, where a zero entry likewise leaves zeros, so
+        one check of the inverses finds a zero entry in both.
         """
-        x = self.convert(x)
-        if not np.all(x):
-            raise ZeroDivisionError("inverse of zero in GF(p)")
+        x = np.asarray(x)
         if self.p <= _TABLE_MAX_PRIME:
-            return _inverse_table(self.p)[x]
-        return self._tree_inverse(x.ravel()).reshape(x.shape)
+            table = _inverse_table(self.p)
+            if x.dtype != np.int64:
+                x = self.convert(x)
+            try:
+                inv = table[x]
+            except IndexError:
+                inv = table[self.convert(x)]
+        else:
+            x = self.convert(x)
+            inv = self._tree_inverse(x.ravel()).reshape(x.shape)
+        if not inv.all():
+            raise ZeroDivisionError("inverse of zero in GF(p)")
+        return inv
 
     def _tree_inverse(self, x: np.ndarray) -> np.ndarray:
         """Inverses of a vector of nonzero residues, Montgomery's batch
@@ -309,12 +357,17 @@ class PrimeField:
     def equal(self, a, b) -> bool:
         """Exact element-wise equality of two arrays, as residues.
 
-        Two int64 arrays with the same entries are equal as they stand,
-        so that case costs one comparison pass; any other pair is
+        Two int64 arrays of one shape with the same entries are equal as
+        they stand, so that case costs one comparison; any other pair is
         compared after ``convert``.
         """
-        a, b = np.asarray(a), np.asarray(b)
-        if a.dtype == b.dtype == np.int64 and np.array_equal(a, b):
+        if (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype == np.int64
+            and a.shape == b.shape
+            and np.logical_and.reduce(np.equal(a, b), axis=None)
+        ):
             return True
         return bool(np.array_equal(self.convert(a), self.convert(b)))
 
@@ -343,10 +396,10 @@ class PrimeField:
         """Which entries of null vectors (along the last axis) are nonzero."""
         return np.asarray(v) != 0
 
-    def satisfies(self, a, rows, x, scale, b) -> bool:
-        """Whether (a[rows] @ x) * scale == b for x from an exact
-        elimination, as the schedule's beams are; exactness guarantees
-        it, so neither the gather nor the product is made.
+    def satisfies(self, a, rows, x, scale) -> bool:
+        """Whether (a[rows] @ x) * scale is the identity for x from an
+        exact elimination, as the schedule's beams are; exactness
+        guarantees it, so neither the gather nor the product is made.
         """
         return True
 
@@ -458,18 +511,19 @@ class ComplexField:
         mag = np.abs(v)
         return mag > self.null_rtol * mag.max(axis=-1, keepdims=True)
 
-    def satisfies(self, a, rows, x, scale, b) -> bool:
-        """Whether (a[rows] @ x) * scale matches b within zero_atol, max-abs.
+    def satisfies(self, a, rows, x, scale) -> bool:
+        """Whether (a[rows] @ x) * scale matches the identity within
+        zero_atol, max-abs.
 
         Rechecks the schedule's beams, times their gains, so that
         near-degenerate channels surface.
         """
-        return float(np.max(np.abs(self.matmul(a[rows], x) * scale - b))) <= self.zero_atol
+        residual = self.matmul(a[rows], x) * scale - np.eye(x.shape[-1])
+        return float(np.max(np.abs(residual))) <= self.zero_atol
 
     def close(self, a, b) -> bool:
         """Decode-success comparison at decode_atol, max-abs."""
-        diff = np.asarray(a) - np.asarray(b)
-        return bool(np.max(np.abs(diff), initial=0.0) <= self.decode_atol)
+        return bool(np.abs(np.subtract(a, b)).max(initial=0.0) <= self.decode_atol)
 
     def mismatch(self, a, b) -> tuple[int, float]:
         """Where ``close`` fails on two arrays of one shape: the flat index

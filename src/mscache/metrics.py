@@ -76,6 +76,17 @@ def achievable_time(cfg: LibraryConfig) -> Fraction:
     return delivery_time(cfg.N, cfg.L)
 
 
+@lru_cache(maxsize=None)
+def _analytic_times(cfg: LibraryConfig) -> tuple[Fraction, Fraction, Fraction]:
+    """(achievable, converse, uncoded) times of a configuration, which
+    every trial at it reports; pure, so cached (errors are not)."""
+    return (
+        achievable_time(cfg),
+        converse_bound(cfg.K, cfg.N, cfg.M, cfg.L),
+        uncoded_baseline(cfg.K, cfg.N, cfg.M, cfg.L),
+    )
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """One run's exact delivery-time comparison plus its parameters."""
@@ -126,12 +137,9 @@ def assemble_report(cfg: LibraryConfig, schedule, results, seed: int | None = No
     if len(results) != cfg.K:
         raise InconsistentInputs(f"{len(results)} decode results for K={cfg.K} users")
     achieved = schedule.total_time
-    if achieved != achievable_time(cfg):
-        raise InconsistentInputs(
-            f"schedule time {achieved} differs from the analytic {achievable_time(cfg)}"
-        )
-    converse = converse_bound(cfg.K, cfg.N, cfg.M, cfg.L)
-    uncoded = uncoded_baseline(cfg.K, cfg.N, cfg.M, cfg.L)
+    expected, converse, uncoded = _analytic_times(cfg)
+    if achieved != expected:
+        raise InconsistentInputs(f"schedule time {achieved} differs from the analytic {expected}")
     ok = all(r.success for r in results)
     if ok and not converse <= achieved <= uncoded:
         raise InconsistentInputs(

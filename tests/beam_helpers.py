@@ -14,7 +14,7 @@ inverse, column q the zero-forcing beam of the group's q-th user.
 import numpy as np
 
 from mscache.channel import ChannelMatrix
-from mscache.delivery import _beams
+from mscache.delivery import _beam_indices, _beams
 
 
 def group_beams(field, H, groups, seed=0):
@@ -32,7 +32,7 @@ def group_beams(field, H, groups, seed=0):
     owner_rows = field.matmul(weights[:, None, :], H[groups])[:, 0]
     padded = ChannelMatrix(field, np.concatenate([H, field.zeros((1, L)), owner_rows]))
     parents = np.append(groups, np.full((n, 1), K), axis=1)
-    beams, gains = _beams(
-        padded, parents, np.arange(n), np.full(n, L), K + 1 + np.arange(n), groups
-    )
+    owners = K + 1 + np.arange(n)
+    indices = _beam_indices(np.arange(n), np.full(n, L), owners, padded.K, L)
+    beams, gains = _beams(padded, parents, owners, groups, **indices)
     return field.mul(beams, gains[:, None, :]), gains, weights

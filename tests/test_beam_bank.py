@@ -51,9 +51,13 @@ def test_parent_sets_complete_groups_with_a_channel_row(N, L):
             (extra,) = set(segment) - set(group)
         else:
             extra = min(set(range(N)) - set(group))
-        parent = layout.parents[layout.parent_ids[b]]
+        # keep and skip point at the group's members and the extra row
+        # among the stacked rows of all parent sets.
+        parent = layout.parents[layout.skip[b] // (L + 1)]
         assert parent.tolist() == sorted(group + [extra]), (N, L, b)
-        assert parent[layout.left_out[b]] == extra
+        assert layout.parents.ravel()[layout.skip[b]] == extra
+        assert layout.parents.ravel()[layout.keep[b]].tolist() == group
+        assert layout.owners[b] == b // layout.transmissions
 
 
 @pytest.mark.parametrize("p", (7, 65537))
@@ -71,8 +75,9 @@ def test_beams_times_gains_equal_inverse_stack_bit_for_bit(p):
         owners = np.arange(len(layout.groups)) // layout.transmissions
         for b in range(len(layout.groups)):
             one = slice(b, b + 1)
-            args = (layout.parents, layout.parent_ids[one], layout.left_out[one], owners[one],
-                    layout.groups[one])
+            args = (layout.parents, owners[one], layout.groups[one]) + tuple(
+                getattr(layout, name)[one] for name in ("keep", "skip", "owner_keep", "owner_skip")
+            )
             gains = field.matmul(H.H[owners[b]], want[b])
             if not nonsingular[b] or not gains.all():
                 reason = "is orthogonal" if nonsingular[b] else "are dependent"

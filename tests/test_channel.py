@@ -1,5 +1,6 @@
 """Channel draws, reception, and receiver-side decoding."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -369,3 +370,89 @@ def test_decode_all_makes_no_decoder_product(monkeypatch, N, L):
     results = decode_all(d, caches, log, H, sched)
     assert calls == []
     assert all(res.success for res in results)
+
+
+def _numpy_calls(fn, *args) -> int:
+    """numpy calls made by fn(*args): the sys.setprofile c_call events
+    whose function is a ufunc, an ndarray or ufunc method (such as a
+    reduction's), or a function of the numpy package."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            module = getattr(arg, "__module__", None) or ""
+            if isinstance(arg, np.ufunc) or isinstance(owner, (np.ndarray, np.ufunc)) \
+                    or module.startswith("numpy"):
+                count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_decode_makes_no_numpy_call_per_user():
+    # Each decode stage is one numpy pass over every user at once: owners
+    # complete their rows by one copy and one subtraction per block, and
+    # a file's verdict is one comparison. Doubling the users
+    # may add at most 2 numpy calls per extra user (the verdict's).
+    counts = {}
+    for N in (8, 16):
+        cfg = LibraryConfig(N=N, K=N, L=N - 1, F=N * (N - 1))
+        lib = random_library(GF, N, cfg.F, seed=N)
+        H = draw_channel(N, N - 1, seed=N, field=GF)
+        d = DemandVector(np.random.default_rng(N).permutation(N))
+        sched = build_schedule(d, H, lib, cfg)
+        log = receive(H, sched)
+        caches = place_caches(lib, cfg)
+        assert all(res.success for res in decode_all(d, caches, log, H, sched))
+        counts[N] = _numpy_calls(decode_all, d, caches, log, H, sched)
+    assert counts[16] - counts[8] <= 2 * 8, counts
+
+
+@pytest.mark.parametrize("field", [GF, CC], ids=["gf", "complex"])
+@pytest.mark.parametrize("N, L", [(7, 3), (6, 5)], ids=["reduced", "full"])
+def test_several_wrong_users_each_name_their_own_first_error(field, N, L):
+    # Three users' receptions are wrong at once, each in a different row
+    # and symbol: every failed file reports the first wrong minifile and
+    # the residual of that whole file, and decoding a user alone gives
+    # the same result as its entry of decode_all.
+    m = 1 if L == N - 1 else L
+    cfg = LibraryConfig(N=N, K=N, L=L, F=N * m * 3)
+    lib = random_library(field, N, cfg.F, seed=N + L)
+    H = draw_channel(N, L, seed=N * L, field=field)
+    d = DemandVector(np.random.default_rng(L).permutation(N))
+    sched = build_schedule(d, H, lib, cfg)
+    log = receive(H, sched)
+    caches = place_caches(lib, cfg)
+    n_tx, tau = sched.layout.transmissions, sched.signals.shape[-1]
+    rx = log.per_block.copy()
+    wrong = {1: (4, 0, 2), 3: (0, n_tx - 1, 1), 4: (4, n_tx - 1, 0)}  # user: row, t, symbol
+    for k, (row, t, symbol) in wrong.items():
+        if row == k or (sched.layout.groups[row * n_tx + t] == k).any():
+            rx[row * n_tx + t, k, symbol] += 1
+        else:  # k is not served there: spoil k's own row instead
+            rx[k * n_tx + t, k, symbol] += 1
+    if field is GF:
+        rx %= GF.p
+    bad = type(log)(field, rx)
+    results = decode_all(d, caches, bad, H, sched)
+    assert [res.success for res in results] == [k not in wrong for k in range(N)]
+    for k, res in enumerate(results):
+        want = lib.data[d[k]]
+        assert res.success == field.close(res.data, want)
+        if res.success:
+            assert res.mismatch is None and res.residual is None
+        else:
+            index, residual = field.mismatch(res.data, want)
+            assert res.mismatch == divmod(index // tau, m)
+            assert res.residual == residual
+            assert (residual is None) == (field is GF)
+        alone = decode_user(k, d, caches[k], bad, H, sched)
+        assert (alone.user, alone.success, alone.mismatch, alone.residual) == (
+            res.user, res.success, res.mismatch, res.residual)
+        assert np.array_equal(alone.data, res.data)

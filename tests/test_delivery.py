@@ -242,6 +242,40 @@ def test_cached_plans_are_read_only():
             schedule_layout(N, L).groups[0, 0] = 0
 
 
+def test_layout_cache_stays_bounded_over_a_sweep():
+    # A sweep builds each layout once and moves on, so the cache keeps a
+    # few recent layouts, not every one it has built; a layout built
+    # again is the same plan.
+    pairs = [(N, L) for N in range(2, 25) for L in range(1, N) if is_supported(N, L)]
+    first = schedule_layout(*pairs[0])
+    for N, L in pairs:
+        assert schedule_layout(N, L) is schedule_layout(N, L)
+        info = schedule_layout.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert schedule_layout.cache_info().maxsize < len(pairs)
+    again = schedule_layout(*pairs[0])
+    assert again is not first
+    for field in dataclasses.fields(first):
+        a, b = getattr(first, field.name), getattr(again, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("N, L", [(4, 3), (4, 2), (7, 3), (17, 5)])
+def test_layout_scale_indices_address_each_blocks_users(N, L):
+    # served_at and owner_at are flat indices into a (B, K) table: block
+    # b's row, at the columns of the users it serves and of its owner.
+    layout = schedule_layout(N, L)
+    B = len(layout.groups)
+    rows, cols = np.divmod(layout.served_at, N)
+    assert np.array_equal(rows, np.repeat(np.arange(B), L).reshape(B, L))
+    assert np.array_equal(cols, layout.groups)
+    assert np.array_equal(np.divmod(layout.owner_at, N)[1], np.arange(B) // layout.transmissions)
+    assert np.array_equal(layout.owners, np.arange(B) // layout.transmissions)
+
+
 def test_row_views_verify_and_relabel_the_last_row():
     # The layout certifies row N-1's plan only; every row's view passes
     # the certificate on its own, and relabels row N-1's positions by

@@ -23,7 +23,7 @@ from mscache import (
     rank,
 )
 from mscache.channel import ChannelMatrix
-from mscache.delivery import _beams
+from mscache.delivery import _beam_indices, _beams
 from mscache.linalg import left_inverse_stack
 
 GF = PrimeField(65537)
@@ -91,6 +91,57 @@ def test_large_prime_inverses_by_product_tree_match_fermat(case):
     assert np.array_equal(field.inv_each(x.reshape(1, -1, 1)), inv.reshape(1, -1, 1))
     with pytest.raises(ZeroDivisionError):
         field.inv_each(np.insert(x, at, 0))
+
+
+@st.composite
+def awkward_int64_arrays(draw):
+    """A prime on each side of the inverse table's bound and two int64
+    arrays holding the entries a shortcut on canonical input could
+    mishandle: 0 and p, their multiples and negatives, 2**62 and the
+    int64 extremes. b is sometimes a with entries moved by multiples of
+    p, sometimes another shape."""
+    p = draw(st.sampled_from((2, 7, 65537, 536870909)))
+    special = [0, 1, p - 1, p, p + 1, 2 * p, -1, -p, -p - 1, 1 - p, 2**62, -(2**62),
+               2**63 - 1, -(2**63)]
+    entries = st.one_of(st.sampled_from(special), st.integers(-(2**63), 2**63 - 1),
+                        st.integers(0, p - 1))
+    shapes = st.sampled_from([(), (1,), (5,), (2, 3), (3, 2)])
+    shape = draw(shapes)
+    size = int(np.prod(shape))
+    values = st.lists(entries, min_size=size, max_size=size)
+    a = np.array(draw(values), dtype=np.int64).reshape(shape)
+    how = draw(st.sampled_from(["shifted", "drawn", "reshaped"]))
+    if how == "shifted":
+        # The same residues, moved by multiples of p where that fits in int64.
+        moved = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        b = (a.ravel().astype(object) + p * np.array(moved, dtype=object)).reshape(shape)
+        b = np.where((b >= -(2**63)) & (b < 2**63), b, a).astype(np.int64)
+    elif how == "drawn":
+        b = np.array(draw(values), dtype=np.int64).reshape(shape)
+    else:
+        b = a.reshape(-1) if a.ndim != 1 else a.reshape(1, -1)
+    return PrimeField(p), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(awkward_int64_arrays())
+def test_lean_gf_kernels_keep_their_residue_semantics(case):
+    # inv_each gathers int64 input straight from the table and equal
+    # compares two int64 arrays of one shape in one pass; each must still
+    # answer for the residues, as after convert.
+    field, a, b = case
+    residues = field.convert(a)
+    if (residues == 0).any():
+        with pytest.raises(ZeroDivisionError):
+            field.inv_each(a)
+    else:
+        inv = field.inv_each(a)
+        assert np.shape(inv) == a.shape
+        assert np.array_equal(inv, mscache.field._fermat(residues, field.p))
+    want = bool(np.array_equal(residues, field.convert(b)))
+    assert field.equal(a, b) is want
+    assert field.equal(b, a) is want
+    assert bool(field.close(a, b)) is want
 
 
 def test_gf_matmul_exact_past_one_int64_chunk():
@@ -363,8 +414,8 @@ def test_solve_inconsistent_raises():
         group_beams(GF7, H.H, [[0, 2], [0, 1]])
     group = np.array([[0, 1]])
     with pytest.raises(DegenerateChannel, match=r"served group \(0, 1\) are dependent"):
-        _beams(_zero_padded(GF7, H.H), np.array([[0, 1, 3]]), np.array([0]), np.array([2]), [2],
-               group)
+        _beams(_zero_padded(GF7, H.H), np.array([[0, 1, 3]]), [2], group,
+               **_beam_indices(np.array([0]), np.array([2]), np.array([2]), 4, 2))
 
 
 def test_zf_no_interferers():
@@ -398,8 +449,8 @@ def test_zf_degenerate_raises():
         with pytest.raises(DegenerateChannel, match="are dependent"):
             group_beams(field, H.H, [[0, 1]])
         with pytest.raises(DegenerateChannel):
-            _beams(_zero_padded(field, H.H), np.array([[0, 1, 3]]), np.array([0]), np.array([2]),
-                   [2], np.array([[0, 1]]))
+            _beams(_zero_padded(field, H.H), np.array([[0, 1, 3]]), [2], np.array([[0, 1]]),
+                   **_beam_indices(np.array([0]), np.array([2]), np.array([2]), 4, 2))
 
 
 def test_zf_orthogonality_seeded_sweep():

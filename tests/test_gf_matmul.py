@@ -115,6 +115,32 @@ def test_beam_sized_products_are_exact():
     assert np.array_equal(field.matmul(a, b), np.matmul(a, b) % field.p)
 
 
+def test_control_plane_products_take_their_shape_from_the_product(monkeypatch):
+    # A product that would fit one column block even unbroadcast is one
+    # block, its shape read from numpy's product: the owner gains, the
+    # beam products of full16 and reduced17, a receive at scale 1. Only
+    # a product wide enough for several blocks, such as payload8's
+    # receive, works out its broadcast shape first.
+    shapes = []
+    real = field_module._product_shape
+
+    def recording(a, b):
+        shapes.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(field_module, "_product_shape", recording)
+    field = PrimeField(65537)
+    rng = np.random.default_rng(5)
+    for a_shape, b_shape in (((16, 15), (1, 15, 16)), ((16, 15, 15), (16, 15, 15)),
+                             ((272, 5, 5), (272, 5, 1)), ((16, 15), (16, 15, 15))):
+        a, b = field.sample(rng, a_shape), field.sample(rng, b_shape)
+        assert np.array_equal(field.matmul(a, b), np.matmul(a, b) % field.p)
+    assert shapes == []
+    a, b = field.sample(rng, (8, 7)), field.sample(rng, (8, 7, 57344))
+    assert np.array_equal(field.matmul(a, b), np.matmul(a, b) % field.p)
+    assert shapes == [((8, 7), (8, 7, 57344))]
+
+
 @pytest.mark.parametrize("p", [65537, 536870909])  # float64 and int64 paths
 @pytest.mark.parametrize(
     "b_shape, out_shape, dtype",
