@@ -25,10 +25,19 @@ K >= L+2 the check has two paths, chosen by the field's ``exact``:
   joins a prefix by one product with that basis and one eliminated
   basis vector, so each of the C(K, L) subsets (at K < L, all K rows)
   costs one length-L dot product at the last level instead of an
-  elimination, and the walk stops at the first dependent prefix.
+  elimination, and the walk stops at the first dependent prefix. Which
+  prefixes a step extends, with which rows, and where a chunk of
+  CHUNK_BYTES ends depend only on (K, L), so each step's index arrays
+  are built once and kept (``_sweep_step``), and a draw does only the
+  products and eliminations.
 
 Both paths build their temporaries in blocks of bounded size; the
-condensation also keeps three whole orders of minors.
+condensation also keeps three whole orders of minors. The sweep's
+steps are kept in an LRU cache of SWEEP_STEPS entries, keyed by (K, L,
+the basis width and itemsize, CHUNK_BYTES, the largest rows of the
+step's prefixes); an entry holds at most 6 CHUNK_BYTES (1.5 MiB) for
+K up to CHUNK_BYTES / 8, so the cache at most 48 MiB, and the 5 steps
+of a (12, 5) walk 45 KB.
 
 A ``ChannelMatrix`` keeps a read-only copy of H and memoizes the tall
 eliminations of its parent sets of rows (``left_inverses``) and the
@@ -58,9 +67,11 @@ Each decoding step is a numpy call per block of rows for every user at
 once, not one per user: the scales come from two scatters at the
 layout's flat indices, every cache enters the decoded files in one
 copy, and the row owners of a block complete their rows by one copy
-and one subtraction on a strided view of their own rows. The only work per user is its file's verdict,
-one comparison with the requested library file as it stands; no
-requested file is copied.
+and one subtraction on a strided view of their own rows. The verdicts
+are one comparison per block of users whose requested files fit
+together in CHUNK_BYTES, one flag per file; only such small files are
+gathered, and a larger file is compared with the library's row as a
+view.
 """
 
 from __future__ import annotations
@@ -68,6 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,7 +102,8 @@ DRAW_BUDGET = 64
 # is inside, and the condensation three orders of minors, so the check
 # peaks near 1.8 MiB at (K, L) = (20, 9) and 15.6 MiB at (24, 11), whose
 # three largest orders hold 14.9 MiB (tracemalloc). Decoding takes its
-# receptions in blocks of this size too, and synthesis
+# receptions, and its verdicts the requested files, in blocks of this
+# size too, and synthesis
 # (``delivery.build_schedule``) its rows, which keeps their temporaries
 # in cache.
 CHUNK_BYTES = 1 << 18
@@ -100,6 +113,10 @@ CHUNK_BYTES = 1 << 18
 # the channel's pivot threshold; the margin keeps the check from
 # accepting a draw that the per-subset rank test rejects.
 PIVOT_MARGIN = 10
+
+# Steps of the prefix sweep's channel-free walk kept at once
+# (``_sweep_step``); a (12, 5) walk takes 5.
+SWEEP_STEPS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,47 +354,101 @@ def _minors_nonzero(field: FieldContext, A: np.ndarray) -> bool:
     return True
 
 
+class _SweepStep(NamedTuple):
+    """The channel-free part of one pop of the prefix sweep (``_sweep_step``)."""
+
+    stop: int  # the pop's first prefixes, extended now; the rest wait
+    low: int  # children take rows low, ..., top
+    top: int
+    parent: np.ndarray  # each child's prefix
+    pick: np.ndarray  # each child's (row - low, prefix), flat in the product
+    first: np.ndarray  # each child's first basis row, flat in the children
+    rows: bytes  # each child's row: the children's own pop key
+    rest: bytes | None  # the pop key of the prefixes that wait, if any
+
+
+@lru_cache(maxsize=SWEEP_STEPS)
+def _sweep_step(K: int, L: int, w: int, itemsize: int, chunk: int, last: bytes) -> _SweepStep:
+    """Which prefixes of a pop of the sweep extend, and with which rows.
+
+    A pop is a stack of prefixes with w basis rows each, of ``itemsize``
+    bytes per entry, whose largest rows are ``last`` (int64 bytes, -1
+    for the empty prefix). None of this depends on the channel, so a
+    walk at (K, L) asks for the same steps on every draw, and they are
+    memoized, read-only. chunk is ``CHUNK_BYTES`` when the sweep runs,
+    so a step built under another chunk size is never reused.
+
+    An entry holds at most 48 bytes per child: the three index arrays,
+    ``rows``, and the pop's ``last`` with its ``rest`` (every prefix
+    has a child). Several prefixes fit in chunk only while their
+    children's product rows, L entries of at least 8 bytes each, do, so
+    a pop has at most max(K, chunk // (8 L)) children, and an entry at
+    most 6 CHUNK_BYTES (1.5 MiB) for K up to CHUNK_BYTES / 8. The
+    SWEEP_STEPS entries hold at most 48 MiB; the 5 steps of a (12, 5)
+    complex walk hold 45 KB.
+    """
+    last = np.frombuffer(last, dtype=np.int64)
+    # A child adds a row in (last, top], leaving room for w - spare - 1
+    # more, where spare basis rows are left at the last depth, min(K, L).
+    top = K - w + max(L - K, 0)
+    count = top - last
+    # Extend the first prefixes whose bases, products and children fit in
+    # chunk; the rest wait for a pop of their own.
+    cost = np.cumsum(itemsize * w * (K + L * count))
+    stop = max(1, int(np.searchsorted(cost, chunk, side="right")))
+    rest = last[stop:].tobytes() if stop < len(last) else None
+    last, count = last[:stop], count[:stop]
+    parent = np.repeat(np.arange(stop), count)
+    each = np.arange(len(parent))
+    # The children of prefix b take rows last[b] + 1, ..., top in turn.
+    rows = each - np.repeat(np.cumsum(count) - count - last - 1, count)
+    low = int(last.min()) + 1
+    pick = (rows - low) * stop + parent
+    first = each * w
+    for a in (parent, pick, first):
+        a.setflags(write=False)
+    return _SweepStep(stop, low, top, parent, pick, first, rows.tobytes(), rest)
+
+
 def _prefix_sweep(field: FieldContext, H: np.ndarray, L: int) -> bool:
-    """``_generic``'s sweep over null spaces of sorted row prefixes of H."""
+    """``_generic``'s sweep over null spaces of sorted row prefixes of H.
+
+    Each pop takes its channel-free step from ``_sweep_step`` and does
+    only the work that depends on H: one product, one gather, the pivot
+    choice and the elimination.
+    """
     K = H.shape[0]
     threshold = PIVOT_MARGIN * field.pivot_threshold(H)
+    spare = max(L - K, 0)  # basis rows left at the last depth, min(K, L)
     # Prefixes still to extend, deepest last: a (B, w, L) stack of bases,
     # prefix b's rows annihilating the w rows of N[b], and each prefix's
-    # largest row (-1 for the empty prefix).
-    pending = [(field.convert(np.eye(L, dtype=np.int64))[None], np.array([-1]))]
-    spare = max(L - K, 0)  # basis rows left at the last depth, min(K, L)
+    # largest row as int64 bytes (-1 for the empty prefix).
+    pending = [(np.eye(L, dtype=field.dtype)[None], np.int64(-1).tobytes())]
     while pending:
         N, last = pending.pop()
         w = N.shape[1]
-        # A child adds a row in (last, top], leaving room for w - spare - 1 more.
-        top = K - w + spare
-        count = top - last
-        # Extend the first prefixes that fit in CHUNK_BYTES; the rest wait
-        # as a copy, so that this stack of bases can be freed.
-        cost = np.cumsum(N.itemsize * w * (K + L * count))
-        stop = max(1, int(np.searchsorted(cost, CHUNK_BYTES, side="right")))
-        if stop < len(N):
-            pending.append((N[stop:].copy(), last[stop:]))
-        N, last, count = N[:stop], last[:stop], count[:stop]
-        parent = np.repeat(np.arange(stop), count)
-        each = np.arange(len(parent))
-        # The children of prefix b take rows last[b] + 1, ..., top in turn.
-        rows = each - np.repeat(np.cumsum(count) - count - last - 1, count)
-        low = int(last.min()) + 1
-        products = field.matmul(H[low : top + 1], N.reshape(-1, L).T)
-        c = products.reshape(top + 1 - low, stop, w)[rows - low, parent]
+        step = _sweep_step(K, L, w, N.itemsize, CHUNK_BYTES, last)
+        if step.rest is not None:
+            # A copy, so that this stack of bases can be freed.
+            pending.append((N[step.stop :].copy(), step.rest))
+        N = N[: step.stop]
+        # Every gather is a take along one flat axis, which numpy runs
+        # several times faster than indexing by two arrays.
+        products = field.matmul(H[step.low : step.top + 1], N.reshape(-1, L).T)
+        c = products.reshape(-1, w).take(step.pick, axis=0)
         t, found = field.select_pivot(c, threshold)
         if not found.all():
             return False
         if w > spare + 1:
             # Eliminate basis row t from the others, then drop it.
-            factors = field.mul(c, field.inv_each(c[each, t])[:, None])
-            children = N[parent]
-            pivot_rows = children[each, t]
-            children -= factors[:, :, None] * pivot_rows[:, None, :]
+            at = step.first + t
+            factors = field.mul(c, field.inv_each(c.reshape(-1).take(at))[:, None])
+            children = N.take(step.parent, axis=0)
+            bases = children.reshape(-1, L)
+            children -= factors[:, :, None] * bases.take(at, axis=0)[:, None, :]
             field.reduce(children)
-            children[each, t] = children[:, -1]
-            pending.append((children[:, :-1], rows))
+            bases[at] = children[:, -1]
+            pending.append((children[:, :-1], step.rows))
     return True
 
 
@@ -467,11 +538,12 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
     owners' cached cells, before anything overwrites them, one
     element-wise product, written straight into the files when A = [1],
     one add per further tap, one subtraction of the received sums from
-    the copied caches into the owners' cells, and one reduction (two in GF when the taps' raw sums of products could
-    overflow int64). So no step loops over users, and no temporary of
-    the loop is larger than a block. Each file's verdict is then one
-    comparison with the library's file (``field.close``), and only a
-    failed file is read again, for its first wrong minifile.
+    the copied caches into the owners' cells, and one reduction (two in
+    GF when the taps' raw sums of products could overflow int64). So no
+    step loops over users, and no temporary of the loop is larger than a
+    block. The verdicts then take one comparison (``field.close``) per
+    block of users whose requested files fit together in CHUNK_BYTES,
+    and only a failed file is read again, for its first wrong minifile.
     """
     field = H.field
     layout = schedule.layout
@@ -516,14 +588,23 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
                     (np.add if sign > 0 else np.subtract)(o[:, j], z[:, t], out=o[:, j])
             np.subtract(cached, mine[owners, :, cols], out=mine[owners, :, cols])
             field.reduce(o)
-    results = []
+    # One verdict per block of users whose requested files fit together
+    # in CHUNK_BYTES: a gather of those files and one comparison, one flag
+    # per file. A block of one file compares the library's row as a view.
     library = schedule.library.data
-    for k, flat in zip(users, data.reshape(n, -1)):
-        want = library[d[k]]
-        if field.close(flat, want):
+    files = data.reshape(n, -1)
+    height = max(1, CHUNK_BYTES // files[0].nbytes)
+    success = np.empty(n, dtype=bool)
+    for b in range(0, n, height):
+        want = [d[k] for k in users[b : b + height]]
+        rows = library[want[0] : want[0] + 1] if len(want) == 1 else library[want]
+        success[b : b + height] = field.close(files[b : b + height], rows, axis=1)
+    results = []
+    for k, flat, ok in zip(users, files, success.tolist()):
+        if ok:
             results.append(DecodeResult(user=k, data=flat, success=True))
             continue
-        index, residual = field.mismatch(flat, want)
+        index, residual = field.mismatch(flat, library[d[k]])
         results.append(DecodeResult(user=k, data=flat, success=False,
                                     mismatch=divmod(index // tau, m), residual=residual))
     return results

@@ -655,13 +655,13 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, ow
     field = H.field
     L = H.L
     G, v, full_rank = H.left_inverses(parents)
-    exists = np.take(full_rank[:, None] & field.null_support(v), skip)
+    exists = (full_rank[:, None] & field.null_support(v)).take(skip)
     if not exists.all():
         bad = tuple(groups[int(np.argmin(exists))].tolist())
         raise DegenerateChannel(f"channel rows of served group {bad} are dependent")
-    ratio = field.mul(np.take(v, keep), field.inv_each(np.take(v, skip))[:, None])
+    ratio = field.mul(v.take(keep), field.inv_each(v.take(skip))[:, None])
     hG = field.matmul(H.H, G)
-    gains = field.reduce(np.take(hG, owner_keep) - np.take(hG, owner_skip)[:, None] * ratio)
+    gains = field.reduce(hG.take(owner_keep) - hG.take(owner_skip)[:, None] * ratio)
     # The owner's entry is -1; null_support does not see its sign.
     null = np.concatenate([gains, np.ones_like(gains[:, :1])], axis=1)
     supported = field.null_support(null)[:, :-1]
@@ -676,18 +676,18 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, ow
     # transpose, in blocks of at most CHUNK_BYTES so that the
     # temporaries, and complex mode's residual check, stay in cache; the
     # beams are their transposed view.
-    columns = np.ascontiguousarray(np.swapaxes(G, 1, 2)).reshape(-1, L)
+    columns = np.ascontiguousarray(G.swapaxes(1, 2)).reshape(-1, L)
     beams = np.empty((len(groups), L, L), dtype=field.dtype)
     step = max(1, CHUNK_BYTES // beams[0].nbytes)
     for s in range(0, len(beams), step):
         b = slice(s, s + step)
         out = beams[b]
-        np.multiply(np.take(columns, keep[b], axis=0), scales[b, :, None], out=out)
-        out -= np.take(columns, skip[b], axis=0)[:, None, :] * shifts[b, :, None]
+        np.multiply(columns.take(keep[b], axis=0), scales[b, :, None], out=out)
+        out -= columns.take(skip[b], axis=0)[:, None, :] * shifts[b, :, None]
         field.reduce(out)
-        if not field.satisfies(H.H, groups[b], np.swapaxes(out, 1, 2), gains[b, None, :]):
+        if not field.satisfies(H.H, groups[b], out.swapaxes(1, 2), gains[b, None, :]):
             raise DegenerateChannel("zero-forcing residual above tolerance")
-    return np.swapaxes(beams, 1, 2), gains
+    return beams.swapaxes(1, 2), gains
 
 
 def _layout_beams(H: ChannelMatrix):

@@ -34,10 +34,13 @@ The control plane makes a few small products, inverses and comparisons
 per trial, so their fixed cost per call is what it pays. A float64
 product small enough for one column block, as every control-plane
 product is, is taken whole: two casts, the product, a copy and a
-reduction, with no shape arithmetic or slicing. ``inv_each`` gathers int64 input straight from its table
-and finds a zero entry by one check of the inverses, and ``equal`` (the
-decode verdict) compares two int64 arrays of one shape in one pass;
-only other input pays for ``convert``.
+reduction, with no shape arithmetic or slicing. ``inv_each`` gathers
+int64 input straight from its table and finds a zero entry by one check
+of the inverses, and ``equal`` and ``close`` (the decode verdict, one
+flag per file of a block given an axis) compare two int64 arrays of one
+shape in one pass; only other input pays for ``convert``. Complex mode
+calls the ufuncs directly, and its ``convert`` tests the finiteness of
+the complex values in one pass.
 """
 
 from __future__ import annotations
@@ -371,8 +374,22 @@ class PrimeField:
             return True
         return bool(np.array_equal(self.convert(a), self.convert(b)))
 
-    # Exactness makes the decode-success test identical to equality.
-    close = equal
+    def close(self, a, b, axis=None):
+        """Decode-success comparison, which exactness makes ``equal``.
+
+        Given an axis, one flag per slice along it, as
+        ``np.all(a == b, axis)`` on residues: int64 arrays of one shape
+        are compared as they stand, and converted only when some flag
+        fails.
+        """
+        if axis is None:
+            return self.equal(a, b)
+        a, b = np.asarray(a), np.asarray(b)
+        if a.dtype == b.dtype == np.int64 and a.shape == b.shape:
+            same = np.logical_and.reduce(np.equal(a, b), axis=axis)
+            if same.all():
+                return same
+        return np.logical_and.reduce(np.equal(self.convert(a), self.convert(b)), axis=axis)
 
     def mismatch(self, a, b) -> tuple[int, None]:
         """Where ``close`` fails on two arrays of one shape: the flat index
@@ -445,7 +462,8 @@ class ComplexField:
 
     def convert(self, a) -> np.ndarray:
         out = np.asarray(a, dtype=np.complex128)
-        if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
+        # A complex entry is finite when both its parts are.
+        if not np.isfinite(out).all():
             raise ValueError("non-finite value entering complex field context")
         return out
 
@@ -456,16 +474,16 @@ class ComplexField:
         return complex(c)
 
     def add(self, a, b) -> np.ndarray:
-        return np.asarray(a) + np.asarray(b)
+        return np.add(a, b)
 
     def sub(self, a, b) -> np.ndarray:
-        return np.asarray(a) - np.asarray(b)
+        return np.subtract(a, b)
 
     def neg(self, a) -> np.ndarray:
-        return -np.asarray(a)
+        return np.negative(a)
 
     def mul(self, a, b) -> np.ndarray:
-        return np.asarray(a) * np.asarray(b)
+        return np.multiply(a, b)
 
     def matmul(self, a, b, out=None) -> np.ndarray:
         return np.matmul(a, b, out=out)
@@ -473,7 +491,7 @@ class ComplexField:
     def inv_each(self, x) -> np.ndarray:
         """Element-wise 1/x; ZeroDivisionError if any |x| is below the floor."""
         x = np.asarray(x)
-        if np.any(np.abs(x) < self._inv_floor):
+        if (np.abs(x) < self._inv_floor).any():
             raise ZeroDivisionError("inverse of (numerically) zero scalar")
         return 1.0 / x
 
@@ -490,7 +508,7 @@ class ComplexField:
         One threshold per matrix: a scalar for one matrix, shape (B,)
         for a (B, rows, cols) stack.
         """
-        scale = np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+        scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
         return self.pivot_rtol * np.maximum(1.0, scale)
 
     def select_pivot(self, cols, threshold):
@@ -518,12 +536,14 @@ class ComplexField:
         Rechecks the schedule's beams, times their gains, so that
         near-degenerate channels surface.
         """
-        residual = self.matmul(a[rows], x) * scale - np.eye(x.shape[-1])
-        return float(np.max(np.abs(residual))) <= self.zero_atol
+        residual = self.matmul(a.take(rows, axis=0), x) * scale - np.eye(x.shape[-1])
+        return float(np.abs(residual).max()) <= self.zero_atol
 
-    def close(self, a, b) -> bool:
-        """Decode-success comparison at decode_atol, max-abs."""
-        return bool(np.abs(np.subtract(a, b)).max(initial=0.0) <= self.decode_atol)
+    def close(self, a, b, axis=None):
+        """Decode-success comparison at decode_atol, max-abs: one bool, or
+        given an axis one flag per slice along it."""
+        within = np.abs(np.subtract(a, b)).max(axis=axis, initial=0.0) <= self.decode_atol
+        return bool(within) if axis is None else within
 
     def mismatch(self, a, b) -> tuple[int, float]:
         """Where ``close`` fails on two arrays of one shape: the flat index

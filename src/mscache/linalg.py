@@ -15,16 +15,18 @@ and loses the pivot row times its own entry, one int64 expression and
 one reduction; rows are swapped only at a step where some diagonal
 entry is zero, and the rows are normalized once at the end, which gives
 the normalized kernel's bytes. In complex mode each step normalizes its
-pivot row against a threshold, and that kernel is also the tests'
-reference for the exact one. ``inverse_stack`` is its square case. ``left_inverse_stack``
-is its tall case, r = n+1: one pass gives every matrix a left inverse G
-and a left null vector v, and the inverse of the matrix without any one
-row k is then a rank-one update of G. The schedule's beams and the
-channel check at K = L+1 use the tall case, and share one elimination
-per parent set of rows through the channel, which memoizes it
-(``ChannelMatrix.left_inverses``); at K >= L+2 in GF the check inverts
-the first L rows with ``inverse_stack`` and condenses minors, and
-otherwise carries null spaces of row prefixes (``channel._generic``).
+pivot row against a threshold and swaps rows by one take and one
+scatter along the flat stack of rows, and that kernel is also the
+tests' reference for the exact one. ``inverse_stack`` is its square
+case. ``left_inverse_stack`` is its tall case, r = n+1: one pass gives
+every matrix a left inverse G and a left null vector v, and the inverse
+of the matrix without any one row k is then a rank-one update of G.
+The schedule's beams and the channel check at K = L+1 use the tall
+case, and share one elimination per parent set of rows through the
+channel, which memoizes it (``ChannelMatrix.left_inverses``); at
+K >= L+2 in GF the check inverts the first L rows with
+``inverse_stack`` and condenses minors, and otherwise carries null
+spaces of row prefixes (``channel._generic``).
 """
 
 from __future__ import annotations
@@ -88,18 +90,23 @@ def _gauss_jordan_normalized(field: FieldContext, a: np.ndarray) -> tuple[np.nda
     are not disturbed.
     """
     B, r, n = a.shape
-    eye = field.convert(np.eye(r, dtype=np.int64))
-    m = np.concatenate([a, np.broadcast_to(eye, (B, r, r))], axis=2)
+    m = np.empty((B, r, n + r), dtype=field.dtype)
+    m[:, :, :n] = a
+    m[:, :, n:] = np.eye(r, dtype=field.dtype)
     threshold = field.pivot_threshold(a)
     full_rank = np.ones(B, dtype=bool)
-    batch = np.arange(B)
+    # Row i of matrix b is row b r + i of the flat stack, so a swap is a
+    # take and a scatter along one axis.
+    rows = m.reshape(B * r, n + r)
+    first = np.arange(0, B * r, r)
     for c in range(n):
         k, found = field.select_pivot(m[:, c:, c], threshold)
         full_rank &= found
         # Whole rows are swapped and updated: what they change left of
         # column c no longer steers a pivot or reaches E.
-        pivot_rows = m[batch, k + c]
-        m[batch, k + c] = m[:, c]
+        at = first + k + c
+        pivot_rows = rows.take(at, axis=0)
+        rows[at] = m[:, c]
         pivot = np.where(full_rank, pivot_rows[:, c], field.coeff(1))
         pivot_rows = field.mul(pivot_rows, field.inv_each(pivot)[:, None])
         m[:, c] = pivot_rows
@@ -107,7 +114,8 @@ def _gauss_jordan_normalized(field: FieldContext, a: np.ndarray) -> tuple[np.nda
         factors[:, c] = 0
         factors[field.is_zero(factors)] = 0
         # One product per entry, so one reduction keeps it exact.
-        m = field.reduce(m - factors[:, :, None] * pivot_rows[:, None, :])
+        m -= factors[:, :, None] * pivot_rows[:, None, :]
+        field.reduce(m)
     return m[:, :, n:], full_rank
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mscache.channel as channel
 from mscache import (
     ChannelMatrix,
     ComplexField,
@@ -398,10 +399,11 @@ def _numpy_calls(fn, *args) -> int:
 def test_decode_makes_no_numpy_call_per_user():
     # Each decode stage is one numpy pass over every user at once: owners
     # complete their rows by one copy and one subtraction per block, and
-    # a file's verdict is one comparison. Doubling the users
-    # may add at most 2 numpy calls per extra user (the verdict's).
+    # the verdicts are one comparison per block of users whose files fit
+    # in CHUNK_BYTES, here one block. So doubling the users, or doubling
+    # them again, adds no numpy call.
     counts = {}
-    for N in (8, 16):
+    for N in (8, 16, 32):
         cfg = LibraryConfig(N=N, K=N, L=N - 1, F=N * (N - 1))
         lib = random_library(GF, N, cfg.F, seed=N)
         H = draw_channel(N, N - 1, seed=N, field=GF)
@@ -411,16 +413,43 @@ def test_decode_makes_no_numpy_call_per_user():
         caches = place_caches(lib, cfg)
         assert all(res.success for res in decode_all(d, caches, log, H, sched))
         counts[N] = _numpy_calls(decode_all, d, caches, log, H, sched)
-    assert counts[16] - counts[8] <= 2 * 8, counts
+    assert counts[8] == counts[16] == counts[32], counts
+
+
+def test_decode_of_files_past_chunk_bytes_copies_no_library():
+    # Each file is larger than CHUNK_BYTES, as payload8's are, so each is
+    # a verdict block of its own and is compared with the library's row
+    # as a view. Decoding allocates its (K, F) files and temporaries of
+    # about a block: no library-sized array, nor even a copy of one file.
+    N, L = 4, 3
+    F = N * L * -(-3 * channel.CHUNK_BYTES // (8 * N * L))  # three chunks a file
+    cfg = LibraryConfig(N=N, K=N, L=L, F=F)
+    lib = random_library(GF, N, F, seed=3)
+    H = draw_channel(N, L, seed=3, field=GF)
+    d = DemandVector([2, 0, 3, 1])
+    sched = build_schedule(d, H, lib, cfg)
+    log = receive(H, sched)
+    caches = place_caches(lib, cfg)
+    tracemalloc.start()
+    try:
+        results = decode_all(d, caches, log, H, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(res.success for res in results)
+    assert peak < lib.data.nbytes + 2 * channel.CHUNK_BYTES, peak
 
 
 @pytest.mark.parametrize("field", [GF, CC], ids=["gf", "complex"])
 @pytest.mark.parametrize("N, L", [(7, 3), (6, 5)], ids=["reduced", "full"])
-def test_several_wrong_users_each_name_their_own_first_error(field, N, L):
-    # Three users' receptions are wrong at once, each in a different row
-    # and symbol: every failed file reports the first wrong minifile and
-    # the residual of that whole file, and decoding a user alone gives
-    # the same result as its entry of decode_all.
+def test_several_wrong_users_each_name_their_own_first_error(monkeypatch, field, N, L):
+    # Four users' receptions are wrong at once, each in a different row
+    # and symbol and by a different amount: every failed file reports the
+    # first wrong minifile and the residual of that whole file, and
+    # decoding a user alone gives the same result as its entry of
+    # decode_all. The verdict compares a block of users' files at once:
+    # all of them in one block, then two files a block, so that wrong
+    # users share a block with each other (0 and 1) and with right ones.
     m = 1 if L == N - 1 else L
     cfg = LibraryConfig(N=N, K=N, L=L, F=N * m * 3)
     lib = random_library(field, N, cfg.F, seed=N + L)
@@ -431,28 +460,36 @@ def test_several_wrong_users_each_name_their_own_first_error(field, N, L):
     caches = place_caches(lib, cfg)
     n_tx, tau = sched.layout.transmissions, sched.signals.shape[-1]
     rx = log.per_block.copy()
-    wrong = {1: (4, 0, 2), 3: (0, n_tx - 1, 1), 4: (4, n_tx - 1, 0)}  # user: row, t, symbol
+    # user: row, t, symbol
+    wrong = {0: (2, 0, 1), 1: (4, 0, 2), 3: (0, n_tx - 1, 1), 4: (4, n_tx - 1, 0)}
     for k, (row, t, symbol) in wrong.items():
         if row == k or (sched.layout.groups[row * n_tx + t] == k).any():
-            rx[row * n_tx + t, k, symbol] += 1
+            rx[row * n_tx + t, k, symbol] += 1 + k
         else:  # k is not served there: spoil k's own row instead
-            rx[k * n_tx + t, k, symbol] += 1
+            rx[k * n_tx + t, k, symbol] += 1 + k
     if field is GF:
         rx %= GF.p
     bad = type(log)(field, rx)
-    results = decode_all(d, caches, bad, H, sched)
-    assert [res.success for res in results] == [k not in wrong for k in range(N)]
-    for k, res in enumerate(results):
-        want = lib.data[d[k]]
-        assert res.success == field.close(res.data, want)
-        if res.success:
-            assert res.mismatch is None and res.residual is None
-        else:
-            index, residual = field.mismatch(res.data, want)
-            assert res.mismatch == divmod(index // tau, m)
-            assert res.residual == residual
-            assert (residual is None) == (field is GF)
-        alone = decode_user(k, d, caches[k], bad, H, sched)
-        assert (alone.user, alone.success, alone.mismatch, alone.residual) == (
-            res.user, res.success, res.mismatch, res.residual)
-        assert np.array_equal(alone.data, res.data)
+    file_bytes = lib.data[0].nbytes
+    assert N * file_bytes <= channel.CHUNK_BYTES
+    for chunk in (channel.CHUNK_BYTES, 2 * file_bytes):
+        monkeypatch.setattr(channel, "CHUNK_BYTES", chunk)
+        results = decode_all(d, caches, bad, H, sched)
+        assert [res.success for res in results] == [k not in wrong for k in range(N)]
+        for k, res in enumerate(results):
+            want = lib.data[d[k]]
+            assert res.success == field.close(res.data, want)
+            if res.success:
+                assert res.mismatch is None and res.residual is None
+            else:
+                index, residual = field.mismatch(res.data, want)
+                assert res.mismatch == divmod(index // tau, m)
+                assert res.residual == residual
+                assert (residual is None) == (field is GF)
+            alone = decode_user(k, d, caches[k], bad, H, sched)
+            assert (alone.user, alone.success, alone.mismatch, alone.residual) == (
+                res.user, res.success, res.mismatch, res.residual)
+            assert np.array_equal(alone.data, res.data)
+        if field is CC:
+            # Each failed file keeps its own residual, not its block's largest.
+            assert len({res.residual for res in results if not res.success}) == len(wrong)

@@ -142,6 +142,47 @@ def test_lean_gf_kernels_keep_their_residue_semantics(case):
     assert field.equal(a, b) is want
     assert field.equal(b, a) is want
     assert bool(field.close(a, b)) is want
+    if a.ndim and a.shape == b.shape:
+        # One flag per slice along the last axis, as decode's verdict asks.
+        flags = field.close(a, b, axis=-1)
+        assert np.array_equal(flags, np.all(residues == field.convert(b), axis=-1))
+
+
+@st.composite
+def complex_arrays_with_planted_parts(draw):
+    """A complex128 array, and where to plant nan or +-inf in it: in the
+    real part, the imaginary part, or nowhere."""
+    shape = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    size = int(np.prod(shape))
+    parts = draw(st.lists(st.tuples(finite, finite), min_size=size, max_size=size))
+    a = np.array([complex(re, im) for re, im in parts], dtype=np.complex128).reshape(shape)
+    where = draw(st.sampled_from(["real", "imag", "none"]))
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    index = draw(st.integers(0, size - 1))
+    return a, where, bad, index
+
+
+@settings(max_examples=300, deadline=None)
+@given(complex_arrays_with_planted_parts())
+def test_complex_convert_refuses_any_non_finite_part(case):
+    # convert makes one finiteness test over the complex values; it must
+    # still refuse nan or +-inf in either part and hand finite input back.
+    a, where, bad, index = case
+    if where == "none":
+        assert CC.convert(a) is a
+        assert np.array_equal(CC.convert(a.tolist()), a)
+        return
+    flat = a.reshape(-1)
+    if where == "real":
+        flat[index] = complex(bad, flat[index].imag)
+    else:
+        flat[index] = complex(flat[index].real, bad)
+    assert np.isnan(getattr(flat[index], where)) or np.isinf(getattr(flat[index], where))
+    with pytest.raises(ValueError):
+        CC.convert(a)
+    with pytest.raises(ValueError):
+        CC.convert(a.tolist())
 
 
 def test_gf_matmul_exact_past_one_int64_chunk():
@@ -306,6 +347,8 @@ def test_complex_guards():
     assert CC.inv_each([2.0, 1j]).tolist() == [0.5, -1j]
     assert CC.close([1.0 + 0j], [1.0 + 5e-7j])
     assert not CC.close([1.0 + 0j], [1.0 + 1e-3j])
+    files = [[1.0, 2.0], [1.0, 2.0 + 1e-3j]]
+    assert CC.close(files, [[1.0, 2.0 + 5e-7j], [1.0, 2.0]], axis=1).tolist() == [True, False]
 
 
 def test_rank_identity_and_zero():

@@ -9,6 +9,7 @@ draws the per-subset rank loop accepts in GF, and never a draw that
 loop rejects in complex mode; the loop is kept here as the reference.
 """
 
+import gc
 import hashlib
 import tracemalloc
 from itertools import combinations
@@ -294,6 +295,106 @@ def test_channel_check_spans_several_chunks(monkeypatch):
     assert not _rank_loop_generic(field, H, 3)
 
 
+def _sweep_grid():
+    """(field, H, L) cases where the check runs the prefix sweep: complex
+    mode at K >= L+2 and GF at K < L, each as drawn and, where K >= 3,
+    with one row replaced by the sum of two others."""
+    for field, pairs in ((CC, ((4, 2), (6, 3), (7, 4), (9, 4), (12, 5))),
+                         (PrimeField(7), ((1, 3), (2, 5), (3, 5), (4, 7))),
+                         (PrimeField(65537), ((2, 3), (3, 6), (5, 9)))):
+        for K, L in pairs:
+            for seed in range(3):
+                H = field.sample_channel(np.random.default_rng(seed), (K, L))
+                yield field, H, L
+                if K >= 3:
+                    planted = H.copy()
+                    planted[seed % K] = field.add(H[(seed + 1) % K], H[(seed + 2) % K])
+                    yield field, planted, L
+
+
+def test_sweep_verdicts_are_the_same_with_a_cold_or_a_warm_memo():
+    # The walk's channel-free steps are memoized; a verdict must not
+    # depend on whether they were built for this draw or an earlier one.
+    cases = list(_sweep_grid())
+    channel._sweep_step.cache_clear()
+    cold = []
+    for field, H, L in cases:
+        channel._sweep_step.cache_clear()
+        cold.append(channel._generic(field, H, L))
+    warm = [channel._generic(field, H, L) for field, H, L in cases]
+    assert channel._sweep_step.cache_info().hits
+    assert warm == cold == [_rank_loop_generic(field, H, L) for field, H, L in cases]
+    assert True in cold and False in cold
+
+
+def test_sweep_never_reuses_a_step_of_another_chunk_size(monkeypatch):
+    # Steps built under the default chunk size are warm; under a patched
+    # one every step the sweep takes must be the one built for it.
+    field = PrimeField(65537)
+    H = field.sample_channel(np.random.default_rng(2), (5, 8))
+    assert channel._generic(field, H, 8)
+    original = channel._sweep_step
+    taken = []
+
+    def recording(*key):
+        taken.append((key, original(*key)))
+        return taken[-1][1]
+
+    monkeypatch.setattr(channel, "CHUNK_BYTES", 4 * 8 * 8 * 8)
+    monkeypatch.setattr(channel, "_sweep_step", recording)
+    assert channel._generic(field, H, 8)
+    H[4] = field.add(H[0], H[3])
+    assert not channel._generic(field, H, 8)
+    assert len(taken) > 2
+    for key, step in taken:
+        assert key[4] == channel.CHUNK_BYTES
+        fresh = original.__wrapped__(*key)
+        for got, want in zip(step, fresh):
+            assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+
+
+def _cached_steps():
+    """(key, step) pairs that ``_sweep_step``'s cache holds, read from
+    the references of CPython's lru_cache."""
+    refs = gc.get_referents(channel._sweep_step)
+    keys = [r for r in refs if type(r) is tuple and len(r) == 6 and isinstance(r[5], bytes)]
+    steps = [r for r in refs if isinstance(r, channel._SweepStep)]
+    assert len(keys) == len(steps) == channel._sweep_step.cache_info().currsize
+    return list(zip(keys, steps))
+
+
+def _step_bytes(key, step) -> int:
+    """Bytes of a cached step's arrays and keys, its pop's key included."""
+    arrays = sum(x.nbytes for x in step if isinstance(x, np.ndarray))
+    return len(key[5]) + arrays + sum(len(x) for x in step if isinstance(x, bytes))
+
+
+def test_sweep_memo_is_read_only_and_bounded():
+    # Sweeps at many (K, L) hold at most SWEEP_STEPS steps, each of at
+    # most 48 max(K, CHUNK_BYTES // (8 L)) bytes, as _sweep_step says.
+    channel._sweep_step.cache_clear()
+    pairs = [(K, L) for K in range(4, 15) for L in range(2, K - 1)]
+    for K, L in pairs:
+        H = CC.sample_channel(np.random.default_rng(K * L), (K, L))
+        assert channel._generic(CC, H, L)
+    for K, L in ((3, 5), (4, 9), (6, 12)):
+        field = PrimeField(65537)
+        assert channel._generic(field, field.sample_channel(np.random.default_rng(K), (K, L)), L)
+    info = channel._sweep_step.cache_info()
+    assert info.misses > channel.SWEEP_STEPS
+    assert info.currsize == channel.SWEEP_STEPS
+    cached = _cached_steps()
+    for key, step in cached:
+        K, L, chunk = key[0], key[1], key[4]
+        assert _step_bytes(key, step) <= 48 * max(K, chunk // (8 * L))
+        for a in (step.parent, step.pick, step.first):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
+    total = sum(_step_bytes(key, step) for key, step in cached)
+    assert total <= channel.SWEEP_STEPS * 6 * channel.CHUNK_BYTES
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     p=st.sampled_from((3, 5, 7, 11, 65537, LARGEST_PRIME)),
@@ -364,7 +465,11 @@ def test_complex_tall_check_is_never_looser_than_the_rank_loop():
 
 
 def test_channel_check_memory_stays_bounded():
-    # One full sweep over the C(20, 9) = 167,960 subsets of a generic draw.
+    # At (20, 9) the GF check condenses the minors of A = H[9:] H[:9]^-1
+    # (11 x 9), C(20, 9) - 1 = 167,959 of them, and keeps three orders at
+    # a time: the largest three hold 138,600 minors (1.1 MiB), and its
+    # temporaries are blocks of CHUNK_BYTES, so the traced peak of a
+    # generic draw's whole check stays below 4 MiB.
     field = PrimeField(65537)
     H = draw_channel(20, 9, 12, field).H
     tracemalloc.start()
