@@ -9,10 +9,12 @@ which the CLI uses) samples the same stream but accepts a draw when the
 schedule's own beams serve every group, which at reduced N in the
 tens is one draw where the all-subsets check would exhaust its budget.
 
-With K = L+1 rows, as in the full regime, the L-row subsets are H
-without one row each, and one tall elimination decides them all: H must
-have full column rank and its left null vector no zero entry. At
-K >= L+2 the check has two paths, chosen by the field's ``exact``:
+With K <= L rows the one subset is H itself, and ``linalg.rank``, the
+tests' reference, decides it. With K = L+1, as in the full regime, the
+L-row subsets are H without one row each, and one tall elimination
+decides them all: H must have full column rank and its left null
+vector no zero entry. At K >= L+2 the check has two paths, chosen by
+the field's ``exact``:
 
 - In an exact field it eliminates the first L rows once and condenses
   the minors of A = H[L:] @ H[:L]^-1: every L-row subset is invertible
@@ -20,16 +22,15 @@ K >= L+2 the check has two paths, chosen by the field's ``exact``:
   minors come order by order from the two orders below by the
   Desnanot-Jacobi identity, a few array operations per order, which
   stop at the first order holding a zero.
-- In complex mode, and at K < L in both, it walks the sorted row
-  prefixes of H depth first, each with a basis of its null space: a row
-  joins a prefix by one product with that basis and one eliminated
-  basis vector, so each of the C(K, L) subsets (at K < L, all K rows)
-  costs one length-L dot product at the last level instead of an
-  elimination, and the walk stops at the first dependent prefix. Which
-  prefixes a step extends, with which rows, and where a chunk of
-  CHUNK_BYTES ends depend only on (K, L), so each step's index arrays
-  are built once and kept (``_sweep_step``), and a draw does only the
-  products and eliminations.
+- In complex mode it walks the sorted row prefixes of H depth first,
+  each with a basis of its null space: a row joins a prefix by one
+  product with that basis and one eliminated basis vector, so each of
+  the C(K, L) subsets costs one length-L dot product at the last level
+  instead of an elimination, and the walk stops at the first dependent
+  prefix. Which prefixes a step extends, with which rows, and where a
+  chunk of CHUNK_BYTES ends depend only on (K, L), so each step's index
+  arrays are built once and kept (``_sweep_step``), and a draw does
+  only the products and eliminations.
 
 Both paths build their temporaries in blocks of bounded size; the
 condensation also keeps three whole orders of minors. The sweep's
@@ -89,7 +90,7 @@ from .errors import (
     ResamplingExhausted,
 )
 from .field import FieldContext
-from .linalg import inverse_stack, left_inverse_stack
+from .linalg import inverse_stack, left_inverse_stack, rank
 
 # Channel draws before giving up; exceeding this signals a pathological
 # field size or dimensions, not bad luck.
@@ -211,11 +212,13 @@ def _generic(field: FieldContext, H, L: int) -> bool:
     """Whether every L-row subset of H is independent (all K rows if K < L).
 
     H is a ChannelMatrix or a raw K x L array, which is wrapped in one.
-    At K = L+1 the decision is one tall elimination's, the channel's
-    memoized one over all its rows (``ChannelMatrix.left_inverses``):
-    full column rank and a left null vector with every entry nonzero by
-    the field's ``null_support``. In GF that is exactly the rank test on
-    every subset; in complex mode see ``ComplexField.null_support``.
+    At K <= L the one subset is H itself, independent exactly when
+    ``rank`` (the tests' reference) is K. At K = L+1 the decision is one
+    tall elimination's, the channel's memoized one over all its rows
+    (``ChannelMatrix.left_inverses``): full column rank and a left null
+    vector with every entry nonzero by the field's ``null_support``. In
+    GF that is exactly the rank test on every subset; in complex mode
+    see ``ComplexField.null_support``.
 
     At K >= L+2 in an exact field, the first L rows must be invertible,
     and then every L-row subset is exactly when every square minor of
@@ -224,21 +227,22 @@ def _generic(field: FieldContext, H, L: int) -> bool:
     (I[T]; A[U]) @ H[:L], whose determinant is, up to sign and
     det H[:L], the minor of A on rows U and the columns outside T.
 
-    Otherwise (complex mode at K >= L+2, and K < L) it is a sweep over
-    sorted row prefixes up to depth min(K, L): every prefix lies inside
-    some subset the check covers, so the draw is generic exactly when no
-    prefix gains a row that its null space already annihilates. In GF
-    the verdict is exact, the same as a rank test on every subset. In
-    complex mode a row counts as dependent when every entry of its
-    product with the prefix's null-space basis is at most PIVOT_MARGIN
-    times the channel's pivot threshold. On channels whose rows share
-    one scale, as ``sample_channel``'s i.i.d. entries do, that rule is
-    never looser than a rank test on every subset, and it accepts the
+    Otherwise (complex mode at K >= L+2) it is a sweep over sorted row
+    prefixes up to depth L: every prefix lies inside some subset the
+    check covers, so the draw is generic exactly when no prefix gains a
+    row that its null space already annihilates. A row counts as
+    dependent when every entry of its product with the prefix's
+    null-space basis is at most PIVOT_MARGIN times the channel's pivot
+    threshold. On channels whose rows share one scale, as
+    ``sample_channel``'s i.i.d. entries do, that rule is never looser
+    than a rank test on every subset, and it accepts the
     well-conditioned draws that test accepts; rows of very different
     scales can make it looser.
     """
     H = _as_channel(H, field)
     K = H.K
+    if K <= L:
+        return rank(field, H.H) == K
     if K == L + 1:
         # The L-subsets are H without one row each: all are independent
         # exactly when H has full column rank and its left null vector
@@ -246,7 +250,7 @@ def _generic(field: FieldContext, H, L: int) -> bool:
         _, v, full_rank = H.left_inverses(np.arange(K)[None])
         return bool(full_rank[0] and field.null_support(v).all())
     H = H.H
-    if field.exact and K > L + 1:
+    if field.exact:
         inverse, nonsingular = inverse_stack(field, H[None, :L])
         return bool(nonsingular[0]) and _minors_nonzero(field, field.matmul(H[L:], inverse[0]))
     return _prefix_sweep(field, H, L)
@@ -388,9 +392,8 @@ def _sweep_step(K: int, L: int, w: int, itemsize: int, chunk: int, last: bytes) 
     complex walk hold 45 KB.
     """
     last = np.frombuffer(last, dtype=np.int64)
-    # A child adds a row in (last, top], leaving room for w - spare - 1
-    # more, where spare basis rows are left at the last depth, min(K, L).
-    top = K - w + max(L - K, 0)
+    # A child adds a row in (last, top], leaving room for w - 1 more.
+    top = K - w
     count = top - last
     # Extend the first prefixes whose bases, products and children fit in
     # chunk; the rest wait for a pop of their own.
@@ -419,7 +422,6 @@ def _prefix_sweep(field: FieldContext, H: np.ndarray, L: int) -> bool:
     """
     K = H.shape[0]
     threshold = PIVOT_MARGIN * field.pivot_threshold(H)
-    spare = max(L - K, 0)  # basis rows left at the last depth, min(K, L)
     # Prefixes still to extend, deepest last: a (B, w, L) stack of bases,
     # prefix b's rows annihilating the w rows of N[b], and each prefix's
     # largest row as int64 bytes (-1 for the empty prefix).
@@ -439,7 +441,7 @@ def _prefix_sweep(field: FieldContext, H: np.ndarray, L: int) -> bool:
         t, found = field.select_pivot(c, threshold)
         if not found.all():
             return False
-        if w > spare + 1:
+        if w > 1:
             # Eliminate basis row t from the others, then drop it.
             at = step.first + t
             factors = field.mul(c, field.inv_each(c.reshape(-1).take(at))[:, None])
@@ -487,6 +489,8 @@ def _check_consistent(d, caches, users: range, log, H: ChannelMatrix, schedule) 
         H.field != schedule.channel.field or not H.field.equal(H.H, schedule.channel.H)
     ):
         raise InconsistentInputs("channel differs from the one scheduled")
+    if log.field != H.field:
+        raise InconsistentInputs(f"reception log over {log.field!r}, channel over {H.field!r}")
     B, _, tau = schedule.signals.shape
     if np.shape(log.per_block) != (B, cfg.K, tau):
         raise InconsistentInputs(

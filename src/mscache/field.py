@@ -21,20 +21,23 @@ element than ``x % p``. A division-free elimination update d*a - f*b
 is one int64 expression (two products of residues, each below 2**58 at
 the largest prime, so their difference fits) and one reduction.
 
-``PrimeField.matmul`` is exact in one of two regimes, chosen by the
-context from p and the inner length n. While n*(p-1)**2 < 2**53 every
-partial sum is an integer that float64 represents exactly, so the
-product runs through float64 BLAS, one block of output columns at a
-time, and is reduced mod p in int64. Past that bound it runs numpy's
-int64 product, reduced mod p every ``matmul_chunk`` terms so that no
-sum overflows. Both bounds hold for any operands of magnitude below p,
-so a residue times -1, 0 or 1 enters a product unreduced.
+``PrimeField.matmul`` is one loop over blocks of output columns, each
+block's product exact by an inner route that the context picks from p
+and the inner length n. While n*(p-1)**2 < 2**53 every partial sum is
+an integer that float64 represents exactly, so the block runs through
+float64 BLAS; past that bound it runs numpy's int64 product, reduced
+mod p every ``matmul_chunk`` terms so that no sum overflows. Either
+way the block's product is reduced mod p where it was made, a
+contiguous int64 array, and then copied into the output, so the
+temporaries of both routes stay near one block. Both bounds hold
+for any operands of magnitude below p, so a residue times -1, 0 or 1
+enters a product unreduced.
 
 The control plane makes a few small products, inverses and comparisons
-per trial, so their fixed cost per call is what it pays. A float64
-product small enough for one column block, as every control-plane
-product is, is taken whole: two casts, the product, a copy and a
-reduction, with no shape arithmetic or slicing. ``inv_each`` gathers
+per trial, so their fixed cost per call is what it pays. A product
+small enough for one column block, as every control-plane product is,
+is the loop's one iteration: three casts, the product and a
+reduction, with no shape arithmetic, slicing or copy. ``inv_each`` gathers
 int64 input straight from its table and finds a zero entry by one check
 of the inverses, and ``equal`` and ``close`` (the decode verdict, one
 flag per file of a block given an axis) compare two int64 arrays of one
@@ -57,9 +60,10 @@ import numpy as np
 # p = 94,906,249, and at p = 65537 for inner lengths below 2**21.
 _MAX_PRIME = (1 << 29) - 1
 
-# Bytes of float64 operand plus result per column block of a float64
-# matmul: the block's temporaries stay this small whatever the width.
-_FLOAT_BLOCK_BYTES = 1 << 20
+# Bytes of b's columns plus the product's per column block of
+# ``PrimeField.matmul``, on either inner route, so that a block's
+# temporaries stay this small whatever the width.
+_MATMUL_BLOCK_BYTES = 1 << 20
 
 # Primes up to this size invert element-wise by one gather from a
 # cached table of all p inverses (512 KiB at p = 65537); larger ones
@@ -109,13 +113,6 @@ def _inverse_table(p: int) -> np.ndarray:
     table[0] = 0  # 0**0 is 1 at p = 2
     table.setflags(write=False)
     return table
-
-
-def _product_shape(a, b) -> tuple:
-    """Shape of np.matmul(a, b) for operands of at least one axis."""
-    if b.ndim == 1:
-        return a.shape[:-1]
-    return np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + a.shape[-2:-1] + b.shape[-1:]
 
 
 class PrimeField:
@@ -209,64 +206,48 @@ class PrimeField:
         ``out``, if given, receives the product; it must be an int64
         array (a strided view is fine) of exactly the product's shape,
         else ValueError, where np.matmul would broadcast or cast.
-        Products of at most ``float_terms`` terms run in float64 BLAS;
-        longer ones run in int64, ``matmul_chunk`` terms at a time.
+
+        One loop over blocks of output columns that fit in
+        _MATMUL_BLOCK_BYTES: each block's product runs in float64 BLAS
+        up to ``float_terms`` terms, else in int64, ``matmul_chunk``
+        terms at a time, and is reduced and copied into ``out``, which
+        is checked, or made, from the first block's product. A product
+        of one block is returned as it is when no ``out`` is given.
         """
         a, b = np.asarray(a), np.asarray(b)
-        if a.shape[-1] <= self.float_terms:
-            return self._matmul_float(a, b, out)
-        out = self._int64_out(_product_shape(a, b), out)
-        n, step = a.shape[-1], self.matmul_chunk
-
-        def terms(s):
-            return b[s : s + step] if b.ndim == 1 else b[..., s : s + step, :]
-
-        out = self.reduce(np.matmul(a[..., :step], terms(0), out=out))
-        for s in range(step, n, step):
-            out += self.reduce(a[..., s : s + step] @ terms(s))
-            out = self.reduce(out)
-        return out
-
-    def _matmul_float(self, a, b, out) -> np.ndarray:
-        """Exact a @ b mod p in float64, one block of output columns at a time.
-
-        Each block casts its columns of b, multiplies, and reduces its
-        columns of ``out`` in place, so the float64 temporaries stay
-        near _FLOAT_BLOCK_BYTES however wide b is. A product whose b and
-        result fit one block, counted without numpy's shape arithmetic
-        (every pairing of two stacks that differ), is taken whole, and
-        ``out`` is checked, or made, from its shape: no broadcast shape
-        and no slicing, so such a call, as every control-plane product
-        is, costs its casts, product, copy and reduction.
-        """
         if b.ndim == 1:
             # A vector b is one column; its output has no column axis.
             out = self._int64_out(a.shape[:-1], out)
-            self._matmul_float(a, b[:, None], out[..., None])
+            self.matmul(a, b[:, None], out[..., None])
             return out
-        width = b.shape[-1]
+        n, width = a.shape[-1], b.shape[-1]
         # The product's rows: a's, or at most a's times b's stacked
         # matrices where the two stacks differ.
-        rows = a.size // max(a.shape[-1], 1)
+        rows = a.size // max(n, 1)
         if a.shape[:-2] != b.shape[:-2]:
             rows *= b.size // max(b.shape[-2] * width, 1)
-        if 8 * (b.size + rows * width) <= _FLOAT_BLOCK_BYTES:
-            step, shape = max(width, 1), None
-        else:
-            shape = _product_shape(a, b)
-            out = self._int64_out(shape, out)
-            per_column = 8 * (math.prod(b.shape[:-1]) + math.prod(shape[:-1]))
-            step = max(1, _FLOAT_BLOCK_BYTES // per_column)
-        af = a.astype(np.float64)
-        whole = step >= width
+        per_column = 8 * (b.size // max(width, 1) + rows)
+        whole = per_column * width <= _MATMUL_BLOCK_BYTES
+        step = max(width, 1) if whole else max(1, _MATMUL_BLOCK_BYTES // per_column)
+        in_float = n <= self.float_terms
+        if in_float:
+            a = a.astype(np.float64)
         for s in range(0, max(width, 1), step):
-            r = np.matmul(af, (b if whole else b[..., s : s + step]).astype(np.float64))
-            if shape is None:
-                # One block: the product gives the shape.
+            cols = b if whole else b[..., s : s + step]
+            if in_float:
+                r = np.matmul(a, cols.astype(np.float64)).astype(np.int64)
+            else:
+                chunk = self.matmul_chunk
+                r = np.matmul(a[..., :chunk], cols[..., :chunk, :])
+                for t in range(chunk, n, chunk):
+                    self.reduce(r)
+                    r += self.reduce(np.matmul(a[..., t : t + chunk], cols[..., t : t + chunk, :]))
+            self.reduce(r)
+            if whole and out is None:
+                return r
+            if s == 0:
                 out = self._int64_out(r.shape[:-1] + (width,), out)
-            block = out if whole else out[..., s : s + step]
-            np.copyto(block, r, casting="unsafe")
-            self.reduce(block)
+            np.copyto(out if whole else out[..., s : s + step], r)
         return out
 
     @staticmethod

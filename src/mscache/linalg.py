@@ -6,7 +6,7 @@ magnitude above a per-matrix relative threshold in complex mode) and
 when an elimination factor counts as zero.
 
 ``rank`` is plain row-by-row Gaussian elimination on one matrix of any
-shape, the tests' reference. ``_gauss_jordan`` is a batched Gauss-Jordan on
+shape, the tests' reference and the channel check's at K <= L. ``_gauss_jordan`` is a batched Gauss-Jordan on
 a (B, r, n) stack with r >= n: each column step is a few numpy
 operations over the whole stack, not one Python elimination per
 matrix. It has two kernels, chosen by the field's ``exact``. In an
@@ -25,8 +25,8 @@ The schedule's beams and the channel check at K = L+1 use the tall
 case, and share one elimination per parent set of rows through the
 channel, which memoizes it (``ChannelMatrix.left_inverses``); at
 K >= L+2 in GF the check inverts the first L rows with
-``inverse_stack`` and condenses minors, and otherwise carries null
-spaces of row prefixes (``channel._generic``).
+``inverse_stack`` and condenses minors, and in complex mode carries
+null spaces of row prefixes (``channel._generic``).
 """
 
 from __future__ import annotations

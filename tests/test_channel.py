@@ -250,6 +250,15 @@ def test_decode_inconsistent_inputs():
         decode_all(d, caches, type(log)(GF, log.per_block[:, :-1]), H, sched)
     with pytest.raises(InconsistentInputs):
         decode_all(d, caches[::-1], log, H, sched)
+    # A log over another field, complex or GF(7), whose values are
+    # residues mod 65537 too: refused, not met by numpy's casting error
+    # or by every user failing.
+    for other in (type(log)(CC, log.per_block.astype(np.complex128)),
+                  type(log)(GF7, log.per_block % GF7.p)):
+        with pytest.raises(InconsistentInputs, match="reception log over"):
+            decode_user(0, d, caches[0], other, H, sched)
+        with pytest.raises(InconsistentInputs, match="reception log over"):
+            decode_all(d, caches, other, H, sched)
 
 
 def test_decode_fails_on_a_single_flipped_symbol():

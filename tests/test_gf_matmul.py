@@ -1,9 +1,9 @@
-"""Exactness and memory of PrimeField.matmul in both of its regimes.
+"""Exactness and memory of PrimeField.matmul on both of its inner routes.
 
-Products of at most ``float_terms`` terms run in float64 BLAS, one block
-of output columns at a time; longer ones run in int64, reduced every
-``matmul_chunk`` terms. Every product is checked against Python integers
-or against an int64 product that cannot overflow.
+A product is one loop over blocks of output columns. A block of at most
+``float_terms`` terms runs in float64 BLAS; a longer one runs in int64,
+reduced every ``matmul_chunk`` terms. Every product is checked against
+Python integers or against an int64 product that cannot overflow.
 """
 
 import tracemalloc
@@ -72,15 +72,15 @@ def products(draw):
 @settings(max_examples=200, deadline=None)
 @given(
     case=products(),
-    block_bytes=st.sampled_from([field_module._FLOAT_BLOCK_BYTES, 16, 64, 200]),
+    block_bytes=st.sampled_from([field_module._MATMUL_BLOCK_BYTES, 16, 64, 200]),
     into_view=st.booleans(),
 )
 def test_matmul_matches_python_integers(case, block_bytes, into_view):
-    # Small column blocks make narrow float64 products cross block
-    # boundaries.
+    # Small column blocks make narrow products of either route cross
+    # block boundaries.
     field, a, b = case
     want = reference(a, b, field.p)
-    with mock.patch.object(field_module, "_FLOAT_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(field_module, "_MATMUL_BLOCK_BYTES", block_bytes):
         if into_view and np.ndim(want):
             # A strided view, as a slice of a larger array.
             buf = np.full(np.shape(want) + (2,), -1, dtype=np.int64)
@@ -115,30 +115,17 @@ def test_beam_sized_products_are_exact():
     assert np.array_equal(field.matmul(a, b), np.matmul(a, b) % field.p)
 
 
-def test_control_plane_products_take_their_shape_from_the_product(monkeypatch):
-    # A product that would fit one column block even unbroadcast is one
-    # block, its shape read from numpy's product: the owner gains, the
-    # beam products of full16 and reduced17, a receive at scale 1. Only
-    # a product wide enough for several blocks, such as payload8's
-    # receive, works out its broadcast shape first.
-    shapes = []
-    real = field_module._product_shape
-
-    def recording(a, b):
-        shapes.append((a.shape, b.shape))
-        return real(a, b)
-
-    monkeypatch.setattr(field_module, "_product_shape", recording)
+def test_control_plane_and_payload_products_are_exact():
+    # The owner gains, the beam products of full16 and reduced17 and a
+    # receive at scale 1, each one column block, and payload8's receive,
+    # several.
     field = PrimeField(65537)
     rng = np.random.default_rng(5)
     for a_shape, b_shape in (((16, 15), (1, 15, 16)), ((16, 15, 15), (16, 15, 15)),
-                             ((272, 5, 5), (272, 5, 1)), ((16, 15), (16, 15, 15))):
+                             ((272, 5, 5), (272, 5, 1)), ((16, 15), (16, 15, 15)),
+                             ((8, 7), (8, 7, 57344))):
         a, b = field.sample(rng, a_shape), field.sample(rng, b_shape)
         assert np.array_equal(field.matmul(a, b), np.matmul(a, b) % field.p)
-    assert shapes == []
-    a, b = field.sample(rng, (8, 7)), field.sample(rng, (8, 7, 57344))
-    assert np.array_equal(field.matmul(a, b), np.matmul(a, b) % field.p)
-    assert shapes == [((8, 7), (8, 7, 57344))]
 
 
 @pytest.mark.parametrize("p", [65537, 536870909])  # float64 and int64 paths
@@ -167,20 +154,19 @@ def test_float_bound_at_the_default_prime(n, regime):
     # n products (p-1)**2 = 2**32 sum to n * 2**32, the float64 limit at
     # n = 2**21; each is 1 mod p, so the product is n mod p.
     field = PrimeField(65537)
+    assert (n <= field.float_terms) == (regime == "float")
     ones = np.full(n, field.p - 1)
-    with mock.patch.object(field, "_matmul_float", wraps=field._matmul_float) as spy:
-        got = field.matmul(ones, ones[:, None])
-    assert got.tolist() == [n % field.p]
-    assert spy.called == (regime == "float")
+    assert field.matmul(ones, ones[:, None]).tolist() == [n % field.p]
 
 
-def test_column_blocks_cover_a_wide_stack():
+@pytest.mark.parametrize("p", [65537, 536870909])  # float64 and int64 routes
+def test_column_blocks_cover_a_wide_stack(p):
     # 64 stacked 8 x 8 products: 8 KiB per output column, so 128-column
     # blocks, and 300 columns end inside the third block.
-    field = PrimeField(65537)
+    field = PrimeField(p)
     rng = np.random.default_rng(3)
     a, b = field.sample(rng, (64, 8, 8)), field.sample(rng, (64, 8, 300))
-    want = np.matmul(a, b) % field.p  # int64 cannot overflow at 8 terms
+    want = reference(a, b, p).astype(np.int64)
     assert np.array_equal(field.matmul(a, b), want)
     out = np.full((64, 8, 600), -1, dtype=np.int64)
     field.matmul(a, b, out=out[..., 1::2])
@@ -209,6 +195,26 @@ def test_float_matmul_memory_stays_near_its_output():
     (out,) = result
     assert peak < out.nbytes + 4 * MiB
     assert np.array_equal(out, np.matmul(H, signals) % field.p)
+    dest = np.empty_like(out)
+    assert _traced_peak(lambda: field.matmul(H, signals, out=dest)) < 4 * MiB
+    assert np.array_equal(dest, out)
+
+
+def test_int64_matmul_memory_stays_near_its_output():
+    # The same receive at a prime past the float64 bound: the int64 route
+    # runs in the same column blocks, so its chunk products and the
+    # reduction's quotient stay a block's size, not the product's.
+    field = PrimeField(536870909)
+    assert field.float_terms == 0
+    rng = np.random.default_rng(12)
+    H = field.sample(rng, (8, 7))
+    signals = field.sample(rng, (8, 7, 57344))
+    result = []
+    peak = _traced_peak(lambda: result.append(field.matmul(H, signals)))
+    (out,) = result
+    assert peak < out.nbytes + 4 * MiB
+    for cols in (slice(0, 256), slice(-256, None)):  # the first block and the last
+        assert np.array_equal(out[..., cols], reference(H, signals[..., cols], field.p))
     dest = np.empty_like(out)
     assert _traced_peak(lambda: field.matmul(H, signals, out=dest)) < 4 * MiB
     assert np.array_equal(dest, out)

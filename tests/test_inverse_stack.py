@@ -296,9 +296,10 @@ def test_channel_check_spans_several_chunks(monkeypatch):
 
 
 def _sweep_grid():
-    """(field, H, L) cases where the check runs the prefix sweep: complex
-    mode at K >= L+2 and GF at K < L, each as drawn and, where K >= 3,
-    with one row replaced by the sum of two others."""
+    """(field, H, L) cases of the channel check: complex mode at K >= L+2,
+    where it runs the prefix sweep, and GF at K < L, where it takes the
+    rank, each as drawn and, where K >= 3, with one row replaced by the
+    sum of two others."""
     for field, pairs in ((CC, ((4, 2), (6, 3), (7, 4), (9, 4), (12, 5))),
                          (PrimeField(7), ((1, 3), (2, 5), (3, 5), (4, 7))),
                          (PrimeField(65537), ((2, 3), (3, 6), (5, 9)))):
@@ -330,9 +331,8 @@ def test_sweep_verdicts_are_the_same_with_a_cold_or_a_warm_memo():
 def test_sweep_never_reuses_a_step_of_another_chunk_size(monkeypatch):
     # Steps built under the default chunk size are warm; under a patched
     # one every step the sweep takes must be the one built for it.
-    field = PrimeField(65537)
-    H = field.sample_channel(np.random.default_rng(2), (5, 8))
-    assert channel._generic(field, H, 8)
+    H = CC.sample_channel(np.random.default_rng(2), (9, 4))
+    assert channel._generic(CC, H, 4)
     original = channel._sweep_step
     taken = []
 
@@ -340,11 +340,11 @@ def test_sweep_never_reuses_a_step_of_another_chunk_size(monkeypatch):
         taken.append((key, original(*key)))
         return taken[-1][1]
 
-    monkeypatch.setattr(channel, "CHUNK_BYTES", 4 * 8 * 8 * 8)
+    monkeypatch.setattr(channel, "CHUNK_BYTES", 2048)  # one to seven prefixes a pop
     monkeypatch.setattr(channel, "_sweep_step", recording)
-    assert channel._generic(field, H, 8)
-    H[4] = field.add(H[0], H[3])
-    assert not channel._generic(field, H, 8)
+    assert channel._generic(CC, H, 4)
+    H[4] = CC.add(H[0], H[3])
+    assert not channel._generic(CC, H, 4)
     assert len(taken) > 2
     for key, step in taken:
         assert key[4] == channel.CHUNK_BYTES
@@ -377,9 +377,6 @@ def test_sweep_memo_is_read_only_and_bounded():
     for K, L in pairs:
         H = CC.sample_channel(np.random.default_rng(K * L), (K, L))
         assert channel._generic(CC, H, L)
-    for K, L in ((3, 5), (4, 9), (6, 12)):
-        field = PrimeField(65537)
-        assert channel._generic(field, field.sample_channel(np.random.default_rng(K), (K, L)), L)
     info = channel._sweep_step.cache_info()
     assert info.misses > channel.SWEEP_STEPS
     assert info.currsize == channel.SWEEP_STEPS
