@@ -90,24 +90,23 @@ from .errors import (
     ResamplingExhausted,
 )
 from .field import FieldContext
-from .linalg import inverse_stack, left_inverse_stack, rank
+from .linalg import CHUNK_BYTES, inverse_stack, left_inverse_stack, rank
 
 # Channel draws before giving up; exceeding this signals a pathological
 # field size or dimensions, not bad luck.
 DRAW_BUDGET = 64
 
-# Bytes of one step of the genericity check: in the prefix sweep, the
-# children's null-space bases plus the matmul rows of the prefixes it
-# extends; in the minor condensation, each gathered term of a block of
-# minors. The sweep keeps the prefixes still to visit on every level it
-# is inside, and the condensation three orders of minors, so the check
-# peaks near 1.8 MiB at (K, L) = (20, 9) and 15.6 MiB at (24, 11), whose
-# three largest orders hold 14.9 MiB (tracemalloc). Decoding takes its
-# receptions, and its verdicts the requested files, in blocks of this
-# size too, and synthesis
+# CHUNK_BYTES (``linalg``'s) also bounds one step of the genericity
+# check: in the prefix sweep, the children's null-space bases plus the
+# matmul rows of the prefixes it extends; in the minor condensation,
+# each gathered term of a block of minors. The sweep keeps the prefixes
+# still to visit on every level it is inside, and the condensation three
+# orders of minors, so the check peaks near 1.8 MiB at (K, L) = (20, 9)
+# and 15.6 MiB at (24, 11), whose three largest orders hold 14.9 MiB
+# (tracemalloc). Decoding takes its receptions, and its verdicts the
+# requested files, in blocks of this size too, and synthesis
 # (``delivery.build_schedule``) its rows, which keeps their temporaries
 # in cache.
-CHUNK_BYTES = 1 << 18
 
 # In complex mode a candidate row is dependent when every entry of its
 # product with a prefix's null-space basis is at most this many times
@@ -418,7 +417,9 @@ def _prefix_sweep(field: FieldContext, H: np.ndarray, L: int) -> bool:
 
     Each pop takes its channel-free step from ``_sweep_step`` and does
     only the work that depends on H: one product, one gather, the pivot
-    choice and the elimination.
+    choice and the elimination. Whether each child's pivot is usable is
+    read from the pivots the elimination gathers, and at the last level,
+    where each child has one basis row, its one product is the pivot.
     """
     K = H.shape[0]
     threshold = PIVOT_MARGIN * field.pivot_threshold(H)
@@ -438,19 +439,24 @@ def _prefix_sweep(field: FieldContext, H: np.ndarray, L: int) -> bool:
         # several times faster than indexing by two arrays.
         products = field.matmul(H[step.low : step.top + 1], N.reshape(-1, L).T)
         c = products.reshape(-1, w).take(step.pick, axis=0)
-        t, found = field.select_pivot(c, threshold)
-        if not found.all():
+        if w == 1:
+            # The last level: each child's one product is its pivot.
+            if not field.pivot_found(c, threshold).all():
+                return False
+            continue
+        # Each child's pivot, its basis row t, is read at the argmax.
+        at = step.first + field.select_pivot(c)
+        pivots = c.reshape(-1).take(at)
+        if not field.pivot_found(pivots, threshold).all():
             return False
-        if w > 1:
-            # Eliminate basis row t from the others, then drop it.
-            at = step.first + t
-            factors = field.mul(c, field.inv_each(c.reshape(-1).take(at))[:, None])
-            children = N.take(step.parent, axis=0)
-            bases = children.reshape(-1, L)
-            children -= factors[:, :, None] * bases.take(at, axis=0)[:, None, :]
-            field.reduce(children)
-            bases[at] = children[:, -1]
-            pending.append((children[:, :-1], step.rows))
+        # Eliminate basis row t from the others, then drop it.
+        factors = field.mul(c, field.inv_nonzero(pivots)[:, None])
+        children = N.take(step.parent, axis=0)
+        bases = children.reshape(-1, L)
+        children -= factors[:, :, None] * bases.take(at, axis=0)[:, None, :]
+        field.reduce(children)
+        bases[at] = children[:, -1]
+        pending.append((children[:, :-1], step.rows))
     return True
 
 
@@ -471,7 +477,19 @@ def draw_channel(
 
 
 def receive(H: ChannelMatrix, schedule) -> ReceptionLog:
-    """Apply the channel to every block at once: y[b] = H @ signals[b]."""
+    """Apply the channel to every block at once: y[b] = H @ signals[b].
+
+    H may differ from the schedule's channel in its values, which
+    simulates a channel that moved after the beams were formed, but not
+    in its field or its number of users K (InconsistentInputs). A
+    stand-in schedule with no channel, only signals, is applied as given.
+    """
+    scheduled = getattr(schedule, "channel", None)
+    if scheduled is not None and (H.field != scheduled.field or H.K != scheduled.K):
+        raise InconsistentInputs(
+            f"channel over {H.field!r} with K={H.K}, schedule's over {scheduled.field!r} "
+            f"with K={scheduled.K}"
+        )
     signals = schedule.signals
     if signals.shape[1] != H.L:
         raise DimensionMismatch(
@@ -567,6 +585,10 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
     except ValueError:
         shape = next(Z.payload.shape for Z in caches if Z.payload.shape != (m * tau,))
         raise InconsistentInputs(f"cache of shape {shape}, expected {m * tau} symbols") from None
+    except TypeError:
+        # numpy's refusal to cast complex or float caches into GF's int64.
+        dtype = next((Z.payload.dtype for Z in caches if Z.payload.dtype != data.dtype), None)
+        raise InconsistentInputs(f"cache of dtype {dtype} under a {field!r} schedule") from None
     out = data.transpose(1, 2, 0, 3)  # (row, minifile, user, symbol)
     # Whole rows per block while a row's receptions fit in CHUNK_BYTES,
     # else one row per block in equal runs of symbols.
@@ -604,9 +626,15 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
         rows = library[want[0] : want[0] + 1] if len(want) == 1 else library[want]
         success[b : b + height] = field.close(files[b : b + height], rows, axis=1)
     results = []
+    new = object.__new__
     for k, flat, ok in zip(users, files, success.tolist()):
         if ok:
-            results.append(DecodeResult(user=k, data=flat, success=True))
+            # The frozen __init__ sets each field by its own
+            # object.__setattr__; a passed file's result fills its instance
+            # dict in one update, and stays frozen to assignment.
+            result = new(DecodeResult)
+            result.__dict__.update(user=k, data=flat, success=True, mismatch=None, residual=None)
+            results.append(result)
             continue
         index, residual = field.mismatch(flat, library[d[k]])
         results.append(DecodeResult(user=k, data=flat, success=False,

@@ -68,9 +68,12 @@ draw when every served group has an inverse and every beam a nonzero
 owner gain, which is what the schedule needs, instead of asking it of
 all C(N, L) row subsets. An owner gain counts as nonzero by the same
 relative rule as a parent set's null-vector entry, since the gains are
-the null vector of the group plus the owner row. The channel memoizes
-the beams and gains, so the schedule built on an accepted draw reuses
-them.
+the null vector of the group plus the owner row. The group inverses
+must also hold by the field's rule (``inverses_hold``), which reads
+only the parent sets' eliminations: one pair of products per parent
+set in complex mode, nothing in GF, and no product per block. The
+channel memoizes the beams and gains, so the schedule built on an
+accepted draw reuses them.
 """
 
 from __future__ import annotations
@@ -648,9 +651,11 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, ow
     row, and each gain must count as nonzero by ``null_support``, as a
     parent set's null-vector entries do: in complex mode relative to the
     largest of the gains and 1, not only above the absolute floor of
-    ``inv_each``. Complex mode also rechecks that the group's rows times
-    the beams times the gains give I within zero_atol (``satisfies``),
-    so that near-degenerate channels surface.
+    ``inv_each``. Last, every group inverse must hold by the field's
+    ``inverses_hold``, one call over all parent sets before any beam is
+    formed (complex mode bounds each group's residual, X H_S - I, by
+    its parent elimination's residuals within zero_atol), so that
+    near-degenerate channels surface; the loop then only forms beams.
     """
     field = H.field
     L = H.L
@@ -659,23 +664,25 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, ow
     if not exists.all():
         bad = tuple(groups[int(np.argmin(exists))].tolist())
         raise DegenerateChannel(f"channel rows of served group {bad} are dependent")
-    ratio = field.mul(v.take(keep), field.inv_each(v.take(skip))[:, None])
+    # v's entry at its own parent row is 1, so max |v| >= 1 and a
+    # supported v_k is nonzero by a margin (``inv_nonzero``).
+    ratio = field.mul(v.take(keep), field.inv_nonzero(v.take(skip))[:, None])
     hG = field.matmul(H.H, G)
     gains = field.reduce(hG.take(owner_keep) - hG.take(owner_skip)[:, None] * ratio)
-    # The owner's entry is -1; null_support does not see its sign.
-    null = np.concatenate([gains, np.ones_like(gains[:, :1])], axis=1)
-    supported = field.null_support(null)[:, :-1]
+    # The null vector's last entry is the owner's -1, of magnitude 1.
+    supported = field.null_support(gains, floor=1.0)
     if not supported.all():
         b, q = np.unravel_index(int(np.argmin(supported)), supported.shape)
         raise DegenerateChannel(
             f"row {owners[b]} channel is orthogonal to user {groups[b, q]}'s beam"
         )
-    scales = field.inv_each(gains)
+    if not field.inverses_hold(H.H.take(parents, axis=0), G, v, skip):
+        raise DegenerateChannel("zero-forcing residual above tolerance")
+    scales = field.inv_nonzero(gains)
     shifts = field.mul(ratio, scales)
     # Built as columns (block, q, antenna), each a contiguous row of G's
     # transpose, in blocks of at most CHUNK_BYTES so that the
-    # temporaries, and complex mode's residual check, stay in cache; the
-    # beams are their transposed view.
+    # temporaries stay in cache; the beams are their transposed view.
     columns = np.ascontiguousarray(G.swapaxes(1, 2)).reshape(-1, L)
     beams = np.empty((len(groups), L, L), dtype=field.dtype)
     step = max(1, CHUNK_BYTES // beams[0].nbytes)
@@ -685,8 +692,6 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, ow
         np.multiply(columns.take(keep[b], axis=0), scales[b, :, None], out=out)
         out -= columns.take(skip[b], axis=0)[:, None, :] * shifts[b, :, None]
         field.reduce(out)
-        if not field.satisfies(H.H, groups[b], out.swapaxes(1, 2), gains[b, None, :]):
-            raise DegenerateChannel("zero-forcing residual above tolerance")
     return beams.swapaxes(1, 2), gains
 
 

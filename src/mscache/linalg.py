@@ -2,8 +2,9 @@
 
 The eliminations share the field context's decisions: the pivot
 threshold and choice (first nonzero in the exact prime field, largest
-magnitude above a per-matrix relative threshold in complex mode) and
-when an elimination factor counts as zero.
+magnitude above a per-matrix relative threshold in complex mode), read
+as the pivot's index and then whether the gathered pivot is usable, the
+pivot's inverse, and when an elimination factor counts as zero.
 
 ``rank`` is plain row-by-row Gaussian elimination on one matrix of any
 shape, the tests' reference and the channel check's at K <= L. ``_gauss_jordan`` is a batched Gauss-Jordan on
@@ -36,6 +37,12 @@ import numpy as np
 from .errors import DimensionMismatch
 from .field import FieldContext
 
+# Bytes of the temporaries of one step of a batched pass, which keeps
+# them in cache. The normalized kernel updates its stack this many bytes
+# of matrices at a time: at complex (64, 63, 62), two matrices a block,
+# a step's update took 1.7 ms against 2.6 ms for the whole stack.
+CHUNK_BYTES = 1 << 18
+
 
 def rank(field: FieldContext, a) -> int:
     """Rank of a matrix over the field (tolerance-based in complex mode)."""
@@ -49,12 +56,11 @@ def rank(field: FieldContext, a) -> int:
     for c in range(cols):
         if r == rows:
             break
-        k, found = field.select_pivot(m[r:, c], threshold)
-        if not found:
+        k = int(field.select_pivot(m[r:, c])) + r
+        if not field.pivot_found(m[k, c], threshold):
             continue
-        k = int(k) + r
         m[[r, k]] = m[[k, r]]
-        m[r] = field.mul(m[r], field.inv_each(m[r, c]))
+        m[r] = field.mul(m[r], field.inv_nonzero(m[r, c]))
         # Only the rows below steer later pivots. Rows whose factor is
         # zero are left alone (its update changes nothing but the sign
         # of a zero).
@@ -99,22 +105,25 @@ def _gauss_jordan_normalized(field: FieldContext, a: np.ndarray) -> tuple[np.nda
     # take and a scatter along one axis.
     rows = m.reshape(B * r, n + r)
     first = np.arange(0, B * r, r)
+    per = max(1, CHUNK_BYTES * B // max(m.nbytes, 1))  # matrices per block of the update
     for c in range(n):
-        k, found = field.select_pivot(m[:, c:, c], threshold)
-        full_rank &= found
         # Whole rows are swapped and updated: what they change left of
         # column c no longer steers a pivot or reaches E.
-        at = first + k + c
+        at = first + field.select_pivot(m[:, c:, c]) + c
         pivot_rows = rows.take(at, axis=0)
         rows[at] = m[:, c]
-        pivot = np.where(full_rank, pivot_rows[:, c], field.coeff(1))
-        pivot_rows = field.mul(pivot_rows, field.inv_each(pivot)[:, None])
+        pivot = pivot_rows[:, c]
+        full_rank &= field.pivot_found(pivot, threshold)
+        pivot = np.where(full_rank, pivot, field.coeff(1))
+        pivot_rows = field.mul(pivot_rows, field.inv_nonzero(pivot)[:, None])
         m[:, c] = pivot_rows
         factors = m[:, :, c].copy()
         factors[:, c] = 0
         factors[field.is_zero(factors)] = 0
         # One product per entry, so one reduction keeps it exact.
-        m -= factors[:, :, None] * pivot_rows[:, None, :]
+        for s in range(0, B, per):
+            block = m[s : s + per]
+            block -= factors[s : s + per, :, None] * pivot_rows[s : s + per, None, :]
         field.reduce(m)
     return m[:, :, n:], full_rank
 
@@ -144,8 +153,7 @@ def _gauss_jordan_exact(field: FieldContext, a: np.ndarray) -> tuple[np.ndarray,
     for c in range(n):
         d = m[:, c, c].copy()
         if np.count_nonzero(d) < B:
-            k, found = field.select_pivot(m[:, c:, c], 0)
-            full_rank &= found
+            k = field.select_pivot(m[:, c:, c])
             batch = np.arange(B)
             if origin is None:
                 origin = np.tile(np.arange(r), (B, 1))
@@ -153,6 +161,8 @@ def _gauss_jordan_exact(field: FieldContext, a: np.ndarray) -> tuple[np.ndarray,
                 pivot_rows = rows[batch, k + c]
                 rows[batch, k + c] = rows[:, c]
                 rows[:, c] = pivot_rows
+            found = field.pivot_found(m[:, c, c], 0)
+            full_rank &= found
             d = np.where(found, m[:, c, c], 1)
         update = m[:, :, c, None] * m[:, None, c]
         update[:, c] = 0

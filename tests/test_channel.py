@@ -1,5 +1,6 @@
 """Channel draws, reception, and receiver-side decoding."""
 
+import dataclasses
 import sys
 import tracemalloc
 
@@ -259,6 +260,69 @@ def test_decode_inconsistent_inputs():
             decode_user(0, d, caches[0], other, H, sched)
         with pytest.raises(InconsistentInputs, match="reception log over"):
             decode_all(d, caches, other, H, sched)
+
+
+def test_decode_refuses_caches_of_a_foreign_dtype():
+    # Complex or fractional caches under a GF schedule cannot enter its
+    # int64 residues: a typed refusal, not numpy's casting TypeError.
+    cfg = LibraryConfig(N=4, K=4, L=3, F=12)
+    lib = random_library(GF, 4, 12, seed=32)
+    H = draw_channel(4, 3, seed=33, field=GF)
+    d = DemandVector([3, 1, 0, 2])
+    sched = build_schedule(d, H, lib, cfg)
+    log = receive(H, sched)
+    caches = place_caches(lib, cfg)
+    for dtype in (np.complex128, np.float64):
+        foreign = [CacheContent(Z.user, Z.payload.astype(dtype)) for Z in caches]
+        with pytest.raises(InconsistentInputs, match=f"cache of dtype {np.dtype(dtype)}"):
+            decode_user(1, d, foreign[1], log, H, sched)
+        with pytest.raises(InconsistentInputs, match=f"cache of dtype {np.dtype(dtype)}"):
+            decode_all(d, caches[:2] + foreign[2:], log, H, sched)
+    assert all(r.success for r in decode_all(d, caches, log, H, sched))
+
+
+def test_receive_refuses_a_channel_of_another_field_or_size():
+    # The schedule's beams were formed for its channel's field and users;
+    # a channel with other values is applied as given.
+    cfg = LibraryConfig(N=5, K=5, L=3, F=30)
+    lib = random_library(GF, 5, 30, seed=34)
+    H = draw_channel(5, 3, seed=35, field=GF)
+    d = DemandVector([4, 2, 0, 1, 3])
+    sched = build_schedule(d, H, lib, cfg)
+    for other in (
+        ChannelMatrix(GF7, H.H % GF7.p),
+        ChannelMatrix(CC, H.H.astype(np.complex128)),
+        ChannelMatrix(GF, H.H[:4]),
+        ChannelMatrix(GF, np.concatenate([H.H, H.H[:1]])),
+    ):
+        with pytest.raises(InconsistentInputs, match="schedule's over"):
+            receive(other, sched)
+    moved = draw_channel(5, 3, seed=36, field=GF)
+    log = receive(moved, sched)
+    assert GF.equal(log.per_block, GF.matmul(moved.H, sched.signals))
+    assert not GF.equal(log.per_block, receive(H, sched).per_block)
+
+
+def test_passed_decode_results_stay_frozen():
+    # A passed file's result is built without the dataclass __init__; it
+    # keeps the fields, the repr and the refusal of assignment.
+    cfg = LibraryConfig(N=4, K=4, L=3, F=12)
+    lib = random_library(GF, 4, 12, seed=37)
+    H = draw_channel(4, 3, seed=38, field=GF)
+    d = DemandVector([2, 0, 3, 1])
+    sched = build_schedule(d, H, lib, cfg)
+    results = decode_all(d, place_caches(lib, cfg), receive(H, sched), H, sched)
+    for k, res in enumerate(results):
+        want = channel.DecodeResult(user=k, data=res.data, success=True)
+        assert type(res) is channel.DecodeResult
+        assert repr(res) == repr(want)
+        assert (res.user, res.success, res.mismatch, res.residual) == (k, True, None, None)
+        assert res.data is results[k].data and np.array_equal(res.data, lib.data[d[k]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.success = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.mismatch = (0, 0)
+        assert res.success
 
 
 def test_decode_fails_on_a_single_flipped_symbol():

@@ -7,6 +7,8 @@ bytes. The channel check (minor condensation in GF at K >= L+2, a sweep
 over null spaces of row prefixes otherwise) must accept exactly the
 draws the per-subset rank loop accepts in GF, and never a draw that
 loop rejects in complex mode; the loop is kept here as the reference.
+The normalized kernel and the sweep must also give the bytes of their
+earlier, untrimmed copies in ``reference_kernels``.
 """
 
 import gc
@@ -18,6 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import reference_kernels
 
 import mscache.channel as channel
 from mscache import (
@@ -202,6 +206,43 @@ def test_complex_tall_flag_equals_rank_on_near_dependencies(n, B, seed, shrink):
     _, _, full_rank = left_inverse_stack(CC, a)
     for b in range(B):
         assert bool(full_rank[b]) == (rank(CC, a[b]) == n)
+
+
+@pytest.mark.parametrize("field", (CC, PrimeField(7), PrimeField(65537)), ids=("complex", "gf7", "gf65537"))
+def test_trimmed_eliminations_give_the_reference_bytes(field):
+    # The normalized kernel and the prefix sweep make fewer numpy calls
+    # per step than the copies in tests/reference_kernels.py, and must
+    # give their bytes: E and full_rank of square and tall stacks with
+    # planted exact and near dependencies, and the sweep's verdict on
+    # random and near-dependent channels (last row the sum of two others
+    # plus noise of size eps).
+    # A stack of 12 matrices of 41 x 40 is updated in blocks of the
+    # matrices that fit in linalg.CHUNK_BYTES (4 complex, 9 int64 ones).
+    shapes = [(5, n + extra, n) for n in range(1, 8) for extra in (0, 1, 2)]
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        for shape in shapes + [(12, 41, 40)] * (seed < 2):
+            for shrink in (None, 1e-12, 3e-10, 1e-8, 1e-5) if field is CC else (None,):
+                a = _plant(field, rng, field.sample(rng, shape), shrink)
+                E, full_rank = _gauss_jordan_normalized(field, a)
+                want_E, want_full_rank = reference_kernels.gauss_jordan_normalized(field, a)
+                assert np.array_equal(full_rank, want_full_rank), (seed, shape, shrink)
+                assert E.tobytes() == want_E.tobytes(), (seed, shape, shrink)
+    if field is not CC:
+        return
+    verdicts = set()
+    for K, L in ((4, 2), (6, 4), (9, 4), (12, 5), (10, 3)):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            H = CC.sample_channel(rng, (K, L))
+            for eps in (None, *10.0 ** np.arange(-14, -2.5, 0.5)):
+                near = H.copy()
+                if eps is not None:
+                    near[-1] = H[0] + H[1] + eps * CC.sample(rng, L)
+                verdict = channel._prefix_sweep(CC, near, L)
+                assert verdict == reference_kernels.prefix_sweep(CC, near, L), (K, L, seed, eps)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_rejects_non_square_stacks():

@@ -157,6 +157,48 @@ def test_complex_plan_check_is_never_looser_than_the_rank_loop():
     assert accepted and rejected
 
 
+def _inverse_stack_verdict(field, H, N, L) -> bool:
+    """The beams' verdict by a second route: every group inverted on its
+    own by ``inverse_stack``, each owner gain taken from that inverse and
+    held to ``null_support``, and the parent sets' residual rule."""
+    layout = schedule_layout(N, L)
+    inverses, nonsingular = inverse_stack(field, H[layout.groups])
+    if not nonsingular.all():
+        return False
+    gains = field.matmul(H[layout.owners][:, None, :], inverses)[:, 0]
+    null = np.concatenate([gains, np.ones_like(gains[:, :1])], axis=1)
+    if not field.null_support(null)[:, :-1].all():
+        return False
+    G, v, _ = ChannelMatrix(field, H).left_inverses(layout.parents)
+    return field.inverses_hold(H[layout.parents], G, v, layout.skip)
+
+
+def test_complex_verdict_does_not_depend_on_the_beam_route():
+    # The near-dependent grid above: the fused beams (``_beams``) and the
+    # groups' own inverses must accept and refuse the same draws. With a
+    # per-block residual against zero_atol the two routes disagreed on 24
+    # of 9016 such channels at N <= 12; the residual rule reads only the
+    # parent sets' eliminations, which both routes share.
+    field = ComplexField()
+    outcomes = set()
+    for N, L in [(N, L) for N in range(2, 13) for L in range(1, N) if is_supported(N, L)]:
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            H = field.sample_channel(rng, (N, L))
+            for eps in 10.0 ** np.arange(-14, -2.5, 0.5):
+                near = H.copy()
+                near[-1] = H[0] + H[1] + eps * field.sample(rng, L)
+                try:
+                    _layout_beams(ChannelMatrix(field, near))
+                    outcome = "accepted"
+                except DegenerateChannel as e:
+                    outcome = "residual" if "residual" in str(e) else "dependent or zero gain"
+                want = _inverse_stack_verdict(field, near, N, L)
+                assert (outcome == "accepted") == want, (N, L, seed, eps)
+                outcomes.add(outcome)
+    assert outcomes == {"accepted", "residual", "dependent or zero gain"}
+
+
 def test_plan_draw_refuses_what_it_cannot_draw():
     with pytest.raises(WrongRegime):
         draw_plan_channel(6, 6, seed=0, field=PrimeField(65537))
