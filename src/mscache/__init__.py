@@ -42,6 +42,7 @@ from .delivery import (
 from .errors import (
     DegenerateChannel,
     DimensionMismatch,
+    FieldError,
     InconsistentInputs,
     IndivisibleFile,
     PlanVerificationError,
@@ -73,6 +74,7 @@ __all__ = [
     "DemandVector",
     "DimensionMismatch",
     "FieldContext",
+    "FieldError",
     "InconsistentInputs",
     "IndivisibleFile",
     "Library",

@@ -42,10 +42,10 @@ of a (12, 5) walk 45 KB.
 
 A ``ChannelMatrix`` keeps a read-only copy of H and memoizes the tall
 eliminations of its parent sets of rows (``left_inverses``) and the
-beams of its schedule (``cached``). The check at K = L+1 and the
-schedule's beams ask for the same elimination in the full regime,
-and the plan-aware check computes the schedule's beams themselves, so a
-trial eliminates each parent set once and computes its beams once.
+factors that its schedule forms its beams from (``cached``). The check
+at K = L+1 and the schedule's beams ask for the same elimination in the
+full regime, and the plan-aware check computes those factors itself, so
+a trial eliminates each parent set once and computes the factors once.
 
 Reception reads only the schedule's (B, L, tau) signal stack, never its
 block objects: one product H @ S gives every user's receptions of every
@@ -125,7 +125,7 @@ class ChannelMatrix:
 
     H is a private read-only copy of the given matrix, so what the
     channel memoizes (``cached``) stays valid: the eliminations of its
-    parent sets of rows and the beams of its schedule.
+    parent sets of rows and its schedule's beam factors.
     """
 
     field: FieldContext

@@ -44,8 +44,10 @@ accepted the channel. The group that leaves out parent row k has the
 inverse G without column k minus G[:, k] v / v_k there, and the beam of
 served user q is its column q. No inverse is formed: the owner gains
 come from the owner row times G, g_q = (hG)_q - (hG)_k v_q / v_k, and
-the beams at unit owner gain straight from G, v and the gains, in one
-pass over every block.
+the beam at unit owner gain is G[:, q] / g_q - G[:, k] v_q / (v_k g_q).
+The channel keeps only G's columns and these two factors per beam,
+O(P L^2 + B L) entries, and each row block of synthesis forms its own
+beams from them.
 
 Each transmission's signal is its beams times the combinations C
 (L, tau) that its served users are sent. A user is served in m
@@ -56,12 +58,13 @@ otherwise, applied to the user's m minifiles by one product. The
 layout keeps these per-position matrices, the stacks that the plan's
 certificate checks A against. Synthesis then runs per block of rows:
 one gather of every slot's own minifile, one product for the
-telescoping positions (none in the full regime), and one beam product
-written into the schedule's (B, L, tau) signal stack; a block holds as
-many rows as keep their beams, combinations and signals within
-CHUNK_BYTES, and at least one. The owner gains, kept as one (B, L) stack, let receivers
-descale their receptions. Block objects, each a view into these
-stacks, are built only when a caller reads them.
+telescoping positions (none in the full regime), the block's beams, and
+one beam product written into the schedule's (B, L, tau) signal stack;
+a block holds as many rows as keep their beams, combinations and
+signals within CHUNK_BYTES, and at least one. The owner gains, kept as
+one (B, L) stack, let receivers descale their receptions. Block
+objects, each a view into these stacks, are built only when a caller
+reads them.
 
 The beams are also a channel check: ``draw_plan_channel`` accepts a
 draw when every served group has an inverse and every beam a nonzero
@@ -72,8 +75,8 @@ the null vector of the group plus the owner row. The group inverses
 must also hold by the field's rule (``inverses_hold``), which reads
 only the parent sets' eliminations: one pair of products per parent
 set in complex mode, nothing in GF, and no product per block. The
-channel memoizes the beams and gains, so the schedule built on an
-accepted draw reuses them.
+channel memoizes the beams' factors and the gains, so the schedule
+built on an accepted draw reuses them.
 """
 
 from __future__ import annotations
@@ -631,7 +634,8 @@ def _as_demand(d, N: int) -> DemandVector:
 
 
 def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, owner_skip):
-    """Zero-forcing beams (B, L, L) at unit owner gain, and the owner gains (B, L).
+    """The factors (columns, scales, shifts) of the zero-forcing beams at
+    unit owner gain, and the owner gains (B, L).
 
     Block b serves groups[b] for row owners[b]. Its group is one of the
     parent sets of channel rows, parents, without the row that skip[b]
@@ -643,22 +647,18 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, ow
     ``null_support``. The gains of the beams at the owner h =
     H[owners[b]] are then g = (hG)[S] - (hG)[k] r, from one product
     H @ G per parent set, and the beams divided by their gains are
-    G[:, S] / g - G[:, k] (r / g), formed in one pass, one reduction per
-    CHUNK_BYTES of beams; no inverse is formed. Each of v, hG and G's
-    columns is read by one flat gather per index array. The owner row
-    is the sum of g_q times the channel row of groups[b, q], so the
-    gains and -1 form the left null vector of the group plus the owner
-    row, and each gain must count as nonzero by ``null_support``, as a
-    parent set's null-vector entries do: in complex mode relative to the
-    largest of the gains and 1, not only above the absolute floor of
-    ``inv_each``. Last, every group inverse must hold by the field's
-    ``inverses_hold``, one call over all parent sets before any beam is
-    formed (complex mode bounds each group's residual, X H_S - I, by
-    its parent elimination's residuals within zero_atol), so that
-    near-degenerate channels surface; the loop then only forms beams.
+    G[:, S] scales - G[:, k] shifts with scales = 1 / g and shifts =
+    r / g, which ``_block_beams`` forms from columns, G's columns
+    stacked. The owner row is the sum of g_q times the channel row of
+    groups[b, q], so the gains and -1 form the left null vector of the
+    group plus the owner row, and each gain must count as nonzero by
+    ``null_support``, as a parent set's null-vector entries do: in
+    complex mode relative to the largest of the gains and 1, not only
+    above the absolute floor of ``inv_each``. Last, every group inverse
+    must hold by the field's ``inverses_hold``, one call over all parent
+    sets, so that near-degenerate channels surface.
     """
     field = H.field
-    L = H.L
     G, v, full_rank = H.left_inverses(parents)
     exists = (full_rank[:, None] & field.null_support(v)).take(skip)
     if not exists.all():
@@ -679,28 +679,25 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, ow
     if not field.inverses_hold(H.H.take(parents, axis=0), G, v, skip):
         raise DegenerateChannel("zero-forcing residual above tolerance")
     scales = field.inv_nonzero(gains)
-    shifts = field.mul(ratio, scales)
-    # Built as columns (block, q, antenna), each a contiguous row of G's
-    # transpose, in blocks of at most CHUNK_BYTES so that the
-    # temporaries stay in cache; the beams are their transposed view.
-    columns = np.ascontiguousarray(G.swapaxes(1, 2)).reshape(-1, L)
-    beams = np.empty((len(groups), L, L), dtype=field.dtype)
-    step = max(1, CHUNK_BYTES // beams[0].nbytes)
-    for s in range(0, len(beams), step):
-        b = slice(s, s + step)
-        out = beams[b]
-        np.multiply(columns.take(keep[b], axis=0), scales[b, :, None], out=out)
-        out -= columns.take(skip[b], axis=0)[:, None, :] * shifts[b, :, None]
-        field.reduce(out)
-    return beams.swapaxes(1, 2), gains
+    # Each column of G a contiguous row of G's transpose.
+    columns = np.ascontiguousarray(G.swapaxes(1, 2)).reshape(-1, H.L)
+    return columns, scales, field.mul(ratio, scales), gains
+
+
+def _block_beams(field, factors, keep, skip, blocks: slice) -> np.ndarray:
+    """The beams (n, L, L) at unit owner gain of the n blocks ``blocks``,
+    from ``_beams``' factors and gather indices keep and skip, built as
+    (block, q, antenna) rows of G's columns and returned transposed."""
+    columns, scales, shifts, _ = factors
+    beams = columns.take(keep[blocks], axis=0) * scales[blocks, :, None]
+    beams -= columns.take(skip[blocks], axis=0)[:, None, :] * shifts[blocks, :, None]
+    return field.reduce(beams).swapaxes(1, 2)
 
 
 def _layout_beams(H: ChannelMatrix):
-    """_beams for every block of H's schedule layout, in block order.
-
-    The channel memoizes them, so the plan-aware draw that accepts H
-    and the schedule built on it share one computation.
-    """
+    """_beams over every block of H's schedule layout, memoized by the
+    channel, so the plan-aware draw that accepts H and the schedule built
+    on it share one computation."""
 
     def compute():
         layout = schedule_layout(H.K, H.L)
@@ -717,7 +714,7 @@ def draw_plan_channel(N: int, L: int, seed: int, field: FieldContext) -> Channel
     but a draw is accepted when the beams over schedule_layout(N, L)
     exist for every served group, each with a nonzero owner gain
     (``_beams``), instead of when every L-row subset is invertible. The
-    channel keeps the accepted beams and their eliminations, so
+    channel keeps the beams' factors and their eliminations, so
     build_schedule on it computes neither again.
     """
     schedule_layout(N, L)  # refuses an unsupported (N, L) before any draw
@@ -735,9 +732,9 @@ def draw_plan_channel(N: int, L: int, seed: int, field: FieldContext) -> Channel
     )
 
 
-def _payload(field, beams, layout: ScheduleLayout, P, d: np.ndarray, rows: range, out=None):
+def _payload(field, factors, layout: ScheduleLayout, P, d: np.ndarray, rows: range, out):
     """Signals (n, L, tau) of the n transmissions of table rows ``rows``,
-    from their beams (n, L, L), written into ``out`` when it is given.
+    written into ``out``, from their beams (``_block_beams``).
 
     Signal s is beams[s] @ C[s], where row q of C[s] is the combination
     that the plan sends served user u = groups[s, q], of the minifiles
@@ -750,27 +747,29 @@ def _payload(field, beams, layout: ScheduleLayout, P, d: np.ndarray, rows: range
     """
     n_tx, L = layout.transmissions, layout.groups.shape[1]
     owners = np.asarray(rows)
-    files = d[layout.groups[rows.start * n_tx : rows.stop * n_tx]].reshape(len(owners), -1)
+    blocks = slice(rows.start * n_tx, rows.stop * n_tx)
+    files = d[layout.groups[blocks]].reshape(len(owners), -1)
     C = P[files.reshape(-1, n_tx, L), owners[:, None, None], layout.own]
     if len(layout.mixes):
         mixed = P[files[:, layout.mixed_slots[:, 0]], owners[:, None]]
         C.reshape(len(owners), n_tx * L, -1)[:, layout.mixed_slots] = field.matmul(
             layout.mixes, mixed
         )
+    beams = _block_beams(field, factors, layout.keep, layout.skip, blocks)
     return field.matmul(beams, C.reshape(-1, L, C.shape[-1]), out=out)
 
 
 def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedule:
     """Full delivery schedule: every row's transmissions in order, T = (N-1)/L.
 
-    The beams and owner gains come from the channel's parent sets
-    (``_beams``), once per channel. Rows are synthesized in blocks, each
-    in one batched pass (``_payload``: one gather, one product for the
-    telescoping positions if there are any, and one beam product)
-    written into one (B, L, tau) signal stack. A block holds as many
-    rows as keep its beams, combinations, telescoping products and
-    signals within CHUNK_BYTES, and at least one. No block object is
-    built until ``blocks`` is read.
+    The beams' factors and the owner gains come from the channel's
+    parent sets (``_beams``), once per channel. Rows are synthesized in
+    blocks, each in one batched pass (``_payload``: one gather, one
+    product for the telescoping positions if there are any, the block's
+    beams and one beam product) written into one (B, L, tau) signal
+    stack. A block holds as many rows as keep its beams, combinations,
+    telescoping products and signals within CHUNK_BYTES, and at least
+    one. No block object is built until ``blocks`` is read.
     """
     field = library.field
     H = _as_channel(H, field)
@@ -787,7 +786,7 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
     d = _as_demand(d, cfg.N)
     layout = schedule_layout(cfg.N, cfg.L)
     n_tx, m = layout.transmissions, layout.minifiles
-    beams, gains = _layout_beams(H)
+    factors = _layout_beams(H)
     P = library.parts(m)
     demand = np.array(d.d)
     tau = P.shape[-1]
@@ -797,8 +796,7 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
     height = max(1, CHUNK_BYTES // row_bytes)
     for r in range(0, cfg.N, height):
         rows = range(r, min(r + height, cfg.N))
-        blocks = slice(r * n_tx, rows.stop * n_tx)
-        _payload(field, beams[blocks], layout, P, demand, rows, out=signals[blocks])
+        _payload(field, factors, layout, P, demand, rows, signals[r * n_tx : rows.stop * n_tx])
     total = Fraction(len(signals), cfg.N * m)
     expected = delivery_time(cfg.N, cfg.L)
     if total != expected:
@@ -811,7 +809,7 @@ def build_schedule(d, H, library: Library, cfg: LibraryConfig) -> DeliverySchedu
         library=library,
         layout=layout,
         signals=signals,
-        gains=gains,
+        gains=factors[-1],
     )
 
 

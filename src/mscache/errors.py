@@ -13,6 +13,10 @@ class DegenerateChannel(SimulatorError):
     """Channel rows do not admit the requested zero-forcing vector."""
 
 
+class FieldError(SimulatorError, ValueError):
+    """A modulus, mode, value or output buffer that a field context refuses."""
+
+
 class IndivisibleFile(SimulatorError):
     """File length not divisible by the requested part count."""
 

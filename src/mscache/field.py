@@ -61,6 +61,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import FieldError
+
 # Largest allowed prime. Keeps every product a*b of two residues below
 # 2**58, so an int64 product sum overflows only past 32 terms; matmul
 # reduces in chunks short enough for the actual p. Float64 sums are
@@ -142,9 +144,9 @@ class PrimeField:
     def __init__(self, p: int = 65537):
         # Size first: trial division of a 64-bit modulus would not finish.
         if p > _MAX_PRIME:
-            raise ValueError(f"modulus {p} too large for exact int64 arithmetic")
+            raise FieldError(f"modulus {p} too large for exact int64 arithmetic")
         if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+            raise FieldError(f"modulus {p} is not prime")
         self.p = p
         # numpy takes a scalar of its own type faster than a Python int.
         self._modulus = np.int64(p)
@@ -165,7 +167,7 @@ class PrimeField:
 
         Integral floats are accepted. Any other float (fractional,
         non-finite or beyond int64), any integer beyond int64 and any
-        non-numeric or complex input raises ValueError instead of being
+        non-numeric or complex input raises FieldError instead of being
         truncated or wrapped.
         """
         a = np.asarray(a)
@@ -178,7 +180,7 @@ class PrimeField:
             # numpy keeps Python ints beyond int64 as objects.
             fits = kind in "biu" and (kind != "u" or not a.size or a.max() < 1 << 63)
         if not fits:
-            raise ValueError("value entering prime field context is not an int64 integer")
+            raise FieldError("value entering prime field context is not an int64 integer")
         a = np.asarray(a, dtype=np.int64)
         # One pass: read as uint64, a negative entry exceeds every p.
         if a.size and a.view(np.uint64).max() < self.p:
@@ -213,7 +215,7 @@ class PrimeField:
         second-to-last axis of a matrix or stack b.
         ``out``, if given, receives the product; it must be an int64
         array (a strided view is fine) of exactly the product's shape,
-        else ValueError, where np.matmul would broadcast or cast.
+        else FieldError, where np.matmul would broadcast or cast.
 
         One loop over blocks of output columns that fit in
         _MATMUL_BLOCK_BYTES: each block's product runs in float64 BLAS
@@ -264,7 +266,7 @@ class PrimeField:
         if out is None:
             return np.empty(shape, dtype=np.int64)
         if out.shape != shape or out.dtype != np.int64:
-            raise ValueError(
+            raise FieldError(
                 f"matmul out must be int64 of shape {shape}, not {out.dtype} of shape {out.shape}"
             )
         return out
@@ -460,7 +462,7 @@ class ComplexField:
         out = np.asarray(a, dtype=np.complex128)
         # A complex entry is finite when both its parts are.
         if not np.isfinite(out).all():
-            raise ValueError("non-finite value entering complex field context")
+            raise FieldError("non-finite value entering complex field context")
         return out
 
     def zeros(self, shape) -> np.ndarray:
@@ -620,4 +622,4 @@ def make_field(mode: str, prime: int = 65537) -> FieldContext:
         return PrimeField(prime)
     if mode == "complex":
         return ComplexField()
-    raise ValueError(f"unknown field mode {mode!r} (expected 'gf' or 'complex')")
+    raise FieldError(f"unknown field mode {mode!r} (expected 'gf' or 'complex')")

@@ -1,20 +1,21 @@
 """Zero-forcing beams of arbitrary groups of channel rows, from the
-schedule's own kernel (``delivery._beams``).
+schedule's own kernels (``delivery._beams`` and ``delivery._block_beams``).
 
 The kernel serves groups that come with a parent set and an owner row.
 Here the channel gains a zero row, which completes every group to its
 parent set (the parent's left null vector lives on that row alone, so
 the group's inverse is the parent's left inverse G), and one owner row
 per group: nonzero weights times the group's rows, so that the owner
-gains are exactly those weights. The beams come back at unit owner
-gain; times their gains, column by column, they must be the group's
-inverse, column q the zero-forcing beam of the group's q-th user.
+gains are exactly those weights. The beams, formed from ``_beams``'
+factors as synthesis forms them, come back at unit owner gain; times
+their gains, column by column, they must be the group's inverse,
+column q the zero-forcing beam of the group's q-th user.
 """
 
 import numpy as np
 
 from mscache.channel import ChannelMatrix
-from mscache.delivery import _beam_indices, _beams
+from mscache.delivery import _beam_indices, _beams, _block_beams
 
 
 def group_beams(field, H, groups, seed=0):
@@ -34,5 +35,7 @@ def group_beams(field, H, groups, seed=0):
     parents = np.append(groups, np.full((n, 1), K), axis=1)
     owners = K + 1 + np.arange(n)
     indices = _beam_indices(np.arange(n), np.full(n, L), owners, padded.K, L)
-    beams, gains = _beams(padded, parents, owners, groups, **indices)
+    factors = _beams(padded, parents, owners, groups, **indices)
+    beams = _block_beams(field, factors, indices["keep"], indices["skip"], slice(None))
+    gains = factors[-1]
     return field.mul(beams, gains[:, None, :]), gains, weights

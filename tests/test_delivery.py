@@ -568,9 +568,10 @@ def test_zero_coefficient_plan_gives_zero_block():
     layout = dataclasses.replace(layout, **delivery._slot_combinations(served, zero))
     assert len(layout.mixes) == 3
     lib = random_library(GF, N, 8, seed=2)
-    beams = GF.sample(np.random.default_rng(3), (layout.transmissions, L, L))
-    signals = delivery._payload(GF, beams, layout, lib.parts(L), np.arange(N), range(1, 2))
-    assert signals.shape == (3, L, 1)
+    factors = delivery._layout_beams(draw_plan_channel(N, L, 3, GF))
+    out = np.ones((3, L, 1), dtype=np.int64)
+    signals = delivery._payload(GF, factors, layout, lib.parts(L), np.arange(N), range(1, 2), out)
+    assert signals is out
     assert GF.equal(signals, GF.zeros(signals.shape))
 
 
@@ -718,6 +719,17 @@ def test_schedule_makes_one_payload_product_per_row_block(monkeypatch, N, L, sca
     assert sched.signals.shape[-1] == tau
 
 
+def _reference_beams(field, factors, layout):
+    """Each block's beams, block by block: column q is G's column keep[b, q]
+    times scales[b, q] less G's column skip[b] times shifts[b, q]."""
+    columns, scales, shifts, _ = factors
+    return np.stack([
+        field.sub(field.mul(columns[keep], scales[b, :, None]),
+                  field.mul(columns[layout.skip[b]], shifts[b, :, None])).T
+        for b, keep in enumerate(layout.keep)
+    ])
+
+
 def _per_row_signals(field, beams, lib, d, N, L):
     """Reference synthesis: transmission by transmission, each served
     user's coded minifiles C (L, tau) first and the beams' product after."""
@@ -746,21 +758,23 @@ SYNTHESIS_PAIRS = [(N, L) for N in range(2, 13) for L in range(1, N) if is_suppo
     ids=["gf7", "gf65537", "gf536870909", "complex"],
 )
 def test_row_blocked_synthesis_equals_per_row_reference(monkeypatch, field, N, L):
-    # Beams drawn at random stand in for the channel's, so that tiny
-    # primes, whose channels rarely serve every group, are covered too.
-    # Blocks of one row, of several rows with a shorter last block, and
-    # of all rows give the reference's signals: bit for bit in GF,
-    # within zero_atol in complex mode, where the fold order differs.
+    # Beam factors drawn at random stand in for the channel's, so that
+    # tiny primes, whose channels rarely serve every group, are covered
+    # too. Blocks of one row, of several rows with a shorter last block,
+    # and of all rows form their beams from the factors and give the
+    # reference's signals: bit for bit in GF, within zero_atol in
+    # complex mode, where the fold order differs.
     cfg = LibraryConfig(N=N, K=N, L=L, F=2 * N * L)
     lib = random_library(field, N, cfg.F, seed=N * 13 + L)
     rng = np.random.default_rng(N * 17 + L)
-    B = len(schedule_layout(N, L).groups)
-    beams = field.sample(rng, (B, L, L))
-    gains = field.sample_channel(rng, (B, L))
-    monkeypatch.setattr(delivery, "_layout_beams", lambda H: (beams, gains))
+    layout = schedule_layout(N, L)
+    B = len(layout.groups)
+    factors = (field.sample(rng, (len(layout.parents) * (L + 1), L)), field.sample(rng, (B, L)),
+               field.sample(rng, (B, L)), field.sample_channel(rng, (B, L)))
+    monkeypatch.setattr(delivery, "_layout_beams", lambda H: factors)
     H = ChannelMatrix(field, field.sample_channel(rng, (N, L)))
     d = DemandVector(rng.permutation(N))
-    want = _per_row_signals(field, beams, lib, d, N, L)
+    want = _per_row_signals(field, _reference_beams(field, factors, layout), lib, d, N, L)
     row = _row_bytes(N, L, want.shape[-1], want.itemsize)
     for height in sorted({1, N // 2 + 1, N}):
         monkeypatch.setattr(delivery, "CHUNK_BYTES", height * row)

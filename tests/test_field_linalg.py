@@ -2,9 +2,9 @@
 
 Null vectors, solutions and zero-forcing beams are checked on the
 kernels the program makes them with: ``left_inverse_stack``,
-``inverse_stack``, and the schedule's beams (``delivery._beams``) with
-each group's parent set made of the group plus a zero row
-(``beam_helpers.group_beams``).
+``inverse_stack``, and the schedule's beams (``delivery._beams``'
+factors, formed by ``delivery._block_beams``) with each group's parent
+set made of the group plus a zero row (``beam_helpers.group_beams``).
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from mscache import (
     ComplexField,
     DegenerateChannel,
     PrimeField,
+    SimulatorError,
     inverse_stack,
     make_field,
     rank,
@@ -39,6 +40,25 @@ def test_prime_validation():
     assert make_field("gf", 7).p == 7
     with pytest.raises(ValueError):
         make_field("nope")
+
+
+def test_field_refusals_are_typed_simulator_errors():
+    # Every refusal of a field context is a FieldError: a SimulatorError,
+    # and still a ValueError.
+    square = np.ones((2, 2), dtype=np.int64)
+    refusals = [
+        (lambda: PrimeField(4), "not prime"),
+        (lambda: PrimeField((1 << 31) - 1), "too large"),
+        (lambda: GF.convert([0.5]), "not an int64 integer"),
+        (lambda: CC.convert([np.inf]), "non-finite"),
+        (lambda: GF.matmul(square, square, out=np.empty((2, 2), dtype=np.int32)), "matmul out"),
+        (lambda: make_field("foo"), "unknown field mode"),
+    ]
+    for refuse, message in refusals:
+        with pytest.raises(SimulatorError, match=message) as refused:
+            refuse()
+        assert type(refused.value) is mscache.FieldError
+        assert isinstance(refused.value, ValueError)
 
 
 def test_gf_scalar_ops():

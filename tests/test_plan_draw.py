@@ -9,6 +9,8 @@ of its matrix and eliminates each set of parent rows, and computes its
 schedule's beams, at most once.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -293,5 +295,27 @@ def test_plan_draw_and_schedule_share_the_beams(monkeypatch):
     H = draw_plan_channel(17, 5, 0, field)
     schedule = build_schedule(DemandVector(range(17)), H, random_library(field, 17, 85, 1), cfg)
     assert calls == [len(schedule.layout.groups)]
-    assert schedule.gains is _layout_beams(H)[1]
+    assert schedule.gains is _layout_beams(H)[-1]
     assert not schedule.gains.flags.writeable
+    # G's columns, scales, shifts and gains: no per-block beam stack.
+    assert [a.ndim for a in _layout_beams(H)] == [2, 2, 2, 2]
+
+
+def test_plan_draw_and_schedule_hold_no_beam_stack():
+    # The channel keeps only the beams' factors and each row block forms
+    # its own beams. At (64, 62) the 4032 blocks' 62 x 62 beams would
+    # take 118 MiB as one stack; the draw and schedule together peak
+    # near 16 MiB. The cached layout is built first, outside the count.
+    field = PrimeField(65537)
+    N, L = 64, 62
+    cfg = LibraryConfig(N=N, K=N, L=L, F=N * L)
+    library = random_library(field, N, cfg.F, 1)
+    schedule_layout(N, L)
+    tracemalloc.start()
+    try:
+        H = draw_plan_channel(N, L, 0, field)
+        build_schedule(DemandVector(range(N)), H, library, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
