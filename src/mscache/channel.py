@@ -42,10 +42,11 @@ of a (12, 5) walk 45 KB.
 
 A ``ChannelMatrix`` keeps a read-only copy of H and memoizes the tall
 eliminations of its parent sets of rows (``left_inverses``) and the
-factors that its schedule forms its beams from (``cached``). The check
-at K = L+1 and the schedule's beams ask for the same elimination in the
-full regime, and the plan-aware check computes those factors itself, so
-a trial eliminates each parent set once and computes the factors once.
+factors that its schedule forms its beams from (``cached``), one copy
+of each. The check at K = L+1 and the schedule's beams ask for the same
+elimination in the full regime, and the plan-aware check computes those
+factors itself, so a trial eliminates each parent set once and computes
+the factors once.
 
 Reception reads only the schedule's (B, L, tau) signal stack, never its
 block objects: one product H @ S gives every user's receptions of every
@@ -66,7 +67,7 @@ receptions are the decoded files.
 
 Each decoding step is a numpy call per block of rows for every user at
 once, not one per user: the scales come from two scatters at the
-layout's flat indices, every cache enters the decoded files in one
+layout's groups and owners, every cache enters the decoded files in one
 copy, and the row owners of a block complete their rows by one copy
 and one subtraction on a strided view of their own rows. The verdicts
 are one comparison per block of users whose requested files fit
@@ -89,7 +90,7 @@ from .errors import (
     InconsistentInputs,
     ResamplingExhausted,
 )
-from .field import FieldContext
+from .field import FieldContext, seeded_rng
 from .linalg import CHUNK_BYTES, inverse_stack, left_inverse_stack, rank
 
 # Channel draws before giving up; exceeding this signals a pathological
@@ -125,7 +126,7 @@ class ChannelMatrix:
 
     H is a private read-only copy of the given matrix, so what the
     channel memoizes (``cached``) stays valid: the eliminations of its
-    parent sets of rows and its schedule's beam factors.
+    parent sets of rows and its schedule's beam shifts and gains.
     """
 
     field: FieldContext
@@ -156,7 +157,9 @@ class ChannelMatrix:
         """``left_inverse_stack`` of the (P, L+1) parent sets of rows, memoized.
 
         The channel check and the schedule's beams ask for the same
-        parent sets of one channel, so each is eliminated once.
+        parent sets of one channel, so each is eliminated once. The memo
+        holds G and v alone, G as a view of its transpose, whose rows the
+        beams gather (``delivery._beams``).
         """
         parents = np.ascontiguousarray(parents, dtype=np.int64)
         key = ("left_inverses", parents.shape, parents.tobytes())
@@ -466,7 +469,7 @@ def draw_channel(
     """Seeded channel draw, rejected until all L-row subsets are invertible."""
     if K < 1 or L < 1:
         raise InconsistentInputs(f"need K, L >= 1, got K={K}, L={L}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     for _ in range(budget):
         H = ChannelMatrix(field, field.sample_channel(rng, (K, L)))
         if _generic(field, H, L):
@@ -481,10 +484,15 @@ def receive(H: ChannelMatrix, schedule) -> ReceptionLog:
 
     H may differ from the schedule's channel in its values, which
     simulates a channel that moved after the beams were formed, but not
-    in its field or its number of users K (InconsistentInputs). A
-    stand-in schedule with no channel, only signals, is applied as given.
+    in its field or its number of users K (InconsistentInputs). A raw
+    array is taken over the schedule's field. A stand-in schedule with no
+    channel, only signals, is applied as given, to a ChannelMatrix.
     """
     scheduled = getattr(schedule, "channel", None)
+    if not isinstance(H, ChannelMatrix):
+        if scheduled is None:
+            raise InconsistentInputs("a raw channel array needs a schedule with a channel")
+        H = ChannelMatrix(scheduled.field, H)
     if scheduled is not None and (H.field != scheduled.field or H.K != scheduled.K):
         raise InconsistentInputs(
             f"channel over {H.field!r} with K={H.K}, schedule's over {scheduled.field!r} "
@@ -527,16 +535,16 @@ def _scales(field: FieldContext, layout, gains, rows: slice) -> np.ndarray:
     """Every user's scale in every block of a slice of rows, (rows, transmissions, K).
 
     User u's scale in block b is the owner gain of u's beam where b
-    serves u, 1 where u owns b's row, and 0 elsewhere: two scatters at
-    the layout's flat indices, shifted to the slice's first block.
+    serves u, 1 where u owns b's row, and 0 elsewhere: two scatters into
+    block b's row at the layout's groups[b] and owners[b].
     """
     n_tx = layout.transmissions
-    K = len(layout.owner_at) // n_tx
+    K = len(layout.owners) // n_tx
     blocks = slice(rows.start * n_tx, rows.stop * n_tx)
-    first = blocks.start * K
-    scales = field.zeros((blocks.stop - blocks.start) * K)
-    scales[layout.served_at[blocks] - first] = gains[blocks]
-    scales[layout.owner_at[blocks] - first] = field.coeff(1)
+    at = np.arange(blocks.stop - blocks.start) * K
+    scales = field.zeros(len(at) * K)
+    scales[at[:, None] + layout.groups[blocks]] = gains[blocks]
+    scales[at + layout.owners[blocks]] = field.coeff(1)
     return scales.reshape(-1, n_tx, K)
 
 
@@ -567,6 +575,7 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
     block of users whose requested files fit together in CHUNK_BYTES,
     and only a failed file is read again, for its first wrong minifile.
     """
+    H = _as_channel(H, schedule.channel.field)
     field = H.field
     layout = schedule.layout
     N, K = schedule.cfg.N, schedule.cfg.K
@@ -651,5 +660,6 @@ def decode_user(k: int, d, Z_k, log: ReceptionLog, H: ChannelMatrix, schedule) -
 
 
 def decode_all(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule) -> list[DecodeResult]:
-    """Every user's file from receptions plus caches[k], user k's cache."""
+    """Every user's file from receptions plus caches[k], user k's cache;
+    a raw channel array is taken over the schedule's field."""
     return _decode(d, caches, log, H, schedule, slice(None))

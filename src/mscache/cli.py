@@ -14,8 +14,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .channel import decode_all, receive
 from .content import DemandVector, LibraryConfig, place_caches, random_library
 from .delivery import (
@@ -25,8 +23,8 @@ from .delivery import (
     is_supported,
     render_delivery_table,
 )
-from .errors import SimulatorError
-from .field import make_field
+from .errors import InconsistentInputs, SimulatorError
+from .field import make_field, seeded_rng
 from .metrics import (
     CSV_HEADER,
     achievable_time,
@@ -115,7 +113,7 @@ def _resolve(args, N: int) -> LibraryConfig:
 
 def _demand_for(args, cfg: LibraryConfig, seed: int) -> DemandVector:
     if args.demand == "random":
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         return DemandVector(int(x) for x in rng.permutation(cfg.N))
     labels = [int(x) for x in args.demand.split(",")]
     return DemandVector(x - 1 for x in labels)
@@ -169,6 +167,9 @@ def _table_line(idx: int, rep) -> str:
 def _check_trials(args) -> None:
     if args.trials < 1:
         raise SimulatorError(f"--trials must be at least 1, got {args.trials}")
+    # Trial s draws from seeds 2s and 2s + 1: name the seed given, not those.
+    if args.seed < 0:
+        raise InconsistentInputs(f"seed {args.seed} is not a non-negative integer")
 
 
 def cmd_verify(args) -> int:

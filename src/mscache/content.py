@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, IndivisibleFile, InconsistentInputs, WrongRegime
-from .field import ComplexField, FieldContext, PrimeField
+from .field import ComplexField, FieldContext, PrimeField, seeded_rng
 
 _MAGIC = b"MSCL"
 _FORMAT_VERSION = 1
@@ -121,7 +121,10 @@ class DemandVector:
     d: tuple
 
     def __init__(self, d):
-        raw = tuple(d)
+        try:
+            raw = tuple(d)
+        except TypeError:
+            raise InconsistentInputs(f"demand must be a sequence of indices, got {d!r}") from None
         try:
             ints = tuple(int(x) for x in raw)
         except (ValueError, OverflowError):  # nan, inf
@@ -163,8 +166,9 @@ def place_caches(library: Library, cfg: LibraryConfig) -> list[CacheContent]:
 
 def random_library(field: FieldContext, N: int, F: int, seed: int) -> Library:
     """Seeded library with symbols uniform over the field."""
-    rng = np.random.default_rng(seed)
-    return Library(field, field.sample(rng, (N, F)))
+    if N < 0 or F < 0:
+        raise InconsistentInputs(f"library needs N, F >= 0, got N={N}, F={F}")
+    return Library(field, field.sample(seeded_rng(seed), (N, F)))
 
 
 def save_library(library: Library, cfg: LibraryConfig, path) -> None:

@@ -29,10 +29,10 @@ verified once, by exact integer linear algebra, including that product
 equal to I; a verification failure is a hard error, never a fallback.
 A row plan is a read-only view of the layout. The layout also keeps,
 read-only, the channel-free index arrays that every trial would
-otherwise rebuild: each block's row owner, the flat positions where the
-beams gather its parent set (``_beam_indices``), and the flat indices
-where decoding scatters each block's scales. A few recent layouts stay
-cached, which serves a trial and a sweep alike.
+otherwise rebuild: each block's row owner and the flat positions where
+the beams gather its parent set (``_beam_indices``); an index that is
+one of these plus an offset is formed where it is read. A few recent
+layouts stay cached, which serves a trial and a sweep alike.
 
 Zero-forcing beams come from parent sets of L+1 channel rows: each
 served group plus the member of its telescoping segment that the
@@ -45,9 +45,9 @@ inverse G without column k minus G[:, k] v / v_k there, and the beam of
 served user q is its column q. No inverse is formed: the owner gains
 come from the owner row times G, g_q = (hG)_q - (hG)_k v_q / v_k, and
 the beam at unit owner gain is G[:, q] / g_q - G[:, k] v_q / (v_k g_q).
-The channel keeps only G's columns and these two factors per beam,
-O(P L^2 + B L) entries, and each row block of synthesis forms its own
-beams from them.
+The channel keeps G, transposed so that its columns are rows, v, and
+per beam g and v_q / (v_k g_q), O(P L^2 + B L) entries, and each row
+block of synthesis forms its own beams from them.
 
 Each transmission's signal is its beams times the combinations C
 (L, tau) that its served users are sent. A user is served in m
@@ -75,8 +75,8 @@ the null vector of the group plus the owner row. The group inverses
 must also hold by the field's rule (``inverses_hold``), which reads
 only the parent sets' eliminations: one pair of products per parent
 set in complex mode, nothing in GF, and no product per block. The
-channel memoizes the beams' factors and the gains, so the schedule
-built on an accepted draw reuses them.
+channel memoizes the beams' shifts and gains beside the eliminations,
+so the schedule built on an accepted draw reuses them.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ from .errors import (
     ResamplingExhausted,
     WrongRegime,
 )
-from .field import FieldContext
+from .field import FieldContext, seeded_rng
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -190,7 +190,6 @@ class RowCodePlan:
         return self.A.shape[0]
 
 
-@lru_cache(maxsize=None)
 def _telescoping_pattern(L: int):
     """Combination block B, served positions and coefficient vectors of a
     size-(L+1) segment, in segment-local coordinates.
@@ -372,14 +371,12 @@ class ScheduleLayout:
     otherwise the smallest user the group does not serve; in the full
     regime that is the row owner, so all N users form the one parent set.
     With the rows of parents stacked, P * (L+1) entries, keep[b] points at
-    the group's members and skip[b] at the extra row; owner_keep and
-    owner_skip point at the same positions in the owner-gain product
-    (``_beam_indices``). own, mixes and mixed_slots say how
-    synthesis forms each slot's combination (``_slot_combinations``).
-    taps is A in the form decoding reads it (``_taps``), and served_at
-    and owner_at are the flat indices, in a (B, K) table of every user's
-    scale in every block, of the entries of the users that block b
-    serves and of its owner.
+    the group's members and skip[b] at the extra row (``_beam_indices``).
+    own, mixes and mixed_slots say how synthesis forms each slot's
+    combination (``_slot_combinations``), and taps is A in the form
+    decoding reads it (``_taps``). An index that is one of these plus an
+    offset, as the owner gains' (``_beams``) and the scales'
+    (``channel._scales``) are, is formed where it is read.
     Nothing here is per user: a user's decoder for a row is A with the
     columns of the transmissions that do not serve it zeroed, which its
     scale of 0 in those blocks does at decode time. Nothing here depends
@@ -395,14 +392,10 @@ class ScheduleLayout:
     owners: np.ndarray
     keep: np.ndarray
     skip: np.ndarray
-    owner_keep: np.ndarray
-    owner_skip: np.ndarray
     own: np.ndarray
     mixes: np.ndarray
     mixed_slots: np.ndarray
     taps: tuple
-    served_at: np.ndarray
-    owner_at: np.ndarray
 
     @property
     def minifiles(self) -> int:
@@ -535,44 +528,31 @@ def schedule_layout(N: int, L: int) -> ScheduleLayout:
     parent_rows = np.concatenate([groups, extra[..., None]], axis=2).reshape(-1, L + 1)
     parents, parent_ids = _unique_rows(np.sort(parent_rows, axis=1))
     left_out = (groups < extra[..., None]).sum(axis=2).ravel()
-    groups = groups.reshape(-1, L)
-    blocks = np.arange(len(groups))
-    owners = blocks // len(served)
     return ScheduleLayout(
         transmissions=len(served),
-        groups=_readonly(groups),
+        groups=_readonly(groups.reshape(-1, L)),
         coefficients=coefficients,
         A=A,
         parents=_readonly(parents),
-        owners=_readonly(owners),
-        **{k: _readonly(a) for k, a in _beam_indices(parent_ids, left_out, owners, N, L).items()},
+        owners=_readonly(np.arange(len(parent_ids)) // len(served)),
+        **{k: _readonly(a) for k, a in _beam_indices(parent_ids, left_out, L).items()},
         **_slot_combinations(served, coefficients),
         taps=_taps(A),
-        served_at=_readonly(blocks[:, None] * N + groups),
-        owner_at=_readonly(blocks * N + owners),
     )
 
 
-def _beam_indices(parent_ids, left_out, owners, K: int, L: int) -> dict:
+def _beam_indices(parent_ids, left_out, L: int) -> dict:
     """Where ``_beams`` reads each block, as flat indices, one gather each.
 
     Block b's group is parent set parent_ids[b] without its row at
     position left_out[b], so its members sit at every other position,
     ascending. keep (B, L) and skip (B,) are those positions and
     left_out[b] among the stacked rows of all parent sets, P * (L+1) of
-    them; owner_keep and owner_skip are the same positions in the row
-    owners[b] of the block's parent set in the owner-gain product H @ G,
-    (P, K, L+1) flattened.
+    them.
     """
     positions = np.arange(L) + (np.arange(L) >= left_out[:, None])
     parent = parent_ids * (L + 1)
-    owner = (parent_ids * K + owners) * (L + 1)
-    return {
-        "keep": parent[:, None] + positions,
-        "skip": parent + left_out,
-        "owner_keep": owner[:, None] + positions,
-        "owner_skip": owner + left_out,
-    }
+    return {"keep": parent[:, None] + positions, "skip": parent + left_out}
 
 
 @dataclass(frozen=True, eq=False)
@@ -633,9 +613,9 @@ def _as_demand(d, N: int) -> DemandVector:
     return dv
 
 
-def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, owner_skip):
-    """The factors (columns, scales, shifts) of the zero-forcing beams at
-    unit owner gain, and the owner gains (B, L).
+def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip):
+    """The factors (columns, shifts) of the zero-forcing beams at unit
+    owner gain, and the owner gains (B, L).
 
     Block b serves groups[b] for row owners[b]. Its group is one of the
     parent sets of channel rows, parents, without the row that skip[b]
@@ -647,18 +627,19 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, ow
     ``null_support``. The gains of the beams at the owner h =
     H[owners[b]] are then g = (hG)[S] - (hG)[k] r, from one product
     H @ G per parent set, and the beams divided by their gains are
-    G[:, S] scales - G[:, k] shifts with scales = 1 / g and shifts =
-    r / g, which ``_block_beams`` forms from columns, G's columns
-    stacked. The owner row is the sum of g_q times the channel row of
-    groups[b, q], so the gains and -1 form the left null vector of the
-    group plus the owner row, and each gain must count as nonzero by
-    ``null_support``, as a parent set's null-vector entries do: in
-    complex mode relative to the largest of the gains and 1, not only
-    above the absolute floor of ``inv_each``. Last, every group inverse
-    must hold by the field's ``inverses_hold``, one call over all parent
-    sets, so that near-degenerate channels surface.
+    G[:, S] / g - G[:, k] shifts with shifts = r / g, which
+    ``_block_beams`` forms from columns, G's columns stacked, a view of
+    the channel's memo (``ChannelMatrix.left_inverses``). The owner row
+    is the sum of g_q times the channel row of groups[b, q], so the
+    gains and -1 form the left null vector of the group plus the owner
+    row, and each gain must count as nonzero by ``null_support``, as a
+    parent set's null-vector entries do: in complex mode relative to the
+    largest of the gains and 1, not only above the absolute floor of
+    ``inv_each``. Last, every group inverse must hold by the field's
+    ``inverses_hold``, one call over all parent sets, so that
+    near-degenerate channels surface.
     """
-    field = H.field
+    field, L = H.field, H.L
     G, v, full_rank = H.left_inverses(parents)
     exists = (full_rank[:, None] & field.null_support(v)).take(skip)
     if not exists.all():
@@ -668,7 +649,10 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, ow
     # supported v_k is nonzero by a margin (``inv_nonzero``).
     ratio = field.mul(v.take(keep), field.inv_nonzero(v.take(skip))[:, None])
     hG = field.matmul(H.H, G)
-    gains = field.reduce(hG.take(owner_keep) - hG.take(owner_skip)[:, None] * ratio)
+    # keep and skip moved from parent set p's rows to its row of the
+    # owner in hG, (P, K, L+1) flattened.
+    owner = (skip // (L + 1) * (H.K - 1) + owners) * (L + 1)
+    gains = field.reduce(hG.take(keep + owner[:, None]) - hG.take(skip + owner)[:, None] * ratio)
     # The null vector's last entry is the owner's -1, of magnitude 1.
     supported = field.null_support(gains, floor=1.0)
     if not supported.all():
@@ -678,18 +662,17 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip, owner_keep, ow
         )
     if not field.inverses_hold(H.H.take(parents, axis=0), G, v, skip):
         raise DegenerateChannel("zero-forcing residual above tolerance")
-    scales = field.inv_nonzero(gains)
-    # Each column of G a contiguous row of G's transpose.
-    columns = np.ascontiguousarray(G.swapaxes(1, 2)).reshape(-1, H.L)
-    return columns, scales, field.mul(ratio, scales), gains
+    columns = G.swapaxes(1, 2).reshape(-1, L)
+    return columns, field.mul(ratio, field.inv_nonzero(gains)), gains
 
 
 def _block_beams(field, factors, keep, skip, blocks: slice) -> np.ndarray:
     """The beams (n, L, L) at unit owner gain of the n blocks ``blocks``,
     from ``_beams``' factors and gather indices keep and skip, built as
-    (block, q, antenna) rows of G's columns and returned transposed."""
-    columns, scales, shifts, _ = factors
-    beams = columns.take(keep[blocks], axis=0) * scales[blocks, :, None]
+    (block, q, antenna) rows of G's columns and returned transposed.
+    The blocks' gains are inverted here, not kept inverted."""
+    columns, shifts, gains = factors
+    beams = columns.take(keep[blocks], axis=0) * field.inv_nonzero(gains[blocks])[:, :, None]
     beams -= columns.take(skip[blocks], axis=0)[:, None, :] * shifts[blocks, :, None]
     return field.reduce(beams).swapaxes(1, 2)
 
@@ -701,8 +684,7 @@ def _layout_beams(H: ChannelMatrix):
 
     def compute():
         layout = schedule_layout(H.K, H.L)
-        return _beams(H, layout.parents, layout.owners, layout.groups, layout.keep, layout.skip,
-                      layout.owner_keep, layout.owner_skip)
+        return _beams(H, layout.parents, layout.owners, layout.groups, layout.keep, layout.skip)
 
     return H.cached("layout_beams", compute)
 
@@ -714,11 +696,11 @@ def draw_plan_channel(N: int, L: int, seed: int, field: FieldContext) -> Channel
     but a draw is accepted when the beams over schedule_layout(N, L)
     exist for every served group, each with a nonzero owner gain
     (``_beams``), instead of when every L-row subset is invertible. The
-    channel keeps the beams' factors and their eliminations, so
-    build_schedule on it computes neither again.
+    channel keeps the parent sets' eliminations and the beams' shifts
+    and gains, so build_schedule on it computes neither again.
     """
     schedule_layout(N, L)  # refuses an unsupported (N, L) before any draw
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     for _ in range(DRAW_BUDGET):
         H = ChannelMatrix(field, field.sample_channel(rng, (N, L)))
         try:

@@ -61,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import FieldError, InconsistentInputs
 
 # Largest allowed prime. Keeps every product a*b of two residues below
 # 2**58, so an int64 product sum overflows only past 32 terms; matmul
@@ -623,3 +623,12 @@ def make_field(mode: str, prime: int = 65537) -> FieldContext:
     if mode == "complex":
         return ComplexField()
     raise FieldError(f"unknown field mode {mode!r} (expected 'gf' or 'complex')")
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's default generator for a seeded draw; InconsistentInputs,
+    naming the seed, for one that numpy refuses, such as a negative one."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise InconsistentInputs(f"seed {seed!r} is not a non-negative integer") from None

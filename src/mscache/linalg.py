@@ -201,11 +201,14 @@ def left_inverse_stack(field: FieldContext, a) -> tuple[np.ndarray, np.ndarray, 
     ``rank(field, a[b]) == n``, G[b] @ a[b] = I_n and v[b] @ a[b] = 0
     with v[b] != 0. Then a[b] without row k is invertible exactly when
     v[b, k] is nonzero, and its inverse is G[b] without column k minus
-    the rank-one term G[b][:, k] v[b] / v[b, k] without column k.
+    the rank-one term G[b][:, k] v[b] / v[b, k] without column k. G is
+    a view of its own contiguous transpose, so G's columns are rows,
+    and neither G nor v keeps the kernel's working matrix alive.
     """
     a = field.convert(a)
     if a.ndim != 3 or a.shape[1] != a.shape[2] + 1:
         raise DimensionMismatch(f"left_inverse_stack needs a (B, n+1, n) stack, got {a.shape}")
     E, full_rank = _gauss_jordan(field, a)
     n = a.shape[2]
-    return E[:, :n], E[:, n], full_rank
+    G = np.ascontiguousarray(E[:, :n].swapaxes(1, 2)).swapaxes(1, 2)
+    return G, E[:, n].copy(), full_rank

@@ -34,7 +34,7 @@ def group_beams(field, H, groups, seed=0):
     padded = ChannelMatrix(field, np.concatenate([H, field.zeros((1, L)), owner_rows]))
     parents = np.append(groups, np.full((n, 1), K), axis=1)
     owners = K + 1 + np.arange(n)
-    indices = _beam_indices(np.arange(n), np.full(n, L), owners, padded.K, L)
+    indices = _beam_indices(np.arange(n), np.full(n, L), L)
     factors = _beams(padded, parents, owners, groups, **indices)
     beams = _block_beams(field, factors, indices["keep"], indices["skip"], slice(None))
     gains = factors[-1]

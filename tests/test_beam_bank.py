@@ -75,9 +75,8 @@ def test_beams_times_gains_equal_inverse_stack_bit_for_bit(p):
         owners = np.arange(len(layout.groups)) // layout.transmissions
         for b in range(len(layout.groups)):
             one = slice(b, b + 1)
-            args = (layout.parents, owners[one], layout.groups[one]) + tuple(
-                getattr(layout, name)[one] for name in ("keep", "skip", "owner_keep", "owner_skip")
-            )
+            args = (layout.parents, owners[one], layout.groups[one], layout.keep[one],
+                    layout.skip[one])
             gains = field.matmul(H.H[owners[b]], want[b])
             if not nonsingular[b] or not gains.all():
                 reason = "is orthogonal" if nonsingular[b] else "are dependent"

@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mscache import (
     decode_all,
     decode_user,
     draw_channel,
+    draw_plan_channel,
     place_caches,
     random_library,
     receive,
@@ -301,6 +303,47 @@ def test_receive_refuses_a_channel_of_another_field_or_size():
     log = receive(moved, sched)
     assert GF.equal(log.per_block, GF.matmul(moved.H, sched.signals))
     assert not GF.equal(log.per_block, receive(H, sched).per_block)
+
+
+REFUSALS = {
+    "library seed": (lambda: random_library(GF, 3, 4, -1), "seed -1 is not"),
+    "channel seed": (lambda: draw_channel(5, 2, -1, GF), "seed -1 is not"),
+    "plan channel seed": (lambda: draw_plan_channel(5, 2, -1, GF), "seed -1 is not"),
+    "library size": (lambda: random_library(GF, 3, -4, 1), "F=-4"),
+    "demand None": (lambda: DemandVector(None), "demand must be a sequence"),
+    "demand int": (lambda: DemandVector(5), "demand must be a sequence"),
+    # A raw channel array takes its field from the schedule's channel,
+    # which a stand-in schedule of signals alone does not have.
+    "raw channel, stand-in schedule": (
+        lambda: receive(GF.convert([[1, 2], [3, 4], [5, 6]]),
+                        SimpleNamespace(signals=GF.zeros((1, 2, 1)))),
+        "raw channel array",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, match", REFUSALS.values(), ids=REFUSALS.keys())
+def test_bad_seeds_sizes_demands_and_channels_raise_typed_errors(call, match):
+    with pytest.raises(InconsistentInputs, match=match):
+        call()
+
+
+@pytest.mark.parametrize("field", [GF, CC], ids=["gf", "complex"])
+def test_raw_channel_arrays_receive_and_decode_over_the_schedules_field(field):
+    # build_schedule takes a raw K x L array; so do receive and decoding,
+    # over the schedule's field, with the same results as its channel.
+    cfg = LibraryConfig(N=5, K=5, L=2, F=20)
+    lib = random_library(field, 5, 20, seed=39)
+    H = draw_channel(5, 2, seed=40, field=field)
+    d = DemandVector([1, 3, 0, 4, 2])
+    sched = build_schedule(d, H.H, lib, cfg)
+    caches = place_caches(lib, cfg)
+    log = receive(H.H, sched)
+    assert field.equal(log.per_block, receive(sched.channel, sched).per_block)
+    assert all(r.success for r in decode_all(d, caches, log, H.H, sched))
+    assert decode_user(3, d, caches[3], log, H.H.tolist(), sched).success
+    with pytest.raises(InconsistentInputs, match="channel differs"):
+        decode_all(d, caches, log, draw_channel(5, 2, seed=41, field=field).H, sched)
 
 
 def test_passed_decode_results_stay_frozen():

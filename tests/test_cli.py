@@ -183,6 +183,15 @@ def test_sweep_refuses_k_and_l(capsys):
         assert err == "error: sweep runs K = N and every L from 1 to N-1; it takes no --K or --L\n"
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    # Named as given, not as the library's seed 2s + 1 that trial s draws.
+    for argv in (["verify", "--N", "5", "--L", "2"], ["sweep", "--N", "4"]):
+        code, out, err = _run(capsys, [*argv, "--seed", "-3"])
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: seed -3 is not a non-negative integer\n"
+
+
 def test_byte_identical_reruns(capsys):
     argv = ["sweep", "--N", "4..6", "--trials", "2"]
     _, first, _ = _run(capsys, argv)

@@ -200,8 +200,7 @@ def test_telescoping_pattern_inverts_column_deleted_bidiagonals():
 
 @pytest.mark.parametrize("N, L", [(24, 11), (60, 29)])
 def test_cold_layouts_at_scale_build_and_verify(N, L):
-    for cache in (_telescoping_pattern, schedule_layout):
-        cache.cache_clear()
+    schedule_layout.cache_clear()
     layout = schedule_layout(N, L)
     assert layout.minifiles == L
     plans = [build_row_plan(i, N, L) for i in range(N)]
@@ -265,15 +264,24 @@ def test_layout_cache_stays_bounded_over_a_sweep():
 
 @pytest.mark.parametrize("N, L", [(4, 3), (4, 2), (7, 3), (17, 5)])
 def test_layout_scale_indices_address_each_blocks_users(N, L):
-    # served_at and owner_at are flat indices into a (B, K) table: block
-    # b's row, at the columns of the users it serves and of its owner.
+    # Decoding's scales are a (B, K) table: block b's row holds the owner
+    # gains at the columns of the users it serves, 1 at its owner's and 0
+    # elsewhere. The reference scatters at flat indices into the whole
+    # table, one block at a time, and every slice of rows must read the
+    # same entries.
     layout = schedule_layout(N, L)
-    B = len(layout.groups)
-    rows, cols = np.divmod(layout.served_at, N)
-    assert np.array_equal(rows, np.repeat(np.arange(B), L).reshape(B, L))
-    assert np.array_equal(cols, layout.groups)
-    assert np.array_equal(np.divmod(layout.owner_at, N)[1], np.arange(B) // layout.transmissions)
-    assert np.array_equal(layout.owners, np.arange(B) // layout.transmissions)
+    B, n_tx = len(layout.groups), layout.transmissions
+    assert np.array_equal(layout.owners, np.arange(B) // n_tx)
+    gains = GF.sample_channel(np.random.default_rng(N * L), (B, L))
+    want = GF.zeros(B * N)
+    for b in range(B):
+        served_at = b * N + layout.groups[b]
+        owner_at = b * N + b // n_tx
+        want[served_at] = gains[b]
+        want[owner_at] = 1
+    want = want.reshape(N, n_tx, N)
+    for rows in (slice(0, N), slice(0, 1), slice(N - 1, N), slice(1, max(2, N // 2))):
+        assert np.array_equal(_scales(GF, layout, gains, rows), want[rows]), rows
 
 
 def test_row_views_verify_and_relabel_the_last_row():
@@ -721,10 +729,10 @@ def test_schedule_makes_one_payload_product_per_row_block(monkeypatch, N, L, sca
 
 def _reference_beams(field, factors, layout):
     """Each block's beams, block by block: column q is G's column keep[b, q]
-    times scales[b, q] less G's column skip[b] times shifts[b, q]."""
-    columns, scales, shifts, _ = factors
+    divided by gains[b, q] less G's column skip[b] times shifts[b, q]."""
+    columns, shifts, gains = factors
     return np.stack([
-        field.sub(field.mul(columns[keep], scales[b, :, None]),
+        field.sub(field.mul(columns[keep], field.inv_each(gains[b])[:, None]),
                   field.mul(columns[layout.skip[b]], shifts[b, :, None])).T
         for b, keep in enumerate(layout.keep)
     ])
@@ -770,7 +778,7 @@ def test_row_blocked_synthesis_equals_per_row_reference(monkeypatch, field, N, L
     layout = schedule_layout(N, L)
     B = len(layout.groups)
     factors = (field.sample(rng, (len(layout.parents) * (L + 1), L)), field.sample(rng, (B, L)),
-               field.sample(rng, (B, L)), field.sample_channel(rng, (B, L)))
+               field.sample_channel(rng, (B, L)))
     monkeypatch.setattr(delivery, "_layout_beams", lambda H: factors)
     H = ChannelMatrix(field, field.sample_channel(rng, (N, L)))
     d = DemandVector(rng.permutation(N))

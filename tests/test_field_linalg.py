@@ -478,7 +478,7 @@ def test_solve_inconsistent_raises():
     group = np.array([[0, 1]])
     with pytest.raises(DegenerateChannel, match=r"served group \(0, 1\) are dependent"):
         _beams(_zero_padded(GF7, H.H), np.array([[0, 1, 3]]), [2], group,
-               **_beam_indices(np.array([0]), np.array([2]), np.array([2]), 4, 2))
+               **_beam_indices(np.array([0]), np.array([2]), 2))
 
 
 def test_zf_no_interferers():
@@ -513,7 +513,7 @@ def test_zf_degenerate_raises():
             group_beams(field, H.H, [[0, 1]])
         with pytest.raises(DegenerateChannel):
             _beams(_zero_padded(field, H.H), np.array([[0, 1, 3]]), [2], np.array([[0, 1]]),
-                   **_beam_indices(np.array([0]), np.array([2]), np.array([2]), 4, 2))
+                   **_beam_indices(np.array([0]), np.array([2]), 2))
 
 
 def test_zf_orthogonality_seeded_sweep():
