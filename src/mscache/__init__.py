@@ -40,6 +40,7 @@ from .delivery import (
     verify_row_plan,
 )
 from .errors import (
+    CheckTooLarge,
     DegenerateChannel,
     DimensionMismatch,
     FieldError,
@@ -66,6 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CacheContent",
     "ChannelMatrix",
+    "CheckTooLarge",
     "ComplexField",
     "CSV_HEADER",
     "DecodeResult",

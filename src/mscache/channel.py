@@ -21,7 +21,10 @@ the field's ``exact``:
   exactly when every square minor of A is nonzero, and the C(K, L)
   minors come order by order from the two orders below by the
   Desnanot-Jacobi identity, a few array operations per order, which
-  stop at the first order holding a zero.
+  stop at the first order holding a zero. Where each minor reads its
+  terms depends only on (K, L), so an order that fits one block takes
+  its gather indices from a plan built once and kept (``_order_plan``),
+  and a larger order gathers block by block.
 - In complex mode it walks the sorted row prefixes of H depth first,
   each with a basis of its null space: a row joins a prefix by one
   product with that basis and one eliminated basis vector, so each of
@@ -32,11 +35,19 @@ the field's ``exact``:
   arrays are built once and kept (``_sweep_step``), and a draw does
   only the products and eliminations.
 
-Both paths build their temporaries in blocks of bounded size; the
-condensation also keeps three whole orders of minors. The sweep's
-steps are kept in an LRU cache of SWEEP_STEPS entries, keyed by (K, L,
-the basis width and itemsize, CHUNK_BYTES, the largest rows of the
-step's prefixes); an entry holds at most 6 CHUNK_BYTES (1.5 MiB) for
+Both paths build their temporaries in blocks of bounded size. The
+condensation also keeps three whole orders of minors, so its memory
+grows with C(K, L); the order sizes are binomials known before any
+work, so the check predicts its peak (``_condensation_bytes``) and
+refuses a pair past CONDENSATION_CHUNKS blocks of CHUNK_BYTES (24 MiB)
+with CheckTooLarge before the first elimination: (24, 11) answers near
+16 MiB, while (30, 12) would need about 491 MiB and (40, 13) 65 GiB.
+Its plans are kept in an LRU cache of ORDER_PLANS entries, keyed by
+(rows, columns, order); an entry holds 40 bytes per minor, at most
+1.25 CHUNK_BYTES, and the 4 plans of a (17, 5) check 245 KB. The
+sweep's steps are kept in an LRU cache of SWEEP_STEPS entries, keyed by
+(K, L, the basis width and itemsize, CHUNK_BYTES, the largest rows of
+the step's prefixes); an entry holds at most 6 CHUNK_BYTES (1.5 MiB) for
 K up to CHUNK_BYTES / 8, so the cache at most 48 MiB, and the 5 steps
 of a (12, 5) walk 45 KB.
 
@@ -86,6 +97,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    CheckTooLarge,
     DimensionMismatch,
     InconsistentInputs,
     ResamplingExhausted,
@@ -108,6 +120,21 @@ DRAW_BUDGET = 64
 # requested files, in blocks of this size too, and synthesis
 # (``delivery.build_schedule``) its rows, which keeps their temporaries
 # in cache.
+
+# An order of the condensation with at most this many minors fits one
+# block (four 8-byte terms each in CHUNK_BYTES) and is condensed from a
+# memoized plan (``_order_plan``); a larger one gathers block by block.
+PLANNED_MINORS = CHUNK_BYTES // 32
+
+# Plans of the condensation kept at once (``_order_plan``), a (17, 5)
+# check takes 4, and predicted peaks (``_condensation_bytes``).
+ORDER_PLANS = 16
+
+# The condensation's predicted peak (``_condensation_bytes``) may be at
+# most this many CHUNK_BYTES (24 MiB); past it the check refuses
+# (CheckTooLarge) before any work. (24, 11) predicts 16.3 MiB, (26, 12)
+# 55.6 MiB and (30, 12) 491 MiB.
+CONDENSATION_CHUNKS = 96
 
 # In complex mode a candidate row is dependent when every entry of its
 # product with a prefix's null-space basis is at most this many times
@@ -228,6 +255,10 @@ def _generic(field: FieldContext, H, L: int) -> bool:
     that keeps first-block rows T and takes rows U of the rest is
     (I[T]; A[U]) @ H[:L], whose determinant is, up to sign and
     det H[:L], the minor of A on rows U and the columns outside T.
+    The condensation's peak depends only on (K, L), through the sizes
+    of its orders (``_condensation_bytes``), so before any work a pair
+    whose peak would pass CONDENSATION_CHUNKS blocks of CHUNK_BYTES is
+    refused with CheckTooLarge, whatever the draw.
 
     Otherwise (complex mode at K >= L+2) it is a sweep over sorted row
     prefixes up to depth L: every prefix lies inside some subset the
@@ -253,26 +284,16 @@ def _generic(field: FieldContext, H, L: int) -> bool:
         return bool(full_rank[0] and field.null_support(v).all())
     H = H.H
     if field.exact:
+        need = _condensation_bytes(min(K - L, L), max(K - L, L), CHUNK_BYTES, PLANNED_MINORS)
+        budget = CONDENSATION_CHUNKS * CHUNK_BYTES
+        if need > budget:
+            raise CheckTooLarge(
+                f"the all-subsets check at (K, L) = ({K}, {L}) would peak near {need} "
+                f"bytes, past its budget of {budget} bytes"
+            )
         inverse, nonsingular = inverse_stack(field, H[None, :L])
         return bool(nonsingular[0]) and _minors_nonzero(field, field.matmul(H[L:], inverse[0]))
     return _prefix_sweep(field, H, L)
-
-
-def _colex_subsets(n: int, k: int) -> np.ndarray:
-    """The k-subsets of range(n), one sorted row each, in colex order.
-
-    Colex order sorts by the largest element first, so the j-subsets of
-    range(m) are the first C(m, j) of those of range(n). Size j is then
-    one gather of size j - 1: for each largest element m in turn, the
-    first C(m, j - 1) subsets with m appended.
-    """
-    subsets = np.zeros((1, 0), dtype=np.int64)
-    for j in range(1, k + 1):
-        counts = [math.comb(m, j - 1) for m in range(j - 1, n)]
-        top = np.repeat(np.arange(j - 1, n), counts)
-        rest = np.arange(len(top)) - np.repeat(np.cumsum(counts) - counts, counts)
-        subsets = np.column_stack([subsets[rest], top])
-    return subsets
 
 
 @lru_cache(maxsize=None)
@@ -282,20 +303,75 @@ def _condensation_maps(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     (2, C(n, k)) array over the (k-1)-subsets), and without both (over
     the (k-2)-subsets).
 
-    The colex index of sorted e_1 < ... < e_j is the sum of C(e_i, i).
-    Built on first use and kept read-only.
+    The colex index of sorted e_1 < ... < e_j is the sum of C(e_i, i),
+    so the j-subsets whose largest element is m are the (j-1)-subsets
+    of range(m), in order, with m appended. Without m, such a subset's
+    index is its index among them; without its first element, it is
+    that (j-1)-subset's index without its first element, plus C(m, j-1).
+    So the maps are built size by size from the one below, a few int64
+    words per subset, on first use, and kept read-only.
     """
-    subsets = _colex_subsets(n, k)
-    binom = np.array([[math.comb(e, i) for i in range(k)] for e in range(n)], dtype=np.int64)
-
-    def index(s):
-        return binom[s, np.arange(1, s.shape[1] + 1)].sum(axis=1)
-
-    ends = np.stack([index(subsets[:, 1:]), index(subsets[:, :-1])])
-    both = index(subsets[:, 1:-1])
+    first = np.zeros(n, dtype=np.int64)  # each 1-subset without its element: the empty set
+    for j in range(2, k + 1):
+        counts = np.array([math.comb(m, j - 1) for m in range(j - 1, n)], dtype=np.int64)
+        rest = np.arange(math.comb(n, j)) - np.repeat(np.cumsum(counts) - counts, counts)
+        both = first[rest]
+        first = both + np.repeat(counts, counts)
+    ends = np.stack([first, rest])
     ends.setflags(write=False)
     both.setflags(write=False)
     return ends, both
+
+
+@lru_cache(maxsize=ORDER_PLANS)
+def _condensation_bytes(rows: int, cols: int, chunk: int, planned: int) -> int:
+    """The predicted peak bytes of ``_minors_nonzero`` on a rows x cols
+    matrix, rows <= cols, under CHUNK_BYTES = chunk and PLANNED_MINORS =
+    planned. At order k it holds three consecutive orders, of
+    C(rows, k) C(cols, k) int64 minors each (two at the last order,
+    which is not kept), and builds the index maps of the order's row
+    and column subsets, at most 6 words per subset. On top come the
+    plans of the orders of at most planned minors, 40 bytes per minor,
+    and 4 chunks for the temporaries of a block or an order. It depends
+    on (K, L) alone, so it is memoized."""
+    sizes = [math.comb(rows, k) * math.comb(cols, k) for k in range(rows + 1)]
+    kept = [
+        sum(sizes[k - 2 : min(k + 1, rows)]) + 6 * (math.comb(rows, k) + math.comb(cols, k))
+        for k in range(2, rows + 1)
+    ]
+    plans = sum(n for n in sizes[2:] if n <= planned)
+    return 8 * max(kept, default=sizes[-1]) + 40 * plans + 4 * chunk
+
+
+class _OrderPlan(NamedTuple):
+    """The channel-free part of one planned order of the condensation (``_order_plan``)."""
+
+    terms: np.ndarray  # (4, n): each minor's D[f,f], D[l,l], D[f,l], D[l,f], flat in order k-1
+    divisors: np.ndarray  # (n,): each minor's D2[b,b], flat in order k-2
+
+
+@lru_cache(maxsize=ORDER_PLANS)
+def _order_plan(rows: int, cols: int, k: int) -> _OrderPlan:
+    """Where the order-k minors of a rows x cols matrix read their
+    Desnanot-Jacobi terms: flat ``take`` indices into the two orders
+    below, each a C-contiguous (C(rows, j), C(cols, j)) array.
+
+    None of this depends on the matrix, so a check at (K, L) asks for
+    the same plans on every draw, and they are memoized, read-only. An
+    entry holds 40 bytes per minor, and ``_minors_nonzero`` asks only
+    for orders of at most PLANNED_MINORS minors, so an entry holds at
+    most 1.25 CHUNK_BYTES (320 KiB) and the ORDER_PLANS entries 5 MiB;
+    the four plans of a (17, 5) check hold 245 KB.
+    """
+    row_ends, row_both = _condensation_maps(rows, k)
+    col_ends, col_both = _condensation_maps(cols, k)
+    r = row_ends[:, :, None] * math.comb(cols, k - 1)
+    c = col_ends[:, None, :]
+    terms = np.stack([r[0] + c[0], r[1] + c[1], r[0] + c[1], r[1] + c[0]]).reshape(4, -1)
+    divisors = (row_both[:, None] * math.comb(cols, k - 2) + col_both).reshape(-1)
+    terms.setflags(write=False)
+    divisors.setflags(write=False)
+    return _OrderPlan(terms, divisors)
 
 
 def _minors_nonzero(field: FieldContext, A: np.ndarray) -> bool:
@@ -307,14 +383,19 @@ def _minors_nonzero(field: FieldContext, A: np.ndarray) -> bool:
     identity, (D[f,f] D[l,l] - D[f,l] D[l,f]) / D2[b,b], where f, l and
     b are the index sets without their first element, without their
     last, and without both. The divisor is nonzero because its order
-    passed. Each order is a few gathers, products and reductions over
-    blocks of at most CHUNK_BYTES per temporary. Only three consecutive
-    orders are kept, the oldest as inverses, and the check stops at the
-    first order that holds a zero. A is turned so that its rows are the
-    shorter side: an order then has few row subsets and long rows of
-    minors, so each gather runs along a long row (at (40, 36), 60 times
-    faster than the other way round). A block is a run of rows, or of
-    columns of one row when a row is longer than a block.
+    passed. Only three consecutive orders are kept, the oldest as
+    inverses, and the check stops at the first order that holds a zero.
+
+    An order of at most PLANNED_MINORS minors, one block, reads its
+    terms and divisors through its memoized plan (``_order_plan``): two
+    gathers, the products and two reductions for the whole order. A
+    larger order is condensed block by block, at most CHUNK_BYTES per
+    temporary, from the index maps of its row and column subsets: a
+    block is a run of rows, or of columns of one row when a row is
+    longer than a block. A is turned so that its rows are the shorter
+    side: an order then has few row subsets and long rows of minors, so
+    each blocked gather runs along a long row (at (40, 36), 60 times
+    faster than the other way round).
     """
     if A.shape[0] > A.shape[1]:
         A = A.T
@@ -325,37 +406,52 @@ def _minors_nonzero(field: FieldContext, A: np.ndarray) -> bool:
     inverses = np.ones((1, 1), dtype=np.int64)  # of the one order-0 minor
     block = max(1, CHUNK_BYTES // 32)  # minors per block: four 8-byte terms each
     for k in range(2, rows + 1):
-        row_ends, row_both = _condensation_maps(rows, k)
-        col_ends, col_both = _condensation_maps(cols, k)
-        height, width = row_both.size, col_both.size
+        height, width = math.comb(rows, k), math.comb(cols, k)
         last = k == rows
-        minors = None if last else np.empty((height, width), dtype=np.int64)
-        # Rows per block, so that the rows gathered from the orders below
-        # fit as well; a row longer than a block is split into columns.
-        step = max(1, block // max(width, level.shape[1], inverses.shape[1]))
-        span = min(width, block)
-        for r in range(0, height, step):
-            here = slice(r, r + step)
-            ends = level[row_ends[:, here]]
-            both = None if last else inverses[row_both[here]]
-            for c in range(0, width, span):
-                there = slice(c, c + span)
-                # g[i, :, j] holds D[rows without end i, columns without end j].
-                g = np.take(ends, col_ends[:, there], axis=2)
-                x = g[0, :, 0] * g[1, :, 1]
-                x -= g[0, :, 1] * g[1, :, 0]
-                field.reduce(x)
-                # The divisor is nonzero, so a minor is zero with its numerator.
-                if not x.all():
-                    return False
-                if not last:
-                    x *= np.take(both, col_both[there], axis=1)
-                    minors[here, there] = field.reduce(x)
+        if height * width <= PLANNED_MINORS:
+            plan = _order_plan(rows, cols, k)
+            g = level.take(plan.terms)
+            x = g[0] * g[1]
+            x -= g[2] * g[3]
+            field.reduce(x)
+            # The divisor is nonzero, so a minor is zero with its numerator.
+            if not x.all():
+                return False
+            if not last:
+                x *= inverses.take(plan.divisors)
+                minors = field.reduce(x).reshape(height, width)
+        else:
+            row_ends, row_both = _condensation_maps(rows, k)
+            col_ends, col_both = _condensation_maps(cols, k)
+            minors = None if last else np.empty((height, width), dtype=np.int64)
+            # Rows per block, so that the rows gathered from the orders
+            # below fit as well; a row longer than a block is split into
+            # columns.
+            step = max(1, block // max(width, level.shape[1], inverses.shape[1]))
+            span = min(width, block)
+            for r in range(0, height, step):
+                here = slice(r, r + step)
+                ends = level[row_ends[:, here]]
+                both = None if last else inverses[row_both[here]]
+                for c in range(0, width, span):
+                    there = slice(c, c + span)
+                    # g[i, :, j] holds D[rows without end i, columns without end j].
+                    g = np.take(ends, col_ends[:, there], axis=2)
+                    x = g[0, :, 0] * g[1, :, 1]
+                    x -= g[0, :, 1] * g[1, :, 0]
+                    field.reduce(x)
+                    if not x.all():
+                        return False
+                    if not last:
+                        x *= np.take(both, col_both[there], axis=1)
+                        minors[here, there] = field.reduce(x)
         if not last:
-            # Order k-1 becomes the divisor of order k+1, inverted in place.
-            flat = level.reshape(-1)
-            for s in range(0, flat.size, block):
-                flat[s : s + block] = field.inv_each(flat[s : s + block])
+            if k + 1 < rows:
+                # Order k-1 becomes the divisor of order k+1, inverted in
+                # place; the last order divides by nothing.
+                flat = level.reshape(-1)
+                for s in range(0, flat.size, block):
+                    flat[s : s + block] = field.inv_each(flat[s : s + block])
             inverses, level = level, minors
     return True
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndivisibleFile, InconsistentInputs, WrongRegime
 from .field import ComplexField, FieldContext, PrimeField, seeded_rng
+from .linalg import CHUNK_BYTES
 
 _MAGIC = b"MSCL"
 _FORMAT_VERSION = 1
@@ -159,8 +160,13 @@ def place_caches(library: Library, cfg: LibraryConfig) -> list[CacheContent]:
             f"N={cfg.N}, F={cfg.F}"
         )
     # One pass over the files, and the fresh sum of N residues, which fits
-    # in int64, reduced in place.
-    z = library.field.reduce(library.parts(1)[:, :, 0].sum(axis=0))
+    # in int64, reduced in place a CHUNK_BYTES slice at a time, so that
+    # the reduction's temporaries stay one slice each.
+    z = library.parts(1)[:, :, 0].sum(axis=0)
+    flat = z.reshape(-1)
+    step = max(1, CHUNK_BYTES // flat.itemsize)
+    for s in range(0, flat.size, step):
+        library.field.reduce(flat[s : s + step])
     return [CacheContent(k, z[k]) for k in range(cfg.K)]
 
 

@@ -74,7 +74,8 @@ relative rule as a parent set's null-vector entry, since the gains are
 the null vector of the group plus the owner row. The group inverses
 must also hold by the field's rule (``inverses_hold``), which reads
 only the parent sets' eliminations: one pair of products per parent
-set in complex mode, nothing in GF, and no product per block. The
+set in complex mode, which gathers the parent rows itself, nothing in
+GF, and no product per block. The
 channel memoizes the beams' shifts and gains beside the eliminations,
 so the schedule built on an accepted draw reuses them.
 """
@@ -660,7 +661,7 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip):
         raise DegenerateChannel(
             f"row {owners[b]} channel is orthogonal to user {groups[b, q]}'s beam"
         )
-    if not field.inverses_hold(H.H.take(parents, axis=0), G, v, skip):
+    if not field.inverses_hold(H.H, parents, G, v, skip):
         raise DegenerateChannel("zero-forcing residual above tolerance")
     columns = G.swapaxes(1, 2).reshape(-1, L)
     return columns, field.mul(ratio, field.inv_nonzero(gains)), gains

@@ -411,10 +411,10 @@ class PrimeField:
         """Which entries of null vectors (along the last axis) are nonzero."""
         return np.asarray(v) != 0
 
-    def inverses_hold(self, rows, G, v, skip) -> bool:
+    def inverses_hold(self, H, parents, G, v, skip) -> bool:
         """Whether every group inverse formed from the parent sets'
         eliminations inverts its group: the exact elimination guarantees
-        it, so nothing is computed."""
+        it, so nothing is computed, nor the parent rows gathered."""
         return True
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
@@ -541,12 +541,13 @@ class ComplexField:
         ``inv_each`` by a factor of 100 or more."""
         return 1.0 / x
 
-    def inverses_hold(self, rows, G, v, skip) -> bool:
+    def inverses_hold(self, H, parents, G, v, skip) -> bool:
         """Whether every group inverse taken from the parent sets'
         eliminations inverts its group within zero_atol, max-abs, by a
         bound read from each elimination's own residuals.
 
-        rows (P, L+1, L) are the parent sets of channel rows H_p, G
+        H is the K x L channel and parents (P, L+1) the rows of its
+        parent sets, gathered here as the stack H_p, (P, L+1, L); G
         (P, L, L+1) and v (P, L+1) their left inverses and left null
         vectors, and skip the flat indices, among the P (L+1) rows, of
         the row k that each group S leaves out of its parent set. The
@@ -574,6 +575,7 @@ class ComplexField:
         residual stayed below 2.1e-9 and the decode errors below 2.5e-7,
         under decode_atol.
         """
+        rows = H.take(parents, axis=0)
         residual = np.matmul(G, rows)
         residual.reshape(len(residual), -1)[:, :: residual.shape[-1] + 1] -= 1
         rho = np.abs(residual).max(axis=(1, 2))

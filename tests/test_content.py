@@ -107,6 +107,17 @@ def test_place_caches_reduces_column_sums_past_p():
         assert z.payload.tolist() == want
 
 
+def test_place_caches_reduces_the_sum_in_slices(monkeypatch):
+    # A slice of 5 symbols ends inside one cache and across two; every
+    # symbol of the sum, the last slice's too, is still reduced.
+    import mscache.content as content
+
+    monkeypatch.setattr(content, "CHUNK_BYTES", 40)
+    cfg = LibraryConfig(N=9, K=9, L=8, F=18)
+    lib = Library(GF7, np.full((9, 18), 6, dtype=np.int64))
+    assert [z.payload.tolist() for z in place_caches(lib, cfg)] == [[54 % 7] * 2] * 9
+
+
 def test_place_caches_degenerate_single_file():
     cfg = LibraryConfig(N=1, K=1, L=1, F=4)
     lib = Library(GF, [[3, 1, 4, 1]])

@@ -25,10 +25,12 @@ import reference_kernels
 
 import mscache.channel as channel
 from mscache import (
+    CheckTooLarge,
     ComplexField,
     DimensionMismatch,
     PrimeField,
     ResamplingExhausted,
+    SimulatorError,
     draw_channel,
     inverse_stack,
     rank,
@@ -566,3 +568,160 @@ def test_condensation_memory_stays_at_three_orders():
     finally:
         tracemalloc.stop()
     assert peak < 24 << 20
+
+
+def _planted_grid(field, pairs, seeds):
+    """(H, L, verdict) cases of the condensation at K >= L+2 with the
+    rank loop's verdict: each draw as it is, and for each order u of A's
+    minors, with a row past the first L made a combination of L - 1
+    others, u - 1 of them also past the first L. That subset is
+    singular, so the loop refuses the draw; on a generic draw it is the
+    only singular one, and the first minor to vanish has order u."""
+    for K, L in pairs:
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            H = field.sample_channel(rng, (K, L))
+            yield H, L, _rank_loop_generic(field, H, L)
+            for u in range(1, min(K - L, L) + 1):
+                first = rng.choice(L, size=L - u, replace=False)
+                rest = rng.choice(np.arange(L, K), size=u, replace=False)
+                planted = H.copy()
+                others = np.concatenate([first, rest[1:]])
+                planted[rest[0]] = field.matmul(field.sample_channel(rng, L - 1), H[others])
+                assert rank(field, planted[np.append(others, rest[0])]) < L
+                yield planted, L, False
+
+
+@pytest.mark.parametrize("p", (3, 7, 65537, LARGEST_PRIME))
+def test_condensation_routes_give_the_rank_loops_verdicts(monkeypatch, p):
+    # Each order runs through its plan or through blocked gathers, by the
+    # one-block bound: 0 blocks every order and 2**40 plans every order.
+    # 40 and 230 switch routes inside one check: at (12, 6), whose orders
+    # 2-6 hold 225, 400, 225, 36 and 1 minors, 40 plans orders 5 and 6,
+    # and 230 plans orders 2, 4, 5 and 6 around a blocked order 3. The
+    # blocks are 64 minors, so a blocked order takes several.
+    field = PrimeField(p)
+    cases = list(_planted_grid(field, ((6, 2), (8, 3), (9, 4), (10, 5), (12, 6)), range(2)))
+    want = [verdict for _, _, verdict in cases]
+    monkeypatch.setattr(channel, "CHUNK_BYTES", 2048)
+    for bound in (0, 40, 230, 1 << 40):
+        monkeypatch.setattr(channel, "PLANNED_MINORS", bound)
+        assert [channel._generic(field, H, L) for H, L, _ in cases] == want, bound
+    if p > 7:
+        assert True in want and False in want
+
+
+def test_condensation_switches_routes_inside_one_check_at_20_9(monkeypatch):
+    # A is 11 x 9, condensed as 9 x 11: orders 2, 8 and 9 hold 1980, 1485
+    # and 55 minors and are planned; orders 3-7 hold 11,880 to 58,212 and
+    # are gathered block by block. A dependency planted in a subset of u
+    # rows past the first 9 first zeroes a minor of order u: planned at 2
+    # and 9, blocked at 5. Every route must refuse each.
+    planned = []
+    plan = channel._order_plan
+    monkeypatch.setattr(channel, "_order_plan", lambda *key: planned.append(key[2]) or plan(*key))
+    default = channel.PLANNED_MINORS
+    for p in (65537, LARGEST_PRIME):
+        field = PrimeField(p)
+        H = draw_channel(20, 9, 12, field).H
+        planned.clear()
+        assert channel._generic(field, H, 9)
+        assert planned == [2, 8, 9]
+        rng = np.random.default_rng(p)
+        for u in (2, 5, 9):
+            rest = rng.choice(np.arange(9, 20), size=u, replace=False)
+            others = np.concatenate([np.arange(9 - u), rest[1:]])
+            bad = H.copy()
+            bad[rest[0]] = field.matmul(field.sample_channel(rng, 8), H[others])
+            assert rank(field, bad[np.append(others, rest[0])]) < 9
+            for bound in (0, default, 1 << 40):
+                monkeypatch.setattr(channel, "PLANNED_MINORS", bound)
+                assert not channel._generic(field, bad, 9), (p, u, bound)
+            monkeypatch.setattr(channel, "PLANNED_MINORS", default)
+    # Plans of orders past the one-block bound leave the memo.
+    plan.cache_clear()
+
+
+def test_order_plan_memo_is_read_only_and_bounded():
+    # Checks at many (K, L) hold at most ORDER_PLANS plans, each of an
+    # order within the one-block bound at 40 bytes a minor, as
+    # _order_plan says; a cold and a warm memo give the same verdicts,
+    # the rank loop's where K <= 10.
+    field = PrimeField(LARGEST_PRIME)
+    cases = list(_planted_grid(field, [(K, L) for K in range(6, 11) for L in range(2, K - 1)], [0]))
+    for K in range(11, 17):
+        for L in range(2, K - 1):
+            cases.append((field.sample_channel(np.random.default_rng(K * L), (K, L)), L, None))
+    cold = []
+    for H, L, _ in cases:
+        channel._order_plan.cache_clear()
+        cold.append(channel._generic(field, H, L))
+    channel._order_plan.cache_clear()
+    warm = [channel._generic(field, H, L) for H, L, _ in cases]
+    info = channel._order_plan.cache_info()
+    assert info.hits and info.misses > channel.ORDER_PLANS
+    assert info.currsize == channel.ORDER_PLANS
+    plans = [r for r in gc.get_referents(channel._order_plan) if isinstance(r, channel._OrderPlan)]
+    assert len(plans) == info.currsize
+    for plan in plans:
+        n = plan.divisors.size
+        assert plan.terms.shape == (4, n) and n <= channel.PLANNED_MINORS
+        assert plan.terms.nbytes + plan.divisors.nbytes == 40 * n
+        for a in plan:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
+    assert warm == cold
+    checked = [(got, want) for got, (_, _, want) in zip(cold, cases) if want is not None]
+    assert all(got == want for got, want in checked)
+    assert True in cold and False in cold
+
+
+def _predicted(K, L):
+    return channel._condensation_bytes(
+        min(K - L, L), max(K - L, L), channel.CHUNK_BYTES, channel.PLANNED_MINORS
+    )
+
+
+def test_condensation_past_its_budget_refuses_before_any_work():
+    # At (40, 13) the condensation of A (27 x 13) would keep orders of up
+    # to 1.5 billion minors, about 64 GiB. The check refuses at once,
+    # whatever the draw, with a typed error naming the pair, the
+    # predicted bytes and the budget.
+    field = PrimeField(LARGEST_PRIME)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckTooLarge) as refused:
+            draw_channel(40, 13, 0, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert isinstance(refused.value, SimulatorError)
+    budget = channel.CONDENSATION_CHUNKS * channel.CHUNK_BYTES
+    need = _predicted(40, 13)
+    assert need > 64 << 30
+    for part in ("(40, 13)", str(need), str(budget)):
+        assert part in str(refused.value)
+    # (26, 12) and (30, 12) would peak near 56 and 491 MiB; the pairs that
+    # the other tests condense fit.
+    assert _predicted(26, 12) > budget and _predicted(30, 12) > budget
+    for K, L in ((17, 5), (20, 9), (24, 11), (40, 36), (101, 99)):
+        assert _predicted(K, L) <= budget
+
+
+@pytest.mark.parametrize("K, L", ((20, 6), (20, 9), (22, 10), (40, 36), (60, 56)))
+def test_condensation_peak_stays_within_its_prediction(K, L):
+    # With its plans and index maps built cold, a passing check's traced
+    # peak stays below the prediction the budget is held to.
+    field = PrimeField(LARGEST_PRIME)
+    H = field.sample_channel(np.random.default_rng(K), (K, L))
+    channel._order_plan.cache_clear()
+    channel._condensation_maps.cache_clear()
+    tracemalloc.start()
+    try:
+        assert channel._generic(field, H, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _predicted(K, L)

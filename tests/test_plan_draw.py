@@ -172,7 +172,7 @@ def _inverse_stack_verdict(field, H, N, L) -> bool:
     if not field.null_support(null)[:, :-1].all():
         return False
     G, v, _ = ChannelMatrix(field, H).left_inverses(layout.parents)
-    return field.inverses_hold(H[layout.parents], G, v, layout.skip)
+    return field.inverses_hold(H, layout.parents, G, v, layout.skip)
 
 
 def test_complex_verdict_does_not_depend_on_the_beam_route():
