@@ -11,7 +11,6 @@ from .channel import (
     ReceptionLog,
     decode_all,
     decode_user,
-    draw_channel,
     receive,
 )
 from .content import (
@@ -32,7 +31,7 @@ from .delivery import (
     build_row_plan_reduced,
     build_schedule,
     delivery_time,
-    draw_plan_channel,
+    draw_channel,
     is_supported,
     regime,
     render_delivery_table,
@@ -40,7 +39,6 @@ from .delivery import (
     verify_row_plan,
 )
 from .errors import (
-    CheckTooLarge,
     DegenerateChannel,
     DimensionMismatch,
     FieldError,
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CacheContent",
     "ChannelMatrix",
-    "CheckTooLarge",
     "ComplexField",
     "CSV_HEADER",
     "DecodeResult",
@@ -100,7 +97,6 @@ __all__ = [
     "decode_user",
     "delivery_time",
     "draw_channel",
-    "draw_plan_channel",
     "inverse_stack",
     "is_supported",
     "load_library",

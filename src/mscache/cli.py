@@ -19,7 +19,7 @@ from .content import DemandVector, LibraryConfig, place_caches, random_library
 from .delivery import (
     build_schedule,
     delivery_time,
-    draw_plan_channel,
+    draw_channel,
     is_supported,
     render_delivery_table,
 )
@@ -132,7 +132,7 @@ def _emit(args, text: str) -> None:
 
 def _run_trial(cfg: LibraryConfig, field, args, seed: int):
     library = random_library(field, cfg.N, cfg.F, 2 * seed + 1)
-    H = draw_plan_channel(cfg.N, cfg.L, 2 * seed, field)
+    H = draw_channel(cfg.N, cfg.L, 2 * seed, field)
     d = _demand_for(args, cfg, seed)
     caches = place_caches(library, cfg)
     schedule = build_schedule(d, H, library, cfg)

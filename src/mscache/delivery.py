@@ -38,9 +38,8 @@ Zero-forcing beams come from parent sets of L+1 channel rows: each
 served group plus the member of its telescoping segment that the
 transmission skips, or else the smallest user it does not serve, which
 in the full regime makes all N users one set. One batched elimination
-gives every parent set a left inverse G and a left null vector v; the
-channel memoizes it, so the beams share it with the channel check that
-accepted the channel. The group that leaves out parent row k has the
+gives every parent set a left inverse G and a left null vector v, and
+the channel memoizes it. The group that leaves out parent row k has the
 inverse G without column k minus G[:, k] v / v_k there, and the beam of
 served user q is its column q. No inverse is formed: the owner gains
 come from the owner row times G, g_q = (hG)_q - (hG)_k v_q / v_k, and
@@ -66,18 +65,18 @@ one (B, L) stack, let receivers descale their receptions. Block
 objects, each a view into these stacks, are built only when a caller
 reads them.
 
-The beams are also a channel check: ``draw_plan_channel`` accepts a
-draw when every served group has an inverse and every beam a nonzero
-owner gain, which is what the schedule needs, instead of asking it of
-all C(N, L) row subsets. An owner gain counts as nonzero by the same
+The beams are also the channel check: ``draw_channel`` accepts a draw
+when every served group has an inverse and every beam a nonzero owner
+gain, which is what the schedule needs, and asks nothing of the row
+subsets that no group uses. An owner gain counts as nonzero by the same
 relative rule as a parent set's null-vector entry, since the gains are
 the null vector of the group plus the owner row. The group inverses
 must also hold by the field's rule (``inverses_hold``), which reads
 only the parent sets' eliminations: one pair of products per parent
 set in complex mode, which gathers the parent rows itself, nothing in
-GF, and no product per block. The
-channel memoizes the beams' shifts and gains beside the eliminations,
-so the schedule built on an accepted draw reuses them.
+GF, and no product per block. The channel memoizes the beams' shifts
+and gains beside the eliminations, so the schedule built on an
+accepted draw reuses them.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import CHUNK_BYTES, DRAW_BUDGET, ChannelMatrix, _as_channel
+from .channel import ChannelMatrix, _as_channel
 from .content import DemandVector, Library, LibraryConfig
 from .errors import (
     DegenerateChannel,
@@ -98,6 +97,11 @@ from .errors import (
     WrongRegime,
 )
 from .field import FieldContext, seeded_rng
+from .linalg import CHUNK_BYTES
+
+# Channel draws before giving up; exceeding this signals a pathological
+# field size or dimensions, not bad luck.
+DRAW_BUDGET = 64
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -680,7 +684,7 @@ def _block_beams(field, factors, keep, skip, blocks: slice) -> np.ndarray:
 
 def _layout_beams(H: ChannelMatrix):
     """_beams over every block of H's schedule layout, memoized by the
-    channel, so the plan-aware draw that accepts H and the schedule built
+    channel, so the draw that accepts H and the schedule built
     on it share one computation."""
 
     def compute():
@@ -690,15 +694,15 @@ def _layout_beams(H: ChannelMatrix):
     return H.cached("layout_beams", compute)
 
 
-def draw_plan_channel(N: int, L: int, seed: int, field: FieldContext) -> ChannelMatrix:
+def draw_channel(N: int, L: int, seed: int, field: FieldContext) -> ChannelMatrix:
     """Seeded N x L channel draw, rejected until the schedule can use it.
 
-    Draws come from the same stream as ``draw_channel(N, L, seed, field)``,
-    but a draw is accepted when the beams over schedule_layout(N, L)
-    exist for every served group, each with a nonzero owner gain
-    (``_beams``), instead of when every L-row subset is invertible. The
-    channel keeps the parent sets' eliminations and the beams' shifts
-    and gains, so build_schedule on it computes neither again.
+    A draw is accepted when the beams over schedule_layout(N, L) exist
+    for every served group, each with a nonzero owner gain (``_beams``).
+    An unsupported (N, L) raises WrongRegime before any draw, and
+    DRAW_BUDGET rejected draws raise ResamplingExhausted. The channel
+    keeps the parent sets' eliminations and the beams' shifts and
+    gains, so build_schedule on it computes neither again.
     """
     schedule_layout(N, L)  # refuses an unsupported (N, L) before any draw
     rng = seeded_rng(seed)

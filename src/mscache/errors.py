@@ -33,9 +33,5 @@ class ResamplingExhausted(SimulatorError):
     """Channel rejection sampling hit its retry budget."""
 
 
-class CheckTooLarge(SimulatorError):
-    """An exact check would need more memory than its budget allows."""
-
-
 class PlanVerificationError(SimulatorError):
     """A generated row code plan failed the exact verification oracle."""

@@ -6,13 +6,13 @@ checked as a plain equality. ``ComplexField`` models the same linear
 network over complex floating point, with explicit tolerances standing
 in for exactness. A context owns every arithmetic decision (dtype,
 inversion, zero tests, equality, reduction), so no other module
-branches on the mode; ``exact`` tells the kernels that can use exact
-arithmetic (``linalg._gauss_jordan``, ``channel._generic``) whether
-they may. Values are plain numpy arrays; a single computation must
-stay within one context. Code that combines values
-with plain numpy arithmetic (products, sums and differences of at most
-2**63 in magnitude) passes the result through ``reduce``, and products
-that it will sum further through ``reduce_products``.
+branches on the mode; ``exact`` tells the kernel that can use exact
+arithmetic (``linalg._gauss_jordan``) whether it may. Values are plain
+numpy arrays; a single computation must stay within one context. Code
+that combines values with plain numpy arithmetic (products, sums and
+differences of at most 2**63 in magnitude) passes the result through
+``reduce``, and products that it will sum further through
+``reduce_products``.
 
 ``PrimeField.reduce`` subtracts (x // p) * p, so every reduction,
 including those of ``add``, ``sub``, ``mul`` and ``neg``, is a floor

@@ -7,8 +7,8 @@ as the pivot's index and then whether the gathered pivot is usable, the
 pivot's inverse, and when an elimination factor counts as zero.
 
 ``rank`` is plain row-by-row Gaussian elimination on one matrix of any
-shape, the tests' reference and the channel check's at K <= L. ``_gauss_jordan`` is a batched Gauss-Jordan on
-a (B, r, n) stack with r >= n: each column step is a few numpy
+shape, the tests' reference. ``_gauss_jordan`` is a batched Gauss-Jordan
+on a (B, r, n) stack with r >= n: each column step is a few numpy
 operations over the whole stack, not one Python elimination per
 matrix. It has two kernels, chosen by the field's ``exact``. In an
 exact field a step divides nothing: every row is scaled by the pivot
@@ -22,12 +22,9 @@ tests' reference for the exact one. ``inverse_stack`` is its square
 case. ``left_inverse_stack`` is its tall case, r = n+1: one pass gives
 every matrix a left inverse G and a left null vector v, and the inverse
 of the matrix without any one row k is then a rank-one update of G.
-The schedule's beams and the channel check at K = L+1 use the tall
-case, and share one elimination per parent set of rows through the
-channel, which memoizes it (``ChannelMatrix.left_inverses``); at
-K >= L+2 in GF the check inverts the first L rows with
-``inverse_stack`` and condenses minors, and in complex mode carries
-null spaces of row prefixes (``channel._generic``).
+The schedule's beams, which are also the channel draw's check, use
+the tall case, one elimination per parent set of rows, which the
+channel memoizes (``ChannelMatrix.left_inverses``).
 """
 
 from __future__ import annotations

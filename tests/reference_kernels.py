@@ -1,18 +1,14 @@
-"""Reference copies of the complex-mode eliminations as they stood before
-their per-step numpy calls were trimmed: the normalized Gauss-Jordan
-kernel and the prefix sweep of the channel check.
+"""A reference copy of the normalized Gauss-Jordan kernel as it stood
+before its per-step numpy calls were trimmed.
 
-The trimmed kernels in ``mscache.linalg`` and ``mscache.channel`` must
-give these the same bytes. Each copy reads only field methods whose
-values the trim left alone (``mul``, ``is_zero``, ``reduce``, ``coeff``,
-``pivot_threshold``, ``matmul``, ``inv_each``) and the channel-free
-walk ``channel._sweep_step``; the pivot choice of the time is copied
-into ``_select_pivot``.
+The trimmed kernel in ``mscache.linalg`` must give it the same bytes.
+The copy reads only field methods whose values the trim left alone
+(``mul``, ``is_zero``, ``reduce``, ``coeff``, ``pivot_threshold``,
+``inv_each``); the pivot choice of the time is copied into
+``_select_pivot``.
 """
 
 import numpy as np
-
-from mscache.channel import CHUNK_BYTES, PIVOT_MARGIN, _sweep_step
 
 
 def _select_pivot(field, cols, threshold):
@@ -50,33 +46,3 @@ def gauss_jordan_normalized(field, a):
         m -= factors[:, :, None] * pivot_rows[:, None, :]
         field.reduce(m)
     return m[:, :, n:], full_rank
-
-
-def prefix_sweep(field, H, L):
-    """Whether no sorted row prefix of H, up to depth L, gains a row that
-    its null space annihilates (complex mode at K >= L+2)."""
-    K = H.shape[0]
-    threshold = PIVOT_MARGIN * field.pivot_threshold(H)
-    pending = [(np.eye(L, dtype=field.dtype)[None], np.int64(-1).tobytes())]
-    while pending:
-        N, last = pending.pop()
-        w = N.shape[1]
-        step = _sweep_step(K, L, w, N.itemsize, CHUNK_BYTES, last)
-        if step.rest is not None:
-            pending.append((N[step.stop :].copy(), step.rest))
-        N = N[: step.stop]
-        products = field.matmul(H[step.low : step.top + 1], N.reshape(-1, L).T)
-        c = products.reshape(-1, w).take(step.pick, axis=0)
-        t, found = _select_pivot(field, c, threshold)
-        if not found.all():
-            return False
-        if w > 1:
-            at = step.first + t
-            factors = field.mul(c, field.inv_each(c.reshape(-1).take(at))[:, None])
-            children = N.take(step.parent, axis=0)
-            bases = children.reshape(-1, L)
-            children -= factors[:, :, None] * bases.take(at, axis=0)[:, None, :]
-            field.reduce(children)
-            bases[at] = children[:, -1]
-            pending.append((children[:, :-1], step.rows))
-    return True

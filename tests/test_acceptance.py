@@ -28,6 +28,7 @@ from mscache import (
     decode_all,
     decode_user,
     draw_channel,
+    is_supported,
     place_caches,
     random_library,
     receive,
@@ -35,6 +36,7 @@ from mscache import (
     verify_row_plan,
 )
 from mscache.content import CacheContent
+from mscache.delivery import schedule_layout
 
 GF = PrimeField(65537)
 CC = ComplexField()
@@ -215,23 +217,22 @@ def test_criterion_8_property_suite():
                        "complex), reception linearity, cache necessity, "
                        "byte-identical reruns"):
         # 1000 random (channel, group, target) triples in each mode, the
-        # beams from the schedule's kernel with one parent set per triple
-        # (the group plus a zero row appended to the channel) and one
-        # owner row per triple; times their owner gains they are the
-        # group's inverse
+        # groups those that the schedule serves at supported pairs with
+        # 3 <= K <= 7, and the beams from the schedule's kernel with one
+        # parent set per triple (the group plus a zero row appended to
+        # the channel) and one owner row per triple; times their owner
+        # gains they are the group's inverse
+        pairs = [(K, L) for K in range(3, 8) for L in range(1, K) if is_supported(K, L)]
         rng = np.random.default_rng(2024)
         done = 0
         while done < 1000:
-            K = int(rng.integers(2, 8))
-            L = int(rng.integers(1, K))
+            K, L = pairs[int(rng.integers(len(pairs)))]
+            served = schedule_layout(K, L).groups
             Hg = draw_channel(K, L, seed=int(rng.integers(1 << 30)), field=GF)
             Hc = draw_channel(K, L, seed=int(rng.integers(1 << 30)), field=CC)
             n = min(20, 1000 - done)
-            groups, targets = [], []
-            for _ in range(n):
-                group = sorted(rng.choice(K, size=L, replace=False).tolist())
-                targets.append(group.index(int(rng.choice(group))))
-                groups.append(group)
+            groups = served[rng.integers(len(served), size=n)].tolist()
+            targets = rng.integers(L, size=n).tolist()
             for H, exact in ((Hg, True), (Hc, False)):
                 inverses, gains, weights = group_beams(H.field, H.H, groups, seed=done)
                 if exact:

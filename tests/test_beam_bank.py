@@ -19,7 +19,6 @@ from mscache import (
     PrimeField,
     build_schedule,
     draw_channel,
-    draw_plan_channel,
     inverse_stack,
     is_supported,
     random_library,
@@ -109,7 +108,7 @@ def test_full_regime_gains_are_null_vector_ratios(p):
             assert np.array_equal(np.array(block.gains), want), (N, k)
 
 
-def _eliminated(monkeypatch, N, L, draw=draw_channel, record=lambda a: a.shape[0]):
+def _eliminated(monkeypatch, N, L, record=lambda a: a.shape[0]):
     """What the batched kernel eliminates while one channel is drawn and
     one schedule is built on it: by default the number of matrices of
     each call."""
@@ -124,14 +123,14 @@ def _eliminated(monkeypatch, N, L, draw=draw_channel, record=lambda a: a.shape[0
         return kernel(field, a)
 
     monkeypatch.setattr(linalg, "_gauss_jordan", counting)
-    H = draw(N, L, 0, field)
+    H = draw_channel(N, L, 0, field)
     build_schedule(DemandVector(range(N)), H, lib, cfg)
     return count
 
 
 def test_one_elimination_for_a_full_schedule(monkeypatch):
-    # All 64 groups leave one user out of the same 64 rows, and the
-    # channel check's elimination of those rows is the one the bank uses.
+    # All 64 groups leave one user out of the same 64 rows: one parent
+    # set, eliminated once for the draw's check and the schedule.
     assert _eliminated(monkeypatch, 64, 63) == [1]
 
 
@@ -142,11 +141,11 @@ def test_one_elimination_per_parent_set_at_17_5(monkeypatch):
     layout = schedule_layout(17, 5)
     assert len(np.unique(layout.groups, axis=0)) == 33
     assert len(layout.parents) == 14
-    # The all-subsets check first inverts the channel's first 5 rows.
-    assert _eliminated(monkeypatch, 17, 5, record=np.shape) == [(1, 5, 5), (14, 6, 5)]
+    # The draw's check is the beams': it eliminates nothing else.
+    assert _eliminated(monkeypatch, 17, 5, record=np.shape) == [(14, 6, 5)]
 
 
 def test_plan_draw_eliminates_once_for_draw_and_schedule(monkeypatch):
-    # The plan-aware check is the beam bank itself: one draw at seed 0
+    # The draw's check is the beam bank itself: one draw at seed 0
     # eliminates the 14 parent sets once, and the schedule reuses them.
-    assert _eliminated(monkeypatch, 17, 5, draw=draw_plan_channel) == [14]
+    assert _eliminated(monkeypatch, 17, 5) == [14]

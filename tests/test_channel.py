@@ -19,16 +19,18 @@ from mscache import (
     LibraryConfig,
     PrimeField,
     ResamplingExhausted,
+    WrongRegime,
     build_schedule,
     decode_all,
     decode_user,
     draw_channel,
-    draw_plan_channel,
+    inverse_stack,
     place_caches,
     random_library,
     receive,
 )
 from mscache.content import CacheContent
+from mscache.delivery import schedule_layout
 
 GF = PrimeField(65537)
 GF7 = PrimeField(7)
@@ -49,9 +51,11 @@ def _int_det(mat) -> int:
 
 
 def test_draw_scalar_channel():
-    H = draw_channel(1, 1, seed=0, field=GF7)
-    assert H.K == 1 and H.L == 1
-    assert int(H.H[0, 0]) % 7 != 0
+    # The smallest supported pair: two users, one antenna, each user's
+    # channel a nonzero scalar.
+    H = draw_channel(2, 1, seed=0, field=GF7)
+    assert H.K == 2 and H.L == 1
+    assert all(int(h) % 7 != 0 for h in H.H[:, 0])
 
 
 def test_draw_determinism():
@@ -78,18 +82,37 @@ def test_draw_all_row_subsets_invertible():
         assert abs(np.linalg.det(sub)) > 1e-9
 
 
-def test_draw_exhaustion_when_no_generic_channel_exists():
-    # over GF(2) there are only three nonzero length-2 rows, so four
-    # pairwise independent rows cannot exist
+def test_draw_exhaustion_when_no_schedulable_channel_exists():
+    # over GF(2) every channel entry is 1, so any two rows are equal and
+    # no served pair of users is independent
     with pytest.raises(ResamplingExhausted):
-        draw_channel(4, 2, seed=0, field=PrimeField(2), budget=16)
+        draw_channel(4, 2, seed=0, field=PrimeField(2))
 
 
-def test_draw_rejects_bad_shape():
-    with pytest.raises(InconsistentInputs):
-        draw_channel(0, 1, seed=0, field=GF)
-    with pytest.raises(InconsistentInputs):
-        draw_channel(3, 0, seed=0, field=GF)
+def test_draw_rejects_bad_shape(monkeypatch):
+    # An unsupported (N, L) is refused before any channel is sampled:
+    # (30, 12) has no schedule, since its 29 users cannot be tiled by
+    # segments of 12 and 13.
+    field = PrimeField(65537)
+
+    def sample(rng, shape):
+        raise AssertionError(f"sampled a {shape} channel")
+
+    monkeypatch.setattr(field, "sample_channel", sample, raising=False)
+    for N, L in ((0, 1), (3, 0), (30, 12)):
+        with pytest.raises(WrongRegime):
+            draw_channel(N, L, seed=0, field=field)
+
+
+@pytest.mark.parametrize("N, L, p", [(40, 13, 536870909), (26, 12, 65537)])
+def test_draw_answers_pairs_whose_row_subsets_are_too_many_to_check(N, L, p):
+    # C(40, 13) = 1.2e10 and C(26, 12) = 9.7e6 row subsets; the draw asks
+    # only the schedule's groups and owner gains of its samples.
+    field = PrimeField(p)
+    H = draw_channel(N, L, seed=0, field=field)
+    assert (H.K, H.L) == (N, L)
+    layout = schedule_layout(N, L)
+    assert inverse_stack(field, H.H[layout.groups])[1].all()
 
 
 def test_receive_matches_direct_products():
@@ -308,7 +331,7 @@ def test_receive_refuses_a_channel_of_another_field_or_size():
 REFUSALS = {
     "library seed": (lambda: random_library(GF, 3, 4, -1), "seed -1 is not"),
     "channel seed": (lambda: draw_channel(5, 2, -1, GF), "seed -1 is not"),
-    "plan channel seed": (lambda: draw_plan_channel(5, 2, -1, GF), "seed -1 is not"),
+    "plan channel seed": (lambda: draw_channel(5, 2, -1, CC), "seed -1 is not"),
     "library size": (lambda: random_library(GF, 3, -4, 1), "F=-4"),
     "demand None": (lambda: DemandVector(None), "demand must be a sequence"),
     "demand int": (lambda: DemandVector(5), "demand must be a sequence"),

@@ -21,7 +21,6 @@ from mscache import (
     build_row_plan_reduced,
     build_schedule,
     draw_channel,
-    draw_plan_channel,
     is_supported,
     random_library,
     regime,
@@ -576,7 +575,7 @@ def test_zero_coefficient_plan_gives_zero_block():
     layout = dataclasses.replace(layout, **delivery._slot_combinations(served, zero))
     assert len(layout.mixes) == 3
     lib = random_library(GF, N, 8, seed=2)
-    factors = delivery._layout_beams(draw_plan_channel(N, L, 3, GF))
+    factors = delivery._layout_beams(draw_channel(N, L, 3, GF))
     out = np.ones((3, L, 1), dtype=np.int64)
     signals = delivery._payload(GF, factors, layout, lib.parts(L), np.arange(N), range(1, 2), out)
     assert signals is out
@@ -699,7 +698,7 @@ def test_schedule_makes_one_payload_product_per_row_block(monkeypatch, N, L, sca
     lib = random_library(field, N, cfg.F, seed=N)
     # The plan-aware draw memoizes the beams, so the schedule's only
     # products are the payload's.
-    H = draw_plan_channel(N, L, seed=L, field=field)
+    H = draw_channel(N, L, seed=L, field=field)
     layout = schedule_layout(N, L)
     tau = cfg.F // (N * layout.minifiles)
     if one_row:

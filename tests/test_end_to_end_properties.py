@@ -5,10 +5,8 @@ schedule, reception and decoding. Each block's receptions must be the
 channel applied to its signal, every user must decode its file exactly,
 decoding one user alone must give what the batch gives (in complex mode
 within decode_atol), and, at small N, the independent span oracle must
-agree. A channel comes from either draw: the all-subsets check or the
-schedule's own (plan-aware) one. Channels that cannot be drawn at a
-small prime (none accepted within the draw budget) are assumed away,
-not counted as passes.
+agree. Channels that cannot be drawn at a small prime (none accepted
+within the draw budget) are assumed away, not counted as passes.
 """
 
 import numpy as np
@@ -28,7 +26,6 @@ from mscache import (
     decode_all,
     decode_user,
     draw_channel,
-    draw_plan_channel,
     is_supported,
     place_caches,
     random_library,
@@ -50,13 +47,12 @@ def instances(draw):
     p = draw(st.sampled_from(PRIMES))
     demand = draw(st.permutations(range(N)))
     seed = draw(st.integers(0, 2**32 - 1))
-    channel = draw(st.sampled_from((draw_channel, draw_plan_channel)))
-    return N, L, p, demand, seed, channel
+    return N, L, p, demand, seed
 
 
-def _run(field, N, L, demand, seed, draw=draw_channel):
+def _run(field, N, L, demand, seed):
     cfg = LibraryConfig(N=N, K=N, L=L, F=N * L)
-    H = draw(N, L, seed, field)
+    H = draw_channel(N, L, seed, field)
     lib = random_library(field, N, cfg.F, seed + 1)
     d = DemandVector(demand)
     sched = build_schedule(d, H, lib, cfg)
@@ -68,10 +64,10 @@ def _run(field, N, L, demand, seed, draw=draw_channel):
 @settings(max_examples=100, deadline=None)
 @given(instances())
 def test_receptions_decode_exactly_and_agree_with_the_span_oracle(instance):
-    N, L, p, demand, seed, draw = instance
+    N, L, p, demand, seed = instance
     field = PrimeField(p)
     try:
-        cfg, H, lib, d, sched, log, results = _run(field, N, L, demand, seed, draw)
+        cfg, H, lib, d, sched, log, results = _run(field, N, L, demand, seed)
     except ResamplingExhausted:
         assume(False)
     assert len(log.per_block) == len(sched.blocks)
@@ -86,7 +82,7 @@ def test_receptions_decode_exactly_and_agree_with_the_span_oracle(instance):
         assert alone.success and np.array_equal(alone.data, res.data)
     # In complex mode, within decode_atol of the batch.
     cc = ComplexField()
-    _, cH, _, _, csched, clog, cresults = _run(cc, N, L, demand, seed, draw)
+    _, cH, _, _, csched, clog, cresults = _run(cc, N, L, demand, seed)
     ccaches = place_caches(csched.library, cfg)
     for k, res in enumerate(cresults):
         alone = decode_user(k, d, ccaches[k], clog, cH, csched)
@@ -109,14 +105,13 @@ def small_prime_instances(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_prime_instances())
 def test_small_prime_plan_draws_decode_and_agree_with_the_span_oracle(instance):
-    # GF(5) and GF(7) reach some reduced pairs only through the
-    # plan-aware draw, whose kernel refuses many of their samples for a
-    # zero null-vector entry (a dependent group) or a zero owner gain.
+    # The draw's kernel refuses many GF(5) and GF(7) samples for a zero
+    # null-vector entry (a dependent group) or a zero owner gain.
     # Every draw it accepts must decode exactly, as the oracle confirms.
     N, L, p, demand, seed = instance
     field = PrimeField(p)
     try:
-        cfg, H, lib, d, sched, log, results = _run(field, N, L, demand, seed, draw_plan_channel)
+        cfg, H, lib, d, sched, log, results = _run(field, N, L, demand, seed)
     except ResamplingExhausted:
         assume(False)
     assert all(res.success for res in results)
@@ -167,7 +162,7 @@ def test_decode_equals_the_dense_decoder_stack(instance):
     # user) decoder: bit for bit in GF, within decode_atol in complex.
     N, L, field, demand, seed, k = instance
     try:
-        cfg, H, lib, d, sched, log, results = _run(field, N, L, demand, seed, draw_plan_channel)
+        cfg, H, lib, d, sched, log, results = _run(field, N, L, demand, seed)
     except ResamplingExhausted:
         assume(False)
     caches = place_caches(lib, cfg)
@@ -191,30 +186,21 @@ def test_decode_with_many_taps_equals_the_dense_decoder_stack(N):
     # (40, 1) reduce them first.
     field = PrimeField(536870909)
     demand = np.random.default_rng(N).permutation(N).tolist()
-    cfg, H, lib, d, sched, log, results = _run(field, N, 1, demand, N, draw_plan_channel)
+    cfg, H, lib, d, sched, log, results = _run(field, N, 1, demand, N)
     dense = _dense_decode(field, d, place_caches(lib, cfg), log, sched)
     assert np.array_equal(np.stack([res.data for res in results]), dense)
     assert all(res.success for res in results)
 
 
 @pytest.mark.parametrize(
-    "N, L, draw",
-    [
-        (12, 5, draw_channel),
-        (16, 15, draw_channel),
-        (24, 11, draw_plan_channel),
-        (40, 13, draw_plan_channel),
-    ],
-    ids=["12-5", "16-15", "24-11", "40-13"],
+    "N, L", [(12, 5), (16, 15), (24, 11), (40, 13)], ids=["12-5", "16-15", "24-11", "40-13"]
 )
-def test_complex_decode_error_far_below_tolerance(N, L, draw):
+def test_complex_decode_error_far_below_tolerance(N, L):
     # The measured margin: about 1e-14 against decode_atol = 1e-6, and
-    # 1.4e-13 at (24, 11), 5.6e-14 at (40, 13). Those two take the
-    # plan-aware draw: the all-subsets check would sweep C(24, 11) = 2.5M
-    # and C(40, 13) = 1.2e10 subsets.
+    # 1.4e-13 at (24, 11), 5.6e-14 at (40, 13).
     cc = ComplexField()
     demand = np.random.default_rng(N).permutation(N).tolist()
-    _, _, lib, d, _, _, results = _run(cc, N, L, demand, seed=0, draw=draw)
+    _, _, lib, d, _, _, results = _run(cc, N, L, demand, seed=0)
     err = max(float(np.max(np.abs(r.data - lib.data[d[k]]))) for k, r in enumerate(results))
     assert all(r.success for r in results)
     assert err < 1e-12
@@ -257,11 +243,10 @@ def reduced_regime_instances(draw):
 @settings(max_examples=6, deadline=None)
 @given(reduced_regime_instances())
 def test_reduced_regime_decodes_exactly_at_scale(instance):
-    # The plan-aware draw lets reduced N in the tens run: the all-subsets
-    # check exhausts its budget from about (24, 11) on.
+    # Reduced N in the tens: the draw checks only the schedule's groups.
     N, L, p, demand, seed = instance
     field = PrimeField(p)
-    _, _, lib, d, _, _, results = _run(field, N, L, demand, seed, draw=draw_plan_channel)
+    _, _, lib, d, _, _, results = _run(field, N, L, demand, seed)
     for k, res in enumerate(results):
         assert res.success
         assert field.equal(res.data, lib.data[d[k]])

@@ -1,12 +1,11 @@
 """The plan-aware channel draw and the channel's memoized eliminations.
 
-``draw_plan_channel`` samples the stream ``draw_channel`` samples, but
-accepts a draw when the schedule can zero-force every served group with
-a nonzero owner gain, instead of when every L-row subset is invertible.
-The reference here decides that per group with ``inverse_stack``, not
-through the beam bank. A ``ChannelMatrix`` owns a private read-only copy
-of its matrix and eliminates each set of parent rows, and computes its
-schedule's beams, at most once.
+``draw_channel`` accepts a draw when the schedule can zero-force every
+served group with a nonzero owner gain, and asks nothing of the row
+subsets that no group uses. The reference here decides that per group
+with ``inverse_stack``, not through the beam bank. A ``ChannelMatrix``
+owns a private read-only copy of its matrix and eliminates each set of
+parent rows, and computes its schedule's beams, at most once.
 """
 
 import tracemalloc
@@ -26,13 +25,11 @@ from mscache import (
     WrongRegime,
     build_schedule,
     draw_channel,
-    draw_plan_channel,
     inverse_stack,
     is_supported,
     random_library,
 )
-from mscache.channel import DRAW_BUDGET
-from mscache.delivery import _layout_beams, schedule_layout
+from mscache.delivery import DRAW_BUDGET, _layout_beams, schedule_layout
 from mscache.linalg import left_inverse_stack
 
 SUPPORTED = [(N, L) for N in range(2, 9) for L in range(1, N) if is_supported(N, L)]
@@ -81,7 +78,7 @@ def test_plan_draw_accepts_exactly_the_schedulable_draws(p):
                 if _schedulable(field, H, N, L):
                     want = H
                     break
-            got, got_draws = _counted(draw_plan_channel, N, L, seed, field)
+            got, got_draws = _counted(draw_channel, N, L, seed, field)
             assert got_draws == want_draws, (p, N, L, seed)
             assert (got is None) == (want is None), (p, N, L, seed)
             if want is not None:
@@ -90,28 +87,14 @@ def test_plan_draw_accepts_exactly_the_schedulable_draws(p):
     assert rejected or p == 65537
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 65537))
-def test_plan_draw_is_draw_channel_in_the_full_regime(p):
-    # With L = N-1 the groups are the N-row channel without one row each,
-    # so both checks ask the same question of the same stream.
-    field = PrimeField(p)
-    for N in range(2, 9):
-        for seed in range(4):
-            want = _counted(draw_channel, N, N - 1, seed, field)
-            got = _counted(draw_plan_channel, N, N - 1, seed, field)
-            assert got[1] == want[1], (p, N, seed)
-            assert (got[0] is None) == (want[0] is None)
-            if want[0] is not None:
-                assert field.equal(got[0], want[0])
-
-
 @pytest.mark.parametrize("field", (PrimeField(65537), ComplexField()), ids=("gf", "complex"))
 def test_plan_draw_takes_one_draw_at_reduced_scale(field):
-    # The all-subsets check takes 5, 14, 7 and 11 draws at (20, 9) over
-    # GF(65537) and exhausts its budget at (24, 11).
+    # A draw that required every L-row subset to be invertible took 5,
+    # 14, 7 and 11 samples at (20, 9) over GF(65537) and ran out of
+    # samples at (24, 11).
     for N, L in ((20, 9), (24, 11)):
         for seed in range(4):
-            assert _counted(draw_plan_channel, N, L, seed, field)[1] == 1
+            assert _counted(draw_channel, N, L, seed, field)[1] == 1
 
 
 def _plan_subsets(N, L):
@@ -132,10 +115,9 @@ def _plan_subsets(N, L):
 
 
 def test_complex_plan_check_is_never_looser_than_the_rank_loop():
-    # The channel check's grid (test_inverse_stack.py): the last row is
-    # the sum of the first two plus noise of size eps. Wherever the rank
-    # test (``inverse_stack``'s) on a subset the schedule uses rejects,
-    # the beams refuse.
+    # The last row is the sum of the first two plus noise of size eps.
+    # Wherever the rank test (``inverse_stack``'s) on a subset the
+    # schedule uses rejects, the beams refuse.
     # With the owner gains held only to inv_each's absolute floor, 39
     # draws at (7, 3), (9, 4) and (12, 5) got through, between eps = 3e-13
     # and 3e-10.
@@ -203,12 +185,12 @@ def test_complex_verdict_does_not_depend_on_the_beam_route():
 
 def test_plan_draw_refuses_what_it_cannot_draw():
     with pytest.raises(WrongRegime):
-        draw_plan_channel(6, 6, seed=0, field=PrimeField(65537))
+        draw_channel(6, 6, seed=0, field=PrimeField(65537))
     with pytest.raises(WrongRegime):
-        draw_plan_channel(1, 1, seed=0, field=PrimeField(65537))
+        draw_channel(1, 1, seed=0, field=PrimeField(65537))
     # Over GF(2) every channel entry is 1, so any two rows are equal.
     with pytest.raises(ResamplingExhausted):
-        draw_plan_channel(4, 2, seed=0, field=PrimeField(2))
+        draw_channel(4, 2, seed=0, field=PrimeField(2))
 
 
 def _recorded_refusals(monkeypatch) -> list:
@@ -239,7 +221,7 @@ def test_gf3_exhausts_every_reduced_pair_with_two_or_more_antennas(monkeypatch):
     for N, L in SMALL_REDUCED:
         for seed in range(3):
             with pytest.raises(ResamplingExhausted):
-                draw_plan_channel(N, L, seed, PrimeField(3))
+                draw_channel(N, L, seed, PrimeField(3))
     assert set(refusals) == {"dependent"}
     assert len(refusals) == 15 * 3 * DRAW_BUDGET
 
@@ -251,7 +233,7 @@ def test_gf5_and_gf7_draws_meet_both_refusals(monkeypatch):
     for p in (5, 7):
         for N, L in SMALL_REDUCED:
             try:
-                draw_plan_channel(N, L, 0, PrimeField(p))
+                draw_channel(N, L, 0, PrimeField(p))
             except ResamplingExhausted:
                 pass
     assert set(refusals) == {"dependent", "zero gain"}
@@ -292,7 +274,7 @@ def test_plan_draw_and_schedule_share_the_beams(monkeypatch):
         return beams(*args)
 
     monkeypatch.setattr(delivery, "_beams", counting)
-    H = draw_plan_channel(17, 5, 0, field)
+    H = draw_channel(17, 5, 0, field)
     schedule = build_schedule(DemandVector(range(17)), H, random_library(field, 17, 85, 1), cfg)
     assert calls == [len(schedule.layout.groups)]
     assert schedule.gains is _layout_beams(H)[-1]
@@ -317,7 +299,7 @@ def test_plan_draw_and_schedule_hold_no_beam_stack():
     schedule_layout(N, L)
     tracemalloc.start()
     try:
-        H = draw_plan_channel(N, L, 0, field)
+        H = draw_channel(N, L, 0, field)
         build_schedule(DemandVector(range(N)), H, library, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -345,8 +327,8 @@ def _cold_layout():
 
 @pytest.mark.parametrize("build, field, bound", [
     (_cold_layout, PrimeField(65537), 6.5),
-    (lambda: draw_plan_channel(64, 62, 0, PrimeField(65537)), PrimeField(65537), 6.2),
-    (lambda: draw_plan_channel(64, 62, 0, ComplexField()), ComplexField(), 12.5),
+    (lambda: draw_channel(64, 62, 0, PrimeField(65537)), PrimeField(65537), 6.2),
+    (lambda: draw_channel(64, 62, 0, ComplexField()), ComplexField(), 12.5),
 ], ids=["gf layout", "gf channel memo", "complex channel memo"])
 def test_layout_and_channel_memo_keep_one_copy_of_each_table(build, field, bound):
     # At (64, 62) the layout keeps its groups, keep and coefficients,
@@ -358,6 +340,6 @@ def test_layout_and_channel_memo_keep_one_copy_of_each_table(build, field, bound
     # small draw first builds what every draw shares, such as the
     # field's table of inverses, and the memo's draw reuses the cached
     # layout.
-    draw_plan_channel(5, 3, 0, field)
+    draw_channel(5, 3, 0, field)
     schedule_layout(64, 62)
     assert _retained(build) <= bound * 2**20
