@@ -9,6 +9,7 @@ parent rows, and computes its schedule's beams, at most once.
 """
 
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -85,6 +86,33 @@ def test_plan_draw_accepts_exactly_the_schedulable_draws(p):
                 assert field.equal(got, want)
             rejected += want_draws - 1
     assert rejected or p == 65537
+
+
+def _all_subsets_draw(N, L, seed, field):
+    """(H, draws) accepting the first sample whose every L-row subset is invertible."""
+    rng = np.random.default_rng(seed)
+    subsets = [list(rows) for rows in combinations(range(N), L)]
+    for draws in range(1, DRAW_BUDGET + 1):
+        H = field.sample_channel(rng, (N, L))
+        if inverse_stack(field, H[subsets])[1].all():
+            return H, draws
+    return None, DRAW_BUDGET
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 65537))
+def test_plan_draw_is_draw_channel_in_the_full_regime(p):
+    # With L = N-1 the groups are the N-row channel without one row each,
+    # so the draw asks what a draw requiring every L-row subset to be
+    # invertible asks, of the same stream.
+    field = PrimeField(p)
+    for N in range(2, 9):
+        for seed in range(4):
+            want = _all_subsets_draw(N, N - 1, seed, field)
+            got = _counted(draw_channel, N, N - 1, seed, field)
+            assert got[1] == want[1], (p, N, seed)
+            assert (got[0] is None) == (want[0] is None)
+            if want[0] is not None:
+                assert field.equal(got[0], want[0])
 
 
 @pytest.mark.parametrize("field", (PrimeField(65537), ComplexField()), ids=("gf", "complex"))
