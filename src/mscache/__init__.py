@@ -10,7 +10,6 @@ from .channel import (
     DecodeResult,
     ReceptionLog,
     decode_all,
-    decode_user,
     receive,
 )
 from .content import (
@@ -18,10 +17,8 @@ from .content import (
     DemandVector,
     Library,
     LibraryConfig,
-    load_library,
     place_caches,
     random_library,
-    save_library,
 )
 from .delivery import (
     DeliverySchedule,
@@ -50,7 +47,6 @@ from .errors import (
     WrongRegime,
 )
 from .field import ComplexField, FieldContext, PrimeField, make_field
-from .linalg import inverse_stack, rank
 from .metrics import (
     CSV_HEADER,
     MetricsReport,
@@ -94,20 +90,15 @@ __all__ = [
     "build_schedule",
     "converse_bound",
     "decode_all",
-    "decode_user",
     "delivery_time",
     "draw_channel",
-    "inverse_stack",
     "is_supported",
-    "load_library",
     "make_field",
     "place_caches",
     "random_library",
-    "rank",
     "receive",
     "regime",
     "render_delivery_table",
-    "save_library",
     "segment_sizes",
     "uncoded_baseline",
     "verify_row_plan",

@@ -175,7 +175,7 @@ def receive(H: ChannelMatrix, schedule) -> ReceptionLog:
     return ReceptionLog(H.field, rx)
 
 
-def _check_consistent(d, caches, users: range, log, H: ChannelMatrix, schedule) -> None:
+def _check_consistent(d, caches, log, H: ChannelMatrix, schedule) -> None:
     cfg = schedule.cfg
     if tuple(d) != tuple(schedule.demand):
         raise InconsistentInputs("demand vector differs from the one scheduled")
@@ -191,11 +191,11 @@ def _check_consistent(d, caches, users: range, log, H: ChannelMatrix, schedule) 
             f"reception log of shape {np.shape(log.per_block)} does not cover the "
             f"schedule's (B, K, tau) = {(B, cfg.K, tau)}"
         )
-    if len(caches) != len(users):
-        raise InconsistentInputs(f"{len(caches)} caches for {len(users)} users")
+    if len(caches) != cfg.K:
+        raise InconsistentInputs(f"{len(caches)} caches for {cfg.K} users")
     owners = [Z.user for Z in caches]
-    if owners != list(users):
-        k, owner = next((k, u) for k, u in zip(users, owners) if k != u)
+    if owners != list(range(cfg.K)):
+        k, owner = next((k, u) for k, u in enumerate(owners) if k != u)
         raise InconsistentInputs(f"cache of user {owner} given for user {k}")
 
 
@@ -216,9 +216,12 @@ def _scales(field: FieldContext, layout, gains, rows: slice) -> np.ndarray:
     return scales.reshape(-1, n_tx, K)
 
 
-def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: slice) -> list:
-    """Decode a slice of the users into one (n, N, m, tau) buffer; each
-    file is a contiguous view of it.
+def decode_all(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule) -> list[DecodeResult]:
+    """Every user's file from receptions plus caches[k], user k's cache;
+    a raw channel array is taken over the schedule's field.
+
+    All K users decode into one (K, N, m, tau) buffer; each file is a
+    contiguous view of it.
 
     User u's receptions in row i, times its scales there, are z. Its
     minifile j is row j of A applied to z, read from the layout's taps:
@@ -247,18 +250,16 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
     field = H.field
     layout = schedule.layout
     N, K = schedule.cfg.N, schedule.cfg.K
-    users = range(K)[users]
-    _check_consistent(d, caches, users, log, H, schedule)
+    users = range(K)
+    _check_consistent(d, caches, log, H, schedule)
     n_tx, m, taps = layout.transmissions, layout.minifiles, layout.taps
-    n, tau = len(users), schedule.signals.shape[-1]
-    own = slice(users.start, users.stop)
-    rx = np.asarray(log.per_block).reshape(N, n_tx, K, tau)[:, :, own]
-    data = np.empty((n, N, m, tau), dtype=field.dtype)
-    # Decoded file k's own row, row users.start + k, is every (N+1)-th row
-    # of the buffer from row users.start.
-    mine = data.reshape(n * N, m, tau)[users.start :: N + 1]
+    tau = schedule.signals.shape[-1]
+    rx = np.asarray(log.per_block).reshape(N, n_tx, K, tau)
+    data = np.empty((K, N, m, tau), dtype=field.dtype)
+    # Decoded file k's own row, row k, is every (N+1)-th row of the buffer.
+    mine = data.reshape(K * N, m, tau)[:: N + 1]
     try:
-        np.concatenate([Z.payload[None] for Z in caches], out=mine.reshape(n, m * tau))
+        np.concatenate([Z.payload[None] for Z in caches], out=mine.reshape(K, m * tau))
     except ValueError:
         shape = next(Z.payload.shape for Z in caches if Z.payload.shape != (m * tau,))
         raise InconsistentInputs(f"cache of shape {shape}, expected {m * tau} symbols") from None
@@ -269,19 +270,17 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
     out = data.transpose(1, 2, 0, 3)  # (row, minifile, user, symbol)
     # Whole rows per block while a row's receptions fit in CHUNK_BYTES,
     # else one row per block in equal runs of symbols.
-    symbol_bytes = n_tx * n * data.itemsize
+    symbol_bytes = n_tx * K * data.itemsize
     pieces = -(-tau * symbol_bytes // CHUNK_BYTES)
     width = -(-tau // pieces)
     height = max(1, CHUNK_BYTES // (symbol_bytes * width))
     for r in range(0, N, height):
         rows = slice(r, min(r + height, N))
-        scales = _scales(field, layout, schedule.gains, rows)[:, :, own, None]
-        # The decoded files whose own rows the block holds.
-        owners = slice(max(rows.start - users.start, 0), max(rows.stop - users.start, 0))
+        scales = _scales(field, layout, schedule.gains, rows)[..., None]
         for c in range(0, tau, width):
             cols = slice(c, c + width)
             o = out[rows, :, :, cols]
-            cached = mine[owners, :, cols].copy()
+            cached = mine[rows, :, cols].copy()
             z = o if len(taps) == 1 else np.empty(o.shape[:1] + (n_tx,) + o.shape[2:], o.dtype)
             np.multiply(scales, rx[rows, :, :, cols], out=z)
             if len(taps) > 1:
@@ -289,16 +288,16 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
                 np.copyto(o, z[:, taps[0][1]])
                 for j, t, sign in taps[1:]:
                     (np.add if sign > 0 else np.subtract)(o[:, j], z[:, t], out=o[:, j])
-            np.subtract(cached, mine[owners, :, cols], out=mine[owners, :, cols])
+            np.subtract(cached, mine[rows, :, cols], out=mine[rows, :, cols])
             field.reduce(o)
     # One verdict per block of users whose requested files fit together
     # in CHUNK_BYTES: a gather of those files and one comparison, one flag
     # per file. A block of one file compares the library's row as a view.
     library = schedule.library.data
-    files = data.reshape(n, -1)
+    files = data.reshape(K, -1)
     height = max(1, CHUNK_BYTES // files[0].nbytes)
-    success = np.empty(n, dtype=bool)
-    for b in range(0, n, height):
+    success = np.empty(K, dtype=bool)
+    for b in range(0, K, height):
         want = [d[k] for k in users[b : b + height]]
         rows = library[want[0] : want[0] + 1] if len(want) == 1 else library[want]
         success[b : b + height] = field.close(files[b : b + height], rows, axis=1)
@@ -318,16 +317,3 @@ def _decode(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule, users: sli
                                     mismatch=divmod(index // tau, m), residual=residual))
     return results
 
-
-def decode_user(k: int, d, Z_k, log: ReceptionLog, H: ChannelMatrix, schedule) -> DecodeResult:
-    """Reconstruct user k's requested file from receptions plus cache:
-    the one-user case of decode_all."""
-    if not 0 <= k < schedule.cfg.K:
-        raise InconsistentInputs(f"user {k} out of range for K={schedule.cfg.K}")
-    return _decode(d, [Z_k], log, H, schedule, slice(k, k + 1))[0]
-
-
-def decode_all(d, caches, log: ReceptionLog, H: ChannelMatrix, schedule) -> list[DecodeResult]:
-    """Every user's file from receptions plus caches[k], user k's cache;
-    a raw channel array is taken over the schedule's field."""
-    return _decode(d, caches, log, H, schedule, slice(None))

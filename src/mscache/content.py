@@ -6,25 +6,23 @@ the sum of the k-th subfile of every file. Delivery further splits each
 subfile into m equal contiguous minifiles (m = 1 with L = N-1 antennas,
 m = L with fewer).
 
+A library is drawn from its seed (``random_library``) and lives only in
+memory: a trial is reproduced from its seed, never from a saved file.
+
 All indices in this API are 0-based; human-facing renderings elsewhere
 use 1-based labels.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DimensionMismatch, IndivisibleFile, InconsistentInputs, WrongRegime
-from .field import ComplexField, FieldContext, PrimeField, seeded_rng
+from .field import FieldContext, seeded_rng
 from .linalg import CHUNK_BYTES
-
-_MAGIC = b"MSCL"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sHBxIIIIQ")
 
 
 @dataclass(frozen=True)
@@ -176,55 +174,3 @@ def random_library(field: FieldContext, N: int, F: int, seed: int) -> Library:
         raise InconsistentInputs(f"library needs N, F >= 0, got N={N}, F={F}")
     return Library(field, field.sample(seeded_rng(seed), (N, F)))
 
-
-def save_library(library: Library, cfg: LibraryConfig, path) -> None:
-    """Write a library fixture: small header plus a raw symbol dump."""
-    f = library.field
-    mode_tag = 0 if f.mode == "gf" else 1
-    p = f.p if isinstance(f, PrimeField) else 0
-    header = _HEADER.pack(
-        _MAGIC, _FORMAT_VERSION, mode_tag, cfg.N, cfg.K, cfg.L, cfg.F, p
-    )
-    if f.mode == "gf":
-        body = library.data.astype("<u4").tobytes()
-    else:
-        body = library.data.astype("<c16").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
-
-
-def load_library(path) -> tuple[Library, LibraryConfig]:
-    """Read a fixture written by save_library."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise InconsistentInputs(f"{path}: truncated library file")
-    magic, version, mode_tag, N, K, L, F, p = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise InconsistentInputs(f"{path}: not a library file (bad magic {magic!r})")
-    if version != _FORMAT_VERSION:
-        raise InconsistentInputs(f"{path}: unsupported format version {version}")
-    if mode_tag not in (0, 1):
-        raise InconsistentInputs(f"{path}: unknown field mode tag {mode_tag}")
-    body = raw[_HEADER.size :]
-    dtype = np.dtype("<u4" if mode_tag == 0 else "<c16")
-    if len(body) != N * F * dtype.itemsize:
-        raise InconsistentInputs(
-            f"{path}: {len(body)} body bytes, expected N*F={N * F} symbols "
-            f"of {dtype.itemsize} bytes"
-        )
-    symbols = np.frombuffer(body, dtype=dtype).reshape(N, F)
-    if mode_tag == 0:
-        try:
-            fld: FieldContext = PrimeField(p)
-        except ValueError as exc:
-            raise InconsistentInputs(f"{path}: {exc}") from None
-        if symbols.size and symbols.max() >= p:
-            raise InconsistentInputs(f"{path}: symbol {symbols.max()} is not below the prime {p}")
-        data = symbols.astype(np.int64)
-    else:
-        fld = ComplexField()
-        data = symbols.astype(np.complex128)
-    cfg = LibraryConfig(N=N, K=K, L=L, F=F)
-    return Library(fld, data), cfg

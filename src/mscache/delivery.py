@@ -578,11 +578,6 @@ class DeliverySchedule:
     signals: np.ndarray
     gains: np.ndarray
 
-    @property
-    def plans(self) -> dict:
-        """Row index -> row plan, each a view of the layout."""
-        return {i: build_row_plan(i, self.cfg.N, self.cfg.L) for i in range(self.cfg.N)}
-
     @cached_property
     def blocks(self) -> tuple:
         """The B blocks in order, built on first access; signals are views."""
@@ -601,12 +596,6 @@ class DeliverySchedule:
             )
             for b, signal in enumerate(self.signals)
         )
-
-    @property
-    def rows(self) -> tuple:
-        """Per row, the range of its block indices."""
-        n_tx = self.layout.transmissions
-        return tuple(range(i * n_tx, (i + 1) * n_tx) for i in range(self.cfg.N))
 
 
 def _as_demand(d, N: int) -> DemandVector:

@@ -6,9 +6,8 @@ magnitude above a per-matrix relative threshold in complex mode), read
 as the pivot's index and then whether the gathered pivot is usable, the
 pivot's inverse, and when an elimination factor counts as zero.
 
-``rank`` is plain row-by-row Gaussian elimination on one matrix of any
-shape, the tests' reference. ``_gauss_jordan`` is a batched Gauss-Jordan
-on a (B, r, n) stack with r >= n: each column step is a few numpy
+``_gauss_jordan`` is a batched Gauss-Jordan on a (B, r, n) stack with
+r >= n: each column step is a few numpy
 operations over the whole stack, not one Python elimination per
 matrix. It has two kernels, chosen by the field's ``exact``. In an
 exact field a step divides nothing: every row is scaled by the pivot
@@ -18,8 +17,8 @@ entry is zero, and the rows are normalized once at the end, which gives
 the normalized kernel's bytes. In complex mode each step normalizes its
 pivot row against a threshold and swaps rows by one take and one
 scatter along the flat stack of rows, and that kernel is also the
-tests' reference for the exact one. ``inverse_stack`` is its square
-case. ``left_inverse_stack`` is its tall case, r = n+1: one pass gives
+tests' reference for the exact one. ``left_inverse_stack`` is its tall
+case, r = n+1: one pass gives
 every matrix a left inverse G and a left null vector v, and the inverse
 of the matrix without any one row k is then a rank-one update of G.
 The schedule's beams, which are also the channel draw's check, use
@@ -41,37 +40,10 @@ from .field import FieldContext
 CHUNK_BYTES = 1 << 18
 
 
-def rank(field: FieldContext, a) -> int:
-    """Rank of a matrix over the field (tolerance-based in complex mode)."""
-    m = field.convert(a)
-    if m.ndim != 2 or m.size == 0:
-        raise DimensionMismatch(f"rank needs a nonempty 2-d matrix, got shape {m.shape}")
-    m = m.copy()
-    rows, cols = m.shape
-    threshold = field.pivot_threshold(m)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        k = int(field.select_pivot(m[r:, c])) + r
-        if not field.pivot_found(m[k, c], threshold):
-            continue
-        m[[r, k]] = m[[k, r]]
-        m[r] = field.mul(m[r], field.inv_nonzero(m[r, c]))
-        # Only the rows below steer later pivots. Rows whose factor is
-        # zero are left alone (its update changes nothing but the sign
-        # of a zero).
-        factors = m[r + 1 :, c].copy()
-        factors[field.is_zero(factors)] = 0
-        m[r + 1 :] = field.sub(m[r + 1 :], field.mul(factors[:, None], m[r]))
-        r += 1
-    return r
-
-
 def _gauss_jordan(field: FieldContext, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Gauss-Jordan on a (B, r, n) stack with r >= n: (E, full_rank).
 
-    full_rank[b] equals ``rank(field, a[b]) == n``. E[b] (r x r) holds
+    full_rank[b] says whether a[b] has rank n. E[b] (r x r) holds
     the row operations, so that where full_rank[b], E[b] @ a[b] is I_n
     on top of r - n zero rows. In an exact field the division-free
     kernel runs, else the normalized one; where full_rank holds, their
@@ -86,9 +58,9 @@ def _gauss_jordan_normalized(field: FieldContext, a: np.ndarray) -> tuple[np.nda
     """Gauss-Jordan that normalizes each pivot row: the complex kernel,
     and the reference for the exact one.
 
-    Column c of every matrix takes the pivot ``rank`` would take,
-    against that matrix's own threshold, and a row whose elimination
-    factor is zero is left alone, as ``rank`` leaves it. A matrix that
+    Column c of every matrix takes the pivot that row-by-row elimination
+    takes, against that matrix's own threshold, and a row whose
+    elimination factor is zero is left alone. A matrix that
     runs out of pivots carries on with a unit pivot so that the others
     are not disturbed.
     """
@@ -178,24 +150,11 @@ def _gauss_jordan_exact(field: FieldContext, a: np.ndarray) -> tuple[np.ndarray,
     return field.mul(E, field.inv_each(scale)[:, :, None]), full_rank
 
 
-def inverse_stack(field: FieldContext, a) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a (B, n, n) stack by one batched Gauss-Jordan pass.
-
-    Returns (inverses, nonsingular). nonsingular[b] equals
-    ``rank(field, a[b]) == n``; inverses[b] is meaningful only where
-    nonsingular[b].
-    """
-    a = field.convert(a)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise DimensionMismatch(f"inverse_stack needs a (B, n, n) stack, got {a.shape}")
-    return _gauss_jordan(field, a)
-
-
 def left_inverse_stack(field: FieldContext, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left inverses and left null vectors of a (B, n+1, n) stack, in one pass.
 
-    Returns (G, v, full_rank): where full_rank[b], which equals
-    ``rank(field, a[b]) == n``, G[b] @ a[b] = I_n and v[b] @ a[b] = 0
+    Returns (G, v, full_rank): where full_rank[b], which says whether
+    a[b] has rank n, G[b] @ a[b] = I_n and v[b] @ a[b] = 0
     with v[b] != 0. Then a[b] without row k is invertible exactly when
     v[b, k] is nonzero, and its inverse is G[b] without column k minus
     the rank-one term G[b][:, k] v[b] / v[b, k] without column k. G is

@@ -23,10 +23,10 @@ from mscache import (
     PrimeField,
     achievable_time,
     assemble_report,
+    build_row_plan,
     build_schedule,
     converse_bound,
     decode_all,
-    decode_user,
     draw_channel,
     is_supported,
     place_caches,
@@ -132,11 +132,12 @@ def test_criterion_3_four_user_two_antenna_point():
             # the row owner's combined sums: A-weighted receptions equal
             # the library-side minifile sums, slot by slot
             H = sched.channel
+            n_tx = sched.layout.transmissions
             for i in range(4):
-                plan = sched.plans[i]
+                plan = build_row_plan(i, cfg.N, cfg.L)
                 ys = [
                     GF.matmul(H.H[i], sched.blocks[b].signal)
-                    for b in sched.rows[i]
+                    for b in range(i * n_tx, (i + 1) * n_tx)
                 ]
                 for j in range(cfg.L):
                     combo = GF.zeros(cfg.minifile_symbols)
@@ -198,8 +199,8 @@ def test_criterion_6_divisor_sweep():
                 lib, sched, results = _run_once(cfg, 2 * seed + 1, 2 * seed, d)
                 assert sched.total_time == want
                 _assert_all_exact(results, lib, d)
-                for plan in sched.plans.values():
-                    verify_row_plan(plan, N, L)
+                for i in range(N):
+                    verify_row_plan(build_row_plan(i, N, L), N, L)
 
 
 def test_criterion_7_uncoded_gap_identity():
@@ -266,8 +267,9 @@ def test_criterion_8_property_suite():
         lib, sched, _ = _run_once(cfg, 61, 60, d)
         log = receive(sched.channel, sched)
         k = 3
-        blank = CacheContent(user=k, payload=GF.zeros(cfg.subfile_symbols))
-        res = decode_user(k, d, blank, log, sched.channel, sched)
+        caches = place_caches(lib, cfg)
+        caches[k] = CacheContent(user=k, payload=GF.zeros(cfg.subfile_symbols))
+        res = decode_all(d, caches, log, sched.channel, sched)[k]
         assert not res.success
         sz = cfg.subfile_symbols
         truth = lib.data[d[k]]
@@ -310,16 +312,17 @@ def test_criterion_9_exhaustive_span_oracle():
             caches = place_caches(lib, cfg)
             funcs = observation_functionals(cfg, H, d, GF)
             ablate = (N + L) % N
+            constructive = decode_all(d, caches, log, H, sched)
             for k in range(N):
                 rec, cac = funcs[k]
                 want = wanted_rows(cfg, d[k])
                 oracle_full = file_in_span(rec + cac, want, P)
-                constructive = decode_user(k, d, caches[k], log, H, sched)
-                assert oracle_full == constructive.success
+                assert oracle_full == constructive[k].success
                 assert oracle_full
                 if k == ablate:
                     oracle_blank = file_in_span(rec, want, P)
-                    blank = CacheContent(k, GF.zeros(cfg.subfile_symbols))
-                    res = decode_user(k, d, blank, log, H, sched)
+                    blanked = list(caches)
+                    blanked[k] = CacheContent(k, GF.zeros(cfg.subfile_symbols))
+                    res = decode_all(d, blanked, log, H, sched)[k]
                     assert oracle_blank == res.success
                     assert not oracle_blank

@@ -19,7 +19,6 @@ from mscache import (
     PrimeField,
     build_schedule,
     draw_channel,
-    inverse_stack,
     is_supported,
     random_library,
     segment_sizes,
@@ -27,6 +26,7 @@ from mscache import (
 from mscache.channel import ChannelMatrix
 from mscache.delivery import _beams, _block_beams, schedule_layout
 from mscache.linalg import left_inverse_stack
+from reference_kernels import inverse_stack
 
 SUPPORTED = [(N, L) for N in range(2, 13) for L in range(1, N) if is_supported(N, L)]
 

@@ -22,15 +22,14 @@ from mscache import (
     WrongRegime,
     build_schedule,
     decode_all,
-    decode_user,
     draw_channel,
-    inverse_stack,
     place_caches,
     random_library,
     receive,
 )
 from mscache.content import CacheContent
 from mscache.delivery import schedule_layout
+from reference_kernels import inverse_stack
 
 GF = PrimeField(65537)
 GF7 = PrimeField(7)
@@ -204,7 +203,7 @@ def test_array_holding_records_compare_by_identity():
         (H, ChannelMatrix(GF, H.H)),
         (lib, Library(GF, lib.data)),
         (log, receive(H, sched)),
-        (result, decode_user(0, d, caches[0], log, H, sched)),
+        (result, decode_all(d, caches, log, H, sched)[0]),
         (caches[0], CacheContent(user=0, payload=caches[0].payload.copy())),
     ]
     for a, b in twins:
@@ -256,20 +255,18 @@ def test_decode_inconsistent_inputs():
     log = receive(H, sched)
     caches = place_caches(lib, cfg)
     with pytest.raises(InconsistentInputs):
-        decode_user(0, DemandVector([1, 0, 2, 3]), caches[0], log, H, sched)
+        decode_all(DemandVector([1, 0, 2, 3]), caches, log, H, sched)
     other_H = draw_channel(4, 3, seed=99, field=GF)
     with pytest.raises(InconsistentInputs):
-        decode_user(0, d, caches[0], log, other_H, sched)
+        decode_all(d, caches, log, other_H, sched)
     truncated = type(log)(GF, log.per_block[:-1])
     with pytest.raises(InconsistentInputs):
-        decode_user(0, d, caches[0], truncated, H, sched)
-    with pytest.raises(InconsistentInputs):
-        decode_user(7, d, caches[0], log, H, sched)
+        decode_all(d, caches, truncated, H, sched)
     short_cache = CacheContent(user=0, payload=caches[0].payload[:-1])
     with pytest.raises(InconsistentInputs):
-        decode_user(0, d, short_cache, log, H, sched)
-    # decode_all: a missing cache, a log with fewer than K user rows, and
-    # caches out of user order.
+        decode_all(d, [short_cache] + caches[1:], log, H, sched)
+    # A missing cache, a log with fewer than K user rows, and caches out
+    # of user order.
     with pytest.raises(InconsistentInputs):
         decode_all(d, caches[:-1], log, H, sched)
     with pytest.raises(InconsistentInputs):
@@ -281,8 +278,6 @@ def test_decode_inconsistent_inputs():
     # or by every user failing.
     for other in (type(log)(CC, log.per_block.astype(np.complex128)),
                   type(log)(GF7, log.per_block % GF7.p)):
-        with pytest.raises(InconsistentInputs, match="reception log over"):
-            decode_user(0, d, caches[0], other, H, sched)
         with pytest.raises(InconsistentInputs, match="reception log over"):
             decode_all(d, caches, other, H, sched)
 
@@ -300,7 +295,7 @@ def test_decode_refuses_caches_of_a_foreign_dtype():
     for dtype in (np.complex128, np.float64):
         foreign = [CacheContent(Z.user, Z.payload.astype(dtype)) for Z in caches]
         with pytest.raises(InconsistentInputs, match=f"cache of dtype {np.dtype(dtype)}"):
-            decode_user(1, d, foreign[1], log, H, sched)
+            decode_all(d, foreign, log, H, sched)
         with pytest.raises(InconsistentInputs, match=f"cache of dtype {np.dtype(dtype)}"):
             decode_all(d, caches[:2] + foreign[2:], log, H, sched)
     assert all(r.success for r in decode_all(d, caches, log, H, sched))
@@ -364,7 +359,7 @@ def test_raw_channel_arrays_receive_and_decode_over_the_schedules_field(field):
     log = receive(H.H, sched)
     assert field.equal(log.per_block, receive(sched.channel, sched).per_block)
     assert all(r.success for r in decode_all(d, caches, log, H.H, sched))
-    assert decode_user(3, d, caches[3], log, H.H.tolist(), sched).success
+    assert all(r.success for r in decode_all(d, caches, log, H.H.tolist(), sched))
     with pytest.raises(InconsistentInputs, match="channel differs"):
         decode_all(d, caches, log, draw_channel(5, 2, seed=41, field=field).H, sched)
 
@@ -402,12 +397,12 @@ def test_decode_fails_on_a_single_flipped_symbol():
     log = receive(H, sched)
     caches = place_caches(lib, cfg)
     k = 2
-    assert decode_user(k, d, caches[k], log, H, sched).success
+    assert decode_all(d, caches, log, H, sched)[k].success
     first_served = int(np.argmax((sched.layout.groups == k).any(axis=1)))
     for b in (first_served, k * sched.layout.transmissions):
         rx = log.per_block.copy()
         rx[b, k, 1] = (rx[b, k, 1] + 1) % GF.p  # a served row, then k's own row
-        res = decode_user(k, d, caches[k], type(log)(GF, rx), H, sched)
+        res = decode_all(d, caches, type(log)(GF, rx), H, sched)[k]
         assert not res.success
         assert np.count_nonzero(res.data != lib.data[d[k]]) == 1
 
@@ -476,8 +471,9 @@ def test_cache_is_necessary():
     sched = build_schedule(d, H, lib, cfg)
     log = receive(H, sched)
     k = 1
-    blank = CacheContent(user=k, payload=GF.zeros(cfg.subfile_symbols))
-    res = decode_user(k, d, blank, log, H, sched)
+    caches = place_caches(lib, cfg)
+    caches[k] = CacheContent(user=k, payload=GF.zeros(cfg.subfile_symbols))
+    res = decode_all(d, caches, log, H, sched)[k]
     assert not res.success
     truth = lib.data[d[k]]
     sz = cfg.subfile_symbols
@@ -584,11 +580,11 @@ def test_decode_of_files_past_chunk_bytes_copies_no_library():
 def test_several_wrong_users_each_name_their_own_first_error(monkeypatch, field, N, L):
     # Four users' receptions are wrong at once, each in a different row
     # and symbol and by a different amount: every failed file reports the
-    # first wrong minifile and the residual of that whole file, and
-    # decoding a user alone gives the same result as its entry of
-    # decode_all. The verdict compares a block of users' files at once:
-    # all of them in one block, then two files a block, so that wrong
-    # users share a block with each other (0 and 1) and with right ones.
+    # first wrong minifile and the residual of that whole file. The
+    # verdict compares a block of users' files at once: all of them in
+    # one block, then two files a block, so that wrong users share a
+    # block with each other (0 and 1) and with right ones; the blocks
+    # change no result.
     m = 1 if L == N - 1 else L
     cfg = LibraryConfig(N=N, K=N, L=L, F=N * m * 3)
     lib = random_library(field, N, cfg.F, seed=N + L)
@@ -611,9 +607,11 @@ def test_several_wrong_users_each_name_their_own_first_error(monkeypatch, field,
     bad = type(log)(field, rx)
     file_bytes = lib.data[0].nbytes
     assert N * file_bytes <= channel.CHUNK_BYTES
+    runs = []
     for chunk in (channel.CHUNK_BYTES, 2 * file_bytes):
         monkeypatch.setattr(channel, "CHUNK_BYTES", chunk)
         results = decode_all(d, caches, bad, H, sched)
+        runs.append(results)
         assert [res.success for res in results] == [k not in wrong for k in range(N)]
         for k, res in enumerate(results):
             want = lib.data[d[k]]
@@ -625,10 +623,10 @@ def test_several_wrong_users_each_name_their_own_first_error(monkeypatch, field,
                 assert res.mismatch == divmod(index // tau, m)
                 assert res.residual == residual
                 assert (residual is None) == (field is GF)
-            alone = decode_user(k, d, caches[k], bad, H, sched)
-            assert (alone.user, alone.success, alone.mismatch, alone.residual) == (
-                res.user, res.success, res.mismatch, res.residual)
-            assert np.array_equal(alone.data, res.data)
         if field is CC:
             # Each failed file keeps its own residual, not its block's largest.
             assert len({res.residual for res in results if not res.success}) == len(wrong)
+    for one, two in zip(*runs):
+        assert (one.user, one.success, one.mismatch, one.residual) == (
+            two.user, two.success, two.mismatch, two.residual)
+        assert np.array_equal(one.data, two.data)

@@ -1,4 +1,4 @@
-"""Library model, subfile/minifile views, coded placement, fixtures."""
+"""Library model, subfile/minifile views, coded placement."""
 
 from fractions import Fraction
 
@@ -13,10 +13,8 @@ from mscache import (
     LibraryConfig,
     PrimeField,
     WrongRegime,
-    load_library,
     place_caches,
     random_library,
-    save_library,
 )
 
 GF = PrimeField(65537)
@@ -148,48 +146,3 @@ def test_random_library_seeded():
     assert GF.equal(a.data, b.data)
     assert not GF.equal(a.data, c.data)
 
-
-def test_library_save_load_roundtrip_gf(tmp_path):
-    cfg = LibraryConfig(N=4, K=4, L=2, F=8)
-    lib = random_library(GF, 4, 8, seed=3)
-    path = tmp_path / "lib.bin"
-    save_library(lib, cfg, path)
-    lib2, cfg2 = load_library(path)
-    assert cfg2 == cfg
-    assert lib2.field == GF
-    assert GF.equal(lib2.data, lib.data)
-
-
-def test_library_save_load_roundtrip_complex(tmp_path):
-    from mscache import ComplexField, make_field
-
-    field = make_field("complex")
-    cfg = LibraryConfig(N=3, K=3, L=2, F=6)
-    lib = random_library(field, 3, 6, seed=4)
-    path = tmp_path / "clib.bin"
-    save_library(lib, cfg, path)
-    lib2, cfg2 = load_library(path)
-    assert isinstance(lib2.field, ComplexField)
-    assert cfg2 == cfg
-    assert np.array_equal(lib2.data, lib.data)
-
-
-def test_load_rejects_garbage(tmp_path):
-    good = tmp_path / "good.bin"
-    save_library(Library(GF7, np.ones((4, 8), dtype=np.int64)), LibraryConfig(4, 4, 2, 8), good)
-    # 32 header bytes: magic, version, mode tag, pad, N, K, L, F, then p at 24
-    raw = good.read_bytes()
-    bad = [
-        b"NOPE" + b"\x00" * 40,  # bad magic
-        raw[:-1],  # body shorter than N*F symbols
-        raw + b"\x00" * 4,  # body longer than N*F symbols
-        raw[:6] + b"\x02" + raw[7:],  # mode tag outside {0, 1}
-        raw[:32] + (100).to_bytes(4, "little") + raw[36:],  # GF(7) symbol 100
-        raw[:24] + (8).to_bytes(8, "little") + raw[32:],  # composite modulus
-        raw[:24] + ((1 << 61) - 1).to_bytes(8, "little") + raw[32:],  # 64-bit prime
-    ]
-    path = tmp_path / "bad.bin"
-    for data in bad:
-        path.write_bytes(data)
-        with pytest.raises(InconsistentInputs):
-            load_library(path)

@@ -1,15 +1,20 @@
-"""Byte-level pins of the delivery tables and the GF receptions.
+"""Byte-level pins of the delivery tables and the GF receptions, and a
+pin of the public surface.
 
 The digests were taken from the two-builder implementation that both
 antenna regimes used before they shared one row plan; any change to the
-rendered text or to a received symbol shows up here.
+rendered text or to a received symbol shows up here. The surface pin
+makes a name added to, or brought back into, ``mscache.__all__`` an
+edit of this file.
 """
 
 import hashlib
 
 import numpy as np
 
+import mscache
 from mscache import (
+    DeliverySchedule,
     DemandVector,
     LibraryConfig,
     PrimeField,
@@ -118,3 +123,28 @@ def test_tables_pin_larger_pairs():
 def test_receptions_pin_seeded_gf_runs():
     for (N, L), want in RECEPTION_DIGESTS.items():
         assert reception_digest(N, L) == want, f"(N={N}, L={L})"
+
+
+# Every public name, each used by a CLI command, a trial or the benchmark.
+PUBLIC_NAMES = [
+    "CSV_HEADER", "CacheContent", "ChannelMatrix", "ComplexField", "DecodeResult",
+    "DegenerateChannel", "DeliverySchedule", "DemandVector", "DimensionMismatch",
+    "FieldContext", "FieldError", "InconsistentInputs", "IndivisibleFile", "Library",
+    "LibraryConfig", "MetricsReport", "PlanVerificationError", "PrimeField",
+    "ReceptionLog", "ResamplingExhausted", "RowCodePlan", "SimulatorError",
+    "TransmitBlock", "WrongRegime", "achievable_time", "assemble_report",
+    "build_row_plan", "build_row_plan_reduced", "build_schedule", "converse_bound",
+    "decode_all", "delivery_time", "draw_channel", "is_supported", "make_field",
+    "place_caches", "random_library", "receive", "regime", "render_delivery_table",
+    "segment_sizes", "uncoded_baseline", "verify_row_plan",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(mscache.__all__) == PUBLIC_NAMES
+    for name in ("save_library", "load_library", "decode_user", "rank", "inverse_stack"):
+        assert not hasattr(mscache, name), name
+    for name in ("rank", "inverse_stack"):
+        assert not hasattr(mscache.linalg, name), name
+    for name in ("plans", "rows"):
+        assert not hasattr(DeliverySchedule, name), name

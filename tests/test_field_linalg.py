@@ -1,8 +1,9 @@
 """Field contexts and the elimination core.
 
 Null vectors, solutions and zero-forcing beams are checked on the
-kernels the program makes them with: ``left_inverse_stack``,
-``inverse_stack``, and the schedule's beams (``delivery._beams``'
+kernels the program makes them with: ``left_inverse_stack``, its
+kernel's square case (``reference_kernels.inverse_stack``), and the
+schedule's beams (``delivery._beams``'
 factors, formed by ``delivery._block_beams``) with each group's parent
 set made of the group plus a zero row (``beam_helpers.group_beams``).
 """
@@ -19,13 +20,12 @@ from mscache import (
     DegenerateChannel,
     PrimeField,
     SimulatorError,
-    inverse_stack,
     make_field,
-    rank,
 )
 from mscache.channel import ChannelMatrix
 from mscache.delivery import _beam_indices, _beams
 from mscache.linalg import left_inverse_stack
+from reference_kernels import inverse_stack, rank
 
 GF = PrimeField(65537)
 GF7 = PrimeField(7)

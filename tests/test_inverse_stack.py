@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels
+from reference_kernels import inverse_stack, rank
 
 from mscache import (
     ChannelMatrix,
@@ -28,8 +29,6 @@ from mscache import (
     PrimeField,
     ResamplingExhausted,
     draw_channel,
-    inverse_stack,
-    rank,
 )
 from mscache.delivery import DRAW_BUDGET, _layout_beams, schedule_layout
 from mscache.linalg import _gauss_jordan_exact, _gauss_jordan_normalized, left_inverse_stack

@@ -3,7 +3,7 @@
 ``draw_channel`` accepts a draw when the schedule can zero-force every
 served group with a nonzero owner gain, and asks nothing of the row
 subsets that no group uses. The reference here decides that per group
-with ``inverse_stack``, not through the beam bank. A ``ChannelMatrix``
+with ``reference_kernels.inverse_stack``, not through the beam bank. A ``ChannelMatrix``
 owns a private read-only copy of its matrix and eliminates each set of
 parent rows, and computes its schedule's beams, at most once.
 """
@@ -26,12 +26,12 @@ from mscache import (
     WrongRegime,
     build_schedule,
     draw_channel,
-    inverse_stack,
     is_supported,
     random_library,
 )
 from mscache.delivery import DRAW_BUDGET, _layout_beams, schedule_layout
 from mscache.linalg import left_inverse_stack
+from reference_kernels import inverse_stack
 
 SUPPORTED = [(N, L) for N in range(2, 9) for L in range(1, N) if is_supported(N, L)]
 
@@ -123,6 +123,13 @@ def test_plan_draw_takes_one_draw_at_reduced_scale(field):
     for N, L in ((20, 9), (24, 11)):
         for seed in range(4):
             assert _counted(draw_channel, N, L, seed, field)[1] == 1
+
+
+def test_plan_draw_redraws_at_a_generic_reduced_cell():
+    # (69, 33) at GF(65537), seed 0, is a generic cell that redraws: its
+    # first 8 samples each leave some beam a zero owner gain. Any change
+    # to the acceptance rule moves this count.
+    assert _counted(draw_channel, 69, 33, 0, PrimeField(65537))[1] == 9
 
 
 def _plan_subsets(N, L):
