@@ -6,12 +6,12 @@ rejection-sampled by ``delivery.draw_channel``, which accepts a draw when
 the schedule's own beams serve every group: each served group's rows
 invertible and each beam reaching its row owner with a nonzero gain.
 
-A ``ChannelMatrix`` keeps a read-only copy of H and memoizes the tall
-eliminations of its parent sets of rows (``left_inverses``) and the
-factors that its schedule forms its beams from (``cached``), one copy
-of each. The draw's check computes those factors and the schedule built
-on the accepted channel reads them, so a trial eliminates each parent
-set once and computes the factors once.
+A ``ChannelMatrix`` keeps a read-only copy of H and memoizes the
+factors that its schedule forms its beams from (``cached``), one copy.
+The draw's check computes those factors, from one tall elimination of
+each parent set of rows, and the schedule built on the accepted channel
+reads them, so a trial eliminates each parent set once and computes
+the factors once.
 
 Reception reads only the schedule's (B, L, tau) signal stack, never its
 block objects: one product H @ S gives every user's receptions of every
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InconsistentInputs
 from .field import FieldContext
-from .linalg import CHUNK_BYTES, left_inverse_stack
+from .linalg import CHUNK_BYTES
 
 # CHUNK_BYTES (``linalg``'s) bounds the blocks that decoding takes its
 # receptions in, and its verdicts the requested files, as synthesis
@@ -62,8 +62,8 @@ class ChannelMatrix:
     """K x L channel; row k is user k's receive functional h_k^H.
 
     H is a private read-only copy of the given matrix, so what the
-    channel memoizes (``cached``) stays valid: the eliminations of its
-    parent sets of rows and its schedule's beam shifts and gains.
+    channel memoizes (``cached``) stays valid: its schedule's beam
+    factors, G's columns and the shifts and gains.
     """
 
     field: FieldContext
@@ -89,18 +89,6 @@ class ChannelMatrix:
                 a.setflags(write=False)
             self._memo[key] = result
         return self._memo[key]
-
-    def left_inverses(self, parents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``left_inverse_stack`` of the (P, L+1) parent sets of rows, memoized.
-
-        Every caller that asks for the same parent sets of one channel
-        reads the same elimination, so each is eliminated once. The memo
-        holds G and v alone, G as a view of its transpose, whose rows the
-        beams gather (``delivery._beams``).
-        """
-        parents = np.ascontiguousarray(parents, dtype=np.int64)
-        key = ("left_inverses", parents.shape, parents.tobytes())
-        return self.cached(key, lambda: left_inverse_stack(self.field, self.H[parents]))
 
     @property
     def K(self) -> int:

@@ -38,14 +38,14 @@ Zero-forcing beams come from parent sets of L+1 channel rows: each
 served group plus the member of its telescoping segment that the
 transmission skips, or else the smallest user it does not serve, which
 in the full regime makes all N users one set. One batched elimination
-gives every parent set a left inverse G and a left null vector v, and
-the channel memoizes it. The group that leaves out parent row k has the
+gives every parent set a left inverse G and a left null vector v, once
+per channel. The group that leaves out parent row k has the
 inverse G without column k minus G[:, k] v / v_k there, and the beam of
 served user q is its column q. No inverse is formed: the owner gains
 come from the owner row times G, g_q = (hG)_q - (hG)_k v_q / v_k, and
 the beam at unit owner gain is G[:, q] / g_q - G[:, k] v_q / (v_k g_q).
-The channel keeps G, transposed so that its columns are rows, v, and
-per beam g and v_q / (v_k g_q), O(P L^2 + B L) entries, and each row
+The channel keeps G, transposed so that its columns are rows, and per
+beam g and v_q / (v_k g_q), O(P L^2 + B L) entries, and each row
 block of synthesis forms its own beams from them.
 
 Each transmission's signal is its beams times the combinations C
@@ -74,8 +74,8 @@ the null vector of the group plus the owner row. The group inverses
 must also hold by the field's rule (``inverses_hold``), which reads
 only the parent sets' eliminations: one pair of products per parent
 set in complex mode, which gathers the parent rows itself, nothing in
-GF, and no product per block. The channel memoizes the beams' shifts
-and gains beside the eliminations, so the schedule built on an
+GF, and no product per block. The channel memoizes the beams' factors,
+G's columns and the shifts and gains, so the schedule built on an
 accepted draw reuses them.
 """
 
@@ -97,7 +97,7 @@ from .errors import (
     WrongRegime,
 )
 from .field import FieldContext, seeded_rng
-from .linalg import CHUNK_BYTES
+from .linalg import CHUNK_BYTES, left_inverse_stack
 
 # Channel draws before giving up; exceeding this signals a pathological
 # field size or dimensions, not bad luck.
@@ -622,8 +622,8 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip):
     H[owners[b]] are then g = (hG)[S] - (hG)[k] r, from one product
     H @ G per parent set, and the beams divided by their gains are
     G[:, S] / g - G[:, k] shifts with shifts = r / g, which
-    ``_block_beams`` forms from columns, G's columns stacked, a view of
-    the channel's memo (``ChannelMatrix.left_inverses``). The owner row
+    ``_block_beams`` forms from columns, G's columns stacked as a view
+    of ``left_inverse_stack``'s G. The owner row
     is the sum of g_q times the channel row of groups[b, q], so the
     gains and -1 form the left null vector of the group plus the owner
     row, and each gain must count as nonzero by ``null_support``, as a
@@ -634,7 +634,7 @@ def _beams(H: ChannelMatrix, parents, owners, groups, keep, skip):
     near-degenerate channels surface.
     """
     field, L = H.field, H.L
-    G, v, full_rank = H.left_inverses(parents)
+    G, v, full_rank = left_inverse_stack(field, H.H[parents])
     exists = (full_rank[:, None] & field.null_support(v)).take(skip)
     if not exists.all():
         bad = tuple(groups[int(np.argmin(exists))].tolist())
@@ -690,8 +690,8 @@ def draw_channel(N: int, L: int, seed: int, field: FieldContext) -> ChannelMatri
     for every served group, each with a nonzero owner gain (``_beams``).
     An unsupported (N, L) raises WrongRegime before any draw, and
     DRAW_BUDGET rejected draws raise ResamplingExhausted. The channel
-    keeps the parent sets' eliminations and the beams' shifts and
-    gains, so build_schedule on it computes neither again.
+    keeps the beams' factors, so build_schedule on it eliminates no
+    parent set again.
     """
     schedule_layout(N, L)  # refuses an unsupported (N, L) before any draw
     rng = seeded_rng(seed)

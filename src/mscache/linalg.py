@@ -22,8 +22,8 @@ case, r = n+1: one pass gives
 every matrix a left inverse G and a left null vector v, and the inverse
 of the matrix without any one row k is then a rank-one update of G.
 The schedule's beams, which are also the channel draw's check, use
-the tall case, one elimination per parent set of rows, which the
-channel memoizes (``ChannelMatrix.left_inverses``).
+the tall case, one elimination per parent set of rows, under the
+channel's memo of its beams (``delivery._layout_beams``).
 """
 
 from __future__ import annotations

@@ -1,14 +1,21 @@
 """Command-line interface: goldens, formats, exit codes, determinism."""
 
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mscache import CSV_HEADER, MetricsReport
-from mscache.cli import main
+from mscache.cli import build_parser, main
 
 TABLE_4_2 = """\
 N=4 K=4 L=2 demand=(1,2,3,4) T=3/2
@@ -175,12 +182,62 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error: cannot write --out ") and err.count("\n") == 1, err
 
 
+def _parse_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 def test_sweep_refuses_k_and_l(capsys):
+    # A sweep runs K = N and every L from 1 to N-1: its parser has no --K or --L.
     for flags in (["--K", "2"], ["--L", "1"], ["--K", "2", "--L", "1"]):
-        code, out, err = _run(capsys, ["sweep", "--N", "4", *flags])
+        code, out, err = _parse_error(capsys, ["sweep", "--N", "4", *flags])
         assert code == 2, flags
         assert out == ""
-        assert err == "error: sweep runs K = N and every L from 1 to N-1; it takes no --K or --L\n"
+        assert "error: unrecognized arguments: --" in err and flags[0] in err, err
+
+
+def _subparsers() -> dict:
+    """Subcommand name -> its parser, as ``build_parser`` makes them."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    taken = {
+        cmd: {a.option_strings[0]: a.default for a in sp._actions if a.dest != "help"}
+        for cmd, sp in _subparsers().items()
+    }
+    trial = {"--prime": 65537, "--mode": "gf", "--seed": 0}
+    out = {"--format": None, "--out": None}
+    assert taken == {
+        "verify": {"--N": 4, "--L": None, **trial, "--trials": 10,
+                   "--demand": "random", "--scale": 1, **out},
+        "sweep": {"--N": [4], **trial, "--trials": 1, "--demand": "random", "--scale": 1, **out},
+        "table": {"--N": 4, "--L": None, "--demand": "random", "--out": None},
+        "bounds": {"--N": 4, "--K": None, "--L": None, **out},
+    }
+    assert sum(map(len, taken.values())) == 28
+
+
+def test_options_a_subcommand_does_not_read_are_refused(capsys):
+    # Each was once accepted and ignored, or accepted only at the one
+    # value the scheme allows (K = N); a range of N is sweep's alone.
+    refused = {
+        "table": [("--mode", "complex"), ("--prime", "4"), ("--seed", "3"), ("--trials", "0"),
+                  ("--scale", "2"), ("--format", "json"), ("--K", "4")],
+        "bounds": [("--prime", "4"), ("--mode", "complex"), ("--seed", "3"), ("--trials", "0"),
+                   ("--demand", "2,1,4,3"), ("--scale", "2")],
+        "verify": [("--K", "4"), ("--N", "4..4")],
+    }
+    for cmd, flags in refused.items():
+        for flag, value in flags:
+            code, out, err = _parse_error(capsys, [cmd, "--L", "2", flag, value])
+            assert code == 2, (cmd, flag)
+            assert out == ""
+            assert "error: " in err and flag in err, err
 
 
 def test_negative_seed_is_a_usage_error(capsys):
@@ -214,19 +271,6 @@ def test_rejects_duplicate_demand(capsys):
                                  "--demand", "1,1,2,3"])
     assert code == 2
     assert err.startswith("error:")
-
-
-def test_prime_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("MSCACHE_PRIME", "4")
-    code, _, err = _run(capsys, ["verify", "--N", "2", "--L", "1", "--trials", "1"])
-    assert code == 2 and "not prime" in err
-    # an explicit flag beats the environment
-    code, _, _ = _run(capsys, ["verify", "--N", "2", "--L", "1", "--trials", "1",
-                               "--prime", "65537"])
-    assert code == 0
-    monkeypatch.setenv("MSCACHE_PRIME", "7")
-    code, _, _ = _run(capsys, ["verify", "--N", "2", "--L", "1", "--trials", "1"])
-    assert code == 0
 
 
 def test_verify_reports_first_failed_invariant(monkeypatch, capsys):
@@ -322,3 +366,55 @@ def test_verify_at_scale_in_both_regimes(capsys):
         (row,) = json.loads(out)
         assert row["decode_ok"] is True
         assert row["achieved_T"] == row["converse_T"]
+
+
+def _values(cmd: str) -> dict:
+    """Strategies for each option of cmd, well-formed and malformed alike."""
+    sizes = st.integers(-1, 7).map(str)
+    n = st.integers(-1, 6).map(str) | st.sampled_from(["x", "4..4", "2.5"])
+    if cmd == "sweep":
+        n = n | st.builds("{}..{}".format, st.integers(-1, 6), st.integers(-1, 6))
+    return {
+        "N": n,
+        "K": sizes,
+        "L": sizes,
+        "prime": st.sampled_from(["65537", "536870909", "7", "3", "2", "4", "0", "-5"]),
+        "mode": st.sampled_from(["gf", "complex", "real"]),
+        "seed": st.integers(-2, 3).map(str),
+        "trials": st.integers(-1, 2).map(str),
+        "demand": st.sampled_from(["random", "2,1,4,3", "1,2,3", "1,1,2,3", "0,1,2,3", "a,b"])
+        | st.permutations(range(1, 7)).map(lambda p: ",".join(map(str, p))),
+        "scale": st.integers(-1, 3).map(str),
+        "format": st.sampled_from(["csv", "json", "table", "xml"]),
+    }
+
+
+@st.composite
+def _argvs(draw):
+    subparsers = _subparsers()
+    cmd = draw(st.sampled_from(sorted(subparsers)))
+    values = _values(cmd)
+    # --out is left out: the runs write nothing but stdout and stderr.
+    actions = subparsers[cmd]._actions
+    flags = [a.option_strings[0] for a in actions if a.dest not in ("help", "out")]
+    argv = [cmd]
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=4)):
+        argv += [flag, draw(values[flag[2:]])]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_argvs())
+def test_any_argv_of_a_subcommand_ends_in_an_exit_code(argv):
+    # N <= 6 and at most 2 trials keep each run small; the malformed
+    # values (a negative seed, a bad demand, an L too large, a non-prime
+    # modulus) must end in exit 2 with an error line, never a traceback.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert "error: " in err.getvalue(), (argv, err.getvalue())

@@ -1,11 +1,11 @@
-"""The plan-aware channel draw and the channel's memoized eliminations.
+"""The plan-aware channel draw and the channel's memoized beams.
 
 ``draw_channel`` accepts a draw when the schedule can zero-force every
 served group with a nonzero owner gain, and asks nothing of the row
 subsets that no group uses. The reference here decides that per group
 with ``reference_kernels.inverse_stack``, not through the beam bank. A ``ChannelMatrix``
-owns a private read-only copy of its matrix and eliminates each set of
-parent rows, and computes its schedule's beams, at most once.
+owns a private read-only copy of its matrix and computes its schedule's
+beams, and so eliminates each set of parent rows, at most once.
 """
 
 import tracemalloc
@@ -188,7 +188,7 @@ def _inverse_stack_verdict(field, H, N, L) -> bool:
     null = np.concatenate([gains, np.ones_like(gains[:, :1])], axis=1)
     if not field.null_support(null)[:, :-1].all():
         return False
-    G, v, _ = ChannelMatrix(field, H).left_inverses(layout.parents)
+    G, v, _ = left_inverse_stack(field, H[layout.parents])
     return field.inverses_hold(H, layout.parents, G, v, layout.skip)
 
 
@@ -283,19 +283,7 @@ def test_channel_keeps_a_private_read_only_copy():
         H.H[0, 0] = 1
     source[0] = 5
     assert np.array_equal(H.H, kept)
-    assert H.left_inverses(np.arange(4)[None])[2][0]
-
-
-def test_left_inverses_eliminate_each_parent_set_once():
-    field = PrimeField(65537)
-    H = ChannelMatrix(field, field.sample_channel(np.random.default_rng(1), (6, 3)))
-    parents = np.array([[0, 1, 2, 3], [2, 3, 4, 5]])
-    first = H.left_inverses(parents)
-    assert H.left_inverses(parents.tolist()) is first
-    assert H.left_inverses(parents[::-1]) is not first
-    for got, want in zip(first, left_inverse_stack(field, H.H[parents])):
-        assert np.array_equal(got, want)
-        assert not got.flags.writeable
+    assert left_inverse_stack(field, H.H[None])[2][0]
 
 
 def test_plan_draw_and_schedule_share_the_beams(monkeypatch):
@@ -315,11 +303,12 @@ def test_plan_draw_and_schedule_share_the_beams(monkeypatch):
     assert schedule.gains is _layout_beams(H)[-1]
     assert not schedule.gains.flags.writeable
     # G's columns, shifts and gains: no per-block beam stack, and the
-    # columns a view of the channel's memoized elimination, not a copy.
+    # columns a view of the parent sets' elimination, not a copy.
     columns, shifts, gains = _layout_beams(H)
     assert [a.ndim for a in (columns, shifts, gains)] == [2, 2, 2]
-    G, v, _ = H.left_inverses(schedule.layout.parents)
-    assert columns.base is G.base is not None and columns.flags.c_contiguous
+    G, _, _ = left_inverse_stack(field, H.H[schedule.layout.parents])
+    assert columns.base is not None and columns.flags.c_contiguous
+    assert np.array_equal(columns, G.swapaxes(1, 2).reshape(-1, 5))
 
 
 def test_plan_draw_and_schedule_hold_no_beam_stack():
