@@ -47,14 +47,11 @@ def _config(N: int, L: int | None, scale: int = 1) -> LibraryConfig:
     return LibraryConfig(N=N, K=N, L=L, F=scale * N * L)
 
 
-def _demand_for(args, cfg: LibraryConfig, seed: int | None) -> DemandVector:
-    """--demand's 1-based labels; "random" is the permutation drawn from
-    seed, or the identity where nothing is drawn (seed None: the table)."""
-    if args.demand != "random":
-        return DemandVector(int(x) - 1 for x in args.demand.split(","))
-    if seed is None:
-        return DemandVector(range(cfg.N))
-    return DemandVector(int(x) for x in seeded_rng(seed).permutation(cfg.N))
+def _demand_for(args, cfg: LibraryConfig, seed: int) -> DemandVector:
+    """--demand's 1-based labels, or for "random" the permutation drawn from seed."""
+    if args.demand == "random":
+        return DemandVector(int(x) for x in seeded_rng(seed).permutation(cfg.N))
+    return DemandVector(int(x) - 1 for x in args.demand.split(","))
 
 
 def _emit(args, text: str) -> None:
@@ -188,7 +185,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_table(args) -> int:
     cfg = _config(args.N, args.L)
-    _emit(args, render_delivery_table(cfg, _demand_for(args, cfg, None)))
+    # The table draws nothing: "random" renders the identity demand.
+    if args.demand == "random":
+        demand = DemandVector(range(cfg.N))
+    else:
+        demand = _demand_for(args, cfg, 0)
+    _emit(args, render_delivery_table(cfg, demand))
     return 0
 
 
@@ -249,25 +251,32 @@ _OPTIONS = {
     "out": {"default": None, "help": "output path (default: stdout)"},
 }
 
-# A sweep runs K = N and every L from 1 to N-1 over a range of N.
-_SWEEP_OPTIONS = {
-    "N": {"type": parse_range, "default": [4], "help": 'file count or range like "2..9"'},
-    "trials": {"type": int, "default": 1},
-}
-
+# Each subcommand: its runner, help, the options it reads, and the specs
+# it gives differently from _OPTIONS. A sweep runs K = N and every L
+# from 1 to N-1 over a range of N.
 _SUBCOMMANDS = {
     "verify": (
         cmd_verify,
         "run seeded end-to-end trials",
         ("N", "L", "prime", "mode", "seed", "trials", "demand", "scale", "format", "out"),
+        {},
     ),
     "sweep": (
         cmd_sweep,
         "tabulate bounds and decode checks over N, L",
         ("N", "prime", "mode", "seed", "trials", "demand", "scale", "format", "out"),
+        {
+            "N": {"type": parse_range, "default": [4], "help": 'file count or range like "2..9"'},
+            "trials": {"type": int, "default": 1},
+        },
     ),
-    "table": (cmd_table, "render the symbolic delivery table", ("N", "L", "demand", "out")),
-    "bounds": (cmd_bounds, "print the analytic formulas only", ("N", "K", "L", "format", "out")),
+    "table": (cmd_table, "render the symbolic delivery table", ("N", "L", "demand", "out"), {}),
+    "bounds": (
+        cmd_bounds,
+        "print the analytic formulas only",
+        ("N", "K", "L", "format", "out"),
+        {},
+    ),
 }
 
 
@@ -277,10 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coded-caching delivery simulator for the small-cache regime",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for cmd, (run, help_text, names) in _SUBCOMMANDS.items():
+    for cmd, (run, help_text, names, specs) in _SUBCOMMANDS.items():
         sp = sub.add_parser(cmd, help=help_text)
         sp.set_defaults(run=run)
-        specs = _SWEEP_OPTIONS if cmd == "sweep" else {}
         for name in names:
             sp.add_argument(f"--{name}", **specs.get(name, _OPTIONS[name]))
     return parser

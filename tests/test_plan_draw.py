@@ -291,12 +291,19 @@ def test_plan_draw_and_schedule_share_the_beams(monkeypatch):
     cfg = LibraryConfig(N=17, K=17, L=5, F=85)
     calls = []
     beams = delivery._beams
+    eliminations = []
+    eliminate = delivery.left_inverse_stack
 
     def counting(*args):
         calls.append(len(args[-1]))
         return beams(*args)
 
+    def recording(*args):
+        eliminations.append(eliminate(*args))
+        return eliminations[-1]
+
     monkeypatch.setattr(delivery, "_beams", counting)
+    monkeypatch.setattr(delivery, "left_inverse_stack", recording)
     H = draw_channel(17, 5, 0, field)
     schedule = build_schedule(DemandVector(range(17)), H, random_library(field, 17, 85, 1), cfg)
     assert calls == [len(schedule.layout.groups)]
@@ -306,8 +313,10 @@ def test_plan_draw_and_schedule_share_the_beams(monkeypatch):
     # columns a view of the parent sets' elimination, not a copy.
     columns, shifts, gains = _layout_beams(H)
     assert [a.ndim for a in (columns, shifts, gains)] == [2, 2, 2]
-    G, _, _ = left_inverse_stack(field, H.H[schedule.layout.parents])
-    assert columns.base is not None and columns.flags.c_contiguous
+    assert len(eliminations) == 1
+    G = eliminations[0][0]
+    assert columns.base is G.base is not None and columns.flags.c_contiguous
+    assert np.shares_memory(columns, G)
     assert np.array_equal(columns, G.swapaxes(1, 2).reshape(-1, 5))
 
 
